@@ -4,7 +4,7 @@ Outputs are line-delimited JSON records plus CSV for anything plottable;
 timestamps live only in the run manifest so records stay byte-identical
 for identical (config, seed).  Exit status encodes the scientific verdict
 so CI can chain the acceptance suite: 0 pass/complete, 1 verdict failure,
-2 usage or configuration error.
+2 usage or configuration error, or a box past the dense resource cap.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .estimators import (
     probe_fvc,
     wegner_ratio_sweep,
 )
+from .operator import DENSE_SOLVE_LIMIT, ResourceLimit
 from .spectra import (
     empirical_ids,
     free_chain_ids,
@@ -114,7 +115,7 @@ class _Reporter:
         manifest.write(self.out_dir)
 
 
-def _resolve_workers(args_workers: int | None, raw: dict) -> int | None:
+def _resolve_workers(args_workers: int | None) -> int | None:
     """Precedence: --workers flag, then environment, then config."""
     if args_workers is not None:
         return args_workers
@@ -127,11 +128,11 @@ def _resolve_workers(args_workers: int | None, raw: dict) -> int | None:
     return None
 
 
-def _overrides(args, raw: dict) -> dict:
+def _overrides(args) -> dict:
     return {
         "seed": args.seed,
         "samples": args.samples,
-        "workers": _resolve_workers(args.workers, raw),
+        "workers": _resolve_workers(args.workers),
     }
 
 
@@ -141,7 +142,7 @@ def _overrides(args, raw: dict) -> dict:
 
 def cmd_check(args) -> int:
     raw = load_config(args.config)
-    cfg = experiment_from_config(raw, overrides=_overrides(args, raw))
+    cfg = experiment_from_config(raw, overrides=_overrides(args))
     resolution = int(raw.get("grid_resolution", max(64, 4 * (2 * cfg.potential.support_radius + 1))))
     report = check_assumption(cfg.potential, cfg.density, resolution)
     reporter = _Reporter(args.out)
@@ -184,7 +185,7 @@ def _require_certified(cfg) -> None:
 def cmd_constants(args) -> int:
     raw = load_config(args.config)
     cfg = experiment_from_config(
-        raw, required=("box_radius", "site_x", "site_y"), overrides=_overrides(args, raw)
+        raw, required=("box_radius", "site_x", "site_y"), overrides=_overrides(args)
     )
     _require_certified(cfg)
     transform = build_circulant(cfg.potential, cfg.inner_box)
@@ -229,7 +230,7 @@ def cmd_minami(args) -> int:
     cfg = experiment_from_config(
         raw,
         required=("box_radius", "energy", "site_x", "site_y"),
-        overrides=_overrides(args, raw),
+        overrides=_overrides(args),
     )
     _require_certified(cfg)
     result = estimate_minami(cfg)
@@ -241,7 +242,7 @@ def cmd_minami(args) -> int:
 
 def cmd_wegner(args) -> int:
     raw = load_config(args.config)
-    overrides = _overrides(args, raw)
+    overrides = _overrides(args)
     reporter = _Reporter(args.out)
     if "widths" in raw:
         require_fields(raw, ("center",))
@@ -268,7 +269,7 @@ def cmd_wegner(args) -> int:
 def cmd_two_ev(args) -> int:
     raw = load_config(args.config)
     cfg = experiment_from_config(
-        raw, required=("box_radius", "interval"), overrides=_overrides(args, raw)
+        raw, required=("box_radius", "interval"), overrides=_overrides(args)
     )
     _require_certified(cfg)
     result = estimate_two_eigenvalue_probability(cfg)
@@ -294,7 +295,7 @@ def cmd_two_ev(args) -> int:
 def cmd_fvc(args) -> int:
     raw = load_config(args.config)
     require_fields(raw, ("decay_exponent", "radii"))
-    cfg = experiment_from_config(raw, required=("energy",), overrides=_overrides(args, raw))
+    cfg = experiment_from_config(raw, required=("energy",), overrides=_overrides(args))
     points = probe_fvc(
         cfg,
         decay_exponent=float(raw["decay_exponent"]),
@@ -327,7 +328,7 @@ def cmd_fmb(args) -> int:
     raw = load_config(args.config)
     require_fields(raw, ("fractional_exponent",))
     cfg = experiment_from_config(
-        raw, required=("box_radius", "energy"), overrides=_overrides(args, raw)
+        raw, required=("box_radius", "energy"), overrides=_overrides(args)
     )
     pairs = None
     if "pairs" in raw:
@@ -355,7 +356,7 @@ def cmd_fmb(args) -> int:
 
 
 def _ids_from_config(raw: dict, args) -> tuple:
-    cfg = experiment_from_config(raw, required=("ids_radius",), overrides=_overrides(args, raw))
+    cfg = experiment_from_config(raw, required=("ids_radius",), overrides=_overrides(args))
     ids_seed = int(raw.get("ids_seed", cfg.seed + IDS_SEED_OFFSET))
     ids_cfg = dataclasses.replace(cfg, seed=ids_seed)
     ids = empirical_ids(
@@ -456,7 +457,7 @@ def cmd_spacing(args) -> int:
 
 def cmd_verify_digest(args) -> int:
     raw = load_config(args.config)
-    cfg = experiment_from_config(raw, overrides=_overrides(args, raw))
+    cfg = experiment_from_config(raw, overrides=_overrides(args))
     expected = cfg.digest()
     path = Path(args.records)
     mismatches = 0
@@ -527,16 +528,15 @@ def main(argv=None) -> int:
     except (TransformError, RunFailure, NumericalFault) as err:
         print(f"run failed: {err}", file=sys.stderr)
         return 1
+    except ResourceLimit as err:
+        print(
+            f"resource cap: {err}; shrink the box radius or dimension "
+            f"(dense solves are limited to {DENSE_SOLVE_LIMIT} rows)",
+            file=sys.stderr,
+        )
+        return 2
     except ValueError as err:
-        message = str(err)
-        if "exceeds" in message:
-            print(
-                f"resource cap: {message}; shrink the box radius or dimension "
-                "(dense solves are limited to 4096 rows)",
-                file=sys.stderr,
-            )
-        else:
-            print(f"config error: {message}", file=sys.stderr)
+        print(f"config error: {err}", file=sys.stderr)
         return 2
 
 

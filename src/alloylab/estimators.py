@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,10 +23,11 @@ import numpy as np
 from .disorder import DisorderDensity, SingleSitePotential
 from .lattice import Box, Site, box, envelope_box, origin, sup_distance
 from .operator import (
-    DENSE_SOLVE_LIMIT,
     MIN_IMAG_PART,
+    base_matrix,
     convolution_matrix,
-    laplacian_matrix,
+    hamiltonian_stack,
+    require_dense,
 )
 from .transform import build_circulant, minami_constants
 
@@ -234,33 +235,31 @@ def _chunk_for(matrix_dim: int) -> int:
     return max(8, min(512, _CHUNK_BUDGET // max(1, matrix_dim * matrix_dim)))
 
 
+def _draw_couplings(cfg: ExperimentConfig, size: int, rngs) -> np.ndarray:
+    """Couplings for a chunk: one row of ``size`` draws per sample generator."""
+    return cfg.density.quantile(np.stack([rng.random(size) for rng in rngs]))
+
+
 def _draw_potentials(cfg: ExperimentConfig, conv: np.ndarray, rngs) -> np.ndarray:
-    """Potential profiles for a chunk: one row per sample over the inner box."""
-    env_size = conv.shape[1]
-    uniforms = np.stack([rng.random(env_size) for rng in rngs])
-    couplings = cfg.density.quantile(uniforms)
-    return couplings @ conv.T
+    """Potential profiles for a chunk: one row per sample over the box of ``conv``."""
+    return _draw_couplings(cfg, conv.shape[1], rngs) @ conv.T
+
+
+def _counts(base: np.ndarray, lam: float, profiles: np.ndarray, interval) -> np.ndarray:
+    """Eigenvalue counts in the closed interval, one per profile row."""
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))
+    return np.sum((spectra >= interval[0]) & (spectra <= interval[1]), axis=1)
 
 
 def _batched_counts(cfg: ExperimentConfig) -> Callable:
     """Kernel computing eigenvalue counts in ``cfg.interval`` per sample."""
     inner = cfg.inner_box
     conv = convolution_matrix(inner, cfg.potential, cfg.envelope)
-    base = laplacian_matrix(inner)
-    if cfg.shifted_laplacian:
-        base = base + 2.0 * cfg.dimension * np.eye(inner.size)
-    lo, hi = cfg.interval
-    lam = cfg.disorder_strength
-    idx = np.arange(inner.size)
+    base = base_matrix(inner, cfg.shifted_laplacian)
 
     def kernel(indices, rngs):
         profiles = _draw_potentials(cfg, conv, rngs)
-        m = profiles.shape[0]
-        matrices = np.repeat(base[None, :, :], m, axis=0)
-        matrices[:, idx, idx] += lam * profiles
-        spectra = np.linalg.eigvalsh(matrices)
-        counts = np.sum((spectra >= lo) & (spectra <= hi), axis=1)
-        return counts.astype(float)[:, None]
+        return _counts(base, cfg.disorder_strength, profiles, cfg.interval).astype(float)[:, None]
 
     return kernel
 
@@ -284,8 +283,7 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     inner = cfg.inner_box
     if not (inner.contains(cfg.site_x) and inner.contains(cfg.site_y)):
         raise ValueError("both sites must lie in the box")
-    if inner.size > DENSE_SOLVE_LIMIT:
-        raise ValueError(f"matrix dimension {inner.size} exceeds {DENSE_SOLVE_LIMIT}")
+    require_dense(inner.size)
 
     started = time.perf_counter()
     lam = cfg.disorder_strength
@@ -299,19 +297,14 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     bound = constants.determinant_bound if constants else math.inf
 
     conv = convolution_matrix(inner, cfg.potential, cfg.envelope)
-    base = laplacian_matrix(inner).astype(complex)
-    if cfg.shifted_laplacian:
-        base += 2.0 * cfg.dimension * np.eye(inner.size)
-    idx = np.arange(inner.size)
-    base[idx, idx] -= z
+    base = base_matrix(inner, cfg.shifted_laplacian, z)
     ix, iy = inner.index_of(cfg.site_x), inner.index_of(cfg.site_y)
     envelope_cap = z.imag**-2
 
     def kernel(indices, rngs):
         profiles = _draw_potentials(cfg, conv, rngs)
         m = profiles.shape[0]
-        matrices = np.repeat(base[None, :, :], m, axis=0)
-        matrices[:, idx, idx] += lam * profiles
+        matrices = hamiltonian_stack(base, lam, profiles)
         rhs = np.zeros((m, inner.size, 2), dtype=complex)
         rhs[:, ix, 0] = 1.0
         rhs[:, iy, 1] = 1.0
@@ -397,8 +390,7 @@ def estimate_wegner(cfg: ExperimentConfig) -> MCEstimate:
         raise ValueError("empty sample")
     started = time.perf_counter()
     inner = cfg.inner_box
-    if inner.size > DENSE_SOLVE_LIMIT:
-        raise ValueError(f"matrix dimension {inner.size} exceeds {DENSE_SOLVE_LIMIT}")
+    require_dense(inner.size)
     values = run_parallel(
         _batched_counts(cfg), cfg.n_samples, 1, cfg.seed, cfg.workers, _chunk_for(inner.size)
     )
@@ -424,22 +416,10 @@ def wegner_ratio_sweep(
     cfg: ExperimentConfig, widths: Sequence[float], center: float
 ) -> list[MCEstimate]:
     """Run the counting estimator at several interval widths around a center."""
-    out = []
-    for width in widths:
-        swept = ExperimentConfig(
-            dimension=cfg.dimension,
-            box_radius=cfg.box_radius,
-            potential=cfg.potential,
-            density=cfg.density,
-            disorder_strength=cfg.disorder_strength,
-            interval=(center - width / 2.0, center + width / 2.0),
-            n_samples=cfg.n_samples,
-            seed=cfg.seed,
-            workers=cfg.workers,
-            shifted_laplacian=cfg.shifted_laplacian,
-        )
-        out.append(estimate_wegner(swept))
-    return out
+    return [
+        estimate_wegner(replace(cfg, interval=(center - width / 2.0, center + width / 2.0)))
+        for width in widths
+    ]
 
 
 @dataclass
@@ -462,8 +442,7 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
         raise ValueError("counting estimator needs an interval")
     started = time.perf_counter()
     inner = cfg.inner_box
-    if inner.size > DENSE_SOLVE_LIMIT:
-        raise ValueError(f"matrix dimension {inner.size} exceeds {DENSE_SOLVE_LIMIT}")
+    require_dense(inner.size)
     count_kernel = _batched_counts(cfg)
 
     def kernel(indices, rngs):
@@ -567,13 +546,10 @@ def probe_fvc(
     results = []
     for radius in radii:
         inner = box(int(radius), cfg.dimension)
-        if inner.size > DENSE_SOLVE_LIMIT:
-            raise ValueError(f"matrix dimension {inner.size} exceeds {DENSE_SOLVE_LIMIT}")
+        require_dense(inner.size)
         env = envelope_box(inner, cfg.potential.support_radius)
         conv = convolution_matrix(inner, cfg.potential, env)
-        base = laplacian_matrix(inner)
-        if cfg.shifted_laplacian:
-            base = base + 2.0 * cfg.dimension * np.eye(inner.size)
+        base = base_matrix(inner, cfg.shifted_laplacian)
         sites = inner.site_array()
         seps = np.max(np.abs(sites[:, None, :] - sites[None, :, :]), axis=2)
         pair_mask = seps >= radius / 2.0
@@ -586,9 +562,7 @@ def probe_fvc(
             for row, rng in enumerate(rngs):
                 resamples = 0
                 for _ in range(max_attempts):
-                    omega = cfg.density.quantile(rng.random(_conv.shape[1]))
-                    diag = lam * (_conv @ omega)
-                    matrix = _base + np.diag(diag)
+                    (matrix,) = hamiltonian_stack(_base, lam, _draw_potentials(cfg, _conv, [rng]))
                     spectrum = np.linalg.eigvalsh(matrix)
                     if np.min(np.abs(spectrum - energy)) > resonance_gap:
                         break
@@ -651,8 +625,7 @@ def probe_fractional_moment(
     if cfg.energy is None or cfg.energy.imag <= 0.0:
         raise ValueError("fractional moment probe needs Im z > 0")
     inner = cfg.inner_box
-    if inner.size > DENSE_SOLVE_LIMIT:
-        raise ValueError(f"matrix dimension {inner.size} exceeds {DENSE_SOLVE_LIMIT}")
+    require_dense(inner.size)
     if pairs is None:
         anchor = origin(cfg.dimension)
         pairs = [
@@ -665,23 +638,14 @@ def probe_fractional_moment(
             raise ValueError("pair distances must be positive")
         if not (inner.contains(x) and inner.contains(y)):
             raise ValueError(f"pair {(x, y)} leaves the box")
-    env = envelope_box(inner, cfg.potential.support_radius)
-    conv = convolution_matrix(inner, cfg.potential, env)
-    base = laplacian_matrix(inner).astype(complex)
-    if cfg.shifted_laplacian:
-        base += 2.0 * cfg.dimension * np.eye(inner.size)
-    idx = np.arange(inner.size)
-    base[idx, idx] -= complex(cfg.energy)
+    conv = convolution_matrix(inner, cfg.potential, cfg.envelope)
+    base = base_matrix(inner, cfg.shifted_laplacian, complex(cfg.energy))
     pair_rows = np.array([inner.index_of(x) for x, _ in pairs])
     pair_cols = np.array([inner.index_of(y) for _, y in pairs])
     lam = cfg.disorder_strength
 
     def kernel(indices, rngs):
-        profiles = _draw_potentials(cfg, conv, rngs)
-        m = profiles.shape[0]
-        matrices = np.repeat(base[None, :, :], m, axis=0)
-        matrices[:, idx, idx] += lam * profiles
-        green = np.linalg.inv(matrices)
+        green = np.linalg.inv(hamiltonian_stack(base, lam, _draw_potentials(cfg, conv, rngs)))
         return np.abs(green[:, pair_rows, pair_cols]) ** moment
 
     values = run_parallel(
@@ -740,25 +704,15 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
     box_one = box(cfg.box_radius, cfg.dimension)
     box_two = Box(center_two, cfg.box_radius)
     field_box = Box(origin(cfg.dimension), separation + cfg.box_radius + reach)
-    conv_one = convolution_matrix(box_one, cfg.potential, field_box)
-    conv_two = convolution_matrix(box_two, cfg.potential, field_box)
-    base_one = laplacian_matrix(box_one)
-    base_two = laplacian_matrix(box_two)
-    lo, hi = cfg.interval
+    convs = [convolution_matrix(b, cfg.potential, field_box) for b in (box_one, box_two)]
+    # both boxes have the same shape, hence the same potential-free part
+    base = base_matrix(box_one, cfg.shifted_laplacian)
     lam = cfg.disorder_strength
-    idx = np.arange(box_one.size)
 
     def kernel(indices, rngs):
-        uniforms = np.stack([rng.random(field_box.size) for rng in rngs])
-        omegas = cfg.density.quantile(uniforms)
-        rows = np.empty((omegas.shape[0], 2))
-        for column, (conv, base) in enumerate(((conv_one, base_one), (conv_two, base_two))):
-            profiles = omegas @ conv.T
-            matrices = np.repeat(base[None, :, :], omegas.shape[0], axis=0)
-            matrices[:, idx, idx] += lam * profiles
-            spectra = np.linalg.eigvalsh(matrices)
-            rows[:, column] = np.sum((spectra >= lo) & (spectra <= hi), axis=1)
-        return rows
+        omegas = _draw_couplings(cfg, field_box.size, rngs)
+        counts = [_counts(base, lam, omegas @ conv.T, cfg.interval) for conv in convs]
+        return np.stack(counts, axis=1).astype(float)
 
     values = run_parallel(
         kernel, cfg.n_samples, 2, cfg.seed, cfg.workers, _chunk_for(box_one.size)

@@ -97,11 +97,6 @@ def box(radius: int, dimension: int, center: Site | None = None) -> Box:
     return Box(center if center is not None else origin(dimension), radius)
 
 
-def enumerate_box(b: Box) -> list[Site]:
-    """Deterministic lexicographic enumeration of a box's sites."""
-    return b.sites()
-
-
 def envelope_box(lambda_box: Box, reach: int, potential=None) -> Box:
     """Enlarged box holding every coupling that can influence ``lambda_box``.
 

@@ -25,6 +25,16 @@ class ResolventError(RuntimeError):
     """Raised when a resolvent solve cannot be certified."""
 
 
+class ResourceLimit(ValueError):
+    """A box is too large for the dense linear-algebra path."""
+
+
+def require_dense(n: int) -> None:
+    """Refuse an ``n x n`` dense matrix beyond ``DENSE_SOLVE_LIMIT`` rows."""
+    if n > DENSE_SOLVE_LIMIT:
+        raise ResourceLimit(f"matrix dimension {n} exceeds {DENSE_SOLVE_LIMIT}")
+
+
 def laplacian_matrix(box: Box) -> np.ndarray:
     """Negated adjacency matrix of the box graph (the kinetic term)."""
     n = box.size
@@ -37,6 +47,33 @@ def laplacian_matrix(box: Box) -> np.ndarray:
         h[inner, inner + strides[axis]] = -1.0
         h[inner + strides[axis], inner] = -1.0
     return h
+
+
+def base_matrix(box: Box, shifted: bool, z: complex | None = None) -> np.ndarray:
+    """The potential-free part of the Hamiltonian on the box.
+
+    The Laplacian, plus ``2d`` on the diagonal when ``shifted``, minus ``z``
+    on the diagonal (as a complex matrix) when a spectral parameter is given.
+    """
+    h = laplacian_matrix(box).astype(float if z is None else complex)
+    idx = np.arange(box.size)
+    if shifted:
+        h[idx, idx] += 2.0 * box.dimension
+    if z is not None:
+        h[idx, idx] -= z
+    return h
+
+
+def hamiltonian_stack(base: np.ndarray, lam: float, profiles: np.ndarray) -> np.ndarray:
+    """One matrix per profile row: ``base`` with ``lam * profile`` added to the diagonal.
+
+    This is the single assembly path; the base comes first so every caller
+    adds in the same order and gets the same bits.
+    """
+    stack = np.repeat(base[None, :, :], profiles.shape[0], axis=0)
+    idx = np.arange(base.shape[0])
+    stack[:, idx, idx] += lam * profiles
+    return stack
 
 
 def convolution_matrix(box: Box, potential: SingleSitePotential, envelope: Box) -> np.ndarray:
@@ -107,11 +144,7 @@ def build_hamiltonian(
             f"got center={couplings.box.center} radius={couplings.box.radius}"
         )
     diagonal = potential_profile(box, potential, couplings)
-    h = laplacian_matrix(box)
-    idx = np.arange(box.size)
-    h[idx, idx] = lam * diagonal
-    if shifted_laplacian:
-        h[idx, idx] += 2.0 * box.dimension
+    (h,) = hamiltonian_stack(base_matrix(box, shifted_laplacian), lam, diagonal[None, :])
     return HamiltonianSample(
         box=box,
         matrix=h,

@@ -8,19 +8,19 @@ randomness of the unfolding independent of the samples it rescales.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .estimators import ExperimentConfig, sample_stream
+from .estimators import ExperimentConfig, _draw_potentials, run_parallel
 from .lattice import box, envelope_box
 from .operator import (
-    DENSE_SOLVE_LIMIT,
+    base_matrix,
     chain_eigenvalues,
     convolution_matrix,
-    laplacian_matrix,
+    hamiltonian_stack,
+    require_dense,
 )
 
 KS_CRITICAL_SCALE = 1.358  # asymptotic 5% Kolmogorov-Smirnov constant
@@ -45,38 +45,31 @@ def free_chain_ids(energies) -> np.ndarray:
     return np.arccos(-np.clip(e, -2.0, 2.0) / 2.0) / np.pi
 
 
-def _realization_eigenvalues(
-    cfg: ExperimentConfig,
-    radius: int,
-    conv: np.ndarray,
-    base: np.ndarray | None,
-    seed: int,
-    index: int,
-) -> np.ndarray:
-    rng = sample_stream(seed, index)
-    couplings = cfg.density.quantile(rng.random(conv.shape[1]))
-    diagonal = cfg.disorder_strength * (conv @ couplings)
-    if cfg.dimension == 1:
-        return chain_eigenvalues(diagonal, shifted=cfg.shifted_laplacian)
-    matrix = base + np.diag(diagonal)
-    return np.linalg.eigvalsh(matrix)
+def _eigenvalue_kernel(cfg: ExperimentConfig, radius: int):
+    """Box of the given radius and a ``run_parallel`` kernel of sorted eigenvalues.
 
-
-def _box_machinery(cfg: ExperimentConfig, radius: int):
+    The kernel returns one row per realization: the tridiagonal solver per
+    row in d=1, a batched ``eigvalsh`` of the assembled stack otherwise.
+    Callers run it with ``chunk_size=1``, one realization per task: a
+    realization's profile is then a one-row product, bit-identical to the
+    matrix-vector product of ``potential_profile``; products over several
+    rows may differ in the last bits.
+    """
     inner = box(radius, cfg.dimension)
+    lam = cfg.disorder_strength
+    if cfg.dimension > 1:
+        require_dense(inner.size)
+        base = base_matrix(inner, cfg.shifted_laplacian)
     env = envelope_box(inner, cfg.potential.support_radius)
     conv = convolution_matrix(inner, cfg.potential, env)
-    base = None
-    if cfg.dimension > 1:
-        if inner.size > DENSE_SOLVE_LIMIT:
-            raise ValueError(
-                f"matrix dimension {inner.size} exceeds {DENSE_SOLVE_LIMIT} "
-                "(only the 1d chain has a banded fast path)"
-            )
-        base = laplacian_matrix(inner)
-        if cfg.shifted_laplacian:
-            base = base + 2.0 * cfg.dimension * np.eye(inner.size)
-    return inner, conv, base
+
+    def kernel(indices, rngs):
+        profiles = _draw_potentials(cfg, conv, rngs)
+        if cfg.dimension == 1:
+            return np.stack([chain_eigenvalues(lam * p, cfg.shifted_laplacian) for p in profiles])
+        return np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))
+
+    return inner, kernel
 
 
 @dataclass
@@ -128,31 +121,24 @@ def empirical_ids(
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
-    inner, conv, base = _box_machinery(cfg, ids_radius)
     if grid is None:
         lo, hi = spectral_range(cfg)
         grid = np.linspace(lo - 1.0, hi + 1.0, grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
 
-    counts = np.zeros((n_realizations, grid.size), dtype=np.int64)
-
-    def work(r: int) -> None:
-        vals = _realization_eigenvalues(cfg, ids_radius, conv, base, cfg.seed, r)
+    inner, kernel = _eigenvalue_kernel(cfg, ids_radius)
+    spectra = run_parallel(
+        kernel, n_realizations, inner.size, cfg.seed, cfg.workers, chunk_size=1
+    )
+    counts = np.zeros(grid.size, dtype=np.int64)
+    for vals in spectra:
         if vals[0] < grid[0] or vals[-1] > grid[-1]:
             escaped = vals[(vals < grid[0]) | (vals > grid[-1])]
             raise ValueError(f"eigenvalues escaped the IDS grid: {escaped[:5]!r}")
-        counts[r] = np.searchsorted(vals, grid, side="right")
+        counts += np.searchsorted(vals, grid, side="right")
 
-    if cfg.workers == 1:
-        for r in range(n_realizations):
-            work(r)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for future in [pool.submit(work, r) for r in range(n_realizations)]:
-                future.result()
-
-    values = counts.sum(axis=0) / (n_realizations * inner.size)
+    values = counts / (n_realizations * inner.size)
     return EmpiricalIDS(
         grid=grid,
         values=values,
@@ -221,21 +207,11 @@ def rescaled_ensemble(
             f"IDS box radius {ids_radius} must be at least twice the statistics "
             f"radius {stats_radius} to decouple the unfolding"
         )
-    inner, conv, base = _box_machinery(cfg, stats_radius)
-    out: list[RescaledSample | None] = [None] * n_realizations
-
-    def work(r: int) -> None:
-        vals = _realization_eigenvalues(cfg, stats_radius, conv, base, cfg.seed, r)
-        out[r] = rescale(vals, ids, reference_energy, inner.size, stats_radius)
-
-    if cfg.workers == 1:
-        for r in range(n_realizations):
-            work(r)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for future in [pool.submit(work, r) for r in range(n_realizations)]:
-                future.result()
-    return out  # type: ignore[return-value]
+    inner, kernel = _eigenvalue_kernel(cfg, stats_radius)
+    spectra = run_parallel(
+        kernel, n_realizations, inner.size, cfg.seed, cfg.workers, chunk_size=1
+    )
+    return [rescale(vals, ids, reference_energy, inner.size, stats_radius) for vals in spectra]
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,7 @@ def test_criterion_02_circulant_identities():
 # criteria 3/4: determinant bound, rank one and beyond
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_03_rank_one_determinant_bound(rank_one_sweep):
     results, elapsed = rank_one_sweep
     ok = all(r.verdict == "within_bound" for r in results)
@@ -223,6 +224,7 @@ def test_criterion_03_rank_one_determinant_bound(rank_one_sweep):
     report(3, ok, f"bound and classical comparison at 5 energies ({margins}), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_04_beyond_rank_one_determinant_bound(beyond_rank_one_sweep):
     results, elapsed = beyond_rank_one_sweep
     ok = all(r.verdict == "within_bound" for r in results) and elapsed < 600.0
@@ -287,6 +289,7 @@ def test_criterion_06_wegner_linearity():
 # criterion 7: desk-scale Poisson statistics
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_poisson_statistics(poisson_pipeline):
     stats = poisson_pipeline["stats"]
     elapsed = poisson_pipeline["elapsed"]
@@ -334,6 +337,7 @@ def test_criterion_08_sobolev_quarter():
 # criterion 9: determinant envelope
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_09_determinant_envelope(rank_one_sweep, beyond_rank_one_sweep):
     # the sampling kernels abort on any det outside (0, (Im z)^-2]; reaching
     # this point with zero recorded violations is the zero-tolerance check
@@ -352,6 +356,7 @@ def test_criterion_09_determinant_envelope(rank_one_sweep, beyond_rank_one_sweep
 # criterion 10: bit-for-bit determinism across worker counts
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_10_worker_determinism(rank_one_sweep, beyond_rank_one_sweep, poisson_pipeline):
     rank_one_again = run_minami_sweep(DELTA, workers=3)
     beyond_again = run_minami_sweep(NN_POSITIVE, workers=3)

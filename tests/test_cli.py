@@ -208,6 +208,14 @@ def test_resource_cap_guidance(tmp_path, capsys):
     cfg = write_config(tmp_path, **fields)
     assert main(["minami", "--config", cfg]) == 2
     assert "resource cap" in capsys.readouterr().err
+    # the spectra path: a 67 x 67 IDS box has no banded fast path in d=2
+    ids = write_config(
+        tmp_path, name="ids.json", **base_fields(dimension=2, ids_radius=33, ids_realizations=1)
+    )
+    assert main(["ids", "--config", ids]) == 2
+    err = capsys.readouterr().err
+    assert "resource cap" in err
+    assert "4489" in err and "4096" in err
 
 
 # ---------------------------------------------------------------------------

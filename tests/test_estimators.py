@@ -283,6 +283,19 @@ def test_independence_probe_distant_boxes():
         independence_probe(cfg, separation=5)
 
 
+def test_independence_probe_honours_shifted_laplacian():
+    # the 2d shift moves every eigenvalue by 2d, so shifting the interval
+    # with it must leave every count, hence the correlation, unchanged
+    plain = make_config(potential=NN, interval=(0.5, 1.5), n_samples=300, seed=13)
+    shifted = make_config(
+        potential=NN, interval=(2.5, 3.5), n_samples=300, seed=13, shifted_laplacian=True
+    )
+    expected = independence_probe(plain, separation=10).correlation
+    assert independence_probe(shifted, separation=10).correlation == pytest.approx(
+        expected, abs=1e-12
+    )
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------

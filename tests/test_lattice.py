@@ -3,32 +3,32 @@ import itertools
 import numpy as np
 import pytest
 
-from alloylab.lattice import Box, box, enumerate_box, envelope_box, origin, periodize
+from alloylab.lattice import Box, box, envelope_box, origin, periodize
 from alloylab.disorder import SingleSitePotential
 
 
 def test_enumerate_1d_radius_one():
-    assert enumerate_box(box(1, 1)) == [(-1,), (0,), (1,)]
+    assert box(1, 1).sites() == [(-1,), (0,), (1,)]
 
 
 def test_enumerate_2d_count():
-    assert len(enumerate_box(box(2, 2))) == 25
+    assert len(box(2, 2).sites()) == 25
 
 
 def test_enumerate_radius_zero_off_center():
-    assert enumerate_box(Box((3, -1), 0)) == [(3, -1)]
+    assert Box((3, -1), 0).sites() == [(3, -1)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("radius", range(6))
 def test_cardinality(d, radius):
-    assert len(enumerate_box(box(radius, d))) == (2 * radius + 1) ** d
+    assert len(box(radius, d).sites()) == (2 * radius + 1) ** d
 
 
 def test_enumeration_is_lexicographic_and_stable():
-    sites = enumerate_box(box(2, 2))
+    sites = box(2, 2).sites()
     assert sites == sorted(sites)
-    assert sites == enumerate_box(box(2, 2))
+    assert sites == box(2, 2).sites()
 
 
 def test_index_of_matches_enumeration():
@@ -52,7 +52,7 @@ def test_negative_radius_rejected():
 def test_envelope_1d_example():
     env = envelope_box(box(1, 1), 1)
     assert env.radius == 2
-    assert enumerate_box(env) == [(-2,), (-1,), (0,), (1,), (2,)]
+    assert env.sites() == [(-2,), (-1,), (0,), (1,), (2,)]
 
 
 def test_envelope_rank_one_is_identity():
@@ -93,7 +93,7 @@ def test_periodize_examples():
 
 
 def test_periodize_identity_on_box():
-    for site in enumerate_box(box(2, 2)):
+    for site in box(2, 2).sites():
         assert periodize(site, 2) == site
 
 

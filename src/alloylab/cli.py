@@ -143,7 +143,7 @@ def _overrides(args) -> dict:
 def cmd_check(args) -> int:
     raw = load_config(args.config)
     cfg = experiment_from_config(raw, overrides=_overrides(args))
-    resolution = int(raw.get("grid_resolution", max(64, 4 * (2 * cfg.potential.support_radius + 1))))
+    resolution = int(raw.get("grid_resolution", _default_grid_resolution(cfg.potential)))
     report = check_assumption(cfg.potential, cfg.density, resolution)
     reporter = _Reporter(args.out)
     digest = cfg.digest()
@@ -171,9 +171,13 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _default_grid_resolution(potential) -> int:
+    """Assumption-check grid: at least 64 points, four per support width."""
+    return max(64, 4 * (2 * potential.support_radius + 1))
+
+
 def _require_certified(cfg) -> None:
-    resolution = max(64, 4 * (2 * cfg.potential.support_radius + 1))
-    report = check_assumption(cfg.potential, cfg.density, resolution)
+    report = check_assumption(cfg.potential, cfg.density, _default_grid_resolution(cfg.potential))
     if not report.satisfied:
         raise ConfigError(
             "disorder assumption not certified for this potential/density "

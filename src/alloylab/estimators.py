@@ -3,9 +3,11 @@
 Every sample owns a private random stream derived from ``(seed, sample
 index)``, so estimates are bit-identical for any worker count; aggregation
 uses numpy's pairwise summation over arrays laid out in sample order, which
-is likewise deterministic.  Samples whose linear solves cannot be certified
-are counted and the run fails when they exceed a 0.1% cap; determinant
-samples outside the resolvent envelope abort the run as numerical faults.
+is likewise deterministic.  Every Green entry comes from
+``operator.resolvent_columns``; in every estimator and probe, samples whose
+solve cannot be certified become NaN rows, are counted, and fail the run
+beyond a 0.1% cap.  Determinant samples outside the resolvent envelope
+abort the run as numerical faults.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .operator import (
     convolution_matrix,
     hamiltonian_stack,
     require_dense,
+    resolvent_columns,
 )
 from .transform import build_circulant, minami_constants
 
@@ -106,6 +109,17 @@ def column_summary(values: np.ndarray, column: int) -> tuple[float, float, int, 
     else:
         stderr = 0.0
     return mean, stderr, n_valid, n_failed
+
+
+def sample_correlation(first: np.ndarray, second: np.ndarray) -> float:
+    """Sample correlation (ddof=1) of two equal-length series; 0.0 if either is constant."""
+    sd1, sd2 = first.std(ddof=1), second.std(ddof=1)
+    if not (sd1 > 0 and sd2 > 0):
+        return 0.0
+    return float(
+        np.sum((first - first.mean()) * (second - second.mean()))
+        / ((first.size - 1) * sd1 * sd2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +311,13 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     bound = constants.determinant_bound if constants else math.inf
 
     conv = convolution_matrix(inner, cfg.potential, cfg.envelope)
-    base = base_matrix(inner, cfg.shifted_laplacian, z)
+    base = base_matrix(inner, cfg.shifted_laplacian)
     ix, iy = inner.index_of(cfg.site_x), inner.index_of(cfg.site_y)
     envelope_cap = z.imag**-2
 
     def kernel(indices, rngs):
-        profiles = _draw_potentials(cfg, conv, rngs)
-        m = profiles.shape[0]
-        matrices = hamiltonian_stack(base, lam, profiles)
-        rhs = np.zeros((m, inner.size, 2), dtype=complex)
-        rhs[:, ix, 0] = 1.0
-        rhs[:, iy, 1] = 1.0
-        solutions, solved = _batched_solve(matrices, rhs)
-        residual = np.max(np.abs(matrices @ solutions - rhs), axis=(1, 2))
-        scale = 1.0 + np.maximum(1.0, lam * np.max(np.abs(profiles), axis=1))
-        good = solved & (residual <= 1e-10 * scale)
+        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, conv, rngs))
+        solutions, good = resolvent_columns(matrices, z, [ix, iy])
         g_im = solutions[:, [ix, iy], :].imag
         det = g_im[:, 0, 0] * g_im[:, 1, 1] - g_im[:, 0, 1] * g_im[:, 1, 0]
         bad = good & ((det <= 0.0) | (det > envelope_cap))
@@ -356,22 +362,6 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
         wall_time=time.perf_counter() - started,
         extras=extras,
     )
-
-
-def _batched_solve(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of systems; singular members degrade to per-sample NaN."""
-    m = matrices.shape[0]
-    solved = np.ones(m, dtype=bool)
-    try:
-        return np.linalg.solve(matrices, rhs), solved
-    except np.linalg.LinAlgError:
-        solutions = np.zeros_like(rhs)
-        for i in range(m):
-            try:
-                solutions[i] = np.linalg.solve(matrices[i], rhs[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return solutions, solved
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +433,9 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
     started = time.perf_counter()
     inner = cfg.inner_box
     require_dense(inner.size)
+    lam = cfg.disorder_strength
+    if lam > 0 and inner.size < 2:
+        raise ValueError("the two-eigenvalue bound needs a box with at least two sites")
     count_kernel = _batched_counts(cfg)
 
     def kernel(indices, rngs):
@@ -458,15 +451,13 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
     if not exact:
         raise NumericalFault("indicator exceeded the pair count; counting is broken")
 
-    lam = cfg.disorder_strength
     width = cfg.interval[1] - cfg.interval[0]
     if lam > 0:
         transform = build_circulant(cfg.potential, inner)
-        sites = inner.sites()
-        pair = (sites[0], sites[1]) if inner.size > 1 else None
-        if pair is None:
-            raise ValueError("the two-eigenvalue bound needs a box with at least two sites")
-        constants = minami_constants(transform, cfg.density, lam, pair[0], pair[1])
+        # the first two sites in enumeration order
+        x = tuple(c - inner.radius for c in inner.center)
+        y = x[:-1] + (x[-1] + 1,)
+        constants = minami_constants(transform, cfg.density, lam, x, y)
         bound = 0.5 * constants.determinant_bound * width**2 * inner.size**2
     else:
         bound = math.inf
@@ -541,6 +532,8 @@ def probe_fvc(
         )
     if cfg.energy is None:
         raise ValueError("localization probe needs a reference energy")
+    if regularization <= MIN_IMAG_PART:
+        raise ValueError(f"regularization must exceed {MIN_IMAG_PART}, got {regularization}")
     energy = float(cfg.energy.real)
     lam = cfg.disorder_strength
     results = []
@@ -554,27 +547,27 @@ def probe_fvc(
         seps = np.max(np.abs(sites[:, None, :] - sites[None, :, :]), axis=2)
         pair_mask = seps >= radius / 2.0
         threshold = float(radius) ** -decay_exponent
-        idx = np.arange(inner.size)
         shift = energy + 1j * regularization
 
         def kernel(indices, rngs, _conv=conv, _base=base, _mask=pair_mask, _thr=threshold):
-            rows = np.empty((len(indices), 2))
+            rows = np.full((len(indices), 2), np.nan)
+            accepted, matrices = [], []
             for row, rng in enumerate(rngs):
                 resamples = 0
                 for _ in range(max_attempts):
                     (matrix,) = hamiltonian_stack(_base, lam, _draw_potentials(cfg, _conv, [rng]))
                     spectrum = np.linalg.eigvalsh(matrix)
                     if np.min(np.abs(spectrum - energy)) > resonance_gap:
+                        accepted.append(row)
+                        matrices.append(matrix)
                         break
                     resamples += 1
-                else:
-                    rows[row] = (np.nan, resamples)
-                    continue
-                shifted = matrix.astype(complex)
-                shifted[idx, idx] -= shift
-                green = np.linalg.inv(shifted)
-                ok = bool(np.all(np.abs(green[_mask]) <= _thr))
-                rows[row] = (float(ok), resamples)
+                rows[row, 1] = resamples
+            if matrices:
+                columns = np.arange(_base.shape[0])
+                green, certified = resolvent_columns(np.stack(matrices), shift, columns)
+                ok = np.all(np.abs(green[:, _mask]) <= _thr, axis=1)
+                rows[accepted, 0] = np.where(certified, ok, np.nan)
             return rows
 
         values = run_parallel(
@@ -622,8 +615,8 @@ def probe_fractional_moment(
     """Fit exponential decay of ``E |G(z; x, y)|^s`` against pair distance."""
     if not 0.0 < moment < 1.0:
         raise ValueError("the fractional moment exponent must lie in (0, 1)")
-    if cfg.energy is None or cfg.energy.imag <= 0.0:
-        raise ValueError("fractional moment probe needs Im z > 0")
+    if cfg.energy is None or cfg.energy.imag <= MIN_IMAG_PART:
+        raise ValueError(f"fractional moment probe needs Im z > {MIN_IMAG_PART}")
     inner = cfg.inner_box
     require_dense(inner.size)
     if pairs is None:
@@ -639,14 +632,18 @@ def probe_fractional_moment(
         if not (inner.contains(x) and inner.contains(y)):
             raise ValueError(f"pair {(x, y)} leaves the box")
     conv = convolution_matrix(inner, cfg.potential, cfg.envelope)
-    base = base_matrix(inner, cfg.shifted_laplacian, complex(cfg.energy))
+    base = base_matrix(inner, cfg.shifted_laplacian)
     pair_rows = np.array([inner.index_of(x) for x, _ in pairs])
-    pair_cols = np.array([inner.index_of(y) for _, y in pairs])
+    # G(z; x, y) is entry x of resolvent column y; solve each distinct column once
+    columns, pair_cols = np.unique([inner.index_of(y) for _, y in pairs], return_inverse=True)
     lam = cfg.disorder_strength
 
     def kernel(indices, rngs):
-        green = np.linalg.inv(hamiltonian_stack(base, lam, _draw_potentials(cfg, conv, rngs)))
-        return np.abs(green[:, pair_rows, pair_cols]) ** moment
+        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, conv, rngs))
+        green, certified = resolvent_columns(matrices, cfg.energy, columns)
+        values = np.abs(green[:, pair_rows, pair_cols]) ** moment
+        values[~certified] = np.nan
+        return values
 
     values = run_parallel(
         kernel, cfg.n_samples, len(pairs), cfg.seed, cfg.workers, _chunk_for(inner.size)
@@ -717,17 +714,8 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
     values = run_parallel(
         kernel, cfg.n_samples, 2, cfg.seed, cfg.workers, _chunk_for(box_one.size)
     )
-    first, second = values[:, 0], values[:, 1]
-    sd1, sd2 = first.std(ddof=1), second.std(ddof=1)
-    if sd1 == 0.0 or sd2 == 0.0:
-        correlation = 0.0
-    else:
-        correlation = float(
-            np.sum((first - first.mean()) * (second - second.mean()))
-            / ((cfg.n_samples - 1) * sd1 * sd2)
-        )
     return IndependenceReport(
-        correlation=correlation,
+        correlation=sample_correlation(values[:, 0], values[:, 1]),
         threshold=3.0 / math.sqrt(cfg.n_samples),
         separation=separation,
         n_samples=cfg.n_samples,

@@ -9,6 +9,7 @@ outside the box is dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -49,18 +50,15 @@ def laplacian_matrix(box: Box) -> np.ndarray:
     return h
 
 
-def base_matrix(box: Box, shifted: bool, z: complex | None = None) -> np.ndarray:
+def base_matrix(box: Box, shifted: bool) -> np.ndarray:
     """The potential-free part of the Hamiltonian on the box.
 
-    The Laplacian, plus ``2d`` on the diagonal when ``shifted``, minus ``z``
-    on the diagonal (as a complex matrix) when a spectral parameter is given.
+    The Laplacian, plus ``2d`` on the diagonal when ``shifted``.
     """
-    h = laplacian_matrix(box).astype(float if z is None else complex)
-    idx = np.arange(box.size)
+    h = laplacian_matrix(box)
     if shifted:
+        idx = np.arange(box.size)
         h[idx, idx] += 2.0 * box.dimension
-    if z is not None:
-        h[idx, idx] -= z
     return h
 
 
@@ -159,25 +157,50 @@ def build_hamiltonian(
 # Green function blocks and the Krein decomposition
 # ---------------------------------------------------------------------------
 
-def _solve_resolvent(matrix: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
-    n = matrix.shape[0]
-    if n > DENSE_SOLVE_LIMIT:
-        raise ResolventError(
-            f"matrix dimension {n} exceeds the dense-solve limit {DENSE_SOLVE_LIMIT}"
-        )
+def resolvent_columns(
+    matrices: np.ndarray, z: complex, columns: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``columns`` of ``(H - z)^{-1}`` for every real symmetric ``H`` of a stack.
+
+    The one resolvent solve of the package.  Returns the solutions, shape
+    ``(m, n, len(columns))``, and per-member flags: certified means the solve
+    succeeded and ``max|(H - z) X - E| <= 1e-10 (1 + max|H|)``.  A singular
+    member makes the stack fall back to per-member solves.
+    """
+    z = complex(z)
     if z.imag < MIN_IMAG_PART:
         raise ResolventError(
             f"spectral parameter too close to the real axis (Im z = {z.imag!r})"
         )
-    shifted = matrix.astype(complex, copy=True)
+    m, n, _ = matrices.shape
+    require_dense(n)
+    shifted = matrices.astype(complex)
     idx = np.arange(n)
-    shifted[idx, idx] -= z
-    solution = np.linalg.solve(shifted, rhs)
-    residual = np.max(np.abs(shifted @ solution - rhs))
-    scale = 1.0 + np.max(np.abs(matrix))
-    if residual > 1e-10 * scale:
-        raise ResolventError(f"resolvent solve residual {residual:.3e} exceeds tolerance")
-    return solution
+    shifted[:, idx, idx] -= z
+    rhs = np.zeros((m, n, len(columns)), dtype=complex)
+    rhs[:, columns, np.arange(len(columns))] = 1.0
+    certified = np.ones(m, dtype=bool)
+    try:
+        solutions = np.linalg.solve(shifted, rhs)
+    except np.linalg.LinAlgError:
+        solutions = np.full_like(rhs, np.nan)
+        for i in range(m):
+            try:
+                solutions[i] = np.linalg.solve(shifted[i], rhs[i])
+            except np.linalg.LinAlgError:
+                certified[i] = False
+    residual = np.max(np.abs(shifted @ solutions - rhs), axis=(1, 2))
+    scale = 1.0 + np.max(np.abs(matrices), axis=(1, 2))
+    certified &= residual <= 1e-10 * scale
+    return solutions, certified
+
+
+def _pair_block(matrix: np.ndarray, z: complex, ix: int, iy: int) -> np.ndarray:
+    """The certified 2x2 resolvent block of one matrix at indices ``ix``, ``iy``."""
+    solutions, certified = resolvent_columns(matrix[None], z, [ix, iy])
+    if not certified[0]:
+        raise ResolventError("resolvent solve could not be certified")
+    return solutions[0][[ix, iy], :]
 
 
 @dataclass
@@ -205,16 +228,11 @@ class GreenBlock:
 
 
 def green_block(sample: HamiltonianSample, z: complex, x: Site, y: Site) -> GreenBlock:
-    """Green-function block via two direct resolvent solves."""
+    """Green-function block via two certified resolvent columns."""
     z = complex(z)
     if x == y:
         raise ValueError("green_block needs two distinct sites")
-    ix, iy = sample.box.index_of(x), sample.box.index_of(y)
-    rhs = np.zeros((sample.size, 2), dtype=complex)
-    rhs[ix, 0] = 1.0
-    rhs[iy, 1] = 1.0
-    sol = _solve_resolvent(sample.matrix, z, rhs)
-    entries = sol[[ix, iy], :]
+    entries = _pair_block(sample.matrix, z, sample.box.index_of(x), sample.box.index_of(y))
     return GreenBlock(entries=entries, z=z, x=x, y=y)
 
 
@@ -253,11 +271,7 @@ def krein_decomposition(sample: HamiltonianSample, z: complex, x: Site, y: Site)
     reduced = sample.matrix.copy()
     reduced[ix, ix] -= sample.lam * sample.potential_diagonal[ix]
     reduced[iy, iy] -= sample.lam * sample.potential_diagonal[iy]
-    rhs = np.zeros((sample.size, 2), dtype=complex)
-    rhs[ix, 0] = 1.0
-    rhs[iy, 1] = 1.0
-    sol = _solve_resolvent(reduced, z, rhs)
-    block = sol[[ix, iy], :]
+    block = _pair_block(reduced, z, ix, iy)
     if np.linalg.cond(block) > CONDITION_LIMIT:
         raise ResolventError("reduced Green block is numerically singular")
     m = -np.linalg.inv(block) / sample.lam

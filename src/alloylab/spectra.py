@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .estimators import ExperimentConfig, _draw_potentials, run_parallel
+from .estimators import ExperimentConfig, _draw_potentials, run_parallel, sample_correlation
 from .lattice import box, envelope_box
 from .operator import (
     base_matrix,
@@ -376,14 +376,7 @@ def poisson_tests(
     if width >= 2.0:
         first = np.array([s.count_in(lo, lo + 1.0) for s in samples], dtype=float)
         second = np.array([s.count_in(hi - 1.0, hi) for s in samples], dtype=float)
-        sd1, sd2 = first.std(ddof=1), second.std(ddof=1)
-        if sd1 > 0 and sd2 > 0:
-            correlation = float(
-                np.sum((first - first.mean()) * (second - second.mean()))
-                / ((n_real - 1) * sd1 * sd2)
-            )
-        else:
-            correlation = 0.0
+        correlation = sample_correlation(first, second)
 
     unit_counts = np.array(
         [s.count_in(unit_interval[0], unit_interval[1]) for s in samples], dtype=float

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from alloylab import estimators
 from alloylab.cli import main
 
 
@@ -26,6 +27,10 @@ def base_fields(**extra):
     )
     fields.update(extra)
     return fields
+
+
+def refuse_sampling(*args, **kwargs):
+    raise AssertionError("sampling started before the config was validated")
 
 
 def read_records(out_dir):
@@ -111,6 +116,20 @@ def minami_fields(**extra):
     return base_fields(energy=[0.5, 0.1], site_x=[-1], site_y=[1], **extra)
 
 
+def fvc_fields(**extra):
+    fields = dict(disorder_strength=30.0, energy=[0.0, 0.0], samples=60,
+                  decay_exponent=3.0, radii=[4, 6])
+    fields.update(extra)
+    return base_fields(**fields)
+
+
+def fmb_fields(**extra):
+    fields = dict(box_radius=8, disorder_strength=30.0, energy=[0.0, 0.01],
+                  samples=120, fractional_exponent=0.5)
+    fields.update(extra)
+    return base_fields(**fields)
+
+
 def test_minami_command_and_digest_verify(tmp_path):
     cfg = write_config(tmp_path, **minami_fields())
     out = tmp_path / "run"
@@ -125,12 +144,20 @@ def test_minami_command_and_digest_verify(tmp_path):
     assert main(["verify-digest", "--config", other, "--records", records_path]) == 1
 
 
-def test_minami_records_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, **minami_fields())
+@pytest.mark.parametrize(
+    "command, fields",
+    [("minami", minami_fields), ("fvc", fvc_fields), ("fmb", fmb_fields)],
+    ids=["minami", "fvc", "fmb"],
+)
+def test_minami_records_byte_identical(tmp_path, command, fields):
+    cfg = write_config(tmp_path, **fields())
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["minami", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["minami", "--config", cfg, "--out", str(out2), "--workers", "4"]) == 0
-    assert (out1 / "results.jsonl").read_bytes() == (out2 / "results.jsonl").read_bytes()
+    assert main([command, "--config", cfg, "--out", str(out1)]) == 0
+    assert main([command, "--config", cfg, "--out", str(out2), "--workers", "4"]) == 0
+    outputs = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+    assert "results.jsonl" in outputs
+    for name in outputs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_seed_override_changes_digest(tmp_path):
@@ -179,11 +206,7 @@ def test_two_ev_command(tmp_path):
 
 
 def test_fvc_command(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        **base_fields(disorder_strength=30.0, energy=[0.0, 0.0], samples=60,
-                      decay_exponent=3.0, radii=[4, 6]),
-    )
+    cfg = write_config(tmp_path, **fvc_fields())
     out = tmp_path / "run"
     assert main(["fvc", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "fvc.csv").read_text().splitlines()
@@ -191,15 +214,25 @@ def test_fvc_command(tmp_path):
 
 
 def test_fmb_command(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        **base_fields(box_radius=8, disorder_strength=30.0, energy=[0.0, 0.01],
-                      samples=120, fractional_exponent=0.5),
-    )
+    cfg = write_config(tmp_path, **fmb_fields())
     out = tmp_path / "run"
     assert main(["fmb", "--config", cfg, "--out", str(out)]) == 0
     (record,) = [r for r in read_records(out) if r["kind"] == "fmb_fit"]
     assert record["decay_rate"] > 0
+
+
+def test_fvc_rejects_zero_regularization(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **fvc_fields(regularization=0.0))
+    assert main(["fvc", "--config", cfg]) == 2
+    assert "regularization" in capsys.readouterr().err
+
+
+def test_fmb_rejects_imaginary_part_below_the_floor(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **fmb_fields(energy=[0.0, 1e-15]))
+    assert main(["fmb", "--config", cfg]) == 2
+    assert "Im z" in capsys.readouterr().err
 
 
 def test_resource_cap_guidance(tmp_path, capsys):

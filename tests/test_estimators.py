@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alloylab import estimators
 from alloylab.disorder import SingleSitePotential, bump_density
 from alloylab.estimators import (
     ExperimentConfig,
@@ -18,6 +19,7 @@ from alloylab.estimators import (
     probe_fractional_moment,
     probe_fvc,
     run_parallel,
+    sample_correlation,
     sample_stream,
     wegner_ratio_sweep,
 )
@@ -77,6 +79,17 @@ def test_column_summary_failure_cap():
     values[0, 0] = np.nan
     mean, stderr, n_valid, n_failed = column_summary(values, 0)
     assert (mean, stderr, n_valid, n_failed) == (1.0, 0.0, 999, 1)
+
+
+def test_sample_correlation():
+    rng = np.random.default_rng(3)
+    first = rng.normal(size=200)
+    second = 0.5 * first + rng.normal(size=200)
+    assert sample_correlation(first, second) == pytest.approx(
+        np.corrcoef(first, second)[0, 1], abs=1e-12
+    )
+    assert sample_correlation(first, np.full(200, 2.0)) == 0.0
+    assert sample_correlation(np.zeros(200), second) == 0.0
 
 
 def test_stderr_shrinks_with_sample_size():
@@ -208,6 +221,16 @@ def test_two_eigenvalue_degenerate_free_level():
     assert result.probability.theoretical_bound is None
 
 
+def test_two_eigenvalue_rejects_single_site_box_before_sampling(monkeypatch):
+    def refuse_sampling(*args, **kwargs):
+        raise AssertionError("sampling started before the box was checked")
+
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = make_config(box_radius=0, interval=(0.0, 1.0), n_samples=10)
+    with pytest.raises(ValueError, match="at least two sites"):
+        estimate_two_eigenvalue_probability(cfg)
+
+
 def test_two_eigenvalue_bound_holds_at_moderate_width():
     cfg = make_config(box_radius=3, interval=(0.95, 1.05), n_samples=4000, seed=2)
     result = estimate_two_eigenvalue_probability(cfg)
@@ -271,6 +294,25 @@ def test_fmb_validates_input():
         probe_fractional_moment(cfg, moment=1.5)
     with pytest.raises(ValueError, match="positive"):
         probe_fractional_moment(cfg, moment=0.5, pairs=[((0,), (0,))])
+
+
+@pytest.mark.parametrize("probe", ["fvc", "fmb"])
+def test_probes_count_uncertified_solves(monkeypatch, probe):
+    solve = estimators.resolvent_columns
+
+    def first_member_uncertified(matrices, z, columns):
+        solutions, certified = solve(matrices, z, columns)
+        certified[0] = False
+        return solutions, certified
+
+    monkeypatch.setattr(estimators, "resolvent_columns", first_member_uncertified)
+    cfg = make_config(disorder_strength=30.0, energy=0.0 + 0.01j, n_samples=40, seed=3)
+    # one uncertified sample of 40 is beyond the 0.1% cap
+    with pytest.raises(RunFailure, match="1 of 40"):
+        if probe == "fvc":
+            probe_fvc(cfg, decay_exponent=3.0, radii=[4])
+        else:
+            probe_fractional_moment(cfg, moment=0.5)
 
 
 def test_independence_probe_distant_boxes():

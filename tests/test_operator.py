@@ -9,10 +9,12 @@ from alloylab.disorder import (
     bump_density,
     sample_couplings,
 )
+from alloylab import operator
 from alloylab.lattice import box, envelope_box
 from alloylab.operator import (
     HamiltonianSample,
     ResolventError,
+    ResourceLimit,
     build_hamiltonian,
     chain_eigenvalues,
     count_in_interval,
@@ -208,6 +210,15 @@ def test_green_block_rejects_bad_input():
         green_block(sample, 1j, (0,), (0,))
     with pytest.raises(ResolventError):
         green_block(sample, 0.5 + 1e-15j, (-1,), (1,))
+
+
+def test_green_entries_respect_the_dense_cap(monkeypatch):
+    sample = make_sample(1, 1, SingleSitePotential.delta(1), seed=1)
+    monkeypatch.setattr(operator, "DENSE_SOLVE_LIMIT", 2)
+    with pytest.raises(ResourceLimit):
+        green_block(sample, 0.5 + 0.1j, (-1,), (1,))
+    with pytest.raises(ResourceLimit):
+        krein_decomposition(sample, 0.5 + 0.1j, (-1,), (1,))
 
 
 def test_green_block_symmetry_random_instances():

@@ -4,7 +4,8 @@ The batched kernels (counts through ``run_parallel``, the eigenvalue kernel
 of the IDS and spacing ensembles) must agree, sample by sample, with a
 reference built one sample at a time from the public single-sample API:
 ``sample_stream`` -> ``sample_couplings`` -> ``build_hamiltonian`` ->
-``eigenvalues``.
+``eigenvalues``.  The one resolvent solve, ``resolvent_columns``, must agree
+bit for bit with the columns of the dense inverse it replaced.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from alloylab.operator import (
     eigenvalues,
     hamiltonian_stack,
     laplacian_matrix,
+    resolvent_columns,
 )
 from alloylab.spectra import _eigenvalue_kernel
 
@@ -77,13 +79,76 @@ def test_eigenvalue_kernel_matches_per_sample_reference(dimension, radius, shift
 
 def test_base_matrix_and_stack_layout():
     b = box(1, 2)
-    z = complex(0.5, 0.1)
     idx = np.arange(b.size)
-    base = base_matrix(b, True, z)
-    expected = laplacian_matrix(b).astype(complex)
-    expected[idx, idx] = 4.0 - z
-    assert base.dtype == complex
+    base = base_matrix(b, True)
+    expected = laplacian_matrix(b)
+    expected[idx, idx] = 4.0
+    assert base.dtype == float
     assert np.array_equal(base, expected)
     profiles = np.arange(2 * b.size, dtype=float).reshape(2, b.size)
     expected = np.stack([base + np.diag(3.0 * profile) for profile in profiles])
     assert np.array_equal(hamiltonian_stack(base, 3.0, profiles), expected)
+
+
+def dense_inverse_columns(matrices, z, columns):
+    """Reference: the bare inverse of ``H - z`` per member, restricted to ``columns``."""
+    shifted = matrices.astype(complex)
+    idx = np.arange(matrices.shape[1])
+    shifted[:, idx, idx] -= z
+    return np.linalg.inv(shifted)[:, :, columns]
+
+
+# Boxes stay below 100 rows: from there on OpenBLAS solves a lone right-hand
+# side by a different kernel, so one column may differ from the inverse's in
+# the last bits.
+@pytest.mark.parametrize("dimension, radius", [(1, 4), (1, 20), (2, 2), (2, 4)])
+def test_resolvent_columns_match_dense_inverse(dimension, radius):
+    rng = np.random.default_rng(10 * dimension + radius)
+    b = box(radius, dimension)
+    matrices = hamiltonian_stack(
+        base_matrix(b, False), 3.0, rng.uniform(-1.0, 1.0, size=(16, b.size))
+    )
+    z = complex(rng.uniform(-2.0, 2.0), 0.05)
+    for columns in ([0], [b.size - 1, 0], list(range(0, b.size, 3)), list(range(b.size))):
+        solutions, certified = resolvent_columns(matrices, z, columns)
+        assert certified.all()
+        assert np.array_equal(solutions, dense_inverse_columns(matrices, z, columns))
+
+
+def test_resolvent_columns_subtract_z_after_the_shift():
+    b = box(1, 2)
+    z = complex(0.5, 0.1)
+    idx = np.arange(b.size)
+    expected = laplacian_matrix(b).astype(complex)
+    expected[idx, idx] = 4.0 - z
+    stack = hamiltonian_stack(base_matrix(b, True), 3.0, np.zeros((2, b.size)))
+    solutions, certified = resolvent_columns(stack, z, range(b.size))
+    assert certified.all()
+    assert np.array_equal(solutions, np.linalg.inv(np.stack([expected, expected])))
+
+
+def test_resolvent_columns_flag_bad_members_only():
+    rng = np.random.default_rng(5)
+    b = box(3, 1)
+    matrices = hamiltonian_stack(base_matrix(b, False), 2.0, rng.uniform(size=(6, b.size)))
+    matrices[2, 0, 0] = np.nan
+    matrices[4, 1, 1] = np.inf
+    z = 0.3 + 0.1j
+    solutions, certified = resolvent_columns(matrices, z, [1, 5])
+    assert certified.tolist() == [True, True, False, True, False, True]
+    for i in (0, 1, 3, 5):
+        alone, ok = resolvent_columns(matrices[i : i + 1], z, [1, 5])
+        assert ok[0]
+        assert np.array_equal(solutions[i], alone[0])
+
+
+def test_resolvent_columns_fall_back_on_a_singular_member():
+    # a rotation generator is not symmetric: H - i is exactly singular,
+    # which makes the batched solve raise and the per-member path take over
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    symmetric = np.array([[1.0, -1.0], [-1.0, 0.5]])
+    matrices = np.stack([symmetric, rotation, 2.0 * symmetric])
+    solutions, certified = resolvent_columns(matrices, 1j, [0, 1])
+    assert certified.tolist() == [True, False, True]
+    assert np.isnan(solutions[1]).all()
+    assert np.array_equal(solutions[[0, 2]], dense_inverse_columns(matrices[[0, 2]], 1j, [0, 1]))

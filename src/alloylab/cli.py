@@ -63,6 +63,7 @@ class RunManifest:
     artifact_version: str
     created_at: str
     outputs: list[str]
+    wall_times: list[float]
 
     def write(self, out_dir: Path) -> None:
         path = out_dir / "manifest.json"
@@ -76,13 +77,16 @@ class _Reporter:
         self.out_dir = Path(out_dir) if out_dir else None
         self.records: list[dict] = []
         self.outputs: list[str] = []
+        self.wall_times: list[float] = []
         if self.out_dir:
             self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def record(self, payload: dict) -> None:
         # wall clock lives in the manifest; records stay byte-identical
         # across reruns of the same (config, seed)
-        payload = {k: v for k, v in payload.items() if k != "wall_time"}
+        if "wall_time" in payload:
+            payload = dict(payload)
+            self.wall_times.append(payload.pop("wall_time"))
         self.records.append(payload)
         print(json.dumps(payload, sort_keys=True))
 
@@ -111,6 +115,7 @@ class _Reporter:
             artifact_version=__version__,
             created_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             outputs=sorted(self.outputs),
+            wall_times=self.wall_times,
         )
         manifest.write(self.out_dir)
 
@@ -151,11 +156,7 @@ def cmd_check(args) -> int:
         {
             "kind": "assumption_check",
             "config_digest": digest,
-            "fourier_min_modulus": report.fourier_min_modulus,
-            "lipschitz_slack": report.lipschitz_slack,
-            "dominance_holds": report.dominance_holds,
-            "density_in_w21": report.density_in_w21,
-            "grid_resolution": report.grid_resolution,
+            **dataclasses.asdict(report),
             "satisfied": report.satisfied,
         }
     )
@@ -310,18 +311,7 @@ def cmd_fvc(args) -> int:
     reporter = _Reporter(args.out)
     rows = []
     for point in points:
-        reporter.record(
-            {
-                "kind": "fvc_point",
-                "config_digest": digest,
-                "box_radius": point.box_radius,
-                "probability": point.probability,
-                "stderr": point.stderr,
-                "resample_fraction": point.resample_fraction,
-                "excessive_resampling": point.excessive_resampling,
-                "n_samples": point.n_samples,
-            }
-        )
+        reporter.record({"kind": "fvc_point", "config_digest": digest, **dataclasses.asdict(point)})
         rows.append([point.box_radius, point.probability, point.stderr, point.resample_fraction])
     reporter.csv("fvc.csv", ["box_radius", "probability", "stderr", "resample_fraction"], rows)
     reporter.finalize("fvc", digest, cfg.seed)
@@ -348,6 +338,8 @@ def cmd_fmb(args) -> int:
             "amplitude": report.amplitude,
             "decay_rate": report.decay_rate,
             "r_squared": report.r_squared,
+            # an uncertified sample fails every pair alike
+            "n_failed": max(p.n_failed for p in report.points),
         }
     )
     reporter.csv(

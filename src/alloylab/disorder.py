@@ -518,9 +518,6 @@ class CouplingConfiguration:
     def value_at(self, site: Site) -> float:
         return float(self.values[self.box.index_of(site)])
 
-    def as_dict(self) -> dict[Site, float]:
-        return {site: float(v) for site, v in zip(self.box.sites(), self.values)}
-
 
 def sample_couplings(
     density: DisorderDensity,

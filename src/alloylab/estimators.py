@@ -241,6 +241,32 @@ class MCEstimate:
         return record
 
 
+def _summarize(
+    cfg: ExperimentConfig,
+    estimator: str,
+    values: np.ndarray,
+    column: int,
+    bound: float | None,
+    started: float,
+    extras: dict,
+) -> MCEstimate:
+    """Estimate from one column of a run against ``bound`` (None or inf: no bound)."""
+    mean, stderr, _, n_failed = column_summary(values, column)
+    return MCEstimate(
+        estimator=estimator,
+        mean=mean,
+        stderr=stderr,
+        n_samples=cfg.n_samples,
+        theoretical_bound=bound if bound is not None and math.isfinite(bound) else None,
+        verdict=bound_verdict(mean, stderr, bound),
+        seed=cfg.seed,
+        config_digest=cfg.digest(),
+        n_failed=n_failed,
+        wall_time=time.perf_counter() - started,
+        extras=extras,
+    )
+
+
 # ---------------------------------------------------------------------------
 # shared batched machinery
 # ---------------------------------------------------------------------------
@@ -334,12 +360,10 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     values = run_parallel(
         kernel, cfg.n_samples, 1, cfg.seed, cfg.workers, _chunk_for(inner.size)
     )
-    mean, stderr, n_valid, n_failed = column_summary(values, 0)
-    extras = {
-        "n_valid": n_valid,
-        "envelope_violations": 0,
-        "inverse_one_norm": transform.inverse_one_norm,
-    }
+    extras = {"envelope_violations": 0, "inverse_one_norm": transform.inverse_one_norm}
+    estimate = _summarize(cfg, "minami", values, 0, bound, started, extras)
+    mean, stderr = estimate.mean, estimate.stderr
+    extras["n_valid"] = cfg.n_samples - estimate.n_failed
     if constants:
         extras["site_resolved_bound"] = constants.site_resolved_bound
         extras["within_site_resolved"] = bool(
@@ -349,19 +373,7 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
         classical = math.pi**2 * cfg.density.sup_norm**2
         extras["classical_bound"] = classical
         extras["within_classical"] = bool(mean <= classical + 3.0 * stderr)
-    return MCEstimate(
-        estimator="minami",
-        mean=mean,
-        stderr=stderr,
-        n_samples=cfg.n_samples,
-        theoretical_bound=bound if math.isfinite(bound) else None,
-        verdict=bound_verdict(mean, stderr, bound),
-        seed=cfg.seed,
-        config_digest=cfg.digest(),
-        n_failed=n_failed,
-        wall_time=time.perf_counter() - started,
-        extras=extras,
-    )
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +396,11 @@ def estimate_wegner(cfg: ExperimentConfig) -> MCEstimate:
     values = run_parallel(
         _batched_counts(cfg), cfg.n_samples, 1, cfg.seed, cfg.workers, _chunk_for(inner.size)
     )
-    mean, stderr, n_valid, n_failed = column_summary(values, 0)
     width = cfg.interval[1] - cfg.interval[0]
-    ratio = mean / (width * inner.size) if width > 0 else math.inf
-    return MCEstimate(
-        estimator="wegner",
-        mean=mean,
-        stderr=stderr,
-        n_samples=cfg.n_samples,
-        theoretical_bound=None,
-        verdict=VERDICT_INCONCLUSIVE,
-        seed=cfg.seed,
-        config_digest=cfg.digest(),
-        n_failed=n_failed,
-        wall_time=time.perf_counter() - started,
-        extras={"interval_width": width, "count_ratio": ratio, "n_valid": n_valid},
-    )
+    estimate = _summarize(cfg, "wegner", values, 0, None, started, {"interval_width": width})
+    ratio = estimate.mean / (width * inner.size) if width > 0 else math.inf
+    estimate.extras.update(count_ratio=ratio, n_valid=cfg.n_samples - estimate.n_failed)
+    return estimate
 
 
 def wegner_ratio_sweep(
@@ -462,36 +463,9 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
     else:
         bound = math.inf
 
-    digest = cfg.digest()
-    p_mean, p_err, _, p_failed = column_summary(values, 0)
-    m_mean, m_err, _, m_failed = column_summary(values, 1)
-    elapsed = time.perf_counter() - started
-    shared = dict(
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        config_digest=digest,
-        wall_time=elapsed,
-    )
-    finite_bound = bound if math.isfinite(bound) else None
-    probability = MCEstimate(
-        estimator="two_eigenvalue_probability",
-        mean=p_mean,
-        stderr=p_err,
-        theoretical_bound=finite_bound,
-        verdict=bound_verdict(p_mean, p_err, bound),
-        n_failed=p_failed,
-        extras={"interval_width": width},
-        **shared,
-    )
-    half_moment = MCEstimate(
-        estimator="two_eigenvalue_half_moment",
-        mean=m_mean,
-        stderr=m_err,
-        theoretical_bound=finite_bound,
-        verdict=bound_verdict(m_mean, m_err, bound),
-        n_failed=m_failed,
-        extras={"interval_width": width},
-        **shared,
+    probability, half_moment = (
+        _summarize(cfg, name, values, column, bound, started, {"interval_width": width})
+        for column, name in enumerate(("two_eigenvalue_probability", "two_eigenvalue_half_moment"))
     )
     return TwoEigenvalueEstimate(
         probability=probability, half_moment=half_moment, exact_inequality_holds=exact
@@ -510,6 +484,7 @@ class FvcPoint:
     resample_fraction: float
     n_samples: int
     excessive_resampling: bool
+    n_failed: int
 
 
 def probe_fvc(
@@ -573,7 +548,7 @@ def probe_fvc(
         values = run_parallel(
             kernel, cfg.n_samples, 2, cfg.seed, cfg.workers, _chunk_for(inner.size)
         )
-        probability, stderr, _, _ = column_summary(values, 0)
+        probability, stderr, _, n_failed = column_summary(values, 0)
         total_resamples = float(np.nansum(values[:, 1]))
         fraction = total_resamples / (cfg.n_samples + total_resamples)
         results.append(
@@ -584,6 +559,7 @@ def probe_fvc(
                 resample_fraction=fraction,
                 n_samples=cfg.n_samples,
                 excessive_resampling=fraction > RESAMPLE_CAP,
+                n_failed=n_failed,
             )
         )
     return results
@@ -594,6 +570,7 @@ class FmbPoint:
     distance: int
     mean: float
     stderr: float
+    n_failed: int
 
 
 @dataclass
@@ -650,8 +627,10 @@ def probe_fractional_moment(
     )
     points = []
     for column, (x, y) in enumerate(pairs):
-        mean, stderr, _, _ = column_summary(values, column)
-        points.append(FmbPoint(distance=sup_distance(x, y), mean=mean, stderr=stderr))
+        mean, stderr, _, n_failed = column_summary(values, column)
+        points.append(
+            FmbPoint(distance=sup_distance(x, y), mean=mean, stderr=stderr, n_failed=n_failed)
+        )
     points.sort(key=lambda p: p.distance)
     distances = np.array([p.distance for p in points], dtype=float)
     logs = np.log(np.array([max(p.mean, 1e-300) for p in points]))

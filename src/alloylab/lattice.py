@@ -125,9 +125,3 @@ def periodize(site: Site, radius: int) -> Site:
     """
     side = 2 * radius + 1
     return tuple((s + radius) % side - radius for s in site)
-
-
-def periodize_array(sites: np.ndarray, radius: int) -> np.ndarray:
-    """Vectorized ``periodize`` for integer coordinate arrays."""
-    side = 2 * radius + 1
-    return (sites + radius) % side - radius

@@ -189,7 +189,9 @@ def resolvent_columns(
                 solutions[i] = np.linalg.solve(shifted[i], rhs[i])
             except np.linalg.LinAlgError:
                 certified[i] = False
-    residual = np.max(np.abs(shifted @ solutions - rhs), axis=(1, 2))
+    # a non-finite member is flagged below; its overflow needs no warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = np.max(np.abs(shifted @ solutions - rhs), axis=(1, 2))
     scale = 1.0 + np.max(np.abs(matrices), axis=(1, 2))
     certified &= residual <= 1e-10 * scale
     return solutions, certified
@@ -216,10 +218,6 @@ class GreenBlock:
     z: complex
     x: Site
     y: Site
-
-    @property
-    def imaginary_part(self) -> np.ndarray:
-        return self.entries.imag
 
     @property
     def det_imaginary(self) -> float:

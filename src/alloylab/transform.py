@@ -2,19 +2,21 @@
 
 The transform maps coupling vectors on the envelope box to potential values:
 its matrix has entries ``u(fold(i - j))`` and is a multi-dimensional
-circulant, so each row is a periodic shift of the previous one.  The induced
-l1 norm of its inverse feeds the determinant-bound constant.
+circulant, so its inverse is the circulant of the reciprocal-symbol
+coefficients ``ifftn(1 / fftn(u))``.  The l1 norm of the inverse feeds the
+determinant-bound constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .disorder import CouplingConfiguration, DisorderDensity, SingleSitePotential
-from .lattice import Box, Site, envelope_box, periodize_array
+from .lattice import Box, Site, envelope_box
 
 
 class TransformError(RuntimeError):
@@ -25,15 +27,16 @@ class TransformError(RuntimeError):
 class CirculantTransform:
     """Invertible change of coordinates between couplings and potential values.
 
-    ``inverse_one_norm`` is the maximum absolute column sum of the inverse
-    (the induced l1 -> l1 operator norm; for a circulant the row and column
-    conventions coincide).
+    ``table`` holds ``u`` and ``kernel`` the coefficients of the inverse on the
+    envelope torus, offset ``o`` at index ``o mod side``.  ``inverse_one_norm``
+    is the induced l1 -> l1 norm of the inverse, the absolute sum of the
+    kernel (for a circulant the row and column conventions coincide).
     """
 
     box: Box
     envelope: Box
-    matrix: np.ndarray
-    inverse: np.ndarray
+    table: np.ndarray
+    kernel: np.ndarray
     inverse_one_norm: float
     condition_number: float
 
@@ -41,57 +44,91 @@ class CirculantTransform:
     def size(self) -> int:
         return self.envelope.size
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense ``N x N`` view of the transform, for tests on small envelopes."""
+        return self._dense(self.table)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Dense ``N x N`` view of the inverse, for tests on small envelopes."""
+        return self._dense(self.kernel)
+
+    def inverse_column(self, site: Site) -> np.ndarray:
+        """Column ``site`` of the inverse, enumeration order: the kernel rolled onto ``site``."""
+        shift = [c + self.envelope.radius for c in site]
+        return np.roll(self.kernel, shift, axis=tuple(range(self.kernel.ndim))).ravel()
+
+    def _dense(self, grid: np.ndarray) -> np.ndarray:
+        sites = self.envelope.site_array()
+        offsets = (sites[:, None, :] - sites[None, :, :]) % self.envelope.side
+        return grid[tuple(np.moveaxis(offsets, -1, 0))]
+
+
+def _convolve(table: np.ndarray, grid: np.ndarray, minus_delta: bool = False) -> np.ndarray:
+    """Periodic convolution ``sum_o u(o) grid(. - o)`` in O(|supp u| N), less δ if asked."""
+    out = np.zeros_like(grid)
+    out.flat[0] = -1.0 if minus_delta else 0.0
+    for index in zip(*np.nonzero(table)):
+        out += table[index] * np.roll(grid, index, axis=tuple(range(grid.ndim)))
+    return out
+
+
+def _reciprocal_kernel(
+    potential: SingleSitePotential, side: int, floor: float
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """``(table, kernel, |symbol|)``: ``u`` and its inverse convolution on the d-torus.
+
+    Offset ``o`` sits at index ``o mod side``.  ``kernel`` is None when the
+    symbol is singular (``min |symbol| <= floor * max(1, |u|_1)``).  One step
+    of iterative refinement, then zeroing roundoff-level coefficients, makes
+    finitely supported inverses (a pure delta) come out exact.
+    """
+    table = np.zeros((side,) * potential.dimension)
+    for offset, value in potential.items():
+        table[tuple(c % side for c in offset)] = value
+    symbol = np.fft.fftn(table)
+    modulus = np.abs(symbol)
+    if np.min(modulus) <= floor * max(1.0, potential.l1_norm):
+        return table, None, modulus
+    kernel = np.fft.ifftn(1.0 / symbol).real
+    kernel -= np.fft.ifftn(np.fft.fftn(_convolve(table, kernel, minus_delta=True)) / symbol).real
+    kernel[np.abs(kernel) <= np.finfo(float).eps * np.max(np.abs(kernel))] = 0.0
+    return table, kernel, modulus
+
 
 def build_circulant(potential: SingleSitePotential, lambda_box: Box) -> CirculantTransform:
-    """Assemble and invert the periodized convolution matrix over the envelope.
+    """Invert the periodized convolution over the envelope by FFT.
 
     Fails with the offending discrete frequency when the Fourier transform of
     the profile vanishes on the torus frequencies of this volume (the matrix
-    is singular exactly then).
+    is singular exactly then).  The inverse is certified by convolving it
+    with ``u`` and comparing with the identity.
     """
     if any(c != 0 for c in lambda_box.center):
         raise ValueError("transform construction assumes an origin-centered box")
     if potential.dimension != lambda_box.dimension:
         raise ValueError("potential dimension does not match the box")
     env = envelope_box(lambda_box, potential.support_radius, potential=potential)
-    side = env.side
-    length = env.radius
-
-    # table of u over periodized offsets, indexed by enumeration rank
-    table = np.zeros(env.size)
-    for offset, value in potential.items():
-        table[env.index_of(offset)] = value
-
-    sites = env.site_array()
-    diff = periodize_array(sites[:, None, :] - sites[None, :, :], length)
-    flat = (diff + length) @ env.strides()
-    matrix = table[flat]
-
-    # singularity certificate: circulant eigenvalues are the DFT of the symbol
-    symbol = np.fft.fftn(table.reshape((side,) * env.dimension))
-    flat_min = int(np.argmin(np.abs(symbol)))
-    min_eig = float(np.abs(symbol).ravel()[flat_min])
-    if min_eig <= 1e-12 * max(1.0, potential.l1_norm):
-        freq = np.unravel_index(flat_min, symbol.shape)
+    table, kernel, modulus = _reciprocal_kernel(potential, env.side, 1e-12)
+    if kernel is None:
+        freq = np.unravel_index(int(np.argmin(modulus)), modulus.shape)
         raise TransformError(
             "assumption violated at this volume: transform singular at discrete "
-            f"frequency 2*pi*{tuple(int(f) for f in freq)}/{side}"
+            f"frequency 2*pi*{tuple(int(f) for f in freq)}/{env.side}"
         )
-
-    inverse = np.linalg.inv(matrix)
-    identity_defect = float(np.max(np.abs(matrix @ inverse - np.eye(env.size))))
+    identity_defect = float(np.max(np.abs(_convolve(table, kernel, minus_delta=True))))
     if identity_defect > 1e-10:
         raise TransformError(f"inverse verification failed (defect {identity_defect:.3e})")
 
-    one_norm = float(np.max(np.abs(inverse).sum(axis=0)))
-    condition = float(np.max(np.abs(matrix).sum(axis=0))) * one_norm
+    one_norm = float(np.sum(np.abs(kernel)))
     return CirculantTransform(
         box=lambda_box,
         envelope=env,
-        matrix=matrix,
-        inverse=inverse,
+        table=table,
+        kernel=kernel,
         inverse_one_norm=one_norm,
-        condition_number=condition,
+        condition_number=potential.l1_norm * one_norm,
     )
 
 
@@ -103,7 +140,8 @@ def transform_couplings(transform: CirculantTransform, couplings: CouplingConfig
     """
     if couplings.box != transform.envelope:
         raise ValueError("coupling domain does not match the transform envelope")
-    return transform.matrix @ couplings.values
+    grid = couplings.values.reshape(transform.table.shape)
+    return _convolve(transform.table, grid).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +168,14 @@ def limit_inverse_one_norm(
         resolution *= 2
     min_seen = math.inf
     while resolution**d <= max_grid_points:
-        symbol = potential.fourier_grid(resolution)
-        min_mod = float(np.min(np.abs(symbol)))
-        min_seen = min(min_seen, min_mod)
-        if min_mod <= 1e-13 * max(1.0, potential.l1_norm):
+        _, kernel, modulus = _reciprocal_kernel(potential, resolution, 1e-13)
+        min_seen = min(min_seen, float(np.min(modulus)))
+        if kernel is None:
             break
-        coeffs = np.abs(np.fft.ifftn(1.0 / symbol))
+        coeffs = np.abs(kernel)
         total = float(np.sum(coeffs))
 
-        # max-norm shell sums around frequency zero
+        # max-norm shell sums around offset zero
         axis = np.minimum(np.arange(resolution), resolution - np.arange(resolution))
         mesh = np.meshgrid(*([axis] * d), indexing="ij")
         radius = np.maximum.reduce(mesh) if d > 1 else mesh[0]
@@ -222,8 +259,8 @@ def minami_constants(
         raise ValueError("the bound concerns two distinct sites")
     if not (transform.box.contains(x) and transform.box.contains(y)):
         raise ValueError("both sites must lie in the inner box")
-    col_x = np.abs(transform.inverse[:, transform.envelope.index_of(x)])
-    col_y = np.abs(transform.inverse[:, transform.envelope.index_of(y)])
+    col_x = np.abs(transform.inverse_column(x))
+    col_y = np.abs(transform.inverse_column(y))
     d1, d2 = density.d1_norm, density.d2_norm
     cross = col_x.sum() - col_x  # sum over l != j of |B_{l x}|
     core = float(np.sum(col_y * (d2 * col_x + d1**2 * cross)))

@@ -108,6 +108,23 @@ def test_constants_perturbed_delta_neumann(tmp_path):
     assert record["inverse_one_norm"] <= record["limit_inverse_norm_bound"] * (1 + 1e-6)
 
 
+def test_constants_d3_beyond_dense_reach(tmp_path):
+    # envelope 19**3 = 6859 sites: four dense 6859 x 6859 float64 arrays
+    # and an O(N**3) inverse would be needed without the FFT kernel
+    u = [[[0, 0, 0], 1.0], [[1, 0, 0], 0.2], [[0, -1, 0], -0.1], [[0, 0, 1], 0.05]]
+    cfg = write_config(
+        tmp_path,
+        **base_fields(dimension=3, box_radius=8, potential=u, site_x=[0, 0, 0], site_y=[1, 0, 0]),
+    )
+    out = tmp_path / "run"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
+    (record,) = read_records(out)
+    assert record["envelope_size"] == 6859
+    assert record["inverse_one_norm"] <= record["limit_inverse_norm_bound"] * (1 + 1e-6)
+    assert record["site_resolved_bound"] <= record["determinant_bound"]
+    assert json.loads((out / "manifest.json").read_text())["wall_times"] == []
+
+
 # ---------------------------------------------------------------------------
 # estimator commands
 # ---------------------------------------------------------------------------
@@ -219,6 +236,50 @@ def test_fmb_command(tmp_path):
     assert main(["fmb", "--config", cfg, "--out", str(out)]) == 0
     (record,) = [r for r in read_records(out) if r["kind"] == "fmb_fit"]
     assert record["decay_rate"] > 0
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [("fvc", fvc_fields(radii=[4], samples=1000)), ("fmb", fmb_fields(samples=1000))],
+)
+def test_probe_records_count_failed_samples(tmp_path, monkeypatch, command, fields):
+    solve = estimators.resolvent_columns
+    calls = []
+
+    def first_member_uncertified_once(matrices, z, columns):
+        solutions, certified = solve(matrices, z, columns)
+        if not calls:
+            certified[0] = False
+        calls.append(len(certified))
+        return solutions, certified
+
+    monkeypatch.setattr(estimators, "resolvent_columns", first_member_uncertified_once)
+    # one uncertified sample of 1000 stays within the 0.1% cap
+    cfg = write_config(tmp_path, **fields)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    (record,) = [r for r in read_records(out) if r["kind"] in ("fvc_point", "fmb_fit")]
+    assert record["n_failed"] == 1
+    assert len(calls) > 1
+
+
+def test_manifest_schema_keeps_wall_times(tmp_path):
+    cfg = write_config(
+        tmp_path, **base_fields(box_radius=3, interval=[0.95, 1.05], samples=200)
+    )
+    out = tmp_path / "run"
+    assert main(["two-ev", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {
+        "subcommand", "config_digest", "seed", "artifact_version", "created_at", "outputs",
+        "wall_times",
+    }
+    assert manifest["subcommand"] == "two-ev"
+    assert manifest["outputs"] == ["results.jsonl"]
+    # one wall time per Monte Carlo estimate, none left in the records
+    assert len(manifest["wall_times"]) == 2
+    assert all(isinstance(t, float) and t >= 0.0 for t in manifest["wall_times"])
+    assert all("wall_time" not in record for record in read_records(out))
 
 
 def test_fvc_rejects_zero_regularization(tmp_path, monkeypatch, capsys):

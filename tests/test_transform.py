@@ -1,9 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from alloylab import transform as transform_module
 from alloylab.disorder import (
     CouplingConfiguration,
     SingleSitePotential,
@@ -288,3 +292,85 @@ def test_constants_validate_sites():
         minami_constants(t, rho, 1.0, (0,), (3,))  # outside the inner box
     with pytest.raises(ValueError):
         minami_constants(t, rho, -1.0, (0,), (1,))
+
+
+# ---------------------------------------------------------------------------
+# FFT kernel against the dense inverse
+# ---------------------------------------------------------------------------
+
+_ORACLE_RADII = {1: 6, 2: 3, 3: 2}
+
+
+@st.composite
+def dominant_profiles(draw):
+    """A support-radius-1 profile whose centre outweighs the other sites, and a box."""
+    d = draw(st.integers(1, 3))
+    centre = draw(st.floats(0.5, 2.0))
+    others = [site for site in itertools.product((-1, 0, 1), repeat=d) if any(site)]
+    share = 0.9 * centre / len(others)
+    values = {(0,) * d: centre}
+    for site in others:
+        values[site] = draw(st.floats(-share, share))
+    return SingleSitePotential(values), box(draw(st.integers(0, _ORACLE_RADII[d])), d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dominant_profiles())
+def test_fft_inverse_matches_dense_inverse(case):
+    u, inner = case
+    t = build_circulant(u, inner)
+    dense = np.linalg.inv(t.matrix)
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    for j in range(t.size):
+        assert np.max(np.abs(t.inverse[:, j] - dense[:, j])) <= 1e-12 * scale
+    for j, site in enumerate(t.envelope.sites()):
+        assert np.max(np.abs(t.inverse_column(site) - dense[:, j])) <= 1e-12 * scale
+    dense_norm = float(np.max(np.abs(dense).sum(axis=0)))
+    assert t.inverse_one_norm == pytest.approx(dense_norm, rel=1e-12)
+    assert t.condition_number == pytest.approx(
+        float(np.max(np.abs(t.matrix).sum(axis=0))) * dense_norm, rel=1e-12
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(dominant_profiles(), st.data())
+def test_constants_columns_match_dense_inverse(case, data):
+    # the site-resolved sum is invariant under a common shift of both
+    # columns, so compare the columns themselves as well as the sum
+    u, inner = case
+    assume(inner.size > 1)
+    t = build_circulant(u, inner)
+    x, y = data.draw(st.permutations(inner.sites()))[:2]
+    dense = np.abs(np.linalg.inv(t.matrix))
+    ix, iy = t.envelope.index_of(x), t.envelope.index_of(y)
+    col_x, col_y = np.abs(t.inverse_column(x)), np.abs(t.inverse_column(y))
+    assert np.max(np.abs(col_x - dense[:, ix])) <= 1e-12 * max(1.0, float(dense.max()))
+    assert np.max(np.abs(col_y - dense[:, iy])) <= 1e-12 * max(1.0, float(dense.max()))
+    rho = raised_cosine_density()
+    mc = minami_constants(t, rho, 1.3, x, y)
+    cross = dense[:, ix].sum() - dense[:, ix]
+    core = np.sum(dense[:, iy] * (rho.d2_norm * dense[:, ix] + rho.d1_norm**2 * cross))
+    assert mc.site_resolved_bound == pytest.approx(math.pi**2 / (4.0 * 1.3**2) * core, rel=1e-12)
+
+
+def test_delta_kernel_is_exact_at_every_side():
+    # FFT roundoff alone leaves the centre one ulp off at sides such as 49 and 101
+    for d, radii in ((1, range(0, 60)), (2, range(0, 12)), (3, range(0, 5))):
+        for radius in radii:
+            t = build_circulant(SingleSitePotential.delta(d), box(radius, d))
+            assert t.kernel.flat[0] == 1.0
+            assert np.count_nonzero(t.kernel) == 1
+            assert t.inverse_one_norm == 1.0
+
+
+def test_stencil_certificate_rejects_a_wrong_kernel(monkeypatch):
+    solve = transform_module._reciprocal_kernel
+
+    def perturbed(*args):
+        table, kernel, modulus = solve(*args)
+        return table, kernel * (1.0 + 1e-9), modulus
+
+    monkeypatch.setattr(transform_module, "_reciprocal_kernel", perturbed)
+    u = SingleSitePotential({(0, 0): 1.0, (1, 0): 0.2, (0, -1): -0.1})
+    with pytest.raises(TransformError, match="verification failed"):
+        build_circulant(u, box(3, 2))

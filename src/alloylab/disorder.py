@@ -506,7 +506,6 @@ class CouplingConfiguration:
 
     box: Box
     values: np.ndarray
-    stream: str = ""
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -523,7 +522,6 @@ def sample_couplings(
     density: DisorderDensity,
     box: Box,
     rng: np.random.Generator,
-    stream: str = "",
 ) -> CouplingConfiguration:
     """Draw i.i.d. couplings on a box by inverse-CDF sampling.
 
@@ -531,7 +529,7 @@ def sample_couplings(
     uniform draws are taken in enumeration order and inverted by bisection.
     """
     draws = rng.random(box.size)
-    return CouplingConfiguration(box=box, values=density.quantile(draws), stream=stream)
+    return CouplingConfiguration(box=box, values=density.quantile(draws))
 
 
 # ---------------------------------------------------------------------------

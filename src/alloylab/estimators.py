@@ -27,8 +27,8 @@ from .lattice import Box, Site, box, envelope_box, origin, sup_distance
 from .operator import (
     MIN_IMAG_PART,
     base_matrix,
-    convolution_matrix,
     hamiltonian_stack,
+    potential_profiles,
     require_dense,
     resolvent_columns,
 )
@@ -167,10 +167,6 @@ class ExperimentConfig:
     def inner_box(self) -> Box:
         return box(self.box_radius, self.dimension)
 
-    @property
-    def envelope(self) -> Box:
-        return envelope_box(self.inner_box, self.potential.support_radius)
-
     def digest_payload(self) -> dict:
         return {
             "dimension": self.dimension,
@@ -280,9 +276,10 @@ def _draw_couplings(cfg: ExperimentConfig, size: int, rngs) -> np.ndarray:
     return cfg.density.quantile(np.stack([rng.random(size) for rng in rngs]))
 
 
-def _draw_potentials(cfg: ExperimentConfig, conv: np.ndarray, rngs) -> np.ndarray:
-    """Potential profiles for a chunk: one row per sample over the box of ``conv``."""
-    return _draw_couplings(cfg, conv.shape[1], rngs) @ conv.T
+def _draw_potentials(cfg: ExperimentConfig, inner: Box, rngs) -> np.ndarray:
+    """Potential profiles for a chunk: one row per sample over ``inner``, drawn on its envelope."""
+    field = envelope_box(inner, cfg.potential.support_radius)
+    return potential_profiles(inner, cfg.potential, field, _draw_couplings(cfg, field.size, rngs))
 
 
 def _counts(base: np.ndarray, lam: float, profiles: np.ndarray, interval) -> np.ndarray:
@@ -294,11 +291,10 @@ def _counts(base: np.ndarray, lam: float, profiles: np.ndarray, interval) -> np.
 def _batched_counts(cfg: ExperimentConfig) -> Callable:
     """Kernel computing eigenvalue counts in ``cfg.interval`` per sample."""
     inner = cfg.inner_box
-    conv = convolution_matrix(inner, cfg.potential, cfg.envelope)
     base = base_matrix(inner, cfg.shifted_laplacian)
 
     def kernel(indices, rngs):
-        profiles = _draw_potentials(cfg, conv, rngs)
+        profiles = _draw_potentials(cfg, inner, rngs)
         return _counts(base, cfg.disorder_strength, profiles, cfg.interval).astype(float)[:, None]
 
     return kernel
@@ -336,13 +332,12 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     )
     bound = constants.determinant_bound if constants else math.inf
 
-    conv = convolution_matrix(inner, cfg.potential, cfg.envelope)
     base = base_matrix(inner, cfg.shifted_laplacian)
     ix, iy = inner.index_of(cfg.site_x), inner.index_of(cfg.site_y)
     envelope_cap = z.imag**-2
 
     def kernel(indices, rngs):
-        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, conv, rngs))
+        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, inner, rngs))
         solutions, good = resolvent_columns(matrices, z, [ix, iy])
         g_im = solutions[:, [ix, iy], :].imag
         det = g_im[:, 0, 0] * g_im[:, 1, 1] - g_im[:, 0, 1] * g_im[:, 1, 0]
@@ -509,14 +504,14 @@ def probe_fvc(
         raise ValueError("localization probe needs a reference energy")
     if regularization <= MIN_IMAG_PART:
         raise ValueError(f"regularization must exceed {MIN_IMAG_PART}, got {regularization}")
+    if any(int(radius) < 1 for radius in radii):
+        raise ValueError(f"box radii must be at least 1, got {list(radii)}")
     energy = float(cfg.energy.real)
     lam = cfg.disorder_strength
     results = []
     for radius in radii:
         inner = box(int(radius), cfg.dimension)
         require_dense(inner.size)
-        env = envelope_box(inner, cfg.potential.support_radius)
-        conv = convolution_matrix(inner, cfg.potential, env)
         base = base_matrix(inner, cfg.shifted_laplacian)
         sites = inner.site_array()
         seps = np.max(np.abs(sites[:, None, :] - sites[None, :, :]), axis=2)
@@ -524,13 +519,13 @@ def probe_fvc(
         threshold = float(radius) ** -decay_exponent
         shift = energy + 1j * regularization
 
-        def kernel(indices, rngs, _conv=conv, _base=base, _mask=pair_mask, _thr=threshold):
+        def kernel(indices, rngs, _inner=inner, _base=base, _mask=pair_mask, _thr=threshold):
             rows = np.full((len(indices), 2), np.nan)
             accepted, matrices = [], []
             for row, rng in enumerate(rngs):
                 resamples = 0
                 for _ in range(max_attempts):
-                    (matrix,) = hamiltonian_stack(_base, lam, _draw_potentials(cfg, _conv, [rng]))
+                    (matrix,) = hamiltonian_stack(_base, lam, _draw_potentials(cfg, _inner, [rng]))
                     spectrum = np.linalg.eigvalsh(matrix)
                     if np.min(np.abs(spectrum - energy)) > resonance_gap:
                         accepted.append(row)
@@ -608,7 +603,8 @@ def probe_fractional_moment(
             raise ValueError("pair distances must be positive")
         if not (inner.contains(x) and inner.contains(y)):
             raise ValueError(f"pair {(x, y)} leaves the box")
-    conv = convolution_matrix(inner, cfg.potential, cfg.envelope)
+    if len({sup_distance(x, y) for x, y in pairs}) < 2:
+        raise ValueError("the decay fit needs pairs at two or more distinct distances")
     base = base_matrix(inner, cfg.shifted_laplacian)
     pair_rows = np.array([inner.index_of(x) for x, _ in pairs])
     # G(z; x, y) is entry x of resolvent column y; solve each distinct column once
@@ -616,7 +612,7 @@ def probe_fractional_moment(
     lam = cfg.disorder_strength
 
     def kernel(indices, rngs):
-        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, conv, rngs))
+        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, inner, rngs))
         green, certified = resolvent_columns(matrices, cfg.energy, columns)
         values = np.abs(green[:, pair_rows, pair_cols]) ** moment
         values[~certified] = np.nan
@@ -677,21 +673,19 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
     if separation <= 2 * cfg.box_radius + 2 * reach:
         raise ValueError("boxes overlap or share couplings at this separation")
     center_two = (separation,) + (0,) * (cfg.dimension - 1)
-    box_one = box(cfg.box_radius, cfg.dimension)
-    box_two = Box(center_two, cfg.box_radius)
+    boxes = (box(cfg.box_radius, cfg.dimension), Box(center_two, cfg.box_radius))
     field_box = Box(origin(cfg.dimension), separation + cfg.box_radius + reach)
-    convs = [convolution_matrix(b, cfg.potential, field_box) for b in (box_one, box_two)]
     # both boxes have the same shape, hence the same potential-free part
-    base = base_matrix(box_one, cfg.shifted_laplacian)
+    base = base_matrix(boxes[0], cfg.shifted_laplacian)
     lam = cfg.disorder_strength
 
     def kernel(indices, rngs):
         omegas = _draw_couplings(cfg, field_box.size, rngs)
-        counts = [_counts(base, lam, omegas @ conv.T, cfg.interval) for conv in convs]
-        return np.stack(counts, axis=1).astype(float)
+        profiles = [potential_profiles(b, cfg.potential, field_box, omegas) for b in boxes]
+        return np.stack([_counts(base, lam, v, cfg.interval) for v in profiles], axis=1).astype(float)
 
     values = run_parallel(
-        kernel, cfg.n_samples, 2, cfg.seed, cfg.workers, _chunk_for(box_one.size)
+        kernel, cfg.n_samples, 2, cfg.seed, cfg.workers, _chunk_for(boxes[0].size)
     )
     return IndependenceReport(
         correlation=sample_correlation(values[:, 0], values[:, 1]),

@@ -16,6 +16,7 @@ import scipy.linalg
 
 from .disorder import CouplingConfiguration, SingleSitePotential
 from .lattice import Box, Site, envelope_box
+from .transform import periodic_convolution, torus_table
 
 DENSE_SOLVE_LIMIT = 4096
 MIN_IMAG_PART = 1e-14
@@ -74,20 +75,26 @@ def hamiltonian_stack(base: np.ndarray, lam: float, profiles: np.ndarray) -> np.
     return stack
 
 
-def convolution_matrix(box: Box, potential: SingleSitePotential, envelope: Box) -> np.ndarray:
-    """Matrix W with ``W[k, j] = u(site_k - site_j)`` for k in box, j in envelope.
+def potential_profiles(
+    box: Box, potential: SingleSitePotential, field: Box, couplings: np.ndarray
+) -> np.ndarray:
+    """Alloy potential rows ``V(k) = sum_j omega_j u(k - j)`` over ``box``.
 
-    Multiplying a coupling vector over the envelope by W yields the potential
-    values on the box.
+    ``couplings`` holds one row per draw over ``field``.  The convolution runs
+    on the torus of ``field`` and is read on the window of ``box``, exact
+    because the envelope of ``box`` must lie inside ``field`` (nothing wraps).
     """
-    if potential.dimension != box.dimension:
+    if not potential.dimension == box.dimension == field.dimension:
         raise ValueError("potential dimension does not match the box")
-    w = np.zeros((box.size, envelope.size))
-    sites = box.site_array()
-    for offset, value in potential.items():
-        shifted = sites - np.asarray(offset, dtype=np.int64)
-        w[np.arange(box.size), envelope.index_array(shifted)] += value
-    return w
+    reach = potential.support_radius
+    start = [b - box.radius - f + field.radius for b, f in zip(box.center, field.center)]
+    if any(s < reach or s + box.side + reach > field.side for s in start):
+        raise ValueError("the envelope of the box leaves the coupling field")
+    lead = couplings.shape[:-1]
+    grid = couplings.reshape(lead + (field.side,) * field.dimension)
+    grid = periodic_convolution(torus_table(potential, field.side), grid)
+    window = tuple(slice(s, s + box.side) for s in start)
+    return grid[(...,) + window].reshape(lead + (box.size,))
 
 
 def potential_profile(
@@ -96,8 +103,7 @@ def potential_profile(
     couplings: CouplingConfiguration,
 ) -> np.ndarray:
     """Alloy potential ``V(k) = sum_j omega_j u(k - j)`` on the box."""
-    w = convolution_matrix(box, potential, couplings.box)
-    return w @ couplings.values
+    return potential_profiles(box, potential, couplings.box, couplings.values[None, :])[0]
 
 
 @dataclass

@@ -14,14 +14,8 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .estimators import ExperimentConfig, _draw_potentials, run_parallel, sample_correlation
-from .lattice import box, envelope_box
-from .operator import (
-    base_matrix,
-    chain_eigenvalues,
-    convolution_matrix,
-    hamiltonian_stack,
-    require_dense,
-)
+from .lattice import box
+from .operator import base_matrix, chain_eigenvalues, hamiltonian_stack, require_dense
 
 KS_CRITICAL_SCALE = 1.358  # asymptotic 5% Kolmogorov-Smirnov constant
 MIN_GAPS_FOR_KS = 50
@@ -50,21 +44,18 @@ def _eigenvalue_kernel(cfg: ExperimentConfig, radius: int):
 
     The kernel returns one row per realization: the tridiagonal solver per
     row in d=1, a batched ``eigvalsh`` of the assembled stack otherwise.
-    Callers run it with ``chunk_size=1``, one realization per task: a
-    realization's profile is then a one-row product, bit-identical to the
-    matrix-vector product of ``potential_profile``; products over several
-    rows may differ in the last bits.
+    Callers run it with ``chunk_size=1``, which spreads a few large
+    realizations over the workers; a realization's profile has the same bits
+    in a chunk of any size.
     """
     inner = box(radius, cfg.dimension)
     lam = cfg.disorder_strength
     if cfg.dimension > 1:
         require_dense(inner.size)
         base = base_matrix(inner, cfg.shifted_laplacian)
-    env = envelope_box(inner, cfg.potential.support_radius)
-    conv = convolution_matrix(inner, cfg.potential, env)
 
     def kernel(indices, rngs):
-        profiles = _draw_potentials(cfg, conv, rngs)
+        profiles = _draw_potentials(cfg, inner, rngs)
         if cfg.dimension == 1:
             return np.stack([chain_eigenvalues(lam * p, cfg.shifted_laplacian) for p in profiles])
         return np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))

@@ -65,12 +65,28 @@ class CirculantTransform:
         return grid[tuple(np.moveaxis(offsets, -1, 0))]
 
 
-def _convolve(table: np.ndarray, grid: np.ndarray, minus_delta: bool = False) -> np.ndarray:
-    """Periodic convolution ``sum_o u(o) grid(. - o)`` in O(|supp u| N), less δ if asked."""
+def torus_table(potential: SingleSitePotential, side: int) -> np.ndarray:
+    """``u`` on the d-torus of the given side, offset ``o`` at index ``o mod side``."""
+    table = np.zeros((side,) * potential.dimension)
+    for offset, value in potential.items():
+        table[tuple(c % side for c in offset)] = value
+    return table
+
+
+def periodic_convolution(
+    table: np.ndarray, grid: np.ndarray, minus_delta: bool = False
+) -> np.ndarray:
+    """Periodic convolution ``sum_o u(o) grid(. - o)`` in O(|supp u| N), less δ if asked.
+
+    The one convolution by ``u`` of the package.  It acts on the last
+    ``table.ndim`` axes of ``grid``; leading axes are a batch whose rows are
+    computed independently, so a row has the same bits in any batch.
+    """
+    axes = tuple(range(grid.ndim - table.ndim, grid.ndim))
     out = np.zeros_like(grid)
-    out.flat[0] = -1.0 if minus_delta else 0.0
+    out[(...,) + (0,) * table.ndim] = -1.0 if minus_delta else 0.0
     for index in zip(*np.nonzero(table)):
-        out += table[index] * np.roll(grid, index, axis=tuple(range(grid.ndim)))
+        out += table[index] * np.roll(grid, index, axis=axes)
     return out
 
 
@@ -84,15 +100,13 @@ def _reciprocal_kernel(
     of iterative refinement, then zeroing roundoff-level coefficients, makes
     finitely supported inverses (a pure delta) come out exact.
     """
-    table = np.zeros((side,) * potential.dimension)
-    for offset, value in potential.items():
-        table[tuple(c % side for c in offset)] = value
+    table = torus_table(potential, side)
     symbol = np.fft.fftn(table)
     modulus = np.abs(symbol)
     if np.min(modulus) <= floor * max(1.0, potential.l1_norm):
         return table, None, modulus
     kernel = np.fft.ifftn(1.0 / symbol).real
-    kernel -= np.fft.ifftn(np.fft.fftn(_convolve(table, kernel, minus_delta=True)) / symbol).real
+    kernel -= np.fft.ifftn(np.fft.fftn(periodic_convolution(table, kernel, True)) / symbol).real
     kernel[np.abs(kernel) <= np.finfo(float).eps * np.max(np.abs(kernel))] = 0.0
     return table, kernel, modulus
 
@@ -117,7 +131,7 @@ def build_circulant(potential: SingleSitePotential, lambda_box: Box) -> Circulan
             "assumption violated at this volume: transform singular at discrete "
             f"frequency 2*pi*{tuple(int(f) for f in freq)}/{env.side}"
         )
-    identity_defect = float(np.max(np.abs(_convolve(table, kernel, minus_delta=True))))
+    identity_defect = float(np.max(np.abs(periodic_convolution(table, kernel, minus_delta=True))))
     if identity_defect > 1e-10:
         raise TransformError(f"inverse verification failed (defect {identity_defect:.3e})")
 
@@ -141,7 +155,7 @@ def transform_couplings(transform: CirculantTransform, couplings: CouplingConfig
     if couplings.box != transform.envelope:
         raise ValueError("coupling domain does not match the transform envelope")
     grid = couplings.values.reshape(transform.table.shape)
-    return _convolve(transform.table, grid).ravel()
+    return periodic_convolution(transform.table, grid).ravel()
 
 
 # ---------------------------------------------------------------------------

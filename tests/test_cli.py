@@ -363,3 +363,20 @@ def test_spacing_pipeline_small(tmp_path):
     assert record["chi2_pvalue"] > 1e-4
     assert (out / "rescaled.csv").exists()
     assert code in (0, 1)  # statistical verdict at toy scale; records must exist
+
+
+@pytest.mark.parametrize("radii", [[0, 2], [2, 0]])
+def test_fvc_rejects_radius_zero(tmp_path, monkeypatch, capsys, radii):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **fvc_fields(radii=radii))
+    assert main(["fvc", "--config", cfg]) == 2
+    assert "radii" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_fmb_needs_two_pair_distances(tmp_path, monkeypatch, capsys, radius):
+    # radius 0 has no default pair and radius 1 a single distance: no decay to fit
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **fmb_fields(box_radius=radius))
+    assert main(["fmb", "--config", cfg]) == 2
+    assert "two or more distinct distances" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alloylab.disorder import (
     CouplingConfiguration,
@@ -82,6 +85,68 @@ def test_potential_is_convolution_of_couplings():
     assert v[0] == pytest.approx(0.2 + (0.1 + 0.3) / 4.0, abs=1e-15)
     sample = build_hamiltonian(b, u, couplings, lam=2.0)
     assert np.allclose(np.diag(sample.matrix), 2.0 * v)
+
+
+_PROFILE_RADII = {1: 4, 2: 3, 3: 1}
+
+
+@st.composite
+def profile_cases(draw):
+    """A sign-changing profile, a box placed off centre in a field that holds its envelope."""
+    d = draw(st.integers(1, 3))
+    cube = itertools.product(range(-1, 2) if d == 3 else range(-2, 3), repeat=d)
+    values = {site: draw(st.floats(-1.0, 1.0)) for site in cube}
+    assume(any(values.values()))
+    u = SingleSitePotential(values)
+    radius = draw(st.integers(0, _PROFILE_RADII[d]))
+    margin = draw(st.integers(0, 2))
+    field_center = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    offset = tuple(draw(st.integers(-margin, margin)) for _ in range(d))
+    inner = box(radius, d, center=tuple(c + o for c, o in zip(field_center, offset)))
+    field = box(radius + u.support_radius + margin, d, center=field_center)
+    couplings = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+        -1.0, 1.0, size=(draw(st.integers(1, 4)), field.size)
+    )
+    return u, inner, field, couplings
+
+
+def dense_profile_matrix(inner, u, field):
+    """``W[k, j] = u(k - j)`` for k in the box and j in the field, enumeration order."""
+    offsets = [[tuple(a - b for a, b in zip(k, j)) for j in field.sites()] for k in inner.sites()]
+    return np.array([[u.value(o) for o in row] for row in offsets])
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile_cases())
+def test_potential_profiles_match_dense_reference(case):
+    u, inner, field, couplings = case
+    w = dense_profile_matrix(inner, u, field)
+    fast = operator.potential_profiles(inner, u, field, couplings)
+    # both sides sum at most |supp u| products per entry
+    tol = 4 * len(u.sites()) * np.finfo(float).eps * (np.abs(couplings) @ np.abs(w).T)
+    assert fast.shape == (couplings.shape[0], inner.size)
+    assert np.all(np.abs(fast - couplings @ w.T) <= tol)
+    for i, row in enumerate(couplings):
+        single = operator.potential_profiles(inner, u, field, row[None, :])
+        assert np.array_equal(single[0], fast[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile_cases(), st.data())
+def test_potential_profiles_refuse_a_field_too_small(case, data):
+    u, inner, field, couplings = case
+    # push the box until its envelope touches the field edge, then one site past it
+    axis = data.draw(st.integers(0, inner.dimension - 1))
+    sign = data.draw(st.sampled_from((-1, 1)))
+    edge = field.center[axis] + sign * (field.radius - inner.radius - u.support_radius)
+    center = list(inner.center)
+    center[axis] = edge
+    touching = box(inner.radius, inner.dimension, center=tuple(center))
+    operator.potential_profiles(touching, u, field, couplings)
+    center[axis] = edge + sign
+    outside = box(inner.radius, inner.dimension, center=tuple(center))
+    with pytest.raises(ValueError, match="leaves the coupling field"):
+        operator.potential_profiles(outside, u, field, couplings)
 
 
 def test_symmetry_is_exact():

@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import (
@@ -31,6 +32,7 @@ from .disorder import check_assumption
 from .estimators import (
     NumericalFault,
     RunFailure,
+    blas_environment,
     canonical_digest,
     estimate_minami,
     estimate_two_eigenvalue_probability,
@@ -64,6 +66,7 @@ class RunManifest:
     created_at: str
     outputs: list[str]
     wall_times: list[float]
+    environment: dict
 
     def write(self, out_dir: Path) -> None:
         path = out_dir / "manifest.json"
@@ -100,7 +103,7 @@ class _Reporter:
             writer.writerows(rows)
         self.outputs.append(name)
 
-    def finalize(self, subcommand: str, digest: str, seed: int) -> None:
+    def finalize(self, subcommand: str, digest: str, seed: int, workers: int) -> None:
         if not self.out_dir:
             return
         records_path = self.out_dir / "results.jsonl"
@@ -116,8 +119,20 @@ class _Reporter:
             created_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             outputs=sorted(self.outputs),
             wall_times=self.wall_times,
+            environment=_run_environment(workers),
         )
         manifest.write(self.out_dir)
+
+
+def _run_environment(workers: int) -> dict:
+    """Library versions, BLAS configs and threads, and the worker and CPU counts of a run."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **blas_environment(),
+        "workers": workers,
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _resolve_workers(args_workers: int | None) -> int | None:
@@ -160,7 +175,7 @@ def cmd_check(args) -> int:
             "satisfied": report.satisfied,
         }
     )
-    reporter.finalize("check", digest, cfg.seed)
+    reporter.finalize("check", digest, cfg.seed, cfg.workers)
     if not report.satisfied:
         certificate = report.fourier_min_modulus - report.lipschitz_slack
         print(
@@ -226,7 +241,7 @@ def cmd_constants(args) -> int:
         f"site-resolved = {constants.site_resolved_bound:.8g}",
         file=sys.stderr,
     )
-    reporter.finalize("constants", digest, cfg.seed)
+    reporter.finalize("constants", digest, cfg.seed, cfg.workers)
     return 0
 
 
@@ -241,7 +256,7 @@ def cmd_minami(args) -> int:
     result = estimate_minami(cfg)
     reporter = _Reporter(args.out)
     reporter.record({"kind": "mc_estimate", **result.to_record()})
-    reporter.finalize("minami", result.config_digest, result.seed)
+    reporter.finalize("minami", result.config_digest, result.seed, cfg.workers)
     return 0 if result.verdict == "within_bound" else 1
 
 
@@ -262,12 +277,12 @@ def cmd_wegner(args) -> int:
             )
         reporter.csv("wegner.csv", ["interval_width", "mean_count", "stderr", "count_ratio"], rows)
         digest = sweep[0].config_digest if sweep else cfg.digest()
-        reporter.finalize("wegner", digest, cfg.seed)
+        reporter.finalize("wegner", digest, cfg.seed, cfg.workers)
         return 0
     cfg = experiment_from_config(raw, required=("box_radius", "interval"), overrides=overrides)
     result = estimate_wegner(cfg)
     reporter.record({"kind": "mc_estimate", **result.to_record()})
-    reporter.finalize("wegner", result.config_digest, result.seed)
+    reporter.finalize("wegner", result.config_digest, result.seed, cfg.workers)
     return 0
 
 
@@ -288,7 +303,7 @@ def cmd_two_ev(args) -> int:
             "exact_inequality_holds": result.exact_inequality_holds,
         }
     )
-    reporter.finalize("two-ev", result.probability.config_digest, cfg.seed)
+    reporter.finalize("two-ev", result.probability.config_digest, cfg.seed, cfg.workers)
     ok = (
         result.exact_inequality_holds
         and result.probability.verdict != "violated_beyond_3sigma"
@@ -314,7 +329,7 @@ def cmd_fvc(args) -> int:
         reporter.record({"kind": "fvc_point", "config_digest": digest, **dataclasses.asdict(point)})
         rows.append([point.box_radius, point.probability, point.stderr, point.resample_fraction])
     reporter.csv("fvc.csv", ["box_radius", "probability", "stderr", "resample_fraction"], rows)
-    reporter.finalize("fvc", digest, cfg.seed)
+    reporter.finalize("fvc", digest, cfg.seed, cfg.workers)
     return 0
 
 
@@ -347,7 +362,7 @@ def cmd_fmb(args) -> int:
         ["distance", "mean", "stderr"],
         [[p.distance, p.mean, p.stderr] for p in report.points],
     )
-    reporter.finalize("fmb", digest, cfg.seed)
+    reporter.finalize("fmb", digest, cfg.seed, cfg.workers)
     return 0
 
 
@@ -394,7 +409,7 @@ def cmd_ids(args) -> int:
             epsilons=[float(e) for e in raw["pos_epsilons"]],
         )
         reporter.record({"kind": "pos_probe", "config_digest": digest, **probe.to_record()})
-    reporter.finalize("ids", digest, cfg.seed)
+    reporter.finalize("ids", digest, cfg.seed, cfg.workers)
     return 0
 
 
@@ -406,6 +421,7 @@ def cmd_spacing(args) -> int:
     if synthetic:
         n_realizations = int(raw.get("realizations", 300))
         seed = int(raw.get("seed", 0) if args.seed is None else args.seed)
+        workers = _resolve_workers(args.workers) or int(raw.get("workers", 1))
         span = (window[0] - 10.0, window[1] + 10.0)
         if synthetic == "poisson":
             rng = np.random.default_rng(seed)
@@ -417,7 +433,7 @@ def cmd_spacing(args) -> int:
         stats = poisson_tests(samples, window)
         digest = canonical_digest({"synthetic": synthetic, "seed": seed, "n": n_realizations})
         reporter.record({"kind": "spacing_stats", "config_digest": digest, **stats.to_record()})
-        reporter.finalize("spacing", digest, seed)
+        reporter.finalize("spacing", digest, seed, workers)
         return 0 if stats.verdict() == "pass" else 1
 
     require_fields(raw, ("stats_radius", "realizations"))
@@ -447,7 +463,7 @@ def cmd_spacing(args) -> int:
         ["realization", "xi"],
         [[r, float(x)] for r, sample in enumerate(samples) for x in sample.xi],
     )
-    reporter.finalize("spacing", digest, cfg.seed)
+    reporter.finalize("spacing", digest, cfg.seed, cfg.workers)
     return 0 if stats.verdict() == "pass" else 1
 
 

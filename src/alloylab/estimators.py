@@ -7,23 +7,32 @@ is likewise deterministic.  Every Green entry comes from
 ``operator.resolvent_columns``; in every estimator and probe, samples whose
 solve cannot be certified become NaN rows, are counted, and fail the run
 beyond a 0.1% cap.  Determinant samples outside the resolvent envelope
-abort the run as numerical faults.
+abort the run as numerical faults.  Inside ``run_parallel`` BLAS runs on
+one thread at every worker count, so worker threads are the one source of
+parallelism and LAPACK sums in the same order whatever their number.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
+import importlib
 import json
 import math
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .disorder import DisorderDensity, SingleSitePotential
-from .lattice import Box, Site, box, envelope_box, origin, sup_distance
+from .lattice import Box, Site, box, origin, sup_distance
 from .operator import (
     MIN_IMAG_PART,
     base_matrix,
@@ -37,6 +46,12 @@ from .transform import build_circulant, minami_constants
 FAILURE_CAP = 1e-3
 RESAMPLE_CAP = 1e-2
 _CHUNK_BUDGET = 1_000_000
+PINNED_BLAS_THREADS = 1
+# OpenBLAS copies bundled with the numpy and scipy wheels: package, library, symbol suffix
+_OPENBLAS_COPIES = (
+    ("numpy", "libscipy_openblas64_*.so", "64_"),
+    ("scipy", "libscipy_openblas-*.so", ""),
+)
 
 
 class RunFailure(RuntimeError):
@@ -52,6 +67,89 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+@dataclass(frozen=True)
+class BlasLibrary:
+    """Thread-count control of one loaded OpenBLAS copy."""
+
+    package: str
+    config: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+@functools.cache
+def _openblas_libraries() -> tuple[tuple[BlasLibrary, ...], str | None]:
+    """The loaded OpenBLAS copies, and the first library or symbol not found (None if all were).
+
+    Libraries are opened with ``RTLD_NOLOAD``, so one that is not loaded
+    already is never loaded.
+    """
+    found = []
+    for package, pattern, suffix in _OPENBLAS_COPIES:
+        module = importlib.import_module(package)
+        paths = sorted(Path(module.__file__).parents[1].glob(f"{package}.libs/{pattern}"))
+        if not paths:
+            return tuple(found), f"{package}.libs/{pattern}"
+        try:
+            lib = ctypes.CDLL(str(paths[0]), mode=os.RTLD_NOLOAD)
+        except OSError:
+            return tuple(found), f"{paths[0].name} (not loaded)"
+        verbs = ("get_num_threads", "set_num_threads", "get_config")
+        names = [f"scipy_openblas_{verb}{suffix}" for verb in verbs]
+        missing = [name for name in names if not hasattr(lib, name)]
+        if missing:
+            return tuple(found), missing[0]
+        getter, setter, config = (getattr(lib, name) for name in names)
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        config.restype = ctypes.c_char_p
+        found.append(BlasLibrary(package, config().decode(), getter, setter))
+    return tuple(found), None
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list[int] = []
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the body with every loaded OpenBLAS copy at ``n`` threads, then restore.
+
+    Overlapping entries, nested or from several threads, share the first
+    one's pin; the last one out restores the counts it saved.  When a
+    library or symbol is missing this does nothing (``blas_environment``
+    names what is missing).
+    """
+    global _blas_depth, _blas_saved
+    libraries, missing = _openblas_libraries()
+    if missing is not None:
+        libraries = ()
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [lib.get_threads() for lib in libraries]
+            for lib in libraries:
+                lib.set_threads(n)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for lib, count in zip(libraries, _blas_saved):
+                    lib.set_threads(count)
+
+
+def blas_environment() -> dict:
+    """BLAS facts for a run manifest: each copy's config and the count ``run_parallel`` pins."""
+    libraries, missing = _openblas_libraries()
+    return {
+        "openblas": {lib.package: lib.config for lib in libraries},
+        "blas_threads": PINNED_BLAS_THREADS if missing is None else None,
+        "blas_missing": missing,
+    }
+
+
 def run_parallel(
     kernel: Callable[[np.ndarray, list[np.random.Generator]], np.ndarray],
     n_samples: int,
@@ -64,7 +162,8 @@ def run_parallel(
 
     The kernel receives sample indices plus their private generators and
     returns one row per sample (NaN rows mark failed samples).  Chunk
-    boundaries depend only on ``chunk_size``, never on ``workers``.
+    boundaries depend only on ``chunk_size``, never on ``workers``, and
+    BLAS is pinned to one thread at every worker count.
     """
     if n_samples <= 0:
         raise ValueError("empty sample")
@@ -81,13 +180,14 @@ def run_parallel(
             raise RuntimeError(f"kernel returned shape {out.shape}")
         values[start:stop, :] = out
 
-    if workers == 1:
-        for span in spans:
-            work(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(work, span) for span in spans]:
-                future.result()
+    with blas_threads(PINNED_BLAS_THREADS):
+        if workers == 1:
+            for span in spans:
+                work(span)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for future in [pool.submit(work, span) for span in spans]:
+                    future.result()
     return values
 
 
@@ -278,7 +378,7 @@ def _draw_couplings(cfg: ExperimentConfig, size: int, rngs) -> np.ndarray:
 
 def _draw_potentials(cfg: ExperimentConfig, inner: Box, rngs) -> np.ndarray:
     """Potential profiles for a chunk: one row per sample over ``inner``, drawn on its envelope."""
-    field = envelope_box(inner, cfg.potential.support_radius)
+    field = Box(inner.center, inner.radius + cfg.potential.support_radius)
     return potential_profiles(inner, cfg.potential, field, _draw_couplings(cfg, field.size, rngs))
 
 
@@ -674,14 +774,13 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
         raise ValueError("boxes overlap or share couplings at this separation")
     center_two = (separation,) + (0,) * (cfg.dimension - 1)
     boxes = (box(cfg.box_radius, cfg.dimension), Box(center_two, cfg.box_radius))
-    field_box = Box(origin(cfg.dimension), separation + cfg.box_radius + reach)
     # both boxes have the same shape, hence the same potential-free part
     base = base_matrix(boxes[0], cfg.shifted_laplacian)
     lam = cfg.disorder_strength
 
     def kernel(indices, rngs):
-        omegas = _draw_couplings(cfg, field_box.size, rngs)
-        profiles = [potential_profiles(b, cfg.potential, field_box, omegas) for b in boxes]
+        # the two envelopes are disjoint: each sample draws box one's, then box two's
+        profiles = [_draw_potentials(cfg, b, rngs) for b in boxes]
         return np.stack([_counts(base, lam, v, cfg.interval) for v in profiles], axis=1).astype(float)
 
     values = run_parallel(

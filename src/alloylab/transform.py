@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,25 +43,10 @@ class CirculantTransform:
     def size(self) -> int:
         return self.envelope.size
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense ``N x N`` view of the transform, for tests on small envelopes."""
-        return self._dense(self.table)
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """Dense ``N x N`` view of the inverse, for tests on small envelopes."""
-        return self._dense(self.kernel)
-
     def inverse_column(self, site: Site) -> np.ndarray:
         """Column ``site`` of the inverse, enumeration order: the kernel rolled onto ``site``."""
         shift = [c + self.envelope.radius for c in site]
         return np.roll(self.kernel, shift, axis=tuple(range(self.kernel.ndim))).ravel()
-
-    def _dense(self, grid: np.ndarray) -> np.ndarray:
-        sites = self.envelope.site_array()
-        offsets = (sites[:, None, :] - sites[None, :, :]) % self.envelope.side
-        return grid[tuple(np.moveaxis(offsets, -1, 0))]
 
 
 def torus_table(potential: SingleSitePotential, side: int) -> np.ndarray:

@@ -1,8 +1,11 @@
 import json
 import math
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from alloylab import estimators
 from alloylab.cli import main
@@ -123,6 +126,35 @@ def test_constants_d3_beyond_dense_reach(tmp_path):
     assert record["inverse_one_norm"] <= record["limit_inverse_norm_bound"] * (1 + 1e-6)
     assert record["site_resolved_bound"] <= record["determinant_bound"]
     assert json.loads((out / "manifest.json").read_text())["wall_times"] == []
+
+
+def test_manifest_environment_schema(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, **base_fields(interval=[0.0, 1.0], samples=40))
+    out = tmp_path / "run"
+    assert main(["wegner", "--config", cfg, "--out", str(out), "--workers", "2"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    environment = manifest["environment"]
+    assert set(environment) == {
+        "numpy", "scipy", "openblas", "blas_threads", "blas_missing", "workers", "cpu_count"
+    }
+    assert environment["numpy"] == np.__version__
+    assert environment["scipy"] == scipy.__version__
+    assert environment["workers"] == 2
+    assert environment["cpu_count"] == os.cpu_count()
+    if environment["blas_missing"] is None:
+        assert environment["blas_threads"] == 1
+        assert set(environment["openblas"]) == {"numpy", "scipy"}
+        assert all(config.startswith("OpenBLAS") for config in environment["openblas"].values())
+    else:
+        assert environment["blas_threads"] is None
+
+    monkeypatch.setattr(estimators, "_openblas_libraries", lambda: ((), "scipy_openblas_get_config"))
+    assert main(["wegner", "--config", cfg, "--out", str(out)]) == 0
+    environment = json.loads((out / "manifest.json").read_text())["environment"]
+    assert environment["blas_threads"] is None
+    assert environment["blas_missing"] == "scipy_openblas_get_config"
+    assert environment["openblas"] == {}
+    assert environment["workers"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +304,7 @@ def test_manifest_schema_keeps_wall_times(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {
         "subcommand", "config_digest", "seed", "artifact_version", "created_at", "outputs",
-        "wall_times",
+        "wall_times", "environment",
     }
     assert manifest["subcommand"] == "two-ev"
     assert manifest["outputs"] == ["results.jsonl"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,73 @@ def test_run_parallel_worker_count_invariance():
     one = run_parallel(kernel, 300, 1, seed=5, workers=1, chunk_size=64)
     eight = run_parallel(kernel, 300, 1, seed=5, workers=8, chunk_size=64)
     assert np.array_equal(one, eight)
+
+
+def openblas_libraries():
+    libraries, missing = estimators._openblas_libraries()
+    if missing is not None:
+        pytest.skip(f"no bundled OpenBLAS thread control: {missing} not found")
+    return libraries
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_parallel_pins_blas_to_one_thread(workers):
+    libraries = openblas_libraries()
+    assert [lib.package for lib in libraries] == ["numpy", "scipy"]
+
+    def kernel(indices, rngs):
+        return np.array([[lib.get_threads() for lib in libraries]] * len(indices), dtype=float)
+
+    values = run_parallel(kernel, 64, 2, seed=1, workers=workers, chunk_size=16)
+    assert np.all(values == 1.0)
+
+
+def test_blas_threads_restores_the_callers_counts():
+    libraries = openblas_libraries()
+    before = [lib.get_threads() for lib in libraries]
+
+    def failing(indices, rngs):
+        raise ZeroDivisionError("kernel failure")
+
+    try:
+        for lib in libraries:
+            lib.set_threads(2)
+        run_parallel(lambda idx, rngs: np.zeros((len(idx), 1)), 32, 1, seed=0, workers=2)
+        assert [lib.get_threads() for lib in libraries] == [2, 2]
+        with pytest.raises(ZeroDivisionError):
+            run_parallel(failing, 32, 1, seed=0, workers=2, chunk_size=8)
+        assert [lib.get_threads() for lib in libraries] == [2, 2]
+    finally:
+        for lib, count in zip(libraries, before):
+            lib.set_threads(count)
+
+
+def test_run_parallel_without_blas_control(monkeypatch):
+    cfg = make_config(interval=(0.0, 2.0), n_samples=96)
+    pinned = run_parallel(estimators._batched_counts(cfg), 96, 1, seed=4, chunk_size=32)
+    monkeypatch.setattr(
+        estimators, "_openblas_libraries", lambda: ((), "scipy_openblas_set_num_threads64_")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unpinned = run_parallel(
+            estimators._batched_counts(cfg), 96, 1, seed=4, workers=2, chunk_size=32
+        )
+    assert np.array_equal(pinned, unpinned)
+
+
+def test_batched_counts_identical_across_worker_counts():
+    cfg = make_config(
+        dimension=2,
+        box_radius=4,
+        potential=SingleSitePotential({(0, 0): 1.0, (1, 0): 0.3, (0, -1): -0.2}),
+        interval=(-1.0, 1.0),
+        n_samples=48,
+    )
+    kernel = estimators._batched_counts(cfg)
+    runs = [run_parallel(kernel, 48, 1, seed=7, workers=w, chunk_size=8) for w in (1, 2, 3)]
+    assert np.array_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0], runs[2])
 
 
 def test_sample_stream_is_index_keyed():

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -78,7 +79,7 @@ class _Reporter:
 
     def __init__(self, out_dir: str | None):
         self.out_dir = Path(out_dir) if out_dir else None
-        self.records: list[dict] = []
+        self.lines: list[str] = []
         self.outputs: list[str] = []
         self.wall_times: list[float] = []
         if self.out_dir:
@@ -90,8 +91,10 @@ class _Reporter:
         if "wall_time" in payload:
             payload = dict(payload)
             self.wall_times.append(payload.pop("wall_time"))
-        self.records.append(payload)
-        print(json.dumps(payload, sort_keys=True))
+        # strict JSON: a statistic without a finite value is recorded as None (null)
+        line = json.dumps(payload, sort_keys=True, allow_nan=False)
+        self.lines.append(line)
+        print(line)
 
     def csv(self, name: str, header: list[str], rows) -> None:
         if not self.out_dir:
@@ -106,10 +109,7 @@ class _Reporter:
     def finalize(self, subcommand: str, digest: str, seed: int, workers: int) -> None:
         if not self.out_dir:
             return
-        records_path = self.out_dir / "results.jsonl"
-        with records_path.open("w") as handle:
-            for record in self.records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        (self.out_dir / "results.jsonl").write_text("".join(line + "\n" for line in self.lines))
         self.outputs.append("results.jsonl")
         manifest = RunManifest(
             subcommand=subcommand,
@@ -262,27 +262,26 @@ def cmd_minami(args) -> int:
 
 def cmd_wegner(args) -> int:
     raw = load_config(args.config)
-    overrides = _overrides(args)
-    reporter = _Reporter(args.out)
-    if "widths" in raw:
+    sweep = "widths" in raw
+    if sweep:
         require_fields(raw, ("center",))
-        cfg = experiment_from_config(raw, required=("box_radius",), overrides=overrides)
-        sweep = wegner_ratio_sweep(cfg, raw["widths"], float(raw["center"]))
-        rows = []
-        for estimate in sweep:
-            reporter.record({"kind": "mc_estimate", **estimate.to_record()})
-            rows.append(
-                [estimate.extras["interval_width"], estimate.mean, estimate.stderr,
-                 estimate.extras["count_ratio"]]
-            )
+        widths = raw["widths"]
+        listed = isinstance(widths, list) and len(widths) > 0
+        if not (listed and all(type(w) in (int, float) and 0 <= w < math.inf for w in widths)):
+            raise ConfigError(f"'widths' must be a non-empty list of finite numbers >= 0: {widths!r}")
+    required = ("box_radius",) if sweep else ("box_radius", "interval")
+    cfg = experiment_from_config(raw, required=required, overrides=_overrides(args))
+    estimates = (
+        wegner_ratio_sweep(cfg, widths, float(raw["center"])) if sweep else [estimate_wegner(cfg)]
+    )
+    reporter = _Reporter(args.out)
+    for e in estimates:
+        reporter.record({"kind": "mc_estimate", **e.to_record()})
+    if sweep:  # a None ratio (zero width) is written as an empty cell
+        rows = [[e.extras["interval_width"], e.mean, e.stderr, e.extras["count_ratio"]]
+                for e in estimates]
         reporter.csv("wegner.csv", ["interval_width", "mean_count", "stderr", "count_ratio"], rows)
-        digest = sweep[0].config_digest if sweep else cfg.digest()
-        reporter.finalize("wegner", digest, cfg.seed, cfg.workers)
-        return 0
-    cfg = experiment_from_config(raw, required=("box_radius", "interval"), overrides=overrides)
-    result = estimate_wegner(cfg)
-    reporter.record({"kind": "mc_estimate", **result.to_record()})
-    reporter.finalize("wegner", result.config_digest, result.seed, cfg.workers)
+    reporter.finalize("wegner", estimates[0].config_digest, cfg.seed, cfg.workers)
     return 0
 
 

@@ -371,31 +371,31 @@ def _chunk_for(matrix_dim: int) -> int:
     return max(8, min(512, _CHUNK_BUDGET // max(1, matrix_dim * matrix_dim)))
 
 
-def _draw_couplings(cfg: ExperimentConfig, size: int, rngs) -> np.ndarray:
-    """Couplings for a chunk: one row of ``size`` draws per sample generator."""
-    return cfg.density.quantile(np.stack([rng.random(size) for rng in rngs]))
-
-
 def _draw_potentials(cfg: ExperimentConfig, inner: Box, rngs) -> np.ndarray:
     """Potential profiles for a chunk: one row per sample over ``inner``, drawn on its envelope."""
     field = Box(inner.center, inner.radius + cfg.potential.support_radius)
-    return potential_profiles(inner, cfg.potential, field, _draw_couplings(cfg, field.size, rngs))
+    couplings = cfg.density.quantile(np.stack([rng.random(field.size) for rng in rngs]))
+    return potential_profiles(inner, cfg.potential, field, couplings)
 
 
-def _counts(base: np.ndarray, lam: float, profiles: np.ndarray, interval) -> np.ndarray:
-    """Eigenvalue counts in the closed interval, one per profile row."""
-    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))
-    return np.sum((spectra >= interval[0]) & (spectra <= interval[1]), axis=1)
+def _counts(base: np.ndarray, lam: float, profiles: np.ndarray, intervals) -> np.ndarray:
+    """Eigenvalue counts in closed intervals: one row per profile, one column per interval.
+
+    One ``eigvalsh`` call serves every interval.
+    """
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))[:, :, None]
+    lo, hi = np.asarray(intervals, dtype=float).T
+    return np.sum((spectra >= lo) & (spectra <= hi), axis=1).astype(float)
 
 
-def _batched_counts(cfg: ExperimentConfig) -> Callable:
-    """Kernel computing eigenvalue counts in ``cfg.interval`` per sample."""
+def _batched_counts(cfg: ExperimentConfig, intervals) -> Callable:
+    """Kernel computing each sample's eigenvalue counts in every interval."""
     inner = cfg.inner_box
+    require_dense(inner.size)
     base = base_matrix(inner, cfg.shifted_laplacian)
 
     def kernel(indices, rngs):
-        profiles = _draw_potentials(cfg, inner, rngs)
-        return _counts(base, cfg.disorder_strength, profiles, cfg.interval).astype(float)[:, None]
+        return _counts(base, cfg.disorder_strength, _draw_potentials(cfg, inner, rngs), intervals)
 
     return kernel
 
@@ -478,34 +478,41 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
 def estimate_wegner(cfg: ExperimentConfig) -> MCEstimate:
     """Mean eigenvalue count in the interval; diagnostic, no a-priori constant.
 
-    The record carries the linearity ratio ``mean / (|J| |box|)`` so sweeps
-    over interval widths can certify boundedness.
+    The record carries the linearity ratio ``mean / (|J| |box|)`` (None for
+    a zero-width interval) so sweeps over interval widths can certify
+    boundedness.
     """
-    if cfg.interval is None:
-        raise ValueError("counting estimator needs an interval")
-    if cfg.n_samples < 1:
-        raise ValueError("empty sample")
-    started = time.perf_counter()
-    inner = cfg.inner_box
-    require_dense(inner.size)
-    values = run_parallel(
-        _batched_counts(cfg), cfg.n_samples, 1, cfg.seed, cfg.workers, _chunk_for(inner.size)
-    )
-    width = cfg.interval[1] - cfg.interval[0]
-    estimate = _summarize(cfg, "wegner", values, 0, None, started, {"interval_width": width})
-    ratio = estimate.mean / (width * inner.size) if width > 0 else math.inf
-    estimate.extras.update(count_ratio=ratio, n_valid=cfg.n_samples - estimate.n_failed)
-    return estimate
+    return _wegner_estimates(cfg, [cfg.interval])[0]
 
 
 def wegner_ratio_sweep(
     cfg: ExperimentConfig, widths: Sequence[float], center: float
 ) -> list[MCEstimate]:
-    """Run the counting estimator at several interval widths around a center."""
-    return [
-        estimate_wegner(replace(cfg, interval=(center - width / 2.0, center + width / 2.0)))
-        for width in widths
-    ]
+    """The counting estimator at several interval widths around a center.
+
+    Every width is counted against the same samples, one draw and one
+    eigensolve each; every estimate carries its own interval's digest.
+    """
+    return _wegner_estimates(cfg, [(center - w / 2.0, center + w / 2.0) for w in widths])
+
+
+def _wegner_estimates(cfg: ExperimentConfig, intervals: list) -> list[MCEstimate]:
+    """One counting run of ``cfg``'s samples, one estimate per interval."""
+    if not intervals or None in intervals:
+        raise ValueError("counting estimator needs an interval")
+    started = time.perf_counter()
+    swept = [replace(cfg, interval=interval) for interval in intervals]
+    size = cfg.inner_box.size
+    kernel = _batched_counts(cfg, intervals)
+    values = run_parallel(kernel, cfg.n_samples, len(swept), cfg.seed, cfg.workers, _chunk_for(size))
+    estimates = []
+    for column, c in enumerate(swept):
+        width = c.interval[1] - c.interval[0]
+        estimate = _summarize(c, "wegner", values, column, None, started, {"interval_width": width})
+        ratio = estimate.mean / (width * size) if width > 0 else None
+        estimate.extras.update(count_ratio=ratio, n_valid=cfg.n_samples - estimate.n_failed)
+        estimates.append(estimate)
+    return estimates
 
 
 @dataclass
@@ -528,21 +535,13 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
         raise ValueError("counting estimator needs an interval")
     started = time.perf_counter()
     inner = cfg.inner_box
-    require_dense(inner.size)
     lam = cfg.disorder_strength
     if lam > 0 and inner.size < 2:
         raise ValueError("the two-eigenvalue bound needs a box with at least two sites")
-    count_kernel = _batched_counts(cfg)
-
-    def kernel(indices, rngs):
-        counts = count_kernel(indices, rngs)[:, 0]
-        indicator = (counts >= 2.0).astype(float)
-        half_pairs = counts * (counts - 1.0) / 2.0
-        return np.stack([indicator, half_pairs], axis=1)
-
-    values = run_parallel(
-        kernel, cfg.n_samples, 2, cfg.seed, cfg.workers, _chunk_for(inner.size)
-    )
+    kernel = _batched_counts(cfg, [cfg.interval])
+    counts = run_parallel(kernel, cfg.n_samples, 1, cfg.seed, cfg.workers, _chunk_for(inner.size))
+    counts = counts[:, 0]
+    values = np.stack([(counts >= 2.0).astype(float), counts * (counts - 1.0) / 2.0], axis=1)
     exact = bool(np.all(values[:, 0] <= values[:, 1] + 1e-12))
     if not exact:
         raise NumericalFault("indicator exceeded the pair count; counting is broken")
@@ -621,21 +620,22 @@ def probe_fvc(
 
         def kernel(indices, rngs, _inner=inner, _base=base, _mask=pair_mask, _thr=threshold):
             rows = np.full((len(indices), 2), np.nan)
-            accepted, matrices = [], []
-            for row, rng in enumerate(rngs):
-                resamples = 0
-                for _ in range(max_attempts):
-                    (matrix,) = hamiltonian_stack(_base, lam, _draw_potentials(cfg, _inner, [rng]))
-                    spectrum = np.linalg.eigvalsh(matrix)
-                    if np.min(np.abs(spectrum - energy)) > resonance_gap:
-                        accepted.append(row)
-                        matrices.append(matrix)
-                        break
-                    resamples += 1
-                rows[row, 1] = resamples
-            if matrices:
+            rows[:, 1] = 0.0
+            matrices = np.empty((len(indices),) + _base.shape)
+            # each round redraws the rows still resonant (NaN spectra too) from their streams
+            pending = np.arange(len(indices))
+            for _ in range(max_attempts):
+                profiles = _draw_potentials(cfg, _inner, [rngs[row] for row in pending])
+                matrices[pending] = hamiltonian_stack(_base, lam, profiles)
+                spectra = np.linalg.eigvalsh(matrices[pending])
+                pending = pending[~(np.min(np.abs(spectra - energy), axis=1) > resonance_gap)]
+                rows[pending, 1] += 1.0
+                if not pending.size:
+                    break
+            accepted = np.setdiff1d(np.arange(len(indices)), pending)
+            if accepted.size:
                 columns = np.arange(_base.shape[0])
-                green, certified = resolvent_columns(np.stack(matrices), shift, columns)
+                green, certified = resolvent_columns(matrices[accepted], shift, columns)
                 ok = np.all(np.abs(green[:, _mask]) <= _thr, axis=1)
                 rows[accepted, 0] = np.where(certified, ok, np.nan)
             return rows
@@ -780,8 +780,8 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
 
     def kernel(indices, rngs):
         # the two envelopes are disjoint: each sample draws box one's, then box two's
-        profiles = [_draw_potentials(cfg, b, rngs) for b in boxes]
-        return np.stack([_counts(base, lam, v, cfg.interval) for v in profiles], axis=1).astype(float)
+        profiles = np.concatenate([_draw_potentials(cfg, b, rngs) for b in boxes])
+        return _counts(base, lam, profiles, [cfg.interval]).reshape(2, len(indices)).T
 
     values = run_parallel(
         kernel, cfg.n_samples, 2, cfg.seed, cfg.workers, _chunk_for(boxes[0].size)

@@ -264,8 +264,8 @@ class PointProcessStats:
     n_realizations: int
     counts: np.ndarray
     n_gaps: int
-    ks_statistic: float
-    ks_threshold: float
+    ks_statistic: float | None  # None without gaps
+    ks_threshold: float | None
     chi2_statistic: float
     chi2_dof: int
     chi2_pvalue: float
@@ -358,8 +358,8 @@ def poisson_tests(
     counts = np.array([s.count_in(lo, hi) for s in samples])
     gaps = np.concatenate([window_gaps(s, lo, hi) for s in samples])
 
-    ks_stat = exponential_ks_statistic(gaps) if gaps.size else math.inf
-    ks_threshold = KS_CRITICAL_SCALE / math.sqrt(gaps.size) if gaps.size else math.nan
+    ks_stat = exponential_ks_statistic(gaps) if gaps.size else None
+    ks_threshold = KS_CRITICAL_SCALE / math.sqrt(gaps.size) if gaps.size else None
 
     chi2_stat, chi2_dof, chi2_p = poisson_count_chisquare(counts, width)
 

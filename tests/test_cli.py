@@ -240,6 +240,41 @@ def test_wegner_sweep_csv(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "wegner"
     assert "wegner.csv" in manifest["outputs"]
+    assert len(manifest["wall_times"]) == 2
+
+
+@pytest.mark.parametrize("widths", [0.1, [], [0.1, -0.1]])
+def test_wegner_sweep_rejects_bad_widths_before_sampling(tmp_path, monkeypatch, capsys, widths):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **base_fields(widths=widths, center=1.0))
+    assert main(["wegner", "--config", cfg]) == 2
+    assert "widths" in capsys.readouterr().err
+
+
+def strict_records(out_dir):
+    def reject_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    lines = (out_dir / "results.jsonl").read_text().splitlines()
+    return [json.loads(line, parse_constant=reject_constant) for line in lines]
+
+
+def test_undefined_statistics_are_recorded_as_null(tmp_path):
+    sweep = write_config(tmp_path, "sweep.json", **base_fields(widths=[0.0, 0.2], center=1.0))
+    fence = write_config(
+        tmp_path, "fence.json", **base_fields(realizations=20, window=[0.2, 0.4])
+    )
+    assert main(["wegner", "--config", sweep, "--out", str(tmp_path / "w")]) == 0
+    assert main(["spacing", "--config", fence, "--synthetic", "picket_fence",
+                 "--out", str(tmp_path / "s")]) == 1
+    zero, wide = strict_records(tmp_path / "w")
+    assert zero["interval_width"] == 0.0 and zero["count_ratio"] is None
+    assert wide["count_ratio"] > 0.0
+    (stats,) = strict_records(tmp_path / "s")
+    assert stats["n_gaps"] == 0
+    assert stats["ks_statistic"] is None and stats["ks_threshold"] is None
+    table = (tmp_path / "w" / "wegner.csv").read_text().splitlines()
+    assert table[1].endswith(",") and table[1].count(",") == 3
 
 
 def test_two_ev_command(tmp_path):

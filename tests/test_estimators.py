@@ -1,11 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alloylab import estimators
-from alloylab.disorder import SingleSitePotential, bump_density
+from alloylab.disorder import SingleSitePotential, bump_density, sample_couplings
 from alloylab.estimators import (
     ExperimentConfig,
     RunFailure,
@@ -24,6 +25,8 @@ from alloylab.estimators import (
     sample_stream,
     wegner_ratio_sweep,
 )
+from alloylab.lattice import box, envelope_box
+from alloylab.operator import build_hamiltonian, eigenvalues
 
 RHO = bump_density()
 DELTA = SingleSitePotential.delta(1)
@@ -104,15 +107,14 @@ def test_blas_threads_restores_the_callers_counts():
 
 def test_run_parallel_without_blas_control(monkeypatch):
     cfg = make_config(interval=(0.0, 2.0), n_samples=96)
-    pinned = run_parallel(estimators._batched_counts(cfg), 96, 1, seed=4, chunk_size=32)
+    kernel = estimators._batched_counts(cfg, [cfg.interval])
+    pinned = run_parallel(kernel, 96, 1, seed=4, chunk_size=32)
     monkeypatch.setattr(
         estimators, "_openblas_libraries", lambda: ((), "scipy_openblas_set_num_threads64_")
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        unpinned = run_parallel(
-            estimators._batched_counts(cfg), 96, 1, seed=4, workers=2, chunk_size=32
-        )
+        unpinned = run_parallel(kernel, 96, 1, seed=4, workers=2, chunk_size=32)
     assert np.array_equal(pinned, unpinned)
 
 
@@ -124,7 +126,7 @@ def test_batched_counts_identical_across_worker_counts():
         interval=(-1.0, 1.0),
         n_samples=48,
     )
-    kernel = estimators._batched_counts(cfg)
+    kernel = estimators._batched_counts(cfg, [cfg.interval])
     runs = [run_parallel(kernel, 48, 1, seed=7, workers=w, chunk_size=8) for w in (1, 2, 3)]
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
@@ -260,6 +262,37 @@ def test_wegner_ratio_sweep_linearity():
     assert max(ratios) / min(ratios) < 1.2
 
 
+def test_wegner_sweep_solves_each_sample_once(monkeypatch):
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def spy(matrices):
+        calls.append(len(matrices))
+        return solve(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    # 5x5 matrices run in chunks of 512: three chunks
+    cfg = make_config(n_samples=1100)
+    sweep = wegner_ratio_sweep(cfg, widths=[0.05, 0.1, 0.2], center=1.0)
+    assert len(sweep) == 3
+    assert calls == [512, 512, 76]
+
+
+def test_wegner_sweep_matches_single_interval_runs():
+    cfg = make_config(box_radius=3, n_samples=700, seed=8, workers=2)
+    widths = [0.0, 0.1, 0.4]
+    sweep = wegner_ratio_sweep(cfg, widths, center=0.5)
+    for width, estimate in zip(widths, sweep):
+        single = estimate_wegner(
+            replace(cfg, interval=(0.5 - width / 2.0, 0.5 + width / 2.0))
+        )
+        swept, alone = estimate.to_record(), single.to_record()
+        del swept["wall_time"], alone["wall_time"]
+        assert swept == alone
+    assert sweep[0].extras["count_ratio"] is None
+    assert len({estimate.config_digest for estimate in sweep}) == 3
+
+
 def test_two_eigenvalue_tiny_interval_identity():
     cfg = make_config(interval=(1.0, 1.0 + 1e-6), n_samples=500)
     result = estimate_two_eigenvalue_probability(cfg)
@@ -338,6 +371,49 @@ def test_fvc_zero_disorder_deterministic():
     (point,) = probe_fvc(cfg, decay_exponent=3.0, radii=[5])
     assert point.probability in (0.0, 1.0)
     assert point.stderr == 0.0
+
+
+def fvc_reference(cfg, radius, decay_exponent, gap):
+    """Per-row resampling loop: outcomes and resample counts, one per sample.
+
+    Each sample redraws from its own stream until no eigenvalue lies within
+    ``gap`` of the energy, as often as needed.
+    """
+    inner = box(radius, 1)
+    env = envelope_box(inner, cfg.potential.support_radius)
+    energy = cfg.energy.real
+    sites = inner.site_array()[:, 0]
+    far = np.abs(sites[:, None] - sites[None, :]) >= radius / 2.0
+    outcomes, resamples = [], []
+    for index in range(cfg.n_samples):
+        rng = sample_stream(cfg.seed, index)
+        redraws = 0
+        while True:
+            couplings = sample_couplings(cfg.density, env, rng)
+            sample = build_hamiltonian(inner, cfg.potential, couplings, cfg.disorder_strength)
+            if np.min(np.abs(eigenvalues(sample) - energy)) > gap:
+                break
+            redraws += 1
+        green = np.linalg.inv(sample.matrix - (energy + 1e-8j) * np.eye(inner.size))
+        outcomes.append(bool(np.all(np.abs(green[far]) <= float(radius) ** -decay_exponent)))
+        resamples.append(redraws)
+    return outcomes, resamples
+
+
+def test_fvc_resampling_matches_per_row_reference():
+    cfg = make_config(disorder_strength=10.0, energy=1.0 + 0j, n_samples=600, seed=4)
+    outcomes, resamples = fvc_reference(cfg, 3, 3.0, 0.05)
+    assert 0 < max(resamples) < 64
+    # with a single attempt every resonant first draw is a failed sample
+    failed = sum(r > 0 for r in resamples)
+    for workers in (1, 2):
+        run = replace(cfg, workers=workers)
+        (point,) = probe_fvc(run, decay_exponent=3.0, radii=[3], resonance_gap=0.05)
+        assert point.probability == sum(outcomes) / 600
+        assert point.resample_fraction == sum(resamples) / (600 + sum(resamples))
+        assert point.n_failed == 0
+        with pytest.raises(RunFailure, match=f"{failed} of 600"):
+            probe_fvc(run, decay_exponent=3.0, radii=[3], resonance_gap=0.05, max_attempts=1)
 
 
 def test_fmb_decay_rate_grows_with_disorder():

@@ -60,10 +60,18 @@ def reference_samples(cfg, radius):
 @pytest.mark.parametrize("dimension, radius", CASES)
 def test_counting_kernel_matches_per_sample_reference(dimension, radius, shifted, chunk_size):
     cfg = shared_config(dimension, radius, shifted)
-    rows = run_parallel(_batched_counts(cfg), N_SAMPLES, 1, cfg.seed, 1, chunk_size)
-    expected = [count_in_interval(s, cfg.interval) for s in reference_samples(cfg, radius)]
-    assert rows[:, 0].tolist() == expected
-    assert sum(expected) > 0
+    samples = list(reference_samples(cfg, radius))
+    # closed intervals: endpoints set exactly to a reference eigenvalue count it
+    lo, hi = cfg.interval
+    level = next(v for v in eigenvalues(samples[0]) if lo < v < hi)
+    intervals = [cfg.interval, (lo, level), (level, level), (level, hi), (hi, hi + 1.0)]
+    rows = run_parallel(
+        _batched_counts(cfg, intervals), N_SAMPLES, len(intervals), cfg.seed, 1, chunk_size
+    )
+    expected = [[count_in_interval(s, interval) for interval in intervals] for s in samples]
+    assert rows.tolist() == expected
+    assert rows[0, 2] >= 1
+    assert rows[:, 1].sum() + rows[:, 3].sum() - rows[:, 2].sum() == rows[:, 0].sum()
 
 
 @pytest.mark.parametrize("chunk_size", [1, 4])

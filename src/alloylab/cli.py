@@ -4,7 +4,8 @@ Outputs are line-delimited JSON records plus CSV for anything plottable;
 timestamps live only in the run manifest so records stay byte-identical
 for identical (config, seed).  Exit status encodes the scientific verdict
 so CI can chain the acceptance suite: 0 pass/complete, 1 verdict failure,
-2 usage or configuration error, or a box past the dense resource cap.
+2 usage or configuration error (an unreadable or unwritable file included),
+or a box past the dense resource cap.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import (
-    ConfigError,
-    experiment_from_config,
-    load_config,
-    require_fields,
-)
+from .config import ConfigError, experiment_from_config, load_config, read
 from .disorder import check_assumption
 from .estimators import (
     NumericalFault,
@@ -58,32 +54,21 @@ WORKERS_ENV = "ALLOYLAB_WORKERS"
 IDS_SEED_OFFSET = 1_000_003  # default decoupling of the unfolding seed
 
 
-@dataclasses.dataclass
-class RunManifest:
-    subcommand: str
-    config_digest: str
-    seed: int
-    artifact_version: str
-    created_at: str
-    outputs: list[str]
-    wall_times: list[float]
-    environment: dict
-
-    def write(self, out_dir: Path) -> None:
-        path = out_dir / "manifest.json"
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n")
-
-
 class _Reporter:
-    """Collects records and optional CSV tables for one run."""
+    """Collects one subcommand's records and CSV tables; writes them under ``--out``.
 
-    def __init__(self, out_dir: str | None):
+    The directory is created at the first write, so a run refused before
+    its results leaves none behind.
+    """
+
+    def __init__(self, subcommand: str, out_dir: str | None):
+        self.subcommand = subcommand
         self.out_dir = Path(out_dir) if out_dir else None
+        if self.out_dir and self.out_dir.exists() and not self.out_dir.is_dir():
+            raise ConfigError(f"--out {self.out_dir} exists and is not a directory")
         self.lines: list[str] = []
         self.outputs: list[str] = []
         self.wall_times: list[float] = []
-        if self.out_dir:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def record(self, payload: dict) -> None:
         # wall clock lives in the manifest; records stay byte-identical
@@ -96,76 +81,68 @@ class _Reporter:
         self.lines.append(line)
         print(line)
 
+    def _output(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.out_dir / name
+
     def csv(self, name: str, header: list[str], rows) -> None:
         if not self.out_dir:
             return
-        path = self.out_dir / name
-        with path.open("w", newline="") as handle:
+        with self._output(name).open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(rows)
-        self.outputs.append(name)
 
-    def finalize(self, subcommand: str, digest: str, seed: int, workers: int) -> None:
+    def finalize(self, digest: str, seed: int, workers: int) -> None:
+        """Write ``results.jsonl`` and ``manifest.json``, the one home of wall clock and machine."""
         if not self.out_dir:
             return
-        (self.out_dir / "results.jsonl").write_text("".join(line + "\n" for line in self.lines))
-        self.outputs.append("results.jsonl")
-        manifest = RunManifest(
-            subcommand=subcommand,
-            config_digest=digest,
-            seed=seed,
-            artifact_version=__version__,
-            created_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            outputs=sorted(self.outputs),
-            wall_times=self.wall_times,
-            environment=_run_environment(workers),
-        )
-        manifest.write(self.out_dir)
-
-
-def _run_environment(workers: int) -> dict:
-    """Library versions, BLAS configs and threads, and the worker and CPU counts of a run."""
-    return {
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        **blas_environment(),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def _resolve_workers(args_workers: int | None) -> int | None:
-    """Precedence: --workers flag, then environment, then config."""
-    if args_workers is not None:
-        return args_workers
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return None
+        self._output("results.jsonl").write_text("".join(line + "\n" for line in self.lines))
+        manifest = {
+            "subcommand": self.subcommand,
+            "config_digest": digest,
+            "seed": seed,
+            "artifact_version": __version__,
+            "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "outputs": sorted(self.outputs),
+            "wall_times": self.wall_times,
+            "environment": {
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                **blas_environment(),
+                "workers": workers,
+                "cpu_count": os.cpu_count(),
+            },
+        }
+        (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _overrides(args) -> dict:
-    return {
-        "seed": args.seed,
-        "samples": args.samples,
-        "workers": _resolve_workers(args.workers),
-    }
+    """The sampling fields set on the command line, which win over the config's.
+
+    The worker count comes from ``--workers``, else from the environment.
+    """
+    workers = args.workers
+    env = os.environ.get(WORKERS_ENV)
+    if workers is None and env is not None:
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    flags = {"seed": args.seed, "samples": args.samples, "workers": workers}
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the config (overrides merged), the parsed
+# arguments and the run's reporter, and returns the exit status
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
-    raw = load_config(args.config)
-    cfg = experiment_from_config(raw, overrides=_overrides(args))
-    resolution = int(raw.get("grid_resolution", _default_grid_resolution(cfg.potential)))
+def cmd_check(raw, args, reporter) -> int:
+    cfg = experiment_from_config(raw)
+    resolution = read(raw, "grid_resolution", int, _default_grid_resolution(cfg.potential))
     report = check_assumption(cfg.potential, cfg.density, resolution)
-    reporter = _Reporter(args.out)
     digest = cfg.digest()
     reporter.record(
         {
@@ -175,7 +152,7 @@ def cmd_check(args) -> int:
             "satisfied": report.satisfied,
         }
     )
-    reporter.finalize("check", digest, cfg.seed, cfg.workers)
+    reporter.finalize(digest, cfg.seed, cfg.workers)
     if not report.satisfied:
         certificate = report.fourier_min_modulus - report.lipschitz_slack
         print(
@@ -202,19 +179,16 @@ def _require_certified(cfg) -> None:
         )
 
 
-def cmd_constants(args) -> int:
-    raw = load_config(args.config)
-    cfg = experiment_from_config(
-        raw, required=("box_radius", "site_x", "site_y"), overrides=_overrides(args)
-    )
+def cmd_constants(raw, args, reporter) -> int:
+    cfg = experiment_from_config(raw, required=("box_radius", "site_x", "site_y"))
+    tolerance = read(raw, "limit_tolerance", float, 1e-8)
     _require_certified(cfg)
     transform = build_circulant(cfg.potential, cfg.inner_box)
-    limit_bound = limit_inverse_one_norm(cfg.potential, tolerance=float(raw.get("limit_tolerance", 1e-8)))
+    limit_bound = limit_inverse_one_norm(cfg.potential, tolerance=tolerance)
     constants = minami_constants(
         transform, cfg.density, cfg.disorder_strength, cfg.site_x, cfg.site_y
     )
     digest = cfg.digest()
-    reporter = _Reporter(args.out)
     reporter.record(
         {
             "kind": "constants",
@@ -241,58 +215,43 @@ def cmd_constants(args) -> int:
         f"site-resolved = {constants.site_resolved_bound:.8g}",
         file=sys.stderr,
     )
-    reporter.finalize("constants", digest, cfg.seed, cfg.workers)
+    reporter.finalize(digest, cfg.seed, cfg.workers)
     return 0
 
 
-def cmd_minami(args) -> int:
-    raw = load_config(args.config)
-    cfg = experiment_from_config(
-        raw,
-        required=("box_radius", "energy", "site_x", "site_y"),
-        overrides=_overrides(args),
-    )
+def cmd_minami(raw, args, reporter) -> int:
+    cfg = experiment_from_config(raw, required=("box_radius", "energy", "site_x", "site_y"))
     _require_certified(cfg)
     result = estimate_minami(cfg)
-    reporter = _Reporter(args.out)
     reporter.record({"kind": "mc_estimate", **result.to_record()})
-    reporter.finalize("minami", result.config_digest, result.seed, cfg.workers)
+    reporter.finalize(result.config_digest, result.seed, cfg.workers)
     return 0 if result.verdict == "within_bound" else 1
 
 
-def cmd_wegner(args) -> int:
-    raw = load_config(args.config)
+def cmd_wegner(raw, args, reporter) -> int:
     sweep = "widths" in raw
     if sweep:
-        require_fields(raw, ("center",))
-        widths = raw["widths"]
-        listed = isinstance(widths, list) and len(widths) > 0
-        if not (listed and all(type(w) in (int, float) and 0 <= w < math.inf for w in widths)):
-            raise ConfigError(f"'widths' must be a non-empty list of finite numbers >= 0: {widths!r}")
+        widths = read(raw, "widths", [float])
+        center = read(raw, "center", float)
+        if not (widths and all(0 <= w < math.inf for w in widths)):
+            raise ConfigError(f"'widths' must be a non-empty list of finite numbers >= 0: {widths}")
     required = ("box_radius",) if sweep else ("box_radius", "interval")
-    cfg = experiment_from_config(raw, required=required, overrides=_overrides(args))
-    estimates = (
-        wegner_ratio_sweep(cfg, widths, float(raw["center"])) if sweep else [estimate_wegner(cfg)]
-    )
-    reporter = _Reporter(args.out)
+    cfg = experiment_from_config(raw, required=required)
+    estimates = wegner_ratio_sweep(cfg, widths, center) if sweep else [estimate_wegner(cfg)]
     for e in estimates:
         reporter.record({"kind": "mc_estimate", **e.to_record()})
     if sweep:  # a None ratio (zero width) is written as an empty cell
         rows = [[e.extras["interval_width"], e.mean, e.stderr, e.extras["count_ratio"]]
                 for e in estimates]
         reporter.csv("wegner.csv", ["interval_width", "mean_count", "stderr", "count_ratio"], rows)
-    reporter.finalize("wegner", estimates[0].config_digest, cfg.seed, cfg.workers)
+    reporter.finalize(estimates[0].config_digest, cfg.seed, cfg.workers)
     return 0
 
 
-def cmd_two_ev(args) -> int:
-    raw = load_config(args.config)
-    cfg = experiment_from_config(
-        raw, required=("box_radius", "interval"), overrides=_overrides(args)
-    )
+def cmd_two_ev(raw, args, reporter) -> int:
+    cfg = experiment_from_config(raw, required=("box_radius", "interval"))
     _require_certified(cfg)
     result = estimate_two_eigenvalue_probability(cfg)
-    reporter = _Reporter(args.out)
     reporter.record({"kind": "mc_estimate", **result.probability.to_record()})
     reporter.record({"kind": "mc_estimate", **result.half_moment.to_record()})
     reporter.record(
@@ -302,7 +261,7 @@ def cmd_two_ev(args) -> int:
             "exact_inequality_holds": result.exact_inequality_holds,
         }
     )
-    reporter.finalize("two-ev", result.probability.config_digest, cfg.seed, cfg.workers)
+    reporter.finalize(result.probability.config_digest, cfg.seed, cfg.workers)
     ok = (
         result.exact_inequality_holds
         and result.probability.verdict != "violated_beyond_3sigma"
@@ -311,39 +270,32 @@ def cmd_two_ev(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_fvc(args) -> int:
-    raw = load_config(args.config)
-    require_fields(raw, ("decay_exponent", "radii"))
-    cfg = experiment_from_config(raw, required=("energy",), overrides=_overrides(args))
+def cmd_fvc(raw, args, reporter) -> int:
+    cfg = experiment_from_config(raw, required=("energy",))
     points = probe_fvc(
         cfg,
-        decay_exponent=float(raw["decay_exponent"]),
-        radii=[int(r) for r in raw["radii"]],
-        regularization=float(raw.get("regularization", 1e-8)),
+        decay_exponent=read(raw, "decay_exponent", float),
+        radii=read(raw, "radii", [int]),
+        regularization=read(raw, "regularization", float, 1e-8),
     )
     digest = cfg.digest()
-    reporter = _Reporter(args.out)
     rows = []
     for point in points:
         reporter.record({"kind": "fvc_point", "config_digest": digest, **dataclasses.asdict(point)})
         rows.append([point.box_radius, point.probability, point.stderr, point.resample_fraction])
     reporter.csv("fvc.csv", ["box_radius", "probability", "stderr", "resample_fraction"], rows)
-    reporter.finalize("fvc", digest, cfg.seed, cfg.workers)
+    reporter.finalize(digest, cfg.seed, cfg.workers)
     return 0
 
 
-def cmd_fmb(args) -> int:
-    raw = load_config(args.config)
-    require_fields(raw, ("fractional_exponent",))
-    cfg = experiment_from_config(
-        raw, required=("box_radius", "energy"), overrides=_overrides(args)
+def cmd_fmb(raw, args, reporter) -> int:
+    cfg = experiment_from_config(raw, required=("box_radius", "energy"))
+    report = probe_fractional_moment(
+        cfg,
+        moment=read(raw, "fractional_exponent", float),
+        pairs=read(raw, "pairs", [[[int], [int]]], None),
     )
-    pairs = None
-    if "pairs" in raw:
-        pairs = [(tuple(x), tuple(y)) for x, y in raw["pairs"]]
-    report = probe_fractional_moment(cfg, moment=float(raw["fractional_exponent"]), pairs=pairs)
     digest = cfg.digest()
-    reporter = _Reporter(args.out)
     reporter.record(
         {
             "kind": "fmb_fit",
@@ -361,28 +313,32 @@ def cmd_fmb(args) -> int:
         ["distance", "mean", "stderr"],
         [[p.distance, p.mean, p.stderr] for p in report.points],
     )
-    reporter.finalize("fmb", digest, cfg.seed, cfg.workers)
+    reporter.finalize(digest, cfg.seed, cfg.workers)
     return 0
 
 
-def _ids_from_config(raw: dict, args) -> tuple:
-    cfg = experiment_from_config(raw, required=("ids_radius",), overrides=_overrides(args))
-    ids_seed = int(raw.get("ids_seed", cfg.seed + IDS_SEED_OFFSET))
-    ids_cfg = dataclasses.replace(cfg, seed=ids_seed)
+def _ids_from_config(raw: dict) -> tuple:
+    cfg = experiment_from_config(raw)
+    ids_seed = read(raw, "ids_seed", int, cfg.seed + IDS_SEED_OFFSET)
     ids = empirical_ids(
-        ids_cfg,
-        ids_radius=int(raw["ids_radius"]),
-        n_realizations=int(raw.get("ids_realizations", 64)),
-        grid_points=int(raw.get("ids_grid_points", 20001)),
+        dataclasses.replace(cfg, seed=ids_seed),
+        ids_radius=read(raw, "ids_radius", int),
+        n_realizations=read(raw, "ids_realizations", int, 64),
+        grid_points=read(raw, "ids_grid_points", int, 20001),
     )
     return cfg, ids
 
 
-def cmd_ids(args) -> int:
-    raw = load_config(args.config)
-    cfg, ids = _ids_from_config(raw, args)
+def cmd_ids(raw, args, reporter) -> int:
+    epsilons = read(raw, "pos_epsilons", [float], None)
+    reference_level = read(raw, "reference_level", float, 0.5)
+    kappa = read(raw, "kappa", float, 0.0)
+    pos_a = read(raw, "pos_a", float, -1.0)
+    pos_b = read(raw, "pos_b", float, 1.0)
+    cfg, ids = _ids_from_config(raw)
+    if epsilons is not None:  # before any write, so a refused probe leaves no partial --out
+        probe = probe_pos(ids, ids.energy_at_level(reference_level), kappa, pos_a, pos_b, epsilons)
     digest = cfg.digest()
-    reporter = _Reporter(args.out)
     record = {
         "kind": "ids",
         "config_digest": digest,
@@ -398,51 +354,39 @@ def cmd_ids(args) -> int:
     reporter.csv(
         "ids.csv", ["energy", "ids"], [[float(e), float(v)] for e, v in zip(ids.grid, ids.values)]
     )
-    if "pos_epsilons" in raw:
-        probe = probe_pos(
-            ids,
-            ids.energy_at_level(float(raw.get("reference_level", 0.5))),
-            kappa=float(raw.get("kappa", 0.0)),
-            a=float(raw.get("pos_a", -1.0)),
-            b=float(raw.get("pos_b", 1.0)),
-            epsilons=[float(e) for e in raw["pos_epsilons"]],
-        )
+    if epsilons is not None:
         reporter.record({"kind": "pos_probe", "config_digest": digest, **probe.to_record()})
-    reporter.finalize("ids", digest, cfg.seed, cfg.workers)
+    reporter.finalize(digest, cfg.seed, cfg.workers)
     return 0
 
 
-def cmd_spacing(args) -> int:
-    raw = load_config(args.config)
-    reporter = _Reporter(args.out)
-    synthetic = args.synthetic or raw.get("synthetic")
-    window = tuple(float(w) for w in raw.get("window", (-5.0, 5.0)))
-    if synthetic:
-        n_realizations = int(raw.get("realizations", 300))
-        seed = int(raw.get("seed", 0) if args.seed is None else args.seed)
-        workers = _resolve_workers(args.workers) or int(raw.get("workers", 1))
+def cmd_spacing(raw, args, reporter) -> int:
+    window = tuple(read(raw, "window", [float, float], [-5.0, 5.0]))
+    if args.synthetic:
+        n_realizations = read(raw, "realizations", int, 300)
+        seed = read(raw, "seed", int, 0)
+        workers = read(raw, "workers", int, 1)
         span = (window[0] - 10.0, window[1] + 10.0)
-        if synthetic == "poisson":
+        if args.synthetic == "poisson":
             rng = np.random.default_rng(seed)
             samples = [poisson_process_sample(rng, *span) for _ in range(n_realizations)]
-        elif synthetic == "picket_fence":
-            samples = [picket_fence_sample(*span) for _ in range(n_realizations)]
         else:
-            raise ConfigError(f"unknown synthetic mode {synthetic!r}")
+            samples = [picket_fence_sample(*span) for _ in range(n_realizations)]
         stats = poisson_tests(samples, window)
-        digest = canonical_digest({"synthetic": synthetic, "seed": seed, "n": n_realizations})
+        digest = canonical_digest({"synthetic": args.synthetic, "seed": seed, "n": n_realizations})
         reporter.record({"kind": "spacing_stats", "config_digest": digest, **stats.to_record()})
-        reporter.finalize("spacing", digest, seed, workers)
+        reporter.finalize(digest, seed, workers)
         return 0 if stats.verdict() == "pass" else 1
 
-    require_fields(raw, ("stats_radius", "realizations"))
-    cfg, ids = _ids_from_config(raw, args)
-    reference_level = float(raw.get("reference_level", 0.5))
+    stats_radius = read(raw, "stats_radius", int)
+    n_realizations = read(raw, "realizations", int)
+    reference_level = read(raw, "reference_level", float, 0.5)
+    cfg, ids = _ids_from_config(raw)
     e0 = ids.energy_at_level(reference_level)
     samples = rescaled_ensemble(
         cfg,
-        stats_radius=int(raw["stats_radius"]),
-        n_realizations=int(raw["realizations"]),
+        stats_radius=stats_radius,
+        n_realizations=n_realizations,
         ids=ids,
         reference_energy=e0,
     )
@@ -462,18 +406,15 @@ def cmd_spacing(args) -> int:
         ["realization", "xi"],
         [[r, float(x)] for r, sample in enumerate(samples) for x in sample.xi],
     )
-    reporter.finalize("spacing", digest, cfg.seed, cfg.workers)
+    reporter.finalize(digest, cfg.seed, cfg.workers)
     return 0 if stats.verdict() == "pass" else 1
 
 
-def cmd_verify_digest(args) -> int:
-    raw = load_config(args.config)
-    cfg = experiment_from_config(raw, overrides=_overrides(args))
-    expected = cfg.digest()
-    path = Path(args.records)
+def cmd_verify_digest(raw, args, reporter) -> int:
+    expected = experiment_from_config(raw).digest()
     mismatches = 0
     total = 0
-    for line in path.read_text().splitlines():
+    for line in Path(args.records).read_text().splitlines():
         if not line.strip():
             continue
         record = json.loads(line)
@@ -529,13 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        raw = load_config(args.config)
+        raw.update(_overrides(args))
+        return args.func(raw, args, _Reporter(args.command, args.out))
     except (TransformError, RunFailure, NumericalFault) as err:
         print(f"run failed: {err}", file=sys.stderr)
         return 1
@@ -546,8 +485,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except ValueError as err:
+    except ValueError as err:  # a ConfigError, or a range the library refuses
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"file error: {err}", file=sys.stderr)
         return 2
 
 

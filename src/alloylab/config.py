@@ -3,6 +3,7 @@
 All physical parameters (dimension, box radii, disorder strength) must be
 explicit in the config; silent defaults would corrupt reproducibility
 claims.  Sampling parameters (seed, samples, workers) have CLI flags.
+Every field is read through ``read``, which checks its JSON type.
 """
 
 from __future__ import annotations
@@ -22,6 +23,62 @@ from .estimators import ExperimentConfig
 
 class ConfigError(ValueError):
     """Malformed or incomplete experiment configuration."""
+
+
+REQUIRED = object()  # default of a field the config must set
+_KIND_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object"}
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_describe, kind))
+    if isinstance(kind, list):
+        return "[" + ", ".join(map(_describe, kind)) + (", ...]" if len(kind) == 1 else "]")
+    return _KIND_NAMES[kind]
+
+
+def _convert(value, kind):
+    """``value`` as ``kind``; ``TypeError`` when its JSON type is another."""
+    if isinstance(kind, tuple):
+        for option in kind:
+            try:
+                return _convert(value, option)
+            except TypeError:
+                pass
+        raise TypeError
+    if isinstance(kind, list):
+        if type(value) is not list or (len(kind) > 1 and len(value) != len(kind)):
+            raise TypeError
+        kinds = kind if len(kind) > 1 else kind * len(value)
+        return [_convert(item, k) for item, k in zip(value, kinds)]
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError
+    return value
+
+
+def read(raw: dict, name: str, kind, default=REQUIRED):
+    """Field ``name`` of ``raw``, checked against a JSON ``kind``.
+
+    ``kind`` is ``int``, ``float``, ``bool``, ``str`` or ``dict``; ``[k]`` is a
+    list of any length whose entries are ``k``, ``[k1, k2, ...]`` a list of
+    exactly those entries, and a tuple of kinds accepts any one of them.  An
+    integer is a JSON integer and a boolean is ``true``/``false``; a boolean
+    is never a number, and a number is returned as a float.  A missing field
+    returns ``default``; without one it is a ``ConfigError``, and so is a
+    value of another type.
+    """
+    if name not in raw:
+        if default is REQUIRED:
+            raise ConfigError(f"missing required config field {name!r}")
+        return default
+    try:
+        return _convert(raw[name], kind)
+    except TypeError:
+        raise ConfigError(
+            f"field {name!r} must be {_describe(kind)}, got {json.dumps(raw[name])}"
+        ) from None
 
 
 def delta_potential(dimension: int) -> SingleSitePotential:
@@ -56,7 +113,9 @@ POTENTIAL_PRESETS = {
 
 
 def potential_from_config(obj, dimension: int) -> SingleSitePotential:
-    """Potential from a preset name or a list of (offset, value) pairs."""
+    """Potential from a preset name, ``{"preset": name}`` or a list of (offset, value) pairs."""
+    if isinstance(obj, dict):
+        obj = read(obj, "preset", str)
     if isinstance(obj, str):
         try:
             return POTENTIAL_PRESETS[obj](dimension)
@@ -64,55 +123,39 @@ def potential_from_config(obj, dimension: int) -> SingleSitePotential:
             raise ConfigError(
                 f"unknown potential preset {obj!r}; have {sorted(POTENTIAL_PRESETS)}"
             ) from None
-    if isinstance(obj, dict) and "preset" in obj:
-        return potential_from_config(obj["preset"], dimension)
-    if isinstance(obj, list):
-        try:
-            pairs = [(tuple(int(c) for c in site), float(v)) for site, v in obj]
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"potential pairs must be [[offset...], value] entries: {err}") from err
-        potential = SingleSitePotential.from_pairs(pairs)
-        if potential.dimension != dimension:
-            raise ConfigError(
-                f"potential offsets have dimension {potential.dimension}, expected {dimension}"
-            )
-        return potential
-    raise ConfigError("field 'potential' must be a preset name or a list of pairs")
+    potential = SingleSitePotential.from_pairs(obj)
+    if potential.dimension != dimension:
+        raise ConfigError(
+            f"potential offsets have dimension {potential.dimension}, expected {dimension}"
+        )
+    return potential
 
 
 def density_from_config(obj) -> DisorderDensity:
-    """Density from a preset name or an explicit piecewise coefficient table."""
-    if isinstance(obj, str):
-        try:
-            return density_preset(obj)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-    if isinstance(obj, dict) and "preset" in obj:
-        return density_from_config(obj["preset"])
-    if isinstance(obj, dict) and "pieces" in obj:
+    """Density from a preset name, ``{"preset": name}`` or a piecewise coefficient table."""
+    if isinstance(obj, dict) and "preset" not in obj:
         breakpoints: list[float] = []
         coefficients = []
-        for piece in obj["pieces"]:
-            try:
-                lo, hi = (float(t) for t in piece["interval"])
-                coeffs = tuple(float(c) for c in piece["coefficients"])
-            except (KeyError, TypeError, ValueError) as err:
-                raise ConfigError(
-                    f"each density piece needs 'interval' and 'coefficients': {err}"
-                ) from err
+        for piece in read(obj, "pieces", [dict]):
+            lo, hi = read(piece, "interval", [float, float])
             if not breakpoints:
                 breakpoints.extend([lo, hi])
             else:
                 if lo != breakpoints[-1]:
                     raise ConfigError("density pieces must be contiguous")
                 breakpoints.append(hi)
-            coefficients.append(coeffs)
+            coefficients.append(tuple(read(piece, "coefficients", [float])))
         try:
             profile = PiecewiseProfile(tuple(breakpoints), tuple(coefficients))
             return PiecewisePolynomialDensity(profile)
         except ValueError as err:
             raise ConfigError(f"invalid density table: {err}") from err
-    raise ConfigError("field 'density' must be a preset name or a piecewise table")
+    if isinstance(obj, dict):
+        obj = read(obj, "preset", str)
+    try:
+        return density_preset(obj)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def load_config(path: str | Path) -> dict:
@@ -133,55 +176,37 @@ def load_config(path: str | Path) -> dict:
     return raw
 
 
-def require_fields(raw: dict, fields: tuple[str, ...]) -> None:
-    missing = [f for f in fields if f not in raw]
-    if missing:
-        raise ConfigError(f"missing required config fields: {', '.join(missing)}")
-
-
-def experiment_from_config(
-    raw: dict,
-    required: tuple[str, ...] = (),
-    overrides: dict | None = None,
-) -> ExperimentConfig:
-    """Build an experiment from a parsed config, applying CLI overrides.
+def experiment_from_config(raw: dict, required: tuple[str, ...] = ()) -> ExperimentConfig:
+    """Build an experiment from a parsed config (CLI overrides already merged).
 
     ``dimension``, ``disorder_strength``, ``potential`` and ``density`` are
-    always required; estimator-specific fields are passed via ``required``.
+    always required; the optional fields named in ``required`` are too.
     """
-    merged = dict(raw)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-    require_fields(merged, ("dimension", "disorder_strength", "potential", "density") + required)
-    dimension = int(merged["dimension"])
-    energy = merged.get("energy")
+
+    def default(name: str, value=None):
+        return REQUIRED if name in required else value
+
+    dimension = read(raw, "dimension", int)
+    energy = read(raw, "energy", (float, [float, float]), default("energy"))
     if energy is not None:
-        if isinstance(energy, (int, float)):
-            energy = complex(float(energy), 0.0)
-        elif isinstance(energy, (list, tuple)) and len(energy) == 2:
-            energy = complex(float(energy[0]), float(energy[1]))
-        else:
-            raise ConfigError("field 'energy' must be a number or a [re, im] pair")
-    interval = merged.get("interval")
-    if interval is not None:
-        if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
-            raise ConfigError("field 'interval' must be an [a, b] pair")
-        interval = (float(interval[0]), float(interval[1]))
+        energy = complex(*energy) if isinstance(energy, list) else complex(energy, 0.0)
     try:
         return ExperimentConfig(
             dimension=dimension,
-            box_radius=int(merged.get("box_radius", 0)),
-            potential=potential_from_config(merged["potential"], dimension),
-            density=density_from_config(merged["density"]),
-            disorder_strength=float(merged["disorder_strength"]),
+            box_radius=read(raw, "box_radius", int, default("box_radius", 0)),
+            potential=potential_from_config(
+                read(raw, "potential", (str, dict, [[[int], float]])), dimension
+            ),
+            density=density_from_config(read(raw, "density", (str, dict))),
+            disorder_strength=read(raw, "disorder_strength", float),
             energy=energy,
-            interval=interval,
-            site_x=tuple(merged["site_x"]) if "site_x" in merged else None,
-            site_y=tuple(merged["site_y"]) if "site_y" in merged else None,
-            n_samples=int(merged.get("samples", 1000)),
-            seed=int(merged.get("seed", 0)),
-            workers=int(merged.get("workers", 1)),
-            shifted_laplacian=bool(merged.get("shifted_laplacian", False)),
+            interval=read(raw, "interval", [float, float], default("interval")),
+            site_x=read(raw, "site_x", [int], default("site_x")),
+            site_y=read(raw, "site_y", [int], default("site_y")),
+            n_samples=read(raw, "samples", int, 1000),
+            seed=read(raw, "seed", int, 0),
+            workers=read(raw, "workers", int, 1),
+            shifted_laplacian=read(raw, "shifted_laplacian", bool, False),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err

@@ -1,14 +1,18 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from alloylab import estimators
+from alloylab import estimators, spectra
 from alloylab.cli import main
+from alloylab.config import ConfigError, read
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name="config.json", **fields):
@@ -447,3 +451,129 @@ def test_fmb_needs_two_pair_distances(tmp_path, monkeypatch, capsys, radius):
     cfg = write_config(tmp_path, **fmb_fields(box_radius=radius))
     assert main(["fmb", "--config", cfg]) == 2
     assert "two or more distinct distances" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# typed config fields
+# ---------------------------------------------------------------------------
+
+def test_reader_type_rule():
+    assert read({"x": 2}, "x", float) == 2.0 and type(read({"x": 2}, "x", float)) is float
+    assert read({}, "x", int, None) is None
+    assert read({"x": [1, 2.5]}, "x", [float, float]) == [1.0, 2.5]
+    assert read({"x": [[[0], 1]]}, "x", (str, [[[int], float]])) == [[[0], 1.0]]
+    for value, kind in [(True, int), (True, float), (2.0, int), (1, bool), ("1", float),
+                        ([1, 2, 3], [float, float]), ([1, "a"], [int]), (3, [dict])]:
+        with pytest.raises(ConfigError, match="field 'x' must be"):
+            read({"x": value}, "x", kind)
+    with pytest.raises(ConfigError, match="missing required config field 'x'"):
+        read({}, "x", int)
+
+
+COMMAND_FIELDS = {
+    "check": base_fields(),
+    "constants": base_fields(site_x=[0], site_y=[1]),
+    "minami": minami_fields(),
+    "wegner": base_fields(widths=[0.1], center=1.0),
+    "two-ev": base_fields(interval=[0.95, 1.05]),
+    "fvc": fvc_fields(),
+    "fmb": fmb_fields(),
+    "ids": base_fields(ids_radius=50, pos_epsilons=[0.1]),
+    "spacing": base_fields(ids_radius=50, stats_radius=20, realizations=10),
+    "verify-digest": base_fields(),
+}
+COMMON_MALFORMED = [
+    ("box_radius", [2]), ("box_radius", 2.7), ("dimension", [1]), ("site_x", 0),
+    ("density", {"pieces": 3}), ("shifted_laplacian", "false"), ("samples", True),
+]
+MALFORMED = [
+    ("wegner", "center", [1.0]),
+    ("fvc", "radii", 4),
+    ("fmb", "pairs", 3),
+    ("fmb", "pairs", [[[0], [2], [4]]]),
+    ("fmb", "fractional_exponent", [0.5]),
+    ("ids", "ids_radius", [50]),
+    ("ids", "ids_seed", [7]),
+    ("ids", "reference_level", [0.5]),
+    ("ids", "pos_epsilons", 0.1),
+    ("spacing", "window", 5),
+    ("spacing", "window", [-1.0, 0.0, 1.0]),
+    ("spacing", "realizations", [3]),
+    ("check", "grid_resolution", [64]),
+    ("constants", "limit_tolerance", [1e-8]),
+] + [(command, field, value) for command in COMMAND_FIELDS for field, value in COMMON_MALFORMED]
+
+
+@pytest.mark.parametrize("command, field, value", MALFORMED)
+def test_malformed_field_exits_2_before_sampling(
+    tmp_path, monkeypatch, capsys, command, field, value
+):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    monkeypatch.setattr(spectra, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **{**COMMAND_FIELDS[command], field: value})
+    out = tmp_path / "run"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "verify-digest":
+        argv += ["--records", str(tmp_path / "results.jsonl")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    named = "pieces" if field == "density" else field  # a density table fails at its nested field
+    assert f"'{named}'" in err
+    assert not out.exists()
+
+
+def test_unreadable_records_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, **minami_fields())
+    missing = tmp_path / "missing.jsonl"
+    assert main(["verify-digest", "--config", cfg, "--records", str(missing)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert str(missing) in line
+
+
+def test_out_path_of_a_file_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **minami_fields())
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert main(["minami", "--config", cfg, "--out", str(taken)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert str(taken) in line
+    assert taken.read_text() == "keep"
+
+
+def test_spacing_synthetic_takes_flags_only(tmp_path, capsys):
+    # the flag is the one switch: a "synthetic" config key selects nothing
+    keyed = write_config(tmp_path, **base_fields(realizations=30, synthetic="poisson"))
+    assert main(["spacing", "--config", keyed]) == 2
+    assert "stats_radius" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "w.json", **base_fields(realizations=30, workers=3))
+    out = tmp_path / "run"
+    assert main(["spacing", "--config", cfg, "--synthetic", "poisson", "--out", str(out),
+                 "--workers", "0", "--seed", "5"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"]["workers"] == 0
+    assert manifest["seed"] == 5
+
+
+def test_every_config_field_is_documented():
+    fields = set()
+    for module in ("cli.py", "config.py"):
+        text = (ROOT / "src" / "alloylab" / module).read_text()
+        fields.update(re.findall(r'\bread\(\s*\w+,\s*"(\w+)"', text))
+    assert len(fields) > 30
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    assert [f for f in sorted(fields) if f"`{f}`" not in section and f'"{f}"' not in section] == []
+
+
+def test_refused_pos_probe_leaves_no_out(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        **base_fields(ids_radius=50, ids_realizations=2, ids_grid_points=101,
+                      pos_epsilons=[0.1], pos_a=1.0, pos_b=-1.0),
+    )
+    out = tmp_path / "run"
+    assert main(["ids", "--config", cfg, "--out", str(out)]) == 2
+    assert "need a < b" in capsys.readouterr().err
+    assert not out.exists()

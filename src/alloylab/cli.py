@@ -317,6 +317,16 @@ def cmd_fmb(raw, args, reporter) -> int:
     return 0
 
 
+def _require(condition: bool, message: str) -> None:
+    """Refuse a range before sampling, where the library would refuse it only after."""
+    if not condition:
+        raise ConfigError(message)
+
+
+def _require_level(level: float) -> None:
+    _require(0.0 <= level <= 1.0, f"'reference_level' must lie in [0, 1], got {level}")
+
+
 def _ids_from_config(raw: dict) -> tuple:
     cfg = experiment_from_config(raw)
     ids_seed = read(raw, "ids_seed", int, cfg.seed + IDS_SEED_OFFSET)
@@ -335,6 +345,10 @@ def cmd_ids(raw, args, reporter) -> int:
     kappa = read(raw, "kappa", float, 0.0)
     pos_a = read(raw, "pos_a", float, -1.0)
     pos_b = read(raw, "pos_b", float, 1.0)
+    if epsilons is not None:
+        _require_level(reference_level)
+        _require(pos_a < pos_b, f"need a < b, got 'pos_a' {pos_a} and 'pos_b' {pos_b}")
+        _require(all(eps > 0 for eps in epsilons), f"'pos_epsilons' must be positive: {epsilons}")
     cfg, ids = _ids_from_config(raw)
     if epsilons is not None:  # before any write, so a refused probe leaves no partial --out
         probe = probe_pos(ids, ids.energy_at_level(reference_level), kappa, pos_a, pos_b, epsilons)
@@ -362,10 +376,12 @@ def cmd_ids(raw, args, reporter) -> int:
 
 def cmd_spacing(raw, args, reporter) -> int:
     window = tuple(read(raw, "window", [float, float], [-5.0, 5.0]))
+    _require(window[0] < window[1], f"'window' must be an increasing pair, got {list(window)}")
     if args.synthetic:
         n_realizations = read(raw, "realizations", int, 300)
         seed = read(raw, "seed", int, 0)
         workers = read(raw, "workers", int, 1)
+        _require(workers >= 1, "worker count must be at least 1")
         span = (window[0] - 10.0, window[1] + 10.0)
         if args.synthetic == "poisson":
             rng = np.random.default_rng(seed)
@@ -381,6 +397,13 @@ def cmd_spacing(raw, args, reporter) -> int:
     stats_radius = read(raw, "stats_radius", int)
     n_realizations = read(raw, "realizations", int)
     reference_level = read(raw, "reference_level", float, 0.5)
+    ids_radius = read(raw, "ids_radius", int)
+    _require(
+        0 <= 2 * stats_radius <= ids_radius,
+        f"'stats_radius' must lie in [0, ids_radius / 2 = {ids_radius / 2:g}], got {stats_radius}",
+    )
+    _require(n_realizations >= 1, f"'realizations' must be at least 1, got {n_realizations}")
+    _require_level(reference_level)
     cfg, ids = _ids_from_config(raw)
     e0 = ids.energy_at_level(reference_level)
     samples = rescaled_ensemble(

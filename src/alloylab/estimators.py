@@ -1,7 +1,7 @@
 """Seeded parallel Monte Carlo verification of the spectral bounds.
 
-Every sample owns a private random stream derived from ``(seed, sample
-index)``, so estimates are bit-identical for any worker count; aggregation
+Every draw is a pure function of ``(seed, sample index, block)``
+(``uniforms``), so estimates are bit-identical for any worker count; aggregation
 uses numpy's pairwise summation over arrays laid out in sample order, which
 is likewise deterministic.  Every Green entry comes from
 ``operator.resolvent_columns``; in every estimator and probe, samples whose
@@ -62,9 +62,18 @@ class NumericalFault(RuntimeError):
     """A sampled quantity violated a deterministic envelope; results are untrustworthy."""
 
 
-def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """Private generator for one sample, independent of worker layout."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def uniforms(seed: int, indices, width: int, attempt: int = 0) -> np.ndarray:
+    """Block ``attempt`` of ``width`` uniforms in [0, 1), one row per sample index.
+
+    Row ``i`` is the ``attempt``-th run of ``width`` doubles of the PCG64 stream
+    keyed by ``SeedSequence(entropy=seed, spawn_key=(i,))``: a redraw or a second
+    box reads the next block, and no row depends on the call's other indices.
+    """
+    out = np.empty((len(indices), width))
+    for row, index in enumerate(indices):
+        bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(int(index),)))
+        out[row] = np.random.Generator(bits.advance(attempt * width)).random(width)
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,19 +160,18 @@ def blas_environment() -> dict:
 
 
 def run_parallel(
-    kernel: Callable[[np.ndarray, list[np.random.Generator]], np.ndarray],
+    kernel: Callable[[np.ndarray], np.ndarray],
     n_samples: int,
     n_columns: int,
-    seed: int,
     workers: int = 1,
     chunk_size: int = 512,
 ) -> np.ndarray:
     """Evaluate a per-sample kernel over fixed chunks, in parallel.
 
-    The kernel receives sample indices plus their private generators and
-    returns one row per sample (NaN rows mark failed samples).  Chunk
-    boundaries depend only on ``chunk_size``, never on ``workers``, and
-    BLAS is pinned to one thread at every worker count.
+    The kernel maps an array of sample indices to one row per sample (NaN
+    rows mark failed samples).  Chunk boundaries depend only on
+    ``chunk_size``, never on ``workers``, and BLAS is pinned to one thread
+    at every worker count.
     """
     if n_samples <= 0:
         raise ValueError("empty sample")
@@ -174,8 +182,7 @@ def run_parallel(
 
     def work(span):
         start, stop = span
-        rngs = [sample_stream(seed, i) for i in range(start, stop)]
-        out = kernel(np.arange(start, stop), rngs)
+        out = kernel(np.arange(start, stop))
         if out.shape != (stop - start, n_columns):
             raise RuntimeError(f"kernel returned shape {out.shape}")
         values[start:stop, :] = out
@@ -251,6 +258,8 @@ class ExperimentConfig:
             raise ValueError("potential dimension does not match the experiment")
         if self.box_radius < 0:
             raise ValueError("box radius must be non-negative")
+        if self.workers < 1:
+            raise ValueError("worker count must be at least 1")
         if self.disorder_strength < 0:
             raise ValueError("disorder strength must be non-negative")
         if self.interval is not None:
@@ -371,10 +380,10 @@ def _chunk_for(matrix_dim: int) -> int:
     return max(8, min(512, _CHUNK_BUDGET // max(1, matrix_dim * matrix_dim)))
 
 
-def _draw_potentials(cfg: ExperimentConfig, inner: Box, rngs) -> np.ndarray:
-    """Potential profiles for a chunk: one row per sample over ``inner``, drawn on its envelope."""
+def _draw_potentials(cfg: ExperimentConfig, inner: Box, indices, attempt: int = 0) -> np.ndarray:
+    """Profiles over ``inner``, one row per sample, from block ``attempt`` of its envelope draws."""
     field = Box(inner.center, inner.radius + cfg.potential.support_radius)
-    couplings = cfg.density.quantile(np.stack([rng.random(field.size) for rng in rngs]))
+    couplings = cfg.density.quantile(uniforms(cfg.seed, indices, field.size, attempt))
     return potential_profiles(inner, cfg.potential, field, couplings)
 
 
@@ -394,8 +403,9 @@ def _batched_counts(cfg: ExperimentConfig, intervals) -> Callable:
     require_dense(inner.size)
     base = base_matrix(inner, cfg.shifted_laplacian)
 
-    def kernel(indices, rngs):
-        return _counts(base, cfg.disorder_strength, _draw_potentials(cfg, inner, rngs), intervals)
+    def kernel(indices):
+        profiles = _draw_potentials(cfg, inner, indices)
+        return _counts(base, cfg.disorder_strength, profiles, intervals)
 
     return kernel
 
@@ -436,8 +446,8 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     ix, iy = inner.index_of(cfg.site_x), inner.index_of(cfg.site_y)
     envelope_cap = z.imag**-2
 
-    def kernel(indices, rngs):
-        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, inner, rngs))
+    def kernel(indices):
+        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, inner, indices))
         solutions, good = resolvent_columns(matrices, z, [ix, iy])
         g_im = solutions[:, [ix, iy], :].imag
         det = g_im[:, 0, 0] * g_im[:, 1, 1] - g_im[:, 0, 1] * g_im[:, 1, 0]
@@ -452,9 +462,7 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
         out[~good] = np.nan
         return out
 
-    values = run_parallel(
-        kernel, cfg.n_samples, 1, cfg.seed, cfg.workers, _chunk_for(inner.size)
-    )
+    values = run_parallel(kernel, cfg.n_samples, 1, cfg.workers, _chunk_for(inner.size))
     extras = {"envelope_violations": 0, "inverse_one_norm": transform.inverse_one_norm}
     estimate = _summarize(cfg, "minami", values, 0, bound, started, extras)
     mean, stderr = estimate.mean, estimate.stderr
@@ -504,7 +512,7 @@ def _wegner_estimates(cfg: ExperimentConfig, intervals: list) -> list[MCEstimate
     swept = [replace(cfg, interval=interval) for interval in intervals]
     size = cfg.inner_box.size
     kernel = _batched_counts(cfg, intervals)
-    values = run_parallel(kernel, cfg.n_samples, len(swept), cfg.seed, cfg.workers, _chunk_for(size))
+    values = run_parallel(kernel, cfg.n_samples, len(swept), cfg.workers, _chunk_for(size))
     estimates = []
     for column, c in enumerate(swept):
         width = c.interval[1] - c.interval[0]
@@ -539,7 +547,7 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
     if lam > 0 and inner.size < 2:
         raise ValueError("the two-eigenvalue bound needs a box with at least two sites")
     kernel = _batched_counts(cfg, [cfg.interval])
-    counts = run_parallel(kernel, cfg.n_samples, 1, cfg.seed, cfg.workers, _chunk_for(inner.size))
+    counts = run_parallel(kernel, cfg.n_samples, 1, cfg.workers, _chunk_for(inner.size))
     counts = counts[:, 0]
     values = np.stack([(counts >= 2.0).astype(float), counts * (counts - 1.0) / 2.0], axis=1)
     exact = bool(np.all(values[:, 0] <= values[:, 1] + 1e-12))
@@ -593,7 +601,7 @@ def probe_fvc(
 
     The energy is taken real (from ``cfg.energy``), regularized by a tiny
     imaginary part; draws with an eigenvalue within ``resonance_gap`` of the
-    energy are redrawn from the same stream and counted.
+    energy are redrawn from the sample's next block of uniforms and counted.
     """
     if decay_exponent <= 3 * cfg.dimension - 1:
         raise ValueError(
@@ -618,15 +626,15 @@ def probe_fvc(
         threshold = float(radius) ** -decay_exponent
         shift = energy + 1j * regularization
 
-        def kernel(indices, rngs, _inner=inner, _base=base, _mask=pair_mask, _thr=threshold):
+        def kernel(indices):
             rows = np.full((len(indices), 2), np.nan)
             rows[:, 1] = 0.0
-            matrices = np.empty((len(indices),) + _base.shape)
-            # each round redraws the rows still resonant (NaN spectra too) from their streams
+            matrices = np.empty((len(indices),) + base.shape)
+            # round k redraws the rows still resonant (NaN spectra too) from block k
             pending = np.arange(len(indices))
-            for _ in range(max_attempts):
-                profiles = _draw_potentials(cfg, _inner, [rngs[row] for row in pending])
-                matrices[pending] = hamiltonian_stack(_base, lam, profiles)
+            for attempt in range(max_attempts):
+                profiles = _draw_potentials(cfg, inner, indices[pending], attempt)
+                matrices[pending] = hamiltonian_stack(base, lam, profiles)
                 spectra = np.linalg.eigvalsh(matrices[pending])
                 pending = pending[~(np.min(np.abs(spectra - energy), axis=1) > resonance_gap)]
                 rows[pending, 1] += 1.0
@@ -634,15 +642,13 @@ def probe_fvc(
                     break
             accepted = np.setdiff1d(np.arange(len(indices)), pending)
             if accepted.size:
-                columns = np.arange(_base.shape[0])
+                columns = np.arange(base.shape[0])
                 green, certified = resolvent_columns(matrices[accepted], shift, columns)
-                ok = np.all(np.abs(green[:, _mask]) <= _thr, axis=1)
+                ok = np.all(np.abs(green[:, pair_mask]) <= threshold, axis=1)
                 rows[accepted, 0] = np.where(certified, ok, np.nan)
             return rows
 
-        values = run_parallel(
-            kernel, cfg.n_samples, 2, cfg.seed, cfg.workers, _chunk_for(inner.size)
-        )
+        values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _chunk_for(inner.size))
         probability, stderr, _, n_failed = column_summary(values, 0)
         total_resamples = float(np.nansum(values[:, 1]))
         fraction = total_resamples / (cfg.n_samples + total_resamples)
@@ -711,16 +717,14 @@ def probe_fractional_moment(
     columns, pair_cols = np.unique([inner.index_of(y) for _, y in pairs], return_inverse=True)
     lam = cfg.disorder_strength
 
-    def kernel(indices, rngs):
-        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, inner, rngs))
+    def kernel(indices):
+        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, inner, indices))
         green, certified = resolvent_columns(matrices, cfg.energy, columns)
         values = np.abs(green[:, pair_rows, pair_cols]) ** moment
         values[~certified] = np.nan
         return values
 
-    values = run_parallel(
-        kernel, cfg.n_samples, len(pairs), cfg.seed, cfg.workers, _chunk_for(inner.size)
-    )
+    values = run_parallel(kernel, cfg.n_samples, len(pairs), cfg.workers, _chunk_for(inner.size))
     points = []
     for column, (x, y) in enumerate(pairs):
         mean, stderr, _, n_failed = column_summary(values, column)
@@ -778,14 +782,12 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
     base = base_matrix(boxes[0], cfg.shifted_laplacian)
     lam = cfg.disorder_strength
 
-    def kernel(indices, rngs):
-        # the two envelopes are disjoint: each sample draws box one's, then box two's
-        profiles = np.concatenate([_draw_potentials(cfg, b, rngs) for b in boxes])
-        return _counts(base, lam, profiles, [cfg.interval]).reshape(2, len(indices)).T
+    def kernel(indices):
+        # the two envelopes are disjoint and equal in size: box one reads block 0, box two block 1
+        draws = [_draw_potentials(cfg, b, indices, k) for k, b in enumerate(boxes)]
+        return _counts(base, lam, np.concatenate(draws), [cfg.interval]).reshape(2, len(indices)).T
 
-    values = run_parallel(
-        kernel, cfg.n_samples, 2, cfg.seed, cfg.workers, _chunk_for(boxes[0].size)
-    )
+    values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _chunk_for(boxes[0].size))
     return IndependenceReport(
         correlation=sample_correlation(values[:, 0], values[:, 1]),
         threshold=3.0 / math.sqrt(cfg.n_samples),

@@ -54,8 +54,8 @@ def _eigenvalue_kernel(cfg: ExperimentConfig, radius: int):
         require_dense(inner.size)
         base = base_matrix(inner, cfg.shifted_laplacian)
 
-    def kernel(indices, rngs):
-        profiles = _draw_potentials(cfg, inner, rngs)
+    def kernel(indices):
+        profiles = _draw_potentials(cfg, inner, indices)
         if cfg.dimension == 1:
             return np.stack([chain_eigenvalues(lam * p, cfg.shifted_laplacian) for p in profiles])
         return np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))
@@ -119,9 +119,7 @@ def empirical_ids(
         grid = np.asarray(grid, dtype=float)
 
     inner, kernel = _eigenvalue_kernel(cfg, ids_radius)
-    spectra = run_parallel(
-        kernel, n_realizations, inner.size, cfg.seed, cfg.workers, chunk_size=1
-    )
+    spectra = run_parallel(kernel, n_realizations, inner.size, cfg.workers, chunk_size=1)
     counts = np.zeros(grid.size, dtype=np.int64)
     for vals in spectra:
         if vals[0] < grid[0] or vals[-1] > grid[-1]:
@@ -199,9 +197,7 @@ def rescaled_ensemble(
             f"radius {stats_radius} to decouple the unfolding"
         )
     inner, kernel = _eigenvalue_kernel(cfg, stats_radius)
-    spectra = run_parallel(
-        kernel, n_realizations, inner.size, cfg.seed, cfg.workers, chunk_size=1
-    )
+    spectra = run_parallel(kernel, n_realizations, inner.size, cfg.workers, chunk_size=1)
     return [rescale(vals, ids, reference_energy, inner.size, stats_radius) for vals in spectra]
 
 

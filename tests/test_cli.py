@@ -197,16 +197,32 @@ def test_minami_command_and_digest_verify(tmp_path):
     assert main(["verify-digest", "--config", other, "--records", records_path]) == 1
 
 
+def ids_fields(**extra):
+    fields = dict(disorder_strength=4.0, ids_radius=40, ids_realizations=6, ids_grid_points=501)
+    fields.update(extra)
+    return base_fields(**fields)
+
+
 @pytest.mark.parametrize(
-    "command, fields",
-    [("minami", minami_fields), ("fvc", fvc_fields), ("fmb", fmb_fields)],
-    ids=["minami", "fvc", "fmb"],
+    "command, fields, code",
+    [
+        ("minami", minami_fields, 0),
+        ("fvc", fvc_fields, 0),
+        ("fmb", fmb_fields, 0),
+        ("wegner", lambda: base_fields(box_radius=3, widths=[0.1, 0.4], center=1.0), 0),
+        ("two-ev", lambda: base_fields(dimension=2, interval=[0.9, 1.1], samples=200), 0),
+        ("ids", lambda: ids_fields(pos_epsilons=[0.2, 0.4]), 0),
+        # toy-scale statistics fail the Poisson verdict; the records must still match
+        ("spacing", lambda: ids_fields(dimension=2, ids_radius=6, stats_radius=3,
+                                       realizations=20, window=[-2.0, 2.0]), 1),
+    ],
+    ids=["minami", "fvc", "fmb", "wegner", "two-ev", "ids", "spacing"],
 )
-def test_minami_records_byte_identical(tmp_path, command, fields):
+def test_minami_records_byte_identical(tmp_path, command, fields, code):
     cfg = write_config(tmp_path, **fields())
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main([command, "--config", cfg, "--out", str(out1)]) == 0
-    assert main([command, "--config", cfg, "--out", str(out2), "--workers", "4"]) == 0
+    assert main([command, "--config", cfg, "--out", str(out1)]) == code
+    assert main([command, "--config", cfg, "--out", str(out2), "--workers", "4"]) == code
     outputs = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
     assert "results.jsonl" in outputs
     for name in outputs:
@@ -550,9 +566,9 @@ def test_spacing_synthetic_takes_flags_only(tmp_path, capsys):
     cfg = write_config(tmp_path, "w.json", **base_fields(realizations=30, workers=3))
     out = tmp_path / "run"
     assert main(["spacing", "--config", cfg, "--synthetic", "poisson", "--out", str(out),
-                 "--workers", "0", "--seed", "5"]) == 0
+                 "--workers", "2", "--seed", "5"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["environment"]["workers"] == 0
+    assert manifest["environment"]["workers"] == 2
     assert manifest["seed"] == 5
 
 
@@ -577,3 +593,50 @@ def test_refused_pos_probe_leaves_no_out(tmp_path, capsys):
     assert main(["ids", "--config", cfg, "--out", str(out)]) == 2
     assert "need a < b" in capsys.readouterr().err
     assert not out.exists()
+
+
+RANGE_REFUSALS = [
+    ("spacing", "window", [1.0, -1.0]),
+    ("spacing", "stats_radius", 26),
+    ("spacing", "stats_radius", -1),
+    ("spacing", "realizations", 0),
+    ("spacing", "reference_level", 1.5),
+    ("ids", "pos_a", 1.0),
+    ("ids", "pos_epsilons", [0.1, 0.0]),
+    ("ids", "reference_level", -0.5),
+]
+
+
+@pytest.mark.parametrize("command, field, value", RANGE_REFUSALS)
+def test_ids_and_spacing_ranges_refused_before_sampling(
+    tmp_path, monkeypatch, capsys, command, field, value
+):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    monkeypatch.setattr(spectra, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **{**COMMAND_FIELDS[command], field: value})
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert f"'{field}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "flag", "environment"])
+@pytest.mark.parametrize("command", ["check", "constants", "minami", "spacing"])
+def test_worker_count_below_one_exits_2(tmp_path, monkeypatch, capsys, command, source):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    fields = dict(COMMAND_FIELDS[command])
+    argv = [command, "--out", str(tmp_path / "run")]
+    if command == "spacing":
+        argv += ["--synthetic", "poisson"]
+    if source == "config":
+        fields["workers"] = 0
+    elif source == "flag":
+        argv += ["--workers", "0"]
+    else:
+        monkeypatch.setenv("ALLOYLAB_WORKERS", "0")
+    assert main(argv + ["--config", write_config(tmp_path, **fields)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: worker count must be at least 1")
+    assert not (tmp_path / "run").exists()

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alloylab import estimators
 from alloylab.disorder import SingleSitePotential, bump_density, sample_couplings
@@ -22,7 +24,7 @@ from alloylab.estimators import (
     probe_fvc,
     run_parallel,
     sample_correlation,
-    sample_stream,
+    uniforms,
     wegner_ratio_sweep,
 )
 from alloylab.lattice import box, envelope_box
@@ -31,6 +33,11 @@ from alloylab.operator import build_hamiltonian, eigenvalues
 RHO = bump_density()
 DELTA = SingleSitePotential.delta(1)
 NN = SingleSitePotential({(0,): 1.0, (1,): 0.2, (-1,): 0.2})
+
+
+def reference_stream(seed, index):
+    """Sample ``index``'s generator, written out so that it does not go through ``uniforms``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def make_config(potential=DELTA, **kwargs):
@@ -54,15 +61,15 @@ def make_config(potential=DELTA, **kwargs):
 
 def test_run_parallel_rejects_empty_sample():
     with pytest.raises(ValueError, match="empty sample"):
-        run_parallel(lambda idx, rngs: np.zeros((len(idx), 1)), 0, 1, 0)
+        run_parallel(lambda idx: np.zeros((len(idx), 1)), 0, 1)
 
 
 def test_run_parallel_worker_count_invariance():
-    def kernel(indices, rngs):
-        return np.stack([rng.normal(size=1) for rng in rngs])
+    def kernel(indices):
+        return uniforms(5, indices, 1)
 
-    one = run_parallel(kernel, 300, 1, seed=5, workers=1, chunk_size=64)
-    eight = run_parallel(kernel, 300, 1, seed=5, workers=8, chunk_size=64)
+    one = run_parallel(kernel, 300, 1, workers=1, chunk_size=64)
+    eight = run_parallel(kernel, 300, 1, workers=8, chunk_size=64)
     assert np.array_equal(one, eight)
 
 
@@ -78,10 +85,10 @@ def test_run_parallel_pins_blas_to_one_thread(workers):
     libraries = openblas_libraries()
     assert [lib.package for lib in libraries] == ["numpy", "scipy"]
 
-    def kernel(indices, rngs):
+    def kernel(indices):
         return np.array([[lib.get_threads() for lib in libraries]] * len(indices), dtype=float)
 
-    values = run_parallel(kernel, 64, 2, seed=1, workers=workers, chunk_size=16)
+    values = run_parallel(kernel, 64, 2, workers=workers, chunk_size=16)
     assert np.all(values == 1.0)
 
 
@@ -89,16 +96,16 @@ def test_blas_threads_restores_the_callers_counts():
     libraries = openblas_libraries()
     before = [lib.get_threads() for lib in libraries]
 
-    def failing(indices, rngs):
+    def failing(indices):
         raise ZeroDivisionError("kernel failure")
 
     try:
         for lib in libraries:
             lib.set_threads(2)
-        run_parallel(lambda idx, rngs: np.zeros((len(idx), 1)), 32, 1, seed=0, workers=2)
+        run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=2)
         assert [lib.get_threads() for lib in libraries] == [2, 2]
         with pytest.raises(ZeroDivisionError):
-            run_parallel(failing, 32, 1, seed=0, workers=2, chunk_size=8)
+            run_parallel(failing, 32, 1, workers=2, chunk_size=8)
         assert [lib.get_threads() for lib in libraries] == [2, 2]
     finally:
         for lib, count in zip(libraries, before):
@@ -106,15 +113,15 @@ def test_blas_threads_restores_the_callers_counts():
 
 
 def test_run_parallel_without_blas_control(monkeypatch):
-    cfg = make_config(interval=(0.0, 2.0), n_samples=96)
+    cfg = make_config(interval=(0.0, 2.0), n_samples=96, seed=4)
     kernel = estimators._batched_counts(cfg, [cfg.interval])
-    pinned = run_parallel(kernel, 96, 1, seed=4, chunk_size=32)
+    pinned = run_parallel(kernel, 96, 1, chunk_size=32)
     monkeypatch.setattr(
         estimators, "_openblas_libraries", lambda: ((), "scipy_openblas_set_num_threads64_")
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        unpinned = run_parallel(kernel, 96, 1, seed=4, workers=2, chunk_size=32)
+        unpinned = run_parallel(kernel, 96, 1, workers=2, chunk_size=32)
     assert np.array_equal(pinned, unpinned)
 
 
@@ -125,19 +132,49 @@ def test_batched_counts_identical_across_worker_counts():
         potential=SingleSitePotential({(0, 0): 1.0, (1, 0): 0.3, (0, -1): -0.2}),
         interval=(-1.0, 1.0),
         n_samples=48,
+        seed=7,
     )
     kernel = estimators._batched_counts(cfg, [cfg.interval])
-    runs = [run_parallel(kernel, 48, 1, seed=7, workers=w, chunk_size=8) for w in (1, 2, 3)]
+    runs = [run_parallel(kernel, 48, 1, workers=w, chunk_size=8) for w in (1, 2, 3)]
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
 
 
-def test_sample_stream_is_index_keyed():
-    a = sample_stream(3, 17).random(4)
-    b = sample_stream(3, 17).random(4)
-    c = sample_stream(3, 18).random(4)
+def test_uniforms_are_index_keyed():
+    a = uniforms(3, [17], 4)
+    b = uniforms(3, [17], 4)
+    c = uniforms(3, [18], 4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_uniforms_pinned_values():
+    # the literal stream contract: a change of generator must change these on purpose
+    assert uniforms(1, [0, 7], 3).tolist() == [
+        [0.6990345474368357, 0.17433552137309583, 0.6451185321972944],
+        [0.2936595717238003, 0.6269968175181299, 0.5281925308244695],
+    ]
+    assert uniforms(1, [7], 3, attempt=2).tolist() == [
+        [0.8606974432247348, 0.4011553808587639, 0.30822504076335666]
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    indices=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
+    width=st.integers(1, 17),
+    attempt=st.integers(0, 4),
+)
+def test_uniforms_block_is_the_next_draw_of_the_stream(seed, indices, width, attempt):
+    rows = uniforms(seed, indices, width, attempt)
+    assert rows.shape == (len(indices), width)
+    for row, index in zip(rows, indices):
+        rng = reference_stream(seed, index)
+        for _ in range(attempt):
+            rng.random(width)
+        assert np.array_equal(row, rng.random(width))
+        assert np.array_equal(row, uniforms(seed, [index], width, attempt)[0])
 
 
 def test_column_summary_failure_cap():
@@ -163,11 +200,11 @@ def test_sample_correlation():
 
 
 def test_stderr_shrinks_with_sample_size():
-    def kernel(indices, rngs):
-        return np.stack([rng.normal(size=1) for rng in rngs])
+    def kernel(indices):
+        return uniforms(1, indices, 1)
 
-    small = run_parallel(kernel, 2000, 1, seed=1)
-    large = run_parallel(kernel, 4000, 1, seed=1)
+    small = run_parallel(kernel, 2000, 1)
+    large = run_parallel(kernel, 4000, 1)
     _, err_small, _, _ = column_summary(small, 0)
     _, err_large, _, _ = column_summary(large, 0)
     ratio = err_large / err_small
@@ -386,7 +423,7 @@ def fvc_reference(cfg, radius, decay_exponent, gap):
     far = np.abs(sites[:, None] - sites[None, :]) >= radius / 2.0
     outcomes, resamples = [], []
     for index in range(cfg.n_samples):
-        rng = sample_stream(cfg.seed, index)
+        rng = reference_stream(cfg.seed, index)
         redraws = 0
         while True:
             couplings = sample_couplings(cfg.density, env, rng)

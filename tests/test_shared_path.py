@@ -3,9 +3,10 @@
 The batched kernels (counts through ``run_parallel``, the eigenvalue kernel
 of the IDS and spacing ensembles) must agree, sample by sample, with a
 reference built one sample at a time from the public single-sample API:
-``sample_stream`` -> ``sample_couplings`` -> ``build_hamiltonian`` ->
-``eigenvalues``.  The one resolvent solve, ``resolvent_columns``, must agree
-bit for bit with the columns of the dense inverse it replaced.
+the sample's generator, written out here -> ``sample_couplings`` ->
+``build_hamiltonian`` -> ``eigenvalues``.  The one resolvent solve,
+``resolvent_columns``, must agree bit for bit with the columns of the dense
+inverse it replaced.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from alloylab.config import nn_signed_potential
 from alloylab.disorder import bump_density, sample_couplings
-from alloylab.estimators import ExperimentConfig, _batched_counts, run_parallel, sample_stream
+from alloylab.estimators import ExperimentConfig, _batched_counts, run_parallel
 from alloylab.lattice import box, envelope_box
 from alloylab.operator import (
     base_matrix,
@@ -49,7 +50,8 @@ def reference_samples(cfg, radius):
     inner = box(radius, cfg.dimension)
     env = envelope_box(inner, cfg.potential.support_radius)
     for index in range(N_SAMPLES):
-        couplings = sample_couplings(cfg.density, env, sample_stream(cfg.seed, index))
+        stream = np.random.SeedSequence(cfg.seed, spawn_key=(index,))
+        couplings = sample_couplings(cfg.density, env, np.random.Generator(np.random.PCG64(stream)))
         yield build_hamiltonian(
             inner, cfg.potential, couplings, cfg.disorder_strength, cfg.shifted_laplacian
         )
@@ -65,9 +67,7 @@ def test_counting_kernel_matches_per_sample_reference(dimension, radius, shifted
     lo, hi = cfg.interval
     level = next(v for v in eigenvalues(samples[0]) if lo < v < hi)
     intervals = [cfg.interval, (lo, level), (level, level), (level, hi), (hi, hi + 1.0)]
-    rows = run_parallel(
-        _batched_counts(cfg, intervals), N_SAMPLES, len(intervals), cfg.seed, 1, chunk_size
-    )
+    rows = run_parallel(_batched_counts(cfg, intervals), N_SAMPLES, len(intervals), 1, chunk_size)
     expected = [[count_in_interval(s, interval) for interval in intervals] for s in samples]
     assert rows.tolist() == expected
     assert rows[0, 2] >= 1
@@ -80,7 +80,7 @@ def test_counting_kernel_matches_per_sample_reference(dimension, radius, shifted
 def test_eigenvalue_kernel_matches_per_sample_reference(dimension, radius, shifted, chunk_size):
     cfg = shared_config(dimension, radius, shifted)
     inner, kernel = _eigenvalue_kernel(cfg, radius)
-    rows = run_parallel(kernel, N_SAMPLES, inner.size, cfg.seed, 1, chunk_size)
+    rows = run_parallel(kernel, N_SAMPLES, inner.size, 1, chunk_size)
     expected = np.stack([eigenvalues(s) for s in reference_samples(cfg, radius)])
     np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-12)
 

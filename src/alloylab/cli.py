@@ -36,6 +36,7 @@ from .estimators import (
     estimate_wegner,
     probe_fractional_moment,
     probe_fvc,
+    sweep_configs,
     wegner_ratio_sweep,
 )
 from .operator import DENSE_SOLVE_LIMIT, ResourceLimit
@@ -228,16 +229,22 @@ def cmd_minami(raw, args, reporter) -> int:
     return 0 if result.verdict == "within_bound" else 1
 
 
+def _read_sweep(raw) -> tuple[list[float], float] | None:
+    """A wegner sweep's ``(widths, center)``, or None when the config sets no ``widths``."""
+    if "widths" not in raw:
+        return None
+    widths = read(raw, "widths", [float])
+    center = read(raw, "center", float)
+    if not (widths and all(0 <= w < math.inf for w in widths)):
+        raise ConfigError(f"'widths' must be a non-empty list of finite numbers >= 0: {widths}")
+    return widths, center
+
+
 def cmd_wegner(raw, args, reporter) -> int:
-    sweep = "widths" in raw
-    if sweep:
-        widths = read(raw, "widths", [float])
-        center = read(raw, "center", float)
-        if not (widths and all(0 <= w < math.inf for w in widths)):
-            raise ConfigError(f"'widths' must be a non-empty list of finite numbers >= 0: {widths}")
+    sweep = _read_sweep(raw)
     required = ("box_radius",) if sweep else ("box_radius", "interval")
     cfg = experiment_from_config(raw, required=required)
-    estimates = wegner_ratio_sweep(cfg, widths, center) if sweep else [estimate_wegner(cfg)]
+    estimates = wegner_ratio_sweep(cfg, *sweep) if sweep else [estimate_wegner(cfg)]
     for e in estimates:
         reporter.record({"kind": "mc_estimate", **e.to_record()})
     if sweep:  # a None ratio (zero width) is written as an empty cell
@@ -360,8 +367,10 @@ def cmd_ids(raw, args, reporter) -> int:
         "grid_points": int(ids.grid.size),
     }
     if cfg.dimension == 1 and cfg.disorder_strength == 0.0:
-        inside = (ids.grid > -1.99) & (ids.grid < 1.99)
-        distance = float(np.max(np.abs(ids.values[inside] - free_chain_ids(ids.grid[inside]))))
+        # compare in the unshifted convention, where the free spectrum is [-2, 2]
+        energies = ids.grid - (2.0 if cfg.shifted_laplacian else 0.0)
+        inside = (energies > -1.99) & (energies < 1.99)
+        distance = float(np.max(np.abs(ids.values[inside] - free_chain_ids(energies[inside]))))
         record["free_ids_sup_distance"] = distance
         print(f"sup distance to free-chain closed form: {distance:.6f}", file=sys.stderr)
     reporter.record(record)
@@ -434,7 +443,10 @@ def cmd_spacing(raw, args, reporter) -> int:
 
 
 def cmd_verify_digest(raw, args, reporter) -> int:
-    expected = experiment_from_config(raw).digest()
+    cfg = experiment_from_config(raw)
+    sweep = _read_sweep(raw)
+    # a sweep's records carry their own width's digest, as wegner wrote them
+    expected = [c.digest() for c in (sweep_configs(cfg, *sweep) if sweep else [cfg])]
     mismatches = 0
     total = 0
     for line in Path(args.records).read_text().splitlines():
@@ -442,9 +454,9 @@ def cmd_verify_digest(raw, args, reporter) -> int:
             continue
         record = json.loads(line)
         total += 1
-        if record.get("config_digest") != expected:
+        if record.get("config_digest") not in expected:
             mismatches += 1
-    print(f"{total} records, {mismatches} digest mismatches (expected {expected})")
+    print(f"{total} records, {mismatches} digest mismatches (expected {', '.join(expected)})")
     return 0 if total > 0 and mismatches == 0 else 1
 
 

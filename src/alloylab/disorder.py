@@ -77,12 +77,15 @@ class PiecewiseProfile:
     def n_pieces(self) -> int:
         return len(self.coefficients)
 
+    def piece_index(self, t: np.ndarray) -> np.ndarray:
+        """The piece holding each ``t``, clipped to the ends; a breakpoint opens its right piece."""
+        return np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, self.n_pieces - 1)
+
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        bp = self.breakpoints
-        inside = (t >= bp[0]) & (t <= bp[-1])
-        idx = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, self.n_pieces - 1)
+        inside = (t >= self.breakpoints[0]) & (t <= self.breakpoints[-1])
+        idx = self.piece_index(t)
         for i, coeffs in enumerate(self.coefficients):
             mask = inside & (idx == i)
             if np.any(mask):
@@ -96,30 +99,23 @@ class PiecewiseProfile:
                   for c in self.coefficients),
         )
 
-    def piece_integrals(self) -> np.ndarray:
-        vals = []
-        for (a, b), c in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coefficients):
-            anti = npoly.polyint(np.asarray(c))
-            vals.append(npoly.polyval(b, anti) - npoly.polyval(a, anti))
-        return np.asarray(vals)
+    def _node_values(self) -> list[np.ndarray]:
+        """Per piece, the values at its left end, its interior critical points and its right end.
 
-    def integral(self) -> float:
-        return float(np.sum(self.piece_integrals()))
-
-    def _samples_with_extrema(self) -> list[tuple[float, float]]:
-        """(t, value) pairs at breakpoints and interior critical points."""
-        pts: list[tuple[float, float]] = []
+        The one critical-point scan: extrema, variation and jumps all read it.
+        """
+        out = []
         for (a, b), c in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coefficients):
-            deriv = npoly.polyder(np.asarray(c)) if len(c) > 1 else np.zeros(1)
-            nodes = [a] + _real_roots_in(deriv, a, b) + [b]
-            pts.extend((x, float(npoly.polyval(x, np.asarray(c)))) for x in nodes)
-        return pts
+            carr = np.asarray(c)
+            deriv = npoly.polyder(carr) if len(c) > 1 else np.zeros(1)
+            out.append(npoly.polyval(np.asarray([a] + _real_roots_in(deriv, a, b) + [b]), carr))
+        return out
 
     def sup_norm(self) -> float:
-        return max(abs(v) for _, v in self._samples_with_extrema())
+        return max(float(np.max(np.abs(v))) for v in self._node_values())
 
     def min_value(self) -> float:
-        return min(v for _, v in self._samples_with_extrema())
+        return min(float(np.min(v)) for v in self._node_values())
 
     def total_variation(self) -> float:
         """Variation of the profile over its support (exact for polynomials).
@@ -127,30 +123,18 @@ class PiecewiseProfile:
         Equals the L1 norm of the derivative when the profile is absolutely
         continuous, which callers are expected to validate.
         """
-        tv = 0.0
-        for (a, b), c in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coefficients):
-            carr = np.asarray(c)
-            deriv = npoly.polyder(carr) if len(c) > 1 else np.zeros(1)
-            nodes = [a] + _real_roots_in(deriv, a, b) + [b]
-            vals = npoly.polyval(np.asarray(nodes), carr)
-            tv += float(np.sum(np.abs(np.diff(vals))))
-        return tv
+        return sum(float(np.sum(np.abs(np.diff(v)))) for v in self._node_values())
 
     def jump_sizes(self) -> list[float]:
         """Mismatch of values across internal breakpoints plus the edge values."""
-        jumps = [abs(float(npoly.polyval(self.breakpoints[0], np.asarray(self.coefficients[0]))))]
-        for i in range(self.n_pieces - 1):
-            t = self.breakpoints[i + 1]
-            left = npoly.polyval(t, np.asarray(self.coefficients[i]))
-            right = npoly.polyval(t, np.asarray(self.coefficients[i + 1]))
-            jumps.append(abs(float(left - right)))
-        jumps.append(abs(float(npoly.polyval(self.breakpoints[-1], np.asarray(self.coefficients[-1])))))
-        return jumps
+        values = self._node_values()
+        inner = [abs(float(left[-1] - right[0])) for left, right in zip(values, values[1:])]
+        return [abs(float(values[0][0]))] + inner + [abs(float(values[-1][-1]))]
 
-    def is_absolutely_continuous(self, tol: float = _CONTINUITY_TOL) -> bool:
+    def is_absolutely_continuous(self) -> bool:
         """Continuous across pieces and vanishing at the support edges."""
         scale = max(1.0, self.sup_norm())
-        return all(j <= tol * scale for j in self.jump_sizes())
+        return all(j <= _CONTINUITY_TOL * scale for j in self.jump_sizes())
 
 
 def polyline_profile(nodes: Sequence[float], values: Sequence[float]) -> PiecewiseProfile:
@@ -181,12 +165,13 @@ def bump_profile() -> PiecewiseProfile:
 # ---------------------------------------------------------------------------
 
 class DisorderDensity:
-    """Compactly supported probability density with exact Sobolev norms.
+    """Compactly supported probability density in ``W^{2,1}``, with exact Sobolev norms.
 
     Subclasses provide ``pdf``/``cdf`` and the exact norms ``sup_norm``,
     ``d1_norm`` (L1 of the first derivative) and ``d2_norm`` (L1 of the
-    second).  Quantiles are obtained by bisection on the CDF to 1e-12,
-    so sampling is deterministic given the uniform draws.
+    second), and refuse to be built outside ``W^{2,1}``, so every density
+    object is in the class.  Quantiles are obtained by bisection on the CDF
+    to 1e-12, so sampling is deterministic given the uniform draws.
     """
 
     support: tuple[float, float]
@@ -198,9 +183,6 @@ class DisorderDensity:
         raise NotImplementedError
 
     def cdf(self, t) -> np.ndarray:
-        raise NotImplementedError
-
-    def in_sobolev_class(self) -> bool:
         raise NotImplementedError
 
     def config_key(self):
@@ -227,7 +209,9 @@ class PiecewisePolynomialDensity(DisorderDensity):
     Construction validates non-negativity, unit mass, and the regularity
     needed for the second-derivative norm to be a plain integral: the
     density and its first derivative must be continuous across pieces and
-    vanish at the support edges.
+    vanish at the support edges.  It also builds the CDF tables once: each
+    piece's antiderivative ``A_i``, its value ``A_i(t_i)`` at the left
+    breakpoint, and the cumulative piece masses.
     """
 
     def __init__(self, profile: PiecewiseProfile, name: str | None = None):
@@ -236,7 +220,12 @@ class PiecewisePolynomialDensity(DisorderDensity):
             raise ValueError("density support must have positive length")
         if profile.min_value() < -1e-12:
             raise ValueError("density takes negative values")
-        mass = profile.integral()
+        bp = profile.breakpoints
+        self._anti = [npoly.polyint(np.asarray(c)) for c in profile.coefficients]
+        self._anti_left = np.array([npoly.polyval(t, anti) for t, anti in zip(bp, self._anti)])
+        masses = np.array([npoly.polyval(t, anti) for t, anti in zip(bp[1:], self._anti)])
+        masses -= self._anti_left
+        mass = float(np.sum(masses))
         if abs(mass - 1.0) > 1e-12:
             raise ValueError(f"density mass is {mass!r}, expected 1 within 1e-12")
         if not profile.is_absolutely_continuous():
@@ -253,33 +242,28 @@ class PiecewisePolynomialDensity(DisorderDensity):
         self.sup_norm = profile.sup_norm()
         self.d1_norm = profile.total_variation()
         self.d2_norm = deriv.total_variation()
-        # cumulative piece masses for the CDF
-        self._cum = np.concatenate([[0.0], np.cumsum(profile.piece_integrals())])
+        self._cum = np.concatenate([[0.0], np.cumsum(masses)])
 
     def pdf(self, t):
         return self.profile(t)
 
     def cdf(self, t):
+        """``cum[i] + (A_i(t) - A_i(t_i))`` on piece ``i``, read from the construction tables."""
         t = np.asarray(t, dtype=float)
-        bp = np.asarray(self.profile.breakpoints)
+        a, b = self.support
         out = np.zeros_like(t)
-        out[t >= bp[-1]] = 1.0
-        inside = (t >= bp[0]) & (t < bp[-1])
+        out[t >= b] = 1.0
+        inside = (t >= a) & (t < b)
         if np.any(inside):
-            idx = np.clip(np.searchsorted(bp, t[inside], side="right") - 1, 0, self.profile.n_pieces - 1)
-            acc = self._cum[idx]
+            t_in = t[inside]
+            idx = self.profile.piece_index(t_in)
             vals = np.empty(idx.shape)
-            for i, coeffs in enumerate(self.profile.coefficients):
+            for i, anti in enumerate(self._anti):
                 mask = idx == i
                 if np.any(mask):
-                    anti = npoly.polyint(np.asarray(coeffs))
-                    vals[mask] = npoly.polyval(t[inside][mask], anti) - npoly.polyval(bp[i], anti)
-            out[inside] = acc + vals
+                    vals[mask] = npoly.polyval(t_in[mask], anti) - self._anti_left[i]
+            out[inside] = self._cum[idx] + vals
         return out if out.ndim else float(out)
-
-    def in_sobolev_class(self) -> bool:
-        deriv = self.profile.derivative()
-        return self.profile.is_absolutely_continuous() and deriv.is_absolutely_continuous()
 
     def config_key(self):
         return {
@@ -290,7 +274,11 @@ class PiecewisePolynomialDensity(DisorderDensity):
 
 
 class RaisedCosineDensity(DisorderDensity):
-    """Density ``1 - cos(2 pi t)`` on [0, 1] with closed-form norms."""
+    """Density ``1 - cos(2 pi t)`` on [0, 1] with closed-form norms.
+
+    It is in ``W^{2,1}``: the density and its derivative ``2 pi sin(2 pi t)``
+    both vanish at 0 and 1.
+    """
 
     def __init__(self):
         self.name = "raised_cosine"
@@ -309,10 +297,6 @@ class RaisedCosineDensity(DisorderDensity):
         tc = np.clip(t, 0.0, 1.0)
         out = tc - np.sin(2.0 * np.pi * tc) / (2.0 * np.pi)
         return out if out.ndim else float(out)
-
-    def in_sobolev_class(self) -> bool:
-        # pdf and its derivative 2*pi*sin(2*pi*t) both vanish at 0 and 1
-        return True
 
     def config_key(self):
         return {"kind": "preset", "name": "raised_cosine"}
@@ -426,14 +410,16 @@ class SingleSitePotential:
             out = out + v * np.exp(1j * (theta @ np.asarray(site, dtype=float)))
         return complex(out) if (scalar_1d or out.ndim == 0) else out
 
-    def fourier_grid(self, resolution: int) -> np.ndarray:
-        """Fourier transform on the uniform grid ``theta_j = 2 pi j / resolution``."""
-        if resolution < 1:
-            raise ValueError("grid resolution must be positive")
-        axis = 2.0 * np.pi * np.arange(resolution) / resolution
-        mesh = np.meshgrid(*([axis] * self.dimension), indexing="ij")
-        theta = np.stack(mesh, axis=-1)
-        return self.fourier(theta)
+    def torus_table(self, side: int) -> np.ndarray:
+        """``u`` on the d-torus of the given side, offset ``o`` at index ``o mod side``.
+
+        Its ``fftn`` is the symbol on the torus frequencies, conjugated by
+        the FFT's sign convention.
+        """
+        table = np.zeros((side,) * self.dimension)
+        for offset, value in self._values.items():
+            table[tuple(c % side for c in offset)] = value
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +432,19 @@ class AssumptionReport:
 
     ``satisfied`` certifies a non-vanishing Fourier transform either through
     the diagonal-dominance condition (exact) or through the grid minimum
-    minus the Lipschitz slack of the trigonometric polynomial.
+    minus the Lipschitz slack of the trigonometric polynomial.  The density
+    half needs no field: a ``DisorderDensity`` is in ``W^{2,1}`` once built.
     """
 
     fourier_min_modulus: float
     dominance_holds: bool
-    density_in_w21: bool
     lipschitz_slack: float
     grid_resolution: int
 
     @property
     def satisfied(self) -> bool:
         positive = self.fourier_min_modulus - self.lipschitz_slack > 0.0
-        return self.density_in_w21 and (self.dominance_holds or positive)
+        return self.dominance_holds or positive
 
 
 def check_assumption(
@@ -469,17 +455,22 @@ def check_assumption(
     """Certify the disorder assumption on a finite Fourier grid.
 
     ``grid_resolution`` points per dimension must be at least twice the
-    support side ``2 R + 1`` (Nyquist for the trigonometric polynomial).
+    support side ``2 R + 1`` (Nyquist for the trigonometric polynomial), so
+    no two offsets of ``u`` share a torus cell and ``|fftn|`` of the torus
+    table is ``|u^|`` on the grid ``theta_j = 2 pi j / resolution``.
     Off-grid values are controlled by the Lipschitz bound
-    ``|u|_1 * R * d * pi / resolution``.
+    ``|u|_1 * R * d * pi / resolution``.  The density is only type-checked:
+    a ``DisorderDensity`` refuses to be built outside ``W^{2,1}``.
     """
+    if not isinstance(density, DisorderDensity):
+        raise TypeError("the density must be a DisorderDensity")
     nyquist = 2 * (2 * potential.support_radius + 1)
     if grid_resolution < nyquist:
         raise ValueError(
             f"grid_resolution {grid_resolution} below the Nyquist floor {nyquist}"
         )
-    values = potential.fourier_grid(grid_resolution)
-    min_modulus = float(np.min(np.abs(values)))
+    symbol = np.fft.fftn(potential.torus_table(grid_resolution))
+    min_modulus = float(np.min(np.abs(symbol)))
     slack = (
         potential.l1_norm
         * potential.support_radius
@@ -490,7 +481,6 @@ def check_assumption(
     return AssumptionReport(
         fourier_min_modulus=min_modulus,
         dominance_holds=potential.dominant_site() is not None,
-        density_in_w21=density.in_sobolev_class(),
         lipschitz_slack=slack,
         grid_resolution=grid_resolution,
     )

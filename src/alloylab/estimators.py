@@ -32,13 +32,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .disorder import DisorderDensity, SingleSitePotential
-from .lattice import Box, Site, box, origin, sup_distance
+from .lattice import Box, Site, box, envelope_box, origin, sup_distance
 from .operator import (
     MIN_IMAG_PART,
     base_matrix,
     hamiltonian_stack,
     potential_profiles,
-    require_dense,
     resolvent_columns,
 )
 from .transform import build_circulant, minami_constants
@@ -382,7 +381,7 @@ def _chunk_for(matrix_dim: int) -> int:
 
 def _draw_potentials(cfg: ExperimentConfig, inner: Box, indices, attempt: int = 0) -> np.ndarray:
     """Profiles over ``inner``, one row per sample, from block ``attempt`` of its envelope draws."""
-    field = Box(inner.center, inner.radius + cfg.potential.support_radius)
+    field = envelope_box(inner, cfg.potential.support_radius)
     couplings = cfg.density.quantile(uniforms(cfg.seed, indices, field.size, attempt))
     return potential_profiles(inner, cfg.potential, field, couplings)
 
@@ -400,7 +399,6 @@ def _counts(base: np.ndarray, lam: float, profiles: np.ndarray, intervals) -> np
 def _batched_counts(cfg: ExperimentConfig, intervals) -> Callable:
     """Kernel computing each sample's eigenvalue counts in every interval."""
     inner = cfg.inner_box
-    require_dense(inner.size)
     base = base_matrix(inner, cfg.shifted_laplacian)
 
     def kernel(indices):
@@ -429,7 +427,7 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     inner = cfg.inner_box
     if not (inner.contains(cfg.site_x) and inner.contains(cfg.site_y)):
         raise ValueError("both sites must lie in the box")
-    require_dense(inner.size)
+    base = base_matrix(inner, cfg.shifted_laplacian)
 
     started = time.perf_counter()
     lam = cfg.disorder_strength
@@ -442,7 +440,6 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     )
     bound = constants.determinant_bound if constants else math.inf
 
-    base = base_matrix(inner, cfg.shifted_laplacian)
     ix, iy = inner.index_of(cfg.site_x), inner.index_of(cfg.site_y)
     envelope_cap = z.imag**-2
 
@@ -490,7 +487,17 @@ def estimate_wegner(cfg: ExperimentConfig) -> MCEstimate:
     a zero-width interval) so sweeps over interval widths can certify
     boundedness.
     """
-    return _wegner_estimates(cfg, [cfg.interval])[0]
+    return _wegner_estimates(cfg, [cfg])[0]
+
+
+def sweep_configs(
+    cfg: ExperimentConfig, widths: Sequence[float], center: float
+) -> list[ExperimentConfig]:
+    """One config per width: ``cfg`` with the interval of that width around ``center``.
+
+    The one expansion rule of a sweep; each config's digest is its record's.
+    """
+    return [replace(cfg, interval=(center - w / 2.0, center + w / 2.0)) for w in widths]
 
 
 def wegner_ratio_sweep(
@@ -501,15 +508,15 @@ def wegner_ratio_sweep(
     Every width is counted against the same samples, one draw and one
     eigensolve each; every estimate carries its own interval's digest.
     """
-    return _wegner_estimates(cfg, [(center - w / 2.0, center + w / 2.0) for w in widths])
+    return _wegner_estimates(cfg, sweep_configs(cfg, widths, center))
 
 
-def _wegner_estimates(cfg: ExperimentConfig, intervals: list) -> list[MCEstimate]:
-    """One counting run of ``cfg``'s samples, one estimate per interval."""
+def _wegner_estimates(cfg: ExperimentConfig, swept: list) -> list[MCEstimate]:
+    """One counting run of ``cfg``'s samples, one estimate per config of ``swept``."""
+    intervals = [c.interval for c in swept]
     if not intervals or None in intervals:
         raise ValueError("counting estimator needs an interval")
     started = time.perf_counter()
-    swept = [replace(cfg, interval=interval) for interval in intervals]
     size = cfg.inner_box.size
     kernel = _batched_counts(cfg, intervals)
     values = run_parallel(kernel, cfg.n_samples, len(swept), cfg.workers, _chunk_for(size))
@@ -615,11 +622,11 @@ def probe_fvc(
         raise ValueError(f"box radii must be at least 1, got {list(radii)}")
     energy = float(cfg.energy.real)
     lam = cfg.disorder_strength
+    boxes = [box(int(radius), cfg.dimension) for radius in radii]
+    # every radius passes the dense cap before the first one is sampled
+    bases = [base_matrix(inner, cfg.shifted_laplacian) for inner in boxes]
     results = []
-    for radius in radii:
-        inner = box(int(radius), cfg.dimension)
-        require_dense(inner.size)
-        base = base_matrix(inner, cfg.shifted_laplacian)
+    for radius, inner, base in zip(radii, boxes, bases):
         sites = inner.site_array()
         seps = np.max(np.abs(sites[:, None, :] - sites[None, :, :]), axis=2)
         pair_mask = seps >= radius / 2.0
@@ -696,7 +703,7 @@ def probe_fractional_moment(
     if cfg.energy is None or cfg.energy.imag <= MIN_IMAG_PART:
         raise ValueError(f"fractional moment probe needs Im z > {MIN_IMAG_PART}")
     inner = cfg.inner_box
-    require_dense(inner.size)
+    base = base_matrix(inner, cfg.shifted_laplacian)
     if pairs is None:
         anchor = origin(cfg.dimension)
         pairs = [
@@ -711,7 +718,6 @@ def probe_fractional_moment(
             raise ValueError(f"pair {(x, y)} leaves the box")
     if len({sup_distance(x, y) for x, y in pairs}) < 2:
         raise ValueError("the decay fit needs pairs at two or more distinct distances")
-    base = base_matrix(inner, cfg.shifted_laplacian)
     pair_rows = np.array([inner.index_of(x) for x, _ in pairs])
     # G(z; x, y) is entry x of resolvent column y; solve each distinct column once
     columns, pair_cols = np.unique([inner.index_of(y) for _, y in pairs], return_inverse=True)

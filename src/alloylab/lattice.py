@@ -97,23 +97,14 @@ def box(radius: int, dimension: int, center: Site | None = None) -> Box:
     return Box(center if center is not None else origin(dimension), radius)
 
 
-def envelope_box(lambda_box: Box, reach: int, potential=None) -> Box:
+def envelope_box(lambda_box: Box, reach: int) -> Box:
     """Enlarged box holding every coupling that can influence ``lambda_box``.
 
-    For an origin-centered box of radius ``l`` and a profile supported in the
-    radius-``reach`` cube this is the origin-centered box of radius
-    ``l + reach``.  If ``potential`` is given, ``reach`` must cover its
-    declared support radius.
+    For a box of radius ``l`` and a profile supported in the radius-``reach``
+    cube this is the box of radius ``l + reach`` with the same center.
     """
-    if any(c != 0 for c in lambda_box.center):
-        raise ValueError("envelope construction assumes an origin-centered box")
     if reach < 0:
         raise ValueError(f"reach must be non-negative, got {reach}")
-    if potential is not None and reach < potential.support_radius:
-        raise ValueError(
-            f"reach {reach} is smaller than the potential support radius "
-            f"{potential.support_radius}"
-        )
     return Box(lambda_box.center, lambda_box.radius + int(reach))
 
 

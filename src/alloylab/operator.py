@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .disorder import CouplingConfiguration, SingleSitePotential
 from .lattice import Box, Site, envelope_box
-from .transform import periodic_convolution, torus_table
+from .transform import periodic_convolution
 
 DENSE_SOLVE_LIMIT = 4096
 MIN_IMAG_PART = 1e-14
@@ -54,8 +54,11 @@ def laplacian_matrix(box: Box) -> np.ndarray:
 def base_matrix(box: Box, shifted: bool) -> np.ndarray:
     """The potential-free part of the Hamiltonian on the box.
 
-    The Laplacian, plus ``2d`` on the diagonal when ``shifted``.
+    The Laplacian, plus ``2d`` on the diagonal when ``shifted``.  Every
+    dense Hamiltonian starts here, so this is where the dense cap refuses a
+    box (``ResourceLimit``), before anything is sampled.
     """
+    require_dense(box.size)
     h = laplacian_matrix(box)
     if shifted:
         idx = np.arange(box.size)
@@ -92,7 +95,7 @@ def potential_profiles(
         raise ValueError("the envelope of the box leaves the coupling field")
     lead = couplings.shape[:-1]
     grid = couplings.reshape(lead + (field.side,) * field.dimension)
-    grid = periodic_convolution(torus_table(potential, field.side), grid)
+    grid = periodic_convolution(potential.torus_table(field.side), grid)
     window = tuple(slice(s, s + box.side) for s in start)
     return grid[(...,) + window].reshape(lead + (box.size,))
 

@@ -15,10 +15,12 @@ from scipy import stats as scipy_stats
 
 from .estimators import ExperimentConfig, _draw_potentials, run_parallel, sample_correlation
 from .lattice import box
-from .operator import base_matrix, chain_eigenvalues, hamiltonian_stack, require_dense
+from .operator import base_matrix, chain_eigenvalues, hamiltonian_stack
 
 KS_CRITICAL_SCALE = 1.358  # asymptotic 5% Kolmogorov-Smirnov constant
 MIN_GAPS_FOR_KS = 50
+MIN_EXPECTED_COUNT = 5.0  # chi-square bins are pooled up to this expected count
+UNIT_INTERVAL = (0.0, 1.0)  # the unfolded interval whose count should have mean one
 
 
 def spectral_range(cfg: ExperimentConfig) -> tuple[float, float]:
@@ -51,7 +53,6 @@ def _eigenvalue_kernel(cfg: ExperimentConfig, radius: int):
     inner = box(radius, cfg.dimension)
     lam = cfg.disorder_strength
     if cfg.dimension > 1:
-        require_dense(inner.size)
         base = base_matrix(inner, cfg.shifted_laplacian)
 
     def kernel(indices):
@@ -214,13 +215,11 @@ def exponential_ks_statistic(gaps: np.ndarray) -> float:
     return float(max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n))))
 
 
-def poisson_count_chisquare(
-    counts: np.ndarray, mean: float, min_expected: float = 5.0
-) -> tuple[float, int, float]:
+def poisson_count_chisquare(counts: np.ndarray, mean: float) -> tuple[float, int, float]:
     """Chi-square of an integer count histogram against a Poisson law.
 
     Bins are pooled from both tails until every expected count reaches
-    ``min_expected``.  Returns (statistic, dof, p-value); dof < 1 signals
+    ``MIN_EXPECTED_COUNT``.  Returns (statistic, dof, p-value); dof < 1 signals
     that pooling collapsed everything.
     """
     counts = np.asarray(counts, dtype=int)
@@ -236,7 +235,7 @@ def poisson_count_chisquare(
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED_COUNT:
             pooled_obs.append(acc_o)
             pooled_exp.append(acc_e)
             acc_o = acc_e = 0.0
@@ -330,11 +329,7 @@ def window_gaps(sample: RescaledSample, lo: float, hi: float) -> np.ndarray:
     return np.diff(xi)[mask]
 
 
-def poisson_tests(
-    samples: list[RescaledSample],
-    window: tuple[float, float],
-    unit_interval: tuple[float, float] = (0.0, 1.0),
-) -> PointProcessStats:
+def poisson_tests(samples: list[RescaledSample], window: tuple[float, float]) -> PointProcessStats:
     """Test a family of unfolded spectra against the unit Poisson process.
 
     Pooled in-window gaps are compared to the unit exponential law by a KS
@@ -365,9 +360,7 @@ def poisson_tests(
         second = np.array([s.count_in(hi - 1.0, hi) for s in samples], dtype=float)
         correlation = sample_correlation(first, second)
 
-    unit_counts = np.array(
-        [s.count_in(unit_interval[0], unit_interval[1]) for s in samples], dtype=float
-    )
+    unit_counts = np.array([s.count_in(*UNIT_INTERVAL) for s in samples], dtype=float)
     unit_mean = float(unit_counts.mean())
     unit_stderr = (
         float(unit_counts.std(ddof=1) / math.sqrt(n_real)) if n_real > 1 else 0.0

@@ -49,14 +49,6 @@ class CirculantTransform:
         return np.roll(self.kernel, shift, axis=tuple(range(self.kernel.ndim))).ravel()
 
 
-def torus_table(potential: SingleSitePotential, side: int) -> np.ndarray:
-    """``u`` on the d-torus of the given side, offset ``o`` at index ``o mod side``."""
-    table = np.zeros((side,) * potential.dimension)
-    for offset, value in potential.items():
-        table[tuple(c % side for c in offset)] = value
-    return table
-
-
 def periodic_convolution(
     table: np.ndarray, grid: np.ndarray, minus_delta: bool = False
 ) -> np.ndarray:
@@ -84,7 +76,7 @@ def _reciprocal_kernel(
     of iterative refinement, then zeroing roundoff-level coefficients, makes
     finitely supported inverses (a pure delta) come out exact.
     """
-    table = torus_table(potential, side)
+    table = potential.torus_table(side)
     symbol = np.fft.fftn(table)
     modulus = np.abs(symbol)
     if np.min(modulus) <= floor * max(1.0, potential.l1_norm):
@@ -107,7 +99,7 @@ def build_circulant(potential: SingleSitePotential, lambda_box: Box) -> Circulan
         raise ValueError("transform construction assumes an origin-centered box")
     if potential.dimension != lambda_box.dimension:
         raise ValueError("potential dimension does not match the box")
-    env = envelope_box(lambda_box, potential.support_radius, potential=potential)
+    env = envelope_box(lambda_box, potential.support_radius)
     table, kernel, modulus = _reciprocal_kernel(potential, env.side, 1e-12)
     if kernel is None:
         freq = np.unravel_index(int(np.argmin(modulus)), modulus.shape)

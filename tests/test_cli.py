@@ -197,6 +197,17 @@ def test_minami_command_and_digest_verify(tmp_path):
     assert main(["verify-digest", "--config", other, "--records", records_path]) == 1
 
 
+def test_wegner_sweep_records_verify(tmp_path):
+    sweep = base_fields(box_radius=3, widths=[0.1, 0.2], center=1.0, samples=100)
+    cfg = write_config(tmp_path, **sweep)
+    out = tmp_path / "run"
+    assert main(["wegner", "--config", cfg, "--out", str(out)]) == 0
+    records_path = str(out / "results.jsonl")
+    assert main(["verify-digest", "--config", cfg, "--records", records_path]) == 0
+    other = write_config(tmp_path, name="other.json", **{**sweep, "center": 1.5})
+    assert main(["verify-digest", "--config", other, "--records", records_path]) == 1
+
+
 def ids_fields(**extra):
     fields = dict(disorder_strength=4.0, ids_radius=40, ids_realizations=6, ids_grid_points=501)
     fields.update(extra)
@@ -399,6 +410,27 @@ def test_resource_cap_guidance(tmp_path, capsys):
     assert "4489" in err and "4096" in err
 
 
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("wegner", base_fields(dimension=2, box_radius=40, interval=[0.9, 1.1])),
+        ("two-ev", base_fields(dimension=2, box_radius=40, interval=[0.9, 1.1])),
+        # the first radius fits; the second is refused before the first is sampled
+        ("fvc", fvc_fields(dimension=2, decay_exponent=6.0, radii=[2, 40])),
+        ("fmb", fmb_fields(dimension=2, box_radius=40)),
+    ],
+    ids=["wegner", "two-ev", "fvc", "fmb"],
+)
+def test_resource_cap_refused_before_sampling(tmp_path, monkeypatch, capsys, command, fields):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **fields)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap:") and "6561" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectra commands
 # ---------------------------------------------------------------------------
@@ -415,6 +447,19 @@ def test_ids_free_chain_closed_form(tmp_path, capsys):
     assert record["free_ids_sup_distance"] < 0.01
     header = (out / "ids.csv").read_text().splitlines()[0]
     assert header == "energy,ids"
+
+
+def test_ids_free_chain_closed_form_shifted(tmp_path):
+    # the shifted free chain has spectrum [0, 4]; its IDS is the same law moved by 2
+    cfg = write_config(
+        tmp_path,
+        **base_fields(disorder_strength=0.0, ids_radius=1000, ids_realizations=1,
+                      ids_grid_points=4001, shifted_laplacian=True),
+    )
+    out = tmp_path / "run"
+    assert main(["ids", "--config", cfg, "--out", str(out)]) == 0
+    (record,) = read_records(out)
+    assert record["free_ids_sup_distance"] < 0.01
 
 
 def test_spacing_synthetic_poisson_passes(tmp_path):

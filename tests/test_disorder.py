@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy import integrate
 
 from alloylab.disorder import (
@@ -120,14 +123,27 @@ def test_cdf_quantile_roundtrip():
         assert np.max(np.abs(rho.cdf(t) - q)) < 1e-10
 
 
-def test_two_piece_spline_density():
+def spline_density():
     # C^1 cubic pair glued at 1/2: 24t^2 - 32t^3 mirrored; peak 2, flat
     # derivative at 0, 1/2, 1
     profile = PiecewiseProfile(
         (0.0, 0.5, 1.0),
         ((0.0, 0.0, 24.0, -32.0), (-8.0, 48.0, -72.0, 32.0)),
     )
-    rho = PiecewisePolynomialDensity(profile)
+    return PiecewisePolynomialDensity(profile)
+
+
+def skewed_density():
+    # smoothstep up to 2 on [0, 1/4], smoothstep down on [1/4, 1]: C^1, asymmetric
+    profile = PiecewiseProfile(
+        (0.0, 0.25, 1.0),
+        ((0.0, 0.0, 96.0, -256.0), (32 / 27, 192 / 27, -480 / 27, 256 / 27)),
+    )
+    return PiecewisePolynomialDensity(profile)
+
+
+def test_two_piece_spline_density():
+    rho = spline_density()
     assert rho.sup_norm == pytest.approx(2.0, abs=1e-13)
     assert rho.d1_norm == pytest.approx(4.0, abs=1e-13)
     # rho'' changes sign at 1/4 and 3/4; rho' peaks at +-6
@@ -135,6 +151,65 @@ def test_two_piece_spline_density():
     assert rho.cdf(0.5) == pytest.approx(0.5, abs=1e-14)
     q = np.linspace(0.01, 0.99, 51)
     assert np.max(np.abs(rho.cdf(rho.quantile(q)) - q)) < 1e-10
+
+
+def reference_cdf(rho, t):
+    """The piecewise CDF written out, integrating each piece on every call."""
+    t = np.asarray(t, dtype=float)
+    bp = np.asarray(rho.profile.breakpoints)
+    masses = []
+    for (a, b), c in zip(zip(bp, bp[1:]), rho.profile.coefficients):
+        anti = npoly.polyint(np.asarray(c))
+        masses.append(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+    cum = np.concatenate([[0.0], np.cumsum(np.asarray(masses))])
+    out = np.zeros_like(t)
+    out[t >= bp[-1]] = 1.0
+    inside = (t >= bp[0]) & (t < bp[-1])
+    if np.any(inside):
+        idx = np.clip(np.searchsorted(bp, t[inside], side="right") - 1, 0, len(masses) - 1)
+        vals = np.empty(idx.shape)
+        for i, coeffs in enumerate(rho.profile.coefficients):
+            mask = idx == i
+            if np.any(mask):
+                anti = npoly.polyint(np.asarray(coeffs))
+                vals[mask] = npoly.polyval(t[inside][mask], anti) - npoly.polyval(bp[i], anti)
+        out[inside] = cum[idx] + vals
+    return out
+
+
+PIECEWISE_DENSITIES = {"bump": bump_density(), "spline": spline_density(), "skewed": skewed_density()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PIECEWISE_DENSITIES)),
+    points=st.lists(st.floats(-0.5, 1.5, allow_nan=False), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cdf_matches_reference_bit_for_bit(name, points, seed):
+    rho = PIECEWISE_DENSITIES[name]
+    # drawn points, a dense uniform spread (drawn floats favour short binary
+    # fractions, on which a reordered sum often keeps its bits), every
+    # breakpoint, and points on both sides of the support
+    spread = np.random.default_rng(seed).uniform(-0.25, 1.25, 256).tolist()
+    edges = list(rho.profile.breakpoints) + [-1.0, -1e-300, 1.0 + 1e-15, 2.0]
+    t = np.array(points + spread + edges)
+    assert rho.cdf(t).tobytes() == reference_cdf(rho, t).tobytes()
+    for x in t[:5]:
+        assert rho.cdf(float(x)) == reference_cdf(rho, x)
+
+
+def test_quantile_pinned_values():
+    # the literal sampling contract: a new quantile algorithm must change these on purpose
+    q = [1e-9, 0.25, 0.5, 0.9, 1.0 - 1e-9]
+    assert bump_density().quantile(q).tolist() == [
+        0.0004642666604013357, 0.3594361647897131, 0.49999999999954525,
+        0.7533635467111708, 0.9995357333541506,
+    ]
+    assert spline_density().quantile(q).tolist() == [
+        0.000500083374845417, 0.3668073739186184, 0.49999999999954525,
+        0.7438629777775532, 0.9994999165060108,
+    ]
 
 
 def test_discontinuous_pieces_rejected():
@@ -184,7 +259,6 @@ def test_check_assumption_delta():
     report = check_assumption(SingleSitePotential.delta(1), bump_density(), 8)
     assert report.fourier_min_modulus == pytest.approx(1.0)
     assert report.dominance_holds
-    assert report.density_in_w21
     assert report.satisfied
 
 
@@ -229,6 +303,27 @@ def test_dominance_implies_positive_fourier_minimum():
         report = check_assumption(u, bump_density(), 64)
         assert report.fourier_min_modulus >= margin - 1e-12
         assert report.satisfied
+
+
+@st.composite
+def potentials(draw):
+    d = draw(st.integers(1, 3))
+    reach = draw(st.integers(0, 2 if d < 3 else 1))
+    offsets = st.tuples(*[st.integers(-reach, reach)] * d)
+    weights = st.floats(-2.0, 2.0).filter(lambda v: abs(v) > 1e-3)
+    return SingleSitePotential(draw(st.dictionaries(offsets, weights, min_size=1, max_size=6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(u=potentials(), extra=st.integers(0, 4))
+def test_symbol_minimum_matches_explicit_sum(u, extra):
+    # the FFT of the torus table against the exponential sum on the same grid
+    resolution = 2 * (2 * u.support_radius + 1) + extra
+    report = check_assumption(u, bump_density(), resolution)
+    axis = 2.0 * np.pi * np.arange(resolution) / resolution
+    theta = np.stack(np.meshgrid(*([axis] * u.dimension), indexing="ij"), axis=-1)
+    explicit = float(np.min(np.abs(u.fourier(theta))))
+    assert abs(report.fourier_min_modulus - explicit) <= 1e-14 * u.l1_norm
 
 
 def test_potential_rejects_empty_and_mixed_dimension():

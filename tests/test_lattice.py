@@ -65,22 +65,26 @@ def test_envelope_2d_size():
     assert env.radius == 5 and env.size == 121
 
 
-def test_envelope_rejects_small_reach():
-    u = SingleSitePotential({(0,): 1.0, (2,): 0.5})
+def test_envelope_off_center_keeps_center():
+    env = envelope_box(Box((4, -3), 1), 2)
+    assert env == Box((4, -3), 3)
     with pytest.raises(ValueError):
-        envelope_box(box(1, 1), 1, potential=u)
-    assert envelope_box(box(1, 1), 2, potential=u).radius == 3
+        envelope_box(Box((1,), 1), -1)
 
 
-def test_envelope_requires_origin_center():
-    with pytest.raises(ValueError):
-        envelope_box(Box((1,), 1), 1)
+def test_envelope_off_center_covers_influencing_couplings():
+    u = SingleSitePotential({(0, 0): 1.0, (2, -1): -0.25})
+    b = Box((5, -2), 1)
+    env = envelope_box(b, u.support_radius)
+    for x in b.sites():
+        for offset, _ in u.items():
+            assert env.contains(tuple(a - o for a, o in zip(x, offset)))
 
 
 def test_envelope_covers_influencing_couplings():
     u = SingleSitePotential({(0, 0): 1.0, (1, -1): -0.25})
     b = box(2, 2)
-    env = envelope_box(b, u.support_radius, potential=u)
+    env = envelope_box(b, u.support_radius)
     for x in b.sites():
         for offset, _ in u.items():
             k = tuple(a - o for a, o in zip(x, offset))

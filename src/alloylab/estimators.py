@@ -7,9 +7,11 @@ is likewise deterministic.  Every Green entry comes from
 ``operator.resolvent_columns``; in every estimator and probe, samples whose
 solve cannot be certified become NaN rows, are counted, and fail the run
 beyond a 0.1% cap.  Determinant samples outside the resolvent envelope
-abort the run as numerical faults.  Inside ``run_parallel`` BLAS runs on
-one thread at every worker count, so worker threads are the one source of
-parallelism and LAPACK sums in the same order whatever their number.
+abort the run as numerical faults.  ``run_parallel`` is the one parallel
+driver: at ``workers > 1`` it forks worker processes that write their rows
+into shared memory, so work that holds the GIL scales too.  BLAS runs on
+one thread in every worker, so LAPACK sums in the same order whatever
+their number.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import hashlib
 import importlib
 import json
 import math
+import mmap
 import os
+import pickle
+import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -170,31 +174,92 @@ def run_parallel(
     The kernel maps an array of sample indices to one row per sample (NaN
     rows mark failed samples).  Chunk boundaries depend only on
     ``chunk_size``, never on ``workers``, and BLAS is pinned to one thread
-    at every worker count.
+    at every worker count.  At ``W = min(workers, chunks) > 1`` the caller
+    forks ``W - 1`` processes (POSIX only) and worker ``w`` runs chunks
+    ``w, w + W, ...`` into shared memory, so only the returned rows come
+    back.  The lowest failing chunk's exception is raised, as at one worker.
     """
     if n_samples <= 0:
         raise ValueError("empty sample")
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    values = np.full((n_samples, n_columns), np.nan)
     spans = [(s, min(s + chunk_size, n_samples)) for s in range(0, n_samples, chunk_size)]
+    n_workers = min(workers, len(spans))
+    if n_workers == 1:
+        values = np.empty((n_samples, n_columns))
+    else:
+        shared = mmap.mmap(-1, 8 * max(n_samples * n_columns, 1))
+        values = np.frombuffer(shared, count=n_samples * n_columns).reshape(n_samples, n_columns)
+    values.fill(np.nan)
 
-    def work(span):
-        start, stop = span
-        out = kernel(np.arange(start, stop))
-        if out.shape != (stop - start, n_columns):
-            raise RuntimeError(f"kernel returned shape {out.shape}")
-        values[start:stop, :] = out
+    def run_spans(worker, catch):
+        """Run worker ``worker``'s chunks in order; its first failure as (chunk, exception)."""
+        for index in range(worker, len(spans), n_workers):
+            start, stop = spans[index]
+            try:
+                out = kernel(np.arange(start, stop))
+                if out.shape != (stop - start, n_columns):
+                    raise RuntimeError(f"kernel returned shape {out.shape}")
+            except catch as exc:
+                return index, exc
+            values[start:stop, :] = out
 
     with blas_threads(PINNED_BLAS_THREADS):
-        if workers == 1:
-            for span in spans:
-                work(span)
+        if n_workers == 1:
+            run_spans(0, ())
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for future in [pool.submit(work, span) for span in spans]:
-                    future.result()
+            _run_forked(run_spans, n_workers)
     return values
+
+
+def _run_forked(run_spans, n_workers: int) -> None:
+    """Run ``run_spans(w, ...)`` in worker ``w``: the caller is worker 0 and forks the rest.
+
+    A child pickles its first failure down a pipe and leaves by ``os._exit``.
+    Every child is reaped, and killed first if the caller raises.
+    """
+    children = {}
+    try:
+        for worker in range(1, n_workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                failure = True  # stays truthy, so the exit is 1, if reporting fails
+                try:
+                    if failure := run_spans(worker, BaseException):
+                        with open(write_fd, "wb") as pipe:
+                            pipe.write(_pickled_failure(*failure))
+                finally:
+                    os._exit(1 if failure else 0)
+            os.close(write_fd)
+            children[pid] = (worker, open(read_fd, "rb"))
+        failures = [run_spans(0, Exception)]
+        for pid, (worker, pipe) in list(children.items()):
+            message = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            pipe.close()
+            if message or status:
+                failures.append(pickle.loads(message) if message else (worker, RunFailure(
+                    f"worker {worker} exited with status {status} without a report"
+                )))
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures := [failure for failure in failures if failure]:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+
+def _pickled_failure(index: int, exc: BaseException) -> bytes:
+    """``(index, exc)`` pickled, or a ``RunFailure`` naming ``exc`` if that does not round-trip."""
+    try:
+        pickle.loads(message := pickle.dumps((index, exc)))
+        return message
+    except Exception:
+        return pickle.dumps((index, RunFailure(
+            f"chunk {index} raised an exception that cannot be pickled: {exc!r}"
+        )))
 
 
 def column_summary(values: np.ndarray, column: int) -> tuple[float, float, int, int]:

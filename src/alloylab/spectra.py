@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
 
 from .estimators import ExperimentConfig, _draw_potentials, run_parallel, sample_correlation
 from .lattice import box
@@ -215,6 +215,11 @@ def exponential_ks_statistic(gaps: np.ndarray) -> float:
     return float(max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n))))
 
 
+def poisson_pmf(k, mean):
+    """Poisson probabilities ``mean**k exp(-mean) / k!``, computed as ``scipy.stats`` does."""
+    return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+
+
 def poisson_count_chisquare(counts: np.ndarray, mean: float) -> tuple[float, int, float]:
     """Chi-square of an integer count histogram against a Poisson law.
 
@@ -226,8 +231,8 @@ def poisson_count_chisquare(counts: np.ndarray, mean: float) -> tuple[float, int
     n = counts.size
     kmax = int(max(counts.max(), math.ceil(mean))) + 1
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
-    expected = n * scipy_stats.poisson.pmf(np.arange(kmax + 1), mean)
-    expected[-1] = n * scipy_stats.poisson.sf(kmax - 1, mean)  # open tail bin
+    expected = n * poisson_pmf(np.arange(kmax + 1), mean)
+    expected[-1] = n * special.pdtrc(kmax - 1, mean)  # open tail bin: P(K >= kmax)
 
     pooled_obs: list[float] = []
     pooled_exp: list[float] = []
@@ -248,7 +253,7 @@ def poisson_count_chisquare(counts: np.ndarray, mean: float) -> tuple[float, int
     obs = np.asarray(pooled_obs)
     exp = np.asarray(pooled_exp)
     statistic = float(np.sum((obs - exp) ** 2 / exp))
-    return statistic, dof, float(scipy_stats.chi2.sf(statistic, dof))
+    return statistic, dof, float(special.chdtrc(dof, statistic))
 
 
 @dataclass

@@ -352,10 +352,11 @@ def test_probe_records_count_failed_samples(tmp_path, monkeypatch, command, fiel
         return solutions, certified
 
     monkeypatch.setattr(estimators, "resolvent_columns", first_member_uncertified_once)
-    # one uncertified sample of 1000 stays within the 0.1% cap
+    # one uncertified sample of 1000 stays within the 0.1% cap; one worker,
+    # so that every call reaches the spy's list in this process
     cfg = write_config(tmp_path, **fields)
     out = tmp_path / "run"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert main([command, "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
     (record,) = [r for r in read_records(out) if r["kind"] in ("fvc_point", "fmb_fit")]
     assert record["n_failed"] == 1
     assert len(calls) > 1

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 import warnings
 from dataclasses import replace
 
@@ -71,6 +73,129 @@ def test_run_parallel_worker_count_invariance():
     one = run_parallel(kernel, 300, 1, workers=1, chunk_size=64)
     eight = run_parallel(kernel, 300, 1, workers=8, chunk_size=64)
     assert np.array_equal(one, eight)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_parallel_deals_chunks_round_robin():
+    # worker w runs chunks w, w + W, ...; the caller is worker 0
+    def kernel(indices):
+        return np.full((len(indices), 1), float(os.getpid()))
+
+    pids = run_parallel(kernel, 40, 1, workers=3, chunk_size=8)[::8, 0]
+    assert pids[0] == pids[3] == os.getpid()
+    assert len({pids[0], pids[1], pids[2]}) == 3
+    assert pids[4] == pids[1]
+    # a single chunk stays in the caller whatever the worker count
+    assert np.all(run_parallel(kernel, 10, 1, workers=8, chunk_size=64) == os.getpid())
+    assert_no_child_left()
+
+
+def chunk_of(indices):
+    return int(indices[0]) // 8
+
+
+@pytest.mark.parametrize("failing", [(3, 5), (1, 2), (2, 4), (6,)])
+@pytest.mark.parametrize("fault", ["raise", "shape"])
+def test_run_parallel_raises_the_lowest_failing_chunk_at_any_worker_count(failing, fault):
+    def kernel(indices):
+        chunk = chunk_of(indices)
+        if chunk in failing and fault == "raise":
+            raise ZeroDivisionError(f"chunk {chunk} failed")
+        return np.zeros((len(indices), 1 + (chunk in failing) * chunk))
+
+    error, message = {
+        "raise": (ZeroDivisionError, f"chunk {failing[0]} failed"),
+        "shape": (RuntimeError, f"kernel returned shape (8, {1 + failing[0]})"),
+    }[fault]
+    for workers in (1, 2, 3):
+        with pytest.raises(Exception) as raised:
+            run_parallel(kernel, 64, 1, workers=workers, chunk_size=8)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_parallel_child_exit_without_report_is_a_run_failure(workers):
+    parent = os.getpid()
+
+    def kernel(indices):
+        if os.getpid() != parent:
+            os._exit(3)
+        return np.zeros((len(indices), 1))
+
+    with pytest.raises(RunFailure, match="worker 1 exited with status 3"):
+        run_parallel(kernel, 64, 1, workers=workers, chunk_size=8)
+    assert_no_child_left()
+
+
+class HoldsLambda(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.callback = lambda: None
+
+
+class NeedsTwoArguments(Exception):
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+@pytest.mark.parametrize(
+    "error, name",
+    [(HoldsLambda, "HoldsLambda('holds a lambda')"),
+     (lambda: NeedsTwoArguments(1, 2), "NeedsTwoArguments('1 and 2')")],
+)
+def test_run_parallel_unpicklable_exception_is_a_run_failure(error, name):
+    parent = os.getpid()
+
+    def kernel(indices):
+        if os.getpid() != parent:
+            raise error()
+        return np.zeros((len(indices), 1))
+
+    with pytest.raises(RunFailure) as raised:
+        run_parallel(kernel, 64, 1, workers=2, chunk_size=8)
+    assert str(raised.value) == f"chunk 1 raised an exception that cannot be pickled: {name}"
+    assert_no_child_left()
+
+
+class CannotBeReported(HoldsLambda):
+    def __repr__(self):
+        raise ValueError("no repr either")
+
+
+def test_run_parallel_child_that_cannot_report_is_a_run_failure():
+    # pickling fails and so does the fallback's repr: the child must still
+    # exit non-zero, not leave its rows NaN behind a clean exit
+    parent = os.getpid()
+
+    def kernel(indices):
+        if os.getpid() != parent:
+            raise CannotBeReported()
+        return np.zeros((len(indices), 1))
+
+    with pytest.raises(RunFailure, match="worker 1 exited with status 1"):
+        run_parallel(kernel, 64, 1, workers=2, chunk_size=8)
+    assert_no_child_left()
+
+
+def test_run_parallel_interrupt_kills_every_child():
+    parent = os.getpid()
+
+    def kernel(indices):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_parallel(kernel, 64, 1, workers=3, chunk_size=8)
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
 
 
 def openblas_libraries():
@@ -308,8 +433,9 @@ def test_wegner_sweep_solves_each_sample_once(monkeypatch):
         return solve(matrices)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    # 5x5 matrices run in chunks of 512: three chunks
-    cfg = make_config(n_samples=1100)
+    # 5x5 matrices run in chunks of 512: three chunks, all in this process,
+    # since a forked worker's calls would not reach the spy's list
+    cfg = make_config(n_samples=1100, workers=1)
     sweep = wegner_ratio_sweep(cfg, widths=[0.05, 0.1, 0.2], center=1.0)
     assert len(sweep) == 3
     assert calls == [512, 512, 76]

@@ -1,8 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
+import alloylab
 from alloylab.disorder import SingleSitePotential, bump_density
 from alloylab.estimators import ExperimentConfig
 from alloylab.spectra import (
@@ -13,6 +21,7 @@ from alloylab.spectra import (
     free_chain_ids,
     picket_fence_sample,
     poisson_count_chisquare,
+    poisson_pmf,
     poisson_process_sample,
     poisson_tests,
     probe_pos,
@@ -206,6 +215,30 @@ def test_chisquare_rejects_constant_counts():
     counts = np.full(300, 10)
     _, _, p = poisson_count_chisquare(counts, 10.0)
     assert p < 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, 400),
+    mean=st.floats(0.0, 300.0, allow_subnormal=False),
+    statistic=st.floats(0.0, 1e4, allow_subnormal=False),
+    dof=st.integers(1, 200),
+)
+def test_poisson_and_chi2_tails_match_scipy_stats_bit_for_bit(k, mean, statistic, dof):
+    ks = np.arange(k + 1)
+    assert np.array_equal(poisson_pmf(ks, mean), stats.poisson.pmf(ks, mean))
+    assert special.pdtrc(k, mean) == stats.poisson.sf(k, mean)
+    assert special.chdtrc(dof, statistic) == stats.chi2.sf(statistic, dof)
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    code = "import sys, alloylab.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(alloylab.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_poisson_tests_pass_on_true_poisson_input():

@@ -69,14 +69,14 @@ class _Reporter:
             raise ConfigError(f"--out {self.out_dir} exists and is not a directory")
         self.lines: list[str] = []
         self.outputs: list[str] = []
-        self.wall_times: list[float] = []
+        self.moved: dict[str, list] = {"wall_time": [], "count_fallbacks": []}
 
     def record(self, payload: dict) -> None:
-        # wall clock lives in the manifest; records stay byte-identical
-        # across reruns of the same (config, seed)
-        if "wall_time" in payload:
-            payload = dict(payload)
-            self.wall_times.append(payload.pop("wall_time"))
+        # wall clock and count fallbacks move to the manifest's lists; records
+        # stay byte-identical across reruns of the same (config, seed)
+        payload = dict(payload)
+        for key in self.moved.keys() & payload.keys():
+            self.moved[key].append(payload.pop(key))
         # strict JSON: a statistic without a finite value is recorded as None (null)
         line = json.dumps(payload, sort_keys=True, allow_nan=False)
         self.lines.append(line)
@@ -107,7 +107,8 @@ class _Reporter:
             "artifact_version": __version__,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "outputs": sorted(self.outputs),
-            "wall_times": self.wall_times,
+            "wall_times": self.moved["wall_time"],
+            "count_fallbacks": self.moved["count_fallbacks"],
             "environment": {
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,

@@ -41,6 +41,7 @@ from .operator import (
     MIN_IMAG_PART,
     base_matrix,
     hamiltonian_stack,
+    interval_counts,
     potential_profiles,
     resolvent_columns,
 )
@@ -391,6 +392,7 @@ class MCEstimate:
     config_digest: str
     n_failed: int = 0
     wall_time: float = 0.0
+    count_fallbacks: int = 0
     extras: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
@@ -405,6 +407,7 @@ class MCEstimate:
             "config_digest": self.config_digest,
             "n_failed": self.n_failed,
             "wall_time": self.wall_time,
+            "count_fallbacks": self.count_fallbacks,
         }
         record.update(self.extras)
         return record
@@ -451,24 +454,14 @@ def _draw_potentials(cfg: ExperimentConfig, inner: Box, indices, attempt: int = 
     return potential_profiles(inner, cfg.potential, field, couplings)
 
 
-def _counts(base: np.ndarray, lam: float, profiles: np.ndarray, intervals) -> np.ndarray:
-    """Eigenvalue counts in closed intervals: one row per profile, one column per interval.
-
-    One ``eigvalsh`` call serves every interval.
-    """
-    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))[:, :, None]
-    lo, hi = np.asarray(intervals, dtype=float).T
-    return np.sum((spectra >= lo) & (spectra <= hi), axis=1).astype(float)
-
-
 def _batched_counts(cfg: ExperimentConfig, intervals) -> Callable:
-    """Kernel computing each sample's eigenvalue counts in every interval."""
+    """Kernel: each sample's counts in every interval, then a 0/1 eigvalsh fallback for each."""
     inner = cfg.inner_box
     base = base_matrix(inner, cfg.shifted_laplacian)
 
     def kernel(indices):
         profiles = _draw_potentials(cfg, inner, indices)
-        return _counts(base, cfg.disorder_strength, profiles, intervals)
+        return np.hstack(interval_counts(base, cfg.disorder_strength, profiles, intervals))
 
     return kernel
 
@@ -570,8 +563,8 @@ def wegner_ratio_sweep(
 ) -> list[MCEstimate]:
     """The counting estimator at several interval widths around a center.
 
-    Every width is counted against the same samples, one draw and one
-    eigensolve each; every estimate carries its own interval's digest.
+    Every width is counted against the same draws and factorizations;
+    every estimate carries its own interval's digest.
     """
     return _wegner_estimates(cfg, sweep_configs(cfg, widths, center))
 
@@ -584,11 +577,12 @@ def _wegner_estimates(cfg: ExperimentConfig, swept: list) -> list[MCEstimate]:
     started = time.perf_counter()
     size = cfg.inner_box.size
     kernel = _batched_counts(cfg, intervals)
-    values = run_parallel(kernel, cfg.n_samples, len(swept), cfg.workers, _chunk_for(size))
+    values = run_parallel(kernel, cfg.n_samples, 2 * len(swept), cfg.workers, _chunk_for(size))
     estimates = []
     for column, c in enumerate(swept):
         width = c.interval[1] - c.interval[0]
         estimate = _summarize(c, "wegner", values, column, None, started, {"interval_width": width})
+        estimate.count_fallbacks = int(np.sum(values[:, len(swept) + column]))
         ratio = estimate.mean / (width * size) if width > 0 else None
         estimate.extras.update(count_ratio=ratio, n_valid=cfg.n_samples - estimate.n_failed)
         estimates.append(estimate)
@@ -619,8 +613,8 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
     if lam > 0 and inner.size < 2:
         raise ValueError("the two-eigenvalue bound needs a box with at least two sites")
     kernel = _batched_counts(cfg, [cfg.interval])
-    counts = run_parallel(kernel, cfg.n_samples, 1, cfg.workers, _chunk_for(inner.size))
-    counts = counts[:, 0]
+    values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _chunk_for(inner.size))
+    counts, fallbacks = values.T
     values = np.stack([(counts >= 2.0).astype(float), counts * (counts - 1.0) / 2.0], axis=1)
     exact = bool(np.all(values[:, 0] <= values[:, 1] + 1e-12))
     if not exact:
@@ -641,6 +635,7 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
         _summarize(cfg, name, values, column, bound, started, {"interval_width": width})
         for column, name in enumerate(("two_eigenvalue_probability", "two_eigenvalue_half_moment"))
     )
+    probability.count_fallbacks = half_moment.count_fallbacks = int(np.sum(fallbacks))
     return TwoEigenvalueEstimate(
         probability=probability, half_moment=half_moment, exact_inequality_holds=exact
     )
@@ -659,6 +654,7 @@ class FvcPoint:
     n_samples: int
     excessive_resampling: bool
     n_failed: int
+    count_fallbacks: int = 0
 
 
 def probe_fvc(
@@ -672,8 +668,8 @@ def probe_fvc(
     """Probability that all well-separated Green entries decay like ``L**-Theta``.
 
     The energy is taken real (from ``cfg.energy``), regularized by a tiny
-    imaginary part; draws with an eigenvalue within ``resonance_gap`` of the
-    energy are redrawn from the sample's next block of uniforms and counted.
+    imaginary part; draws with an eigenvalue in ``[E - gap, E + gap]`` (or
+    non-finite) are redrawn from the sample's next block of uniforms and counted.
     """
     if decay_exponent <= 3 * cfg.dimension - 1:
         raise ValueError(
@@ -697,30 +693,32 @@ def probe_fvc(
         pair_mask = seps >= radius / 2.0
         threshold = float(radius) ** -decay_exponent
         shift = energy + 1j * regularization
+        window = (energy - resonance_gap, energy + resonance_gap)
 
         def kernel(indices):
-            rows = np.full((len(indices), 2), np.nan)
-            rows[:, 1] = 0.0
-            matrices = np.empty((len(indices),) + base.shape)
-            # round k redraws the rows still resonant (NaN spectra too) from block k
+            rows = np.full((len(indices), 3), np.nan)
+            rows[:, 1:] = 0.0
+            profiles = np.empty((len(indices), inner.size))
+            # round k redraws the rows still resonant (NaN counts too) from block k
             pending = np.arange(len(indices))
             for attempt in range(max_attempts):
-                profiles = _draw_potentials(cfg, inner, indices[pending], attempt)
-                matrices[pending] = hamiltonian_stack(base, lam, profiles)
-                spectra = np.linalg.eigvalsh(matrices[pending])
-                pending = pending[~(np.min(np.abs(spectra - energy), axis=1) > resonance_gap)]
+                profiles[pending] = _draw_potentials(cfg, inner, indices[pending], attempt)
+                counts, fallback = interval_counts(base, lam, profiles[pending], [window])
+                rows[pending, 2] += fallback[:, 0]
+                pending = pending[~(counts[:, 0] == 0)]
                 rows[pending, 1] += 1.0
                 if not pending.size:
                     break
             accepted = np.setdiff1d(np.arange(len(indices)), pending)
             if accepted.size:
                 columns = np.arange(base.shape[0])
-                green, certified = resolvent_columns(matrices[accepted], shift, columns)
+                matrices = hamiltonian_stack(base, lam, profiles[accepted])
+                green, certified = resolvent_columns(matrices, shift, columns)
                 ok = np.all(np.abs(green[:, pair_mask]) <= threshold, axis=1)
                 rows[accepted, 0] = np.where(certified, ok, np.nan)
             return rows
 
-        values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _chunk_for(inner.size))
+        values = run_parallel(kernel, cfg.n_samples, 3, cfg.workers, _chunk_for(inner.size))
         probability, stderr, _, n_failed = column_summary(values, 0)
         total_resamples = float(np.nansum(values[:, 1]))
         fraction = total_resamples / (cfg.n_samples + total_resamples)
@@ -733,6 +731,7 @@ def probe_fvc(
                 n_samples=cfg.n_samples,
                 excessive_resampling=fraction > RESAMPLE_CAP,
                 n_failed=n_failed,
+                count_fallbacks=int(np.sum(values[:, 2])),
             )
         )
     return results
@@ -856,7 +855,8 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
     def kernel(indices):
         # the two envelopes are disjoint and equal in size: box one reads block 0, box two block 1
         draws = [_draw_potentials(cfg, b, indices, k) for k, b in enumerate(boxes)]
-        return _counts(base, lam, np.concatenate(draws), [cfg.interval]).reshape(2, len(indices)).T
+        counts, _ = interval_counts(base, lam, np.concatenate(draws), [cfg.interval])
+        return counts.reshape(2, len(indices)).T
 
     values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _chunk_for(boxes[0].size))
     return IndependenceReport(

@@ -21,6 +21,8 @@ from .transform import periodic_convolution
 DENSE_SOLVE_LIMIT = 4096
 MIN_IMAG_PART = 1e-14
 CONDITION_LIMIT = 1e12
+COUNT_SHIFT = 2.0**-20  # a count's endpoint x is factored at x -+ COUNT_SHIFT (1 + |H|_inf + |x|)
+EIGVALSH_ERROR = 16.0  # eigvalsh is taken within EIGVALSH_ERROR n^2 eps (1 + |H|_inf) of exact
 
 
 class ResolventError(RuntimeError):
@@ -327,6 +329,63 @@ def chain_eigenvalues(diagonal: np.ndarray, shifted: bool = False) -> np.ndarray
         return diagonal.copy()
     off = -np.ones(diagonal.size - 1)
     return scipy.linalg.eigh_tridiagonal(diagonal, off, eigvals_only=True)
+
+
+@np.errstate(all="ignore")  # a non-finite row or pivot is flagged, not warned about
+def interval_counts(base: np.ndarray, lam: float, profiles: np.ndarray, intervals) -> tuple:
+    """Counts of each ``hamiltonian_stack`` member's eigvalsh eigenvalues in closed intervals.
+
+    Returns counts and fallback flags, one row per profile, one column per interval.
+    ``#{mu <= x}`` is the negative pivots of LDL^T of ``H - x -+ delta``, ``delta =
+    COUNT_SHIFT (1 + |H|_inf + |x|)``: certified if both agree and the growth keeps the
+    backward error, plus eigvalsh's, under ``delta / 2`` (Weyl); else the row falls back
+    to ``eigvalsh`` (NaN if non-finite).
+    """
+    lo, hi = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+    ends, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    ia, ib = where.reshape(2, -1)
+    band, n = int(np.max(np.ptp(np.nonzero(base), axis=0), initial=0)), base.shape[0]
+    h = np.diagonal(base) + lam * profiles
+    scale = 1.0 + np.max(np.abs(h) + np.abs(base).sum(1) - np.abs(np.diagonal(base)), axis=1)
+    delta = COUNT_SHIFT * (scale[:, None] + np.abs(ends))
+    shifts = ends[:, None] + np.array([-1.0, 1.0]) * delta[:, :, None]
+    negative, growth = _band_inertia(base, band, (h.T[:, :, None, None] - shifts).reshape(n, -1))
+    # LDL^T is exact for H - y + E, |E|_2 <= 2 (2b + 1) (b + 1)^2 eps growth
+    eps, bound = np.finfo(float).eps, 2 * (2 * band + 1) * (band + 1) ** 2
+    cap = (delta / 2 - EIGVALSH_ERROR * n * n * eps * scale[:, None])[..., None] / (bound * eps)
+    negative, growth = negative.reshape(shifts.shape), growth.reshape(shifts.shape)
+    certain = (negative[..., 0] == negative[..., 1]) & np.all(growth <= cap, axis=2)
+    counts = np.maximum(negative[:, ib, 0] - negative[:, ia, 0], 0.0)
+    fallback = ~(certain[:, ia] & certain[:, ib])
+    redo = np.nonzero(np.any(fallback, axis=1))[0]
+    counts[redo] = np.nan
+    if (redo := redo[np.all(np.isfinite(h[redo]), axis=1)]).size:
+        spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles[redo]))[:, :, None]
+        counts[redo] = np.sum((spectra >= lo) & (spectra <= hi), axis=1)
+    return counts, fallback
+
+
+@np.errstate(all="ignore")
+def _band_inertia(base: np.ndarray, band: int, diagonals: np.ndarray) -> tuple:
+    """Negative pivots and growth ``max c^2 / |d|`` (NaN past a zero pivot) of banded LDL^T.
+
+    Lane ``l`` factors ``base`` with diagonal ``diagonals[:, l]``, unpivoted: index
+    ``k`` of the Schur complement lives in slot ``k % (band + 1)`` of a window.
+    """
+    (n, lanes), w = diagonals.shape, band + 1
+    window, outer = np.zeros((2, w, w, lanes))
+    window[:] = base[:w, :w, None]
+    window[np.arange(w), np.arange(w)] = diagonals[:w]
+    negative, growth = np.zeros(lanes, dtype=np.int64), np.zeros(lanes)
+    for k in range(n):
+        p, j = k % w, k + w
+        negative += window[p, p] < 0
+        np.multiply(window[p][:, None], window[p] / window[p, p], out=outer)
+        np.maximum(growth, np.max(np.abs(np.diagonal(outer)), axis=1), out=growth)
+        window -= outer
+        window[p, :] = window[:, p] = base[j, k + (np.arange(w) - p) % w, None] if j < n else 0.0
+        window[p, p] = diagonals[j] if j < n else 1.0
+    return negative, growth
 
 
 def count_in_window(values: np.ndarray, interval: tuple[float, float]) -> int:

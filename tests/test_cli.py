@@ -371,14 +371,16 @@ def test_manifest_schema_keeps_wall_times(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {
         "subcommand", "config_digest", "seed", "artifact_version", "created_at", "outputs",
-        "wall_times", "environment",
+        "wall_times", "count_fallbacks", "environment",
     }
     assert manifest["subcommand"] == "two-ev"
     assert manifest["outputs"] == ["results.jsonl"]
-    # one wall time per Monte Carlo estimate, none left in the records
+    # one wall time and one fallback count per Monte Carlo estimate, none left in the records
     assert len(manifest["wall_times"]) == 2
     assert all(isinstance(t, float) and t >= 0.0 for t in manifest["wall_times"])
-    assert all("wall_time" not in record for record in read_records(out))
+    assert len(manifest["count_fallbacks"]) == 2
+    assert all(isinstance(n, int) and 0 <= n <= 200 for n in manifest["count_fallbacks"])
+    assert all("wall_time" not in r and "count_fallbacks" not in r for r in read_records(out))
 
 
 def test_fvc_rejects_zero_regularization(tmp_path, monkeypatch, capsys):

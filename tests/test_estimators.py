@@ -30,7 +30,13 @@ from alloylab.estimators import (
     wegner_ratio_sweep,
 )
 from alloylab.lattice import box, envelope_box
-from alloylab.operator import build_hamiltonian, eigenvalues
+from alloylab.operator import (
+    base_matrix,
+    build_hamiltonian,
+    eigenvalues,
+    hamiltonian_stack,
+    resolvent_columns,
+)
 
 RHO = bump_density()
 DELTA = SingleSitePotential.delta(1)
@@ -238,15 +244,28 @@ def test_blas_threads_restores_the_callers_counts():
 
 
 def test_run_parallel_without_blas_control(monkeypatch):
-    cfg = make_config(interval=(0.0, 2.0), n_samples=96, seed=4)
-    kernel = estimators._batched_counts(cfg, [cfg.interval])
-    pinned = run_parallel(kernel, 96, 1, chunk_size=32)
+    # a resolvent kernel, so every chunk reaches LAPACK
+    cfg = make_config(box_radius=3, n_samples=96, seed=4)
+    inner = cfg.inner_box
+    base = base_matrix(inner, False)
+
+    def kernel(indices):
+        matrices = hamiltonian_stack(base, 2.0, estimators._draw_potentials(cfg, inner, indices))
+        green, certified = resolvent_columns(matrices, 0.5 + 0.1j, [0, 3])
+        return np.hstack([green.imag.reshape(len(indices), -1), certified[:, None]])
+
+    pinned = run_parallel(kernel, 96, 2 * inner.size + 1, chunk_size=32)
+    assert np.all(pinned[:, -1] == 1.0)
     monkeypatch.setattr(
         estimators, "_openblas_libraries", lambda: ((), "scipy_openblas_set_num_threads64_")
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        unpinned = run_parallel(kernel, 96, 1, workers=2, chunk_size=32)
+        # Python 3.12+ warns on forking a process whose OpenBLAS threads are alive
+        warnings.filterwarnings(
+            "ignore", message=r".*multi-threaded, use of fork\(\)", category=DeprecationWarning
+        )
+        unpinned = run_parallel(kernel, 96, 2 * inner.size + 1, workers=2, chunk_size=32)
     assert np.array_equal(pinned, unpinned)
 
 
@@ -260,7 +279,7 @@ def test_batched_counts_identical_across_worker_counts():
         seed=7,
     )
     kernel = estimators._batched_counts(cfg, [cfg.interval])
-    runs = [run_parallel(kernel, 48, 1, workers=w, chunk_size=8) for w in (1, 2, 3)]
+    runs = [run_parallel(kernel, 48, 2, workers=w, chunk_size=8) for w in (1, 2, 3)]
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
 
@@ -425,20 +444,31 @@ def test_wegner_ratio_sweep_linearity():
 
 
 def test_wegner_sweep_solves_each_sample_once(monkeypatch):
-    calls = []
-    solve = np.linalg.eigvalsh
+    calls, fallbacks, solves = [], [], []
+    count, solve = estimators.interval_counts, np.linalg.eigvalsh
 
-    def spy(matrices):
-        calls.append(len(matrices))
+    def spy(base, lam, profiles, intervals):
+        calls.append(len(profiles))
+        counts, fallback = count(base, lam, profiles, intervals)
+        fallbacks.append(int(fallback.sum()))
+        return counts, fallback
+
+    def solve_spy(matrices):
+        solves.append(len(matrices))
         return solve(matrices)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(estimators, "interval_counts", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve_spy)
     # 5x5 matrices run in chunks of 512: three chunks, all in this process,
     # since a forked worker's calls would not reach the spy's list
     cfg = make_config(n_samples=1100, workers=1)
     sweep = wegner_ratio_sweep(cfg, widths=[0.05, 0.1, 0.2], center=1.0)
     assert len(sweep) == 3
     assert calls == [512, 512, 76]
+    # every count certified: the dense eigensolve never runs
+    assert fallbacks == [0, 0, 0]
+    assert solves == []
+    assert [estimate.count_fallbacks for estimate in sweep] == [0, 0, 0]
 
 
 def test_wegner_sweep_matches_single_interval_runs():
@@ -534,6 +564,25 @@ def test_fvc_zero_disorder_deterministic():
     (point,) = probe_fvc(cfg, decay_exponent=3.0, radii=[5])
     assert point.probability in (0.0, 1.0)
     assert point.stderr == 0.0
+
+
+def test_fvc_redraws_non_finite_rows(monkeypatch):
+    # a non-finite profile has no certified count: it is resonant, so redrawn
+    draw = estimators._draw_potentials
+
+    def spoiled(cfg, inner, indices, attempt=0):
+        profiles = draw(cfg, inner, indices, attempt)
+        if attempt == 0:
+            profiles[indices % 4 == 0, 0] = np.nan
+        return profiles
+
+    cfg = make_config(disorder_strength=5.0, energy=0.5 + 0j, n_samples=64, seed=2)
+    clean = probe_fvc(cfg, decay_exponent=3.0, radii=[3])[0]
+    monkeypatch.setattr(estimators, "_draw_potentials", spoiled)
+    (point,) = probe_fvc(cfg, decay_exponent=3.0, radii=[3])
+    assert point.n_failed == 0
+    assert point.resample_fraction > clean.resample_fraction
+    assert point.count_fallbacks >= 16
 
 
 def fvc_reference(cfg, radius, decay_exponent, gap):

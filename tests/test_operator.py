@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,11 @@ from alloylab.operator import (
     count_in_interval,
     count_in_window,
     eigenvalues,
+    _band_inertia,
+    base_matrix,
     green_block,
+    hamiltonian_stack,
+    interval_counts,
     krein_decomposition,
     laplacian_matrix,
     potential_profile,
@@ -385,3 +390,114 @@ def test_krein_matrix_independent_of_local_potential():
         )
         dec2 = krein_decomposition(modified, z, x, y)
         assert np.max(np.abs(dec.m_matrix - dec2.m_matrix)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# certified counts against eigvalsh
+# ---------------------------------------------------------------------------
+
+def eigvalsh_counts(base, lam, profiles, intervals):
+    """The dense rule: count each member's ``eigvalsh`` eigenvalues in the closed intervals."""
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))[:, :, None]
+    lo, hi = np.asarray(intervals, dtype=float).T
+    return np.sum((spectra >= lo) & (spectra <= hi), axis=1).astype(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 0), (1, 1), (1, 5), (2, 1), (2, 2), (3, 1)]),
+    shifted=st.booleans(),
+    lam=st.floats(0.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+    ends=st.lists(
+        st.tuples(
+            st.sampled_from(["on", "below", "above", "away"]),
+            st.integers(0, 10**6),
+            st.floats(-14.0, 14.0),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_interval_counts_match_eigvalsh(shape, shifted, lam, seed, ends):
+    # signed potentials, endpoints on, 1e-10 from and away from eigvalsh's eigenvalues
+    dimension, radius = shape
+    base = base_matrix(box(radius, dimension), shifted)
+    profiles = np.random.default_rng(seed).uniform(-3.0, 3.0, (4, base.shape[0]))
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles)).ravel()
+    nudge = {"on": 0.0, "below": -1e-10, "above": 1e-10}
+    points = [
+        value if kind == "away" else spectra[pick % spectra.size] + nudge[kind]
+        for kind, pick, value in ends
+    ]
+    intervals = [(x, x) for x in points]
+    intervals += [tuple(sorted(pair)) for pair in zip(points, points[1:])]
+    counts, fallback = interval_counts(base, lam, profiles, intervals)
+    assert counts.tolist() == eigvalsh_counts(base, lam, profiles, intervals).tolist()
+    assert fallback.shape == counts.shape
+    # an endpoint on an eigenvalue is never certified
+    for column, (a, b) in enumerate(intervals):
+        on = np.any(np.abs(spectra.reshape(4, -1) - a) < 1e-9, axis=1)
+        on |= np.any(np.abs(spectra.reshape(4, -1) - b) < 1e-9, axis=1)
+        assert np.all(fallback[on, column])
+
+
+def test_interval_counts_certify_endpoints_away_from_eigenvalues():
+    base = base_matrix(box(3, 2), False)
+    profiles = np.random.default_rng(5).uniform(-1.0, 1.0, (6, base.shape[0]))
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, 2.0, profiles))
+    level = spectra[0, 20]
+    intervals = [(-0.3, 0.7), (level, level + 1.0), (level - 1e-10, level)]
+    intervals.append((level - 1.0, level + 1e-10))
+    counts, fallback = interval_counts(base, 2.0, profiles, intervals)
+    assert counts.tolist() == eigvalsh_counts(base, 2.0, profiles, intervals).tolist()
+    assert not fallback[:, 0].any()
+    assert fallback[0, 1:].all()
+
+
+def test_interval_counts_zero_pivot_falls_back():
+    # x - delta (delta = 2**-20 (1 + |H|_inf + |x|), exact here) equals the first
+    # diagonal entry, so the first pivot of that factorization is exactly 0;
+    # |H|_inf = 2.25 is the middle row's |0.25| + 2
+    base = base_matrix(box(1, 1), False)
+    x, norm = 0.5, 2.25
+    first = x - 2.0**-20 * (1.0 + norm + x)
+    profiles = np.array([[first, 0.25, -0.75], [0.1, 0.25, -0.75]])
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, 1.0, profiles))
+    assert np.min(np.abs(spectra - x)) > 1e-3
+    intervals = [(x, 3.0), (-3.0, x)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, fallback = interval_counts(base, 1.0, profiles, intervals)
+    assert counts.tolist() == eigvalsh_counts(base, 1.0, profiles, intervals).tolist()
+    assert fallback.tolist() == [[True, True], [False, False]]
+    diagonals = np.array([[first - first], [0.25 - first], [-0.75 - first]])
+    _, growth = _band_inertia(base, 1, diagonals)
+    assert np.isnan(growth[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+def test_interval_counts_non_finite_rows_count_nan(bad):
+    base = base_matrix(box(2, 2), True)
+    profiles = np.random.default_rng(3).uniform(-2.0, 2.0, (3, base.shape[0]))
+    profiles[1, 7] = bad
+    intervals = [(3.0, 5.0), (4.0, 4.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, fallback = interval_counts(base, 2.0, profiles, intervals)
+    assert np.isnan(counts[1]).all() and fallback[1].all()
+    kept = [0, 2]
+    expected = eigvalsh_counts(base, 2.0, profiles[kept], intervals)
+    assert counts[kept].tolist() == expected.tolist()
+
+
+def test_interval_counts_bandwidth_follows_the_box():
+    # one pivot per site, the band read from the base: 1, side and side**2
+    for dimension, radius, band in [(1, 3, 1), (2, 2, 5), (3, 1, 9)]:
+        base = base_matrix(box(radius, dimension), False)
+        rows, cols = np.nonzero(base)
+        assert np.max(cols - rows) == band
+        n = base.shape[0]
+        negative, growth = _band_inertia(base, band, np.full((n, 1), -10.0))
+        assert negative.tolist() == [n]
+        assert np.isfinite(growth).all()

@@ -1,6 +1,6 @@
 """Equivalence oracle for the shared draw-and-assembly path.
 
-The batched kernels (counts through ``run_parallel``, the eigenvalue kernel
+The batched kernels (certified counts through ``run_parallel``, the eigenvalue kernel
 of the IDS and spacing ensembles) must agree, sample by sample, with a
 reference built one sample at a time from the public single-sample API:
 the sample's generator, written out here -> ``sample_couplings`` ->
@@ -28,7 +28,7 @@ from alloylab.operator import (
 from alloylab.spectra import _eigenvalue_kernel
 
 N_SAMPLES = 10
-CASES = [(1, 4), (2, 2)]  # (dimension, box radius)
+CASES = [(1, 4), (2, 2), (3, 1)]  # (dimension, box radius): bandwidths 1, 5 and 9
 
 
 def shared_config(dimension, radius, shifted):
@@ -67,11 +67,16 @@ def test_counting_kernel_matches_per_sample_reference(dimension, radius, shifted
     lo, hi = cfg.interval
     level = next(v for v in eigenvalues(samples[0]) if lo < v < hi)
     intervals = [cfg.interval, (lo, level), (level, level), (level, hi), (hi, hi + 1.0)]
-    rows = run_parallel(_batched_counts(cfg, intervals), N_SAMPLES, len(intervals), 1, chunk_size)
+    k = len(intervals)
+    rows = run_parallel(_batched_counts(cfg, intervals), N_SAMPLES, 2 * k, 1, chunk_size)
+    rows, fallbacks = rows[:, :k], rows[:, k:]
     expected = [[count_in_interval(s, interval) for interval in intervals] for s in samples]
     assert rows.tolist() == expected
     assert rows[0, 2] >= 1
     assert rows[:, 1].sum() + rows[:, 3].sum() - rows[:, 2].sum() == rows[:, 0].sum()
+    # an endpoint on an eigenvalue cannot be certified, so sample 0 recounts densely
+    assert fallbacks[0, 1:4].tolist() == [1.0, 1.0, 1.0]
+    assert set(fallbacks.ravel()) <= {0.0, 1.0}
 
 
 @pytest.mark.parametrize("chunk_size", [1, 4])

@@ -14,7 +14,6 @@ from .disorder import (
     bump_density,
     check_assumption,
     raised_cosine_density,
-    sample_couplings,
     sobolev_ratio,
 )
 from .estimators import (
@@ -26,8 +25,8 @@ from .estimators import (
     probe_fractional_moment,
     probe_fvc,
 )
-from .lattice import Box, box, envelope_box, periodize
-from .operator import build_hamiltonian, count_in_interval, eigenvalues, green_block, krein_decomposition
+from .lattice import Box, box, envelope_box
+from .operator import green_block, krein_decomposition
 from .spectra import empirical_ids, poisson_tests, probe_pos, rescale, rescaled_ensemble
 from .transform import build_circulant, limit_inverse_one_norm, minami_constants
 
@@ -40,10 +39,7 @@ __all__ = [
     "box",
     "bump_density",
     "build_circulant",
-    "build_hamiltonian",
     "check_assumption",
-    "count_in_interval",
-    "eigenvalues",
     "empirical_ids",
     "envelope_box",
     "estimate_minami",
@@ -53,7 +49,6 @@ __all__ = [
     "krein_decomposition",
     "limit_inverse_one_norm",
     "minami_constants",
-    "periodize",
     "poisson_tests",
     "probe_fractional_moment",
     "probe_fvc",
@@ -61,6 +56,5 @@ __all__ = [
     "raised_cosine_density",
     "rescale",
     "rescaled_ensemble",
-    "sample_couplings",
     "sobolev_ratio",
 ]

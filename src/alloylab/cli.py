@@ -394,6 +394,8 @@ def cmd_spacing(raw, args, reporter) -> int:
         _require(workers >= 1, "worker count must be at least 1")
         span = (window[0] - 10.0, window[1] + 10.0)
         if args.synthetic == "poisson":
+            # a control point process, not a Monte Carlo estimate of the operator,
+            # so it keeps one sequential stream rather than estimators.uniforms
             rng = np.random.default_rng(seed)
             samples = [poisson_process_sample(rng, *span) for _ in range(n_realizations)]
         else:

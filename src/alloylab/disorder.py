@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .lattice import Box, Site
+from .lattice import Site
 
 QUANTILE_TOL = 1e-12
 _CONTINUITY_TOL = 1e-12
@@ -484,42 +484,6 @@ def check_assumption(
         lipschitz_slack=slack,
         grid_resolution=grid_resolution,
     )
-
-
-# ---------------------------------------------------------------------------
-# coupling constants
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CouplingConfiguration:
-    """One draw of the coupling constants over a box, enumeration order."""
-
-    box: Box
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.box.size,):
-            raise ValueError(
-                f"expected {self.box.size} coupling values, got shape {self.values.shape}"
-            )
-
-    def value_at(self, site: Site) -> float:
-        return float(self.values[self.box.index_of(site)])
-
-
-def sample_couplings(
-    density: DisorderDensity,
-    box: Box,
-    rng: np.random.Generator,
-) -> CouplingConfiguration:
-    """Draw i.i.d. couplings on a box by inverse-CDF sampling.
-
-    Deterministic given the generator state and the box enumeration: the
-    uniform draws are taken in enumeration order and inverted by bisection.
-    """
-    draws = rng.random(box.size)
-    return CouplingConfiguration(box=box, values=density.quantile(draws))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Boxes in the integer lattice: enumeration, envelopes, periodic folding."""
+"""Boxes in the integer lattice: enumeration and envelopes."""
 
 from __future__ import annotations
 
@@ -84,13 +84,6 @@ class Box:
             rank = rank * self.side + (s - c + self.radius)
         return rank
 
-    def index_array(self, sites: np.ndarray) -> np.ndarray:
-        """Vectorized ``index_of`` for an ``(..., dimension)`` coordinate array."""
-        offsets = sites - np.asarray(self.center) + self.radius
-        if np.any(offsets < 0) or np.any(offsets >= self.side):
-            raise ValueError("coordinate array contains sites outside the box")
-        return offsets @ self.strides()
-
 
 def box(radius: int, dimension: int, center: Site | None = None) -> Box:
     """Convenience constructor, origin-centered by default."""
@@ -106,13 +99,3 @@ def envelope_box(lambda_box: Box, reach: int) -> Box:
     if reach < 0:
         raise ValueError(f"reach must be non-negative, got {reach}")
     return Box(lambda_box.center, lambda_box.radius + int(reach))
-
-
-def periodize(site: Site, radius: int) -> Site:
-    """Fold a site into the origin-centered radius-``radius`` box.
-
-    Returns the unique ``y`` with ``|y|_inf <= radius`` and
-    ``y == site (mod 2*radius + 1)`` componentwise.
-    """
-    side = 2 * radius + 1
-    return tuple((s + radius) % side - radius for s in site)

@@ -1,4 +1,4 @@
-"""Finite-volume Hamiltonians, Green-function blocks, and eigenvalues.
+"""Finite-volume Hamiltonians, Green-function blocks, and eigenvalue counts.
 
 The kinetic term is the negated adjacency matrix of the box (zero diagonal,
 free spectrum [-2d, 2d]); an optional flag restores the 2d-shifted
@@ -8,14 +8,14 @@ outside the box is dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .disorder import CouplingConfiguration, SingleSitePotential
-from .lattice import Box, Site, envelope_box
+from .disorder import SingleSitePotential
+from .lattice import Box, Site
 from .transform import periodic_convolution
 
 DENSE_SOLVE_LIMIT = 4096
@@ -102,68 +102,6 @@ def potential_profiles(
     return grid[(...,) + window].reshape(lead + (box.size,))
 
 
-def potential_profile(
-    box: Box,
-    potential: SingleSitePotential,
-    couplings: CouplingConfiguration,
-) -> np.ndarray:
-    """Alloy potential ``V(k) = sum_j omega_j u(k - j)`` on the box."""
-    return potential_profiles(box, potential, couplings.box, couplings.values[None, :])[0]
-
-
-@dataclass
-class HamiltonianSample:
-    """One disorder realization restricted to a box.
-
-    ``matrix`` is assembled symmetrically: exact -1 hopping between nearest
-    neighbors inside the box and ``lam * V`` on the diagonal.
-    """
-
-    box: Box
-    matrix: np.ndarray
-    lam: float
-    couplings: CouplingConfiguration
-    potential_diagonal: np.ndarray
-    shifted_laplacian: bool = False
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.box.size
-
-
-def build_hamiltonian(
-    box: Box,
-    potential: SingleSitePotential,
-    couplings: CouplingConfiguration,
-    lam: float,
-    shifted_laplacian: bool = False,
-) -> HamiltonianSample:
-    """Assemble ``-Delta + lam * V`` on the box from a coupling draw.
-
-    The couplings must live on the envelope box of ``box`` for the given
-    potential; anything else is a domain mismatch.
-    """
-    if lam <= 0:
-        raise ValueError(f"disorder strength must be positive, got {lam}")
-    expected = envelope_box(box, potential.support_radius)
-    if couplings.box != expected:
-        raise ValueError(
-            f"coupling domain mismatch: expected envelope box radius {expected.radius}, "
-            f"got center={couplings.box.center} radius={couplings.box.radius}"
-        )
-    diagonal = potential_profile(box, potential, couplings)
-    (h,) = hamiltonian_stack(base_matrix(box, shifted_laplacian), lam, diagonal[None, :])
-    return HamiltonianSample(
-        box=box,
-        matrix=h,
-        lam=lam,
-        couplings=couplings,
-        potential_diagonal=diagonal,
-        shifted_laplacian=shifted_laplacian,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Green function blocks and the Krein decomposition
 # ---------------------------------------------------------------------------
@@ -236,12 +174,19 @@ class GreenBlock:
         return float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
 
 
-def green_block(sample: HamiltonianSample, z: complex, x: Site, y: Site) -> GreenBlock:
-    """Green-function block via two certified resolvent columns."""
-    z = complex(z)
+def _site_pair(name: str, matrix: np.ndarray, box: Box, x: Site, y: Site) -> tuple[int, int]:
+    """Indices of two distinct sites of ``box``, on which ``matrix`` must act."""
     if x == y:
-        raise ValueError("green_block needs two distinct sites")
-    entries = _pair_block(sample.matrix, z, sample.box.index_of(x), sample.box.index_of(y))
+        raise ValueError(f"{name} needs two distinct sites")
+    if matrix.shape != (box.size, box.size):
+        raise ValueError(f"matrix of shape {matrix.shape} does not act on the {box.size} box sites")
+    return box.index_of(x), box.index_of(y)
+
+
+def green_block(matrix: np.ndarray, box: Box, z: complex, x: Site, y: Site) -> GreenBlock:
+    """Green-function block of ``matrix`` on ``box`` via two certified resolvent columns."""
+    z = complex(z)
+    entries = _pair_block(matrix, z, *_site_pair("green_block", matrix, box, x, y))
     return GreenBlock(entries=entries, z=z, x=x, y=y)
 
 
@@ -267,23 +212,26 @@ class KreinDecomposition:
         return np.linalg.inv(diag - self.m_matrix) / self.lam
 
 
-def krein_decomposition(sample: HamiltonianSample, z: complex, x: Site, y: Site) -> KreinDecomposition:
+def krein_decomposition(
+    matrix: np.ndarray, box: Box, lam: float, profile: np.ndarray, z: complex, x: Site, y: Site
+) -> KreinDecomposition:
     """Compute the 2x2 coupling matrix of the resolvent identity at (x, y).
 
-    The full diagonal entries ``lam * V`` at the two sites are removed before
+    ``matrix`` is ``-Delta + lam * V`` on ``box`` and ``profile`` is ``V``.  The
+    full diagonal entries ``lam * V`` at the two sites are removed before
     inverting; the reconstruction identity is the arbiter of this convention.
     """
     z = complex(z)
-    if x == y:
-        raise ValueError("krein_decomposition needs two distinct sites")
-    ix, iy = sample.box.index_of(x), sample.box.index_of(y)
-    reduced = sample.matrix.copy()
-    reduced[ix, ix] -= sample.lam * sample.potential_diagonal[ix]
-    reduced[iy, iy] -= sample.lam * sample.potential_diagonal[iy]
+    if lam <= 0:
+        raise ValueError(f"disorder strength must be positive, got {lam}")
+    ix, iy = _site_pair("krein_decomposition", matrix, box, x, y)
+    reduced = matrix.copy()
+    reduced[ix, ix] -= lam * profile[ix]
+    reduced[iy, iy] -= lam * profile[iy]
     block = _pair_block(reduced, z, ix, iy)
     if np.linalg.cond(block) > CONDITION_LIMIT:
         raise ResolventError("reduced Green block is numerically singular")
-    m = -np.linalg.inv(block) / sample.lam
+    m = -np.linalg.inv(block) / lam
     im_m = (m - m.conj().T) / 2j
     if np.min(np.linalg.eigvalsh(im_m)) <= 0.0:
         raise ResolventError("imaginary part of the coupling matrix is not positive definite")
@@ -293,31 +241,9 @@ def krein_decomposition(sample: HamiltonianSample, z: complex, x: Site, y: Site)
         z=z,
         x=x,
         y=y,
-        lam=sample.lam,
-        potential_values=(
-            float(sample.potential_diagonal[ix]),
-            float(sample.potential_diagonal[iy]),
-        ),
+        lam=lam,
+        potential_values=(float(profile[ix]), float(profile[iy])),
     )
-
-
-# ---------------------------------------------------------------------------
-# eigenvalues
-# ---------------------------------------------------------------------------
-
-def eigenvalues(sample: HamiltonianSample) -> np.ndarray:
-    """All eigenvalues in ascending order, with multiplicity.
-
-    Results are cached on the sample; the trace identity is verified as a
-    backward-stability guard.
-    """
-    if sample._eigenvalues is None:
-        vals = np.linalg.eigvalsh(sample.matrix)
-        scale = 1.0 + np.max(np.abs(sample.matrix))
-        if abs(vals.sum() - np.trace(sample.matrix)) > 1e-9 * scale * sample.size:
-            raise RuntimeError("eigenvalue sum deviates from the trace")
-        sample._eigenvalues = vals
-    return sample._eigenvalues
 
 
 def chain_eigenvalues(diagonal: np.ndarray, shifted: bool = False) -> np.ndarray:
@@ -386,18 +312,3 @@ def _band_inertia(base: np.ndarray, band: int, diagonals: np.ndarray) -> tuple:
         window[p, :] = window[:, p] = base[j, k + (np.arange(w) - p) % w, None] if j < n else 0.0
         window[p, p] = diagonals[j] if j < n else 1.0
     return negative, growth
-
-
-def count_in_window(values: np.ndarray, interval: tuple[float, float]) -> int:
-    """Number of sorted values in the closed interval."""
-    a, b = interval
-    if a > b:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    lo = np.searchsorted(values, a, side="left")
-    hi = np.searchsorted(values, b, side="right")
-    return int(hi - lo)
-
-
-def count_in_interval(sample: HamiltonianSample, interval: tuple[float, float]) -> int:
-    """Eigenvalue count of the sample in a closed interval."""
-    return count_in_window(eigenvalues(sample), interval)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import CouplingConfiguration, DisorderDensity, SingleSitePotential
+from .disorder import DisorderDensity, SingleSitePotential
 from .lattice import Box, Site, envelope_box
 
 
@@ -120,18 +120,6 @@ def build_circulant(potential: SingleSitePotential, lambda_box: Box) -> Circulan
         inverse_one_norm=one_norm,
         condition_number=potential.l1_norm * one_norm,
     )
-
-
-def transform_couplings(transform: CirculantTransform, couplings: CouplingConfiguration) -> np.ndarray:
-    """Transformed vector over the envelope, enumeration order.
-
-    The entries over the inner box coincide with the alloy potential values
-    there; outside the inner box they generally differ.
-    """
-    if couplings.box != transform.envelope:
-        raise ValueError("coupling domain does not match the transform envelope")
-    grid = couplings.values.reshape(transform.table.shape)
-    return periodic_convolution(transform.table, grid).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from alloylab.disorder import (
     TensorProductFunction,
     bump_density,
     hat_profile,
-    sample_couplings,
     sobolev_ratio,
 )
 from alloylab.estimators import (
@@ -27,15 +26,16 @@ from alloylab.estimators import (
     wegner_ratio_sweep,
 )
 from alloylab.lattice import box, envelope_box
-from alloylab.operator import build_hamiltonian, green_block, krein_decomposition, potential_profile
+from alloylab.operator import green_block, krein_decomposition, potential_profiles
 from alloylab.spectra import (
     empirical_ids,
     picket_fence_sample,
     poisson_tests,
     rescaled_ensemble,
 )
-from alloylab.transform import build_circulant, limit_inverse_one_norm, transform_couplings
+from alloylab.transform import build_circulant, limit_inverse_one_norm, periodic_convolution
 from tests.dense_reference import transform_matrix
+from tests.sample_reference import assemble, draw_couplings
 from tests.test_disorder import random_polyline
 
 RHO = bump_density()
@@ -132,12 +132,12 @@ def test_criterion_01_krein_identity():
         z = complex(float(rng.uniform(-2.0, 3.0)), float(rng.choice([1e-2, 1.0])))
         inner = box(radius, d)
         env = envelope_box(inner, u.support_radius)
-        couplings = sample_couplings(RHO, env, np.random.default_rng(int(rng.integers(1 << 30))))
-        sample = build_hamiltonian(inner, u, couplings, lam)
+        omega = draw_couplings(RHO, env, np.random.default_rng(int(rng.integers(1 << 30))))
+        h, v = assemble(inner, u, omega, lam)
         sites = inner.sites()
         i, j = rng.choice(len(sites), size=2, replace=False)
-        block = green_block(sample, z, sites[i], sites[j])
-        decomposition = krein_decomposition(sample, z, sites[i], sites[j])
+        block = green_block(h, inner, z, sites[i], sites[j])
+        decomposition = krein_decomposition(h, inner, lam, v, z, sites[i], sites[j])
         err = float(np.max(np.abs(decomposition.reconstructed_block() - block.entries)))
         worst = max(worst, err)
     elapsed = time.perf_counter() - start
@@ -187,9 +187,9 @@ def test_criterion_02_circulant_identities():
             for si in inner.sites()
             for jcol, sj in enumerate(env_sites)
         )
-        couplings = sample_couplings(RHO, transform.envelope, rng)
-        zeta = transform_couplings(transform, couplings)
-        v = potential_profile(inner, u, couplings)
+        omega = draw_couplings(RHO, transform.envelope, rng)
+        zeta = periodic_convolution(transform.table, omega.reshape(transform.table.shape)).ravel()
+        v = potential_profiles(inner, u, transform.envelope, omega[None])[0]
         worst_zeta = max(
             worst_zeta,
             max(

@@ -8,7 +8,6 @@ from numpy.polynomial import polynomial as npoly
 from scipy import integrate
 
 from alloylab.disorder import (
-    CouplingConfiguration,
     PiecewisePolynomialDensity,
     PiecewiseProfile,
     RaisedCosineDensity,
@@ -21,7 +20,6 @@ from alloylab.disorder import (
     hat_profile,
     polyline_profile,
     raised_cosine_density,
-    sample_couplings,
     sobolev_ratio,
 )
 from alloylab.lattice import box
@@ -339,15 +337,6 @@ def test_potential_rejects_empty_and_mixed_dimension():
 # sampling
 # ---------------------------------------------------------------------------
 
-def test_sample_couplings_deterministic():
-    rho = bump_density()
-    b = box(2, 1)
-    a = sample_couplings(rho, b, np.random.default_rng(42))
-    c = sample_couplings(rho, b, np.random.default_rng(42))
-    assert np.array_equal(a.values, c.values)
-    assert a.value_at((-2,)) == a.values[0]
-
-
 def test_sample_couplings_bump_mean():
     rho = bump_density()
     b = box(0, 1)
@@ -356,11 +345,6 @@ def test_sample_couplings_bump_mean():
     stderr = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 0.5) < 3.0 * stderr
     assert np.all((draws > 0.0) & (draws < 1.0))
-
-
-def test_coupling_configuration_shape_check():
-    with pytest.raises(ValueError):
-        CouplingConfiguration(box(1, 1), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

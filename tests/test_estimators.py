@@ -1,8 +1,10 @@
+import ast
 import math
 import os
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alloylab import estimators
-from alloylab.disorder import SingleSitePotential, bump_density, sample_couplings
+from alloylab.disorder import SingleSitePotential, bump_density
 from alloylab.estimators import (
     ExperimentConfig,
     RunFailure,
@@ -30,13 +32,8 @@ from alloylab.estimators import (
     wegner_ratio_sweep,
 )
 from alloylab.lattice import box, envelope_box
-from alloylab.operator import (
-    base_matrix,
-    build_hamiltonian,
-    eigenvalues,
-    hamiltonian_stack,
-    resolvent_columns,
-)
+from alloylab.operator import base_matrix, hamiltonian_stack, resolvent_columns
+from tests.sample_reference import assemble, draw_couplings
 
 RHO = bump_density()
 DELTA = SingleSitePotential.delta(1)
@@ -321,6 +318,36 @@ def test_uniforms_block_is_the_next_draw_of_the_stream(seed, indices, width, att
         assert np.array_equal(row, uniforms(seed, [index], width, attempt)[0])
 
 
+def numpy_random_users(path):
+    """``(module, function)`` for every use of ``numpy.random`` in a source file."""
+    tree = ast.parse(path.read_text())
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    users = set()
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        if any(name.split(".")[:2] in (["np", "random"], ["numpy", "random"]) for name in names):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            inner = max(around, key=lambda f: f.lineno).name if around else "<module>"
+            users.add((path.stem, inner))
+    return users
+
+
+def test_numpy_random_only_in_the_draw_rule_and_the_synthetic_control():
+    # every Monte Carlo draw goes through uniforms; the Poisson control keeps its own stream
+    sources = Path(estimators.__file__).parent.glob("*.py")
+    assert set().union(*map(numpy_random_users, sources)) == {
+        ("estimators", "uniforms"),
+        ("spectra", "poisson_process_sample"),
+        ("cli", "cmd_spacing"),
+    }
+
+
 def test_column_summary_failure_cap():
     values = np.ones((1000, 1))
     values[:2, 0] = np.nan
@@ -601,12 +628,12 @@ def fvc_reference(cfg, radius, decay_exponent, gap):
         rng = reference_stream(cfg.seed, index)
         redraws = 0
         while True:
-            couplings = sample_couplings(cfg.density, env, rng)
-            sample = build_hamiltonian(inner, cfg.potential, couplings, cfg.disorder_strength)
-            if np.min(np.abs(eigenvalues(sample) - energy)) > gap:
+            omega = draw_couplings(cfg.density, env, rng)
+            h, _ = assemble(inner, cfg.potential, omega, cfg.disorder_strength)
+            if np.min(np.abs(np.linalg.eigvalsh(h) - energy)) > gap:
                 break
             redraws += 1
-        green = np.linalg.inv(sample.matrix - (energy + 1e-8j) * np.eye(inner.size))
+        green = np.linalg.inv(h - (energy + 1e-8j) * np.eye(inner.size))
         outcomes.append(bool(np.all(np.abs(green[far]) <= float(radius) ** -decay_exponent)))
         resamples.append(redraws)
     return outcomes, resamples

@@ -1,9 +1,6 @@
-import itertools
-
-import numpy as np
 import pytest
 
-from alloylab.lattice import Box, box, envelope_box, origin, periodize
+from alloylab.lattice import Box, box, envelope_box, origin
 from alloylab.disorder import SingleSitePotential
 
 
@@ -35,8 +32,6 @@ def test_index_of_matches_enumeration():
     b = Box((1, -2, 0), 2)
     for i, site in enumerate(b.sites()):
         assert b.index_of(site) == i
-    arr = b.site_array()
-    assert np.array_equal(b.index_array(arr), np.arange(b.size))
 
 
 def test_index_of_rejects_outside():
@@ -89,27 +84,3 @@ def test_envelope_covers_influencing_couplings():
         for offset, _ in u.items():
             k = tuple(a - o for a, o in zip(x, offset))
             assert env.contains(k)
-
-
-def test_periodize_examples():
-    assert periodize((3,), 2) == (-2,)
-    assert periodize((4, -4), 1) == (1, -1)
-
-
-def test_periodize_identity_on_box():
-    for site in box(2, 2).sites():
-        assert periodize(site, 2) == site
-
-
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("radius", [0, 1, 2, 3])
-def test_periodize_periodicity_exhaustive(d, radius):
-    side = 2 * radius + 1
-    coords = range(-10, 11)
-    for site in itertools.product(coords, repeat=d):
-        folded = periodize(site, radius)
-        assert all(abs(c) <= radius for c in folded)
-        assert all((a - b) % side == 0 for a, b in zip(site, folded))
-        for axis in range(d):
-            shifted = tuple(c + side * (axis == j) for j, c in enumerate(site))
-            assert periodize(shifted, radius) == folded

@@ -7,23 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alloylab.disorder import (
-    CouplingConfiguration,
-    SingleSitePotential,
-    bump_density,
-    sample_couplings,
-)
+from alloylab.disorder import SingleSitePotential, bump_density
 from alloylab import operator
 from alloylab.lattice import box, envelope_box
 from alloylab.operator import (
-    HamiltonianSample,
     ResolventError,
     ResourceLimit,
-    build_hamiltonian,
     chain_eigenvalues,
-    count_in_interval,
-    count_in_window,
-    eigenvalues,
     _band_inertia,
     base_matrix,
     green_block,
@@ -31,20 +21,21 @@ from alloylab.operator import (
     interval_counts,
     krein_decomposition,
     laplacian_matrix,
-    potential_profile,
 )
+from tests.sample_reference import assemble, draw_couplings
 
 RHO = bump_density()
 
 
 def make_sample(radius, dimension, potential, lam=1.0, seed=0, values=None):
+    """``(box, H, V, omega)``: the given couplings, or one draw from ``default_rng(seed)``."""
     b = box(radius, dimension)
     env = envelope_box(b, potential.support_radius)
     if values is not None:
-        couplings = CouplingConfiguration(env, np.asarray(values, dtype=float))
+        omega = np.asarray(values, dtype=float)
     else:
-        couplings = sample_couplings(RHO, env, np.random.default_rng(seed))
-    return build_hamiltonian(b, potential, couplings, lam)
+        omega = draw_couplings(RHO, env, np.random.default_rng(seed))
+    return (b, *assemble(b, potential, omega, lam), omega)
 
 
 def path_spectrum(n):
@@ -54,10 +45,10 @@ def path_spectrum(n):
 
 def test_free_chain_matrix_and_spectrum():
     u = SingleSitePotential.delta(1)
-    sample = make_sample(1, 1, u, values=[0.0, 0.0, 0.0])
+    _, h, _, _ = make_sample(1, 1, u, values=[0.0, 0.0, 0.0])
     expected = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
-    assert np.array_equal(sample.matrix, expected)
-    vals = eigenvalues(sample)
+    assert np.array_equal(h, expected)
+    vals = np.linalg.eigvalsh(h)
     assert np.allclose(vals, [-math.sqrt(2.0), 0.0, math.sqrt(2.0)], atol=1e-12)
     assert np.allclose(vals, path_spectrum(3), atol=1e-12)
 
@@ -66,16 +57,16 @@ def test_free_chain_matrix_and_spectrum():
 def test_free_chain_path_graph_oracle(n):
     radius = (n - 1) // 2
     u = SingleSitePotential.delta(1)
-    sample = make_sample(radius, 1, u, values=np.zeros(n))
-    assert np.allclose(eigenvalues(sample), path_spectrum(n), atol=1e-10)
+    _, h, _, _ = make_sample(radius, 1, u, values=np.zeros(n))
+    assert np.allclose(np.linalg.eigvalsh(h), path_spectrum(n), atol=1e-10)
 
 
 def test_rank_one_diagonal_is_couplings():
     u = SingleSitePotential.delta(1)
     omega = [0.3, -0.1, 0.7, 0.2, 0.5]
-    sample = make_sample(2, 1, u, lam=1.0, values=omega)
-    assert np.array_equal(np.diag(sample.matrix), omega)
-    assert np.array_equal(sample.potential_diagonal, omega)
+    _, h, v, _ = make_sample(2, 1, u, lam=1.0, values=omega)
+    assert np.array_equal(np.diag(h), omega)
+    assert np.array_equal(v, omega)
 
 
 def test_potential_is_convolution_of_couplings():
@@ -83,13 +74,12 @@ def test_potential_is_convolution_of_couplings():
     b = box(1, 1)
     env = envelope_box(b, 1)
     omega = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-    couplings = CouplingConfiguration(env, omega)
-    v = potential_profile(b, u, couplings)
+    v = operator.potential_profiles(b, u, env, omega[None])[0]
     # V(0) = omega_0 + (omega_{-1} + omega_1) / 4
     assert v[1] == pytest.approx(0.3 + (0.2 + 0.4) / 4.0, abs=1e-15)
     assert v[0] == pytest.approx(0.2 + (0.1 + 0.3) / 4.0, abs=1e-15)
-    sample = build_hamiltonian(b, u, couplings, lam=2.0)
-    assert np.allclose(np.diag(sample.matrix), 2.0 * v)
+    h, _ = assemble(b, u, omega, lam=2.0)
+    assert np.allclose(np.diag(h), 2.0 * v)
 
 
 _PROFILE_RADII = {1: 4, 2: 3, 3: 1}
@@ -156,34 +146,22 @@ def test_potential_profiles_refuse_a_field_too_small(case, data):
 
 def test_symmetry_is_exact():
     u = SingleSitePotential({(0, 0): 1.0, (1, 0): -0.2, (0, -1): 0.15})
-    sample = make_sample(2, 2, u, lam=0.7, seed=3)
-    assert np.array_equal(sample.matrix, sample.matrix.T)
+    _, h, _, _ = make_sample(2, 2, u, lam=0.7, seed=3)
+    assert np.array_equal(h, h.T)
 
 
 def test_shifted_laplacian_flag():
     u = SingleSitePotential.delta(1)
-    plain = make_sample(1, 1, u, values=[0.1, 0.2, 0.3])
-    b = box(1, 1)
-    env = envelope_box(b, 0)
-    couplings = CouplingConfiguration(env, [0.1, 0.2, 0.3])
-    shifted = build_hamiltonian(b, u, couplings, 1.0, shifted_laplacian=True)
-    assert np.allclose(shifted.matrix, plain.matrix + 2.0 * np.eye(3))
-
-
-def test_coupling_domain_mismatch():
-    u = SingleSitePotential({(0,): 1.0, (1,): 0.2, (-1,): 0.2})
-    b = box(2, 1)
-    wrong = CouplingConfiguration(box(2, 1), np.zeros(5))
-    with pytest.raises(ValueError, match="domain mismatch"):
-        build_hamiltonian(b, u, wrong, 1.0)
+    b, plain, _, _ = make_sample(1, 1, u, values=[0.1, 0.2, 0.3])
+    shifted, _ = assemble(b, u, np.array([0.1, 0.2, 0.3]), 1.0, shifted=True)
+    assert np.allclose(shifted, plain + 2.0 * np.eye(3))
 
 
 def test_nonpositive_disorder_rejected():
     u = SingleSitePotential.delta(1)
-    env = envelope_box(box(1, 1), 0)
-    couplings = CouplingConfiguration(env, np.zeros(3))
+    b, h, v, _ = make_sample(1, 1, u, values=np.zeros(3))
     with pytest.raises(ValueError):
-        build_hamiltonian(box(1, 1), u, couplings, 0.0)
+        krein_decomposition(h, b, 0.0, v, 0.5 + 0.1j, (-1,), (1,))
 
 
 def test_2d_laplacian_degree():
@@ -195,26 +173,12 @@ def test_2d_laplacian_degree():
     assert np.all(np.diag(lap) == 0.0)
 
 
-def test_eigenvalue_shift_invariance():
-    u = SingleSitePotential.delta(1)
-    sample = make_sample(2, 1, u, seed=9)
-    vals = eigenvalues(sample)
-    shifted = HamiltonianSample(
-        box=sample.box,
-        matrix=sample.matrix + 1.5 * np.eye(sample.size),
-        lam=sample.lam,
-        couplings=sample.couplings,
-        potential_diagonal=sample.potential_diagonal,
-    )
-    assert np.allclose(eigenvalues(shifted), vals + 1.5, atol=1e-10)
-
-
 def test_strong_disorder_limit():
     u = SingleSitePotential.delta(1)
     lam = 1e6
-    sample = make_sample(3, 1, u, lam=lam, seed=21)
-    vals = eigenvalues(sample) / lam
-    expected = np.sort(sample.couplings.values)
+    _, h, _, omega = make_sample(3, 1, u, lam=lam, seed=21)
+    vals = np.linalg.eigvalsh(h) / lam
+    expected = np.sort(omega)
     assert np.max(np.abs(vals - expected) / np.abs(expected)) < 1e-4
 
 
@@ -222,23 +186,13 @@ def test_weyl_rank_one_monotonicity():
     u = SingleSitePotential({(0,): 1.0, (1,): -0.3})
     rng = np.random.default_rng(17)
     for _ in range(20):
-        sample = make_sample(2, 1, u, seed=int(rng.integers(1 << 30)))
-        base = eigenvalues(sample)
-        bumped = sample.matrix.copy()
-        site = int(rng.integers(sample.size))
+        b, h, _, _ = make_sample(2, 1, u, seed=int(rng.integers(1 << 30)))
+        base = np.linalg.eigvalsh(h)
+        bumped = h.copy()
+        site = int(rng.integers(b.size))
         bumped[site, site] += float(rng.uniform(0.0, 2.0))
         perturbed = np.linalg.eigvalsh(bumped)
         assert np.all(perturbed >= base - 1e-10)
-
-
-def test_count_in_interval():
-    u = SingleSitePotential.delta(1)
-    sample = make_sample(1, 1, u, values=[0.0, 0.0, 0.0])
-    assert count_in_interval(sample, (-3.0, 3.0)) == 3
-    assert count_in_interval(sample, (-0.5, 0.5)) == 1
-    assert count_in_interval(sample, (0.25, 0.25)) == 0
-    with pytest.raises(ValueError):
-        count_in_window(np.array([0.0]), (1.0, -1.0))
 
 
 def test_chain_eigenvalues_matches_dense():
@@ -258,16 +212,7 @@ def test_chain_eigenvalues_matches_dense():
 # ---------------------------------------------------------------------------
 
 def test_green_block_of_zero_hamiltonian():
-    u = SingleSitePotential.delta(1)
-    sample = make_sample(1, 1, u, values=[0.0, 0.0, 0.0])
-    zero = HamiltonianSample(
-        box=sample.box,
-        matrix=np.zeros((3, 3)),
-        lam=1.0,
-        couplings=sample.couplings,
-        potential_diagonal=np.zeros(3),
-    )
-    g = green_block(zero, 1j, (-1,), (1,))
+    g = green_block(np.zeros((3, 3)), box(1, 1), 1j, (-1,), (1,))
     # (0 - i)^{-1} = i on the diagonal, zero off-diagonal
     assert np.allclose(g.entries, np.diag([1j, 1j]), atol=1e-14)
     assert g.det_imaginary == pytest.approx(1.0, abs=1e-14)
@@ -275,30 +220,36 @@ def test_green_block_of_zero_hamiltonian():
 
 def test_green_block_rejects_bad_input():
     u = SingleSitePotential.delta(1)
-    sample = make_sample(1, 1, u, seed=1)
+    b, h, v, _ = make_sample(1, 1, u, seed=1)
     with pytest.raises(ValueError):
-        green_block(sample, 1j, (0,), (0,))
+        green_block(h, b, 1j, (0,), (0,))
     with pytest.raises(ResolventError):
-        green_block(sample, 0.5 + 1e-15j, (-1,), (1,))
+        green_block(h, b, 0.5 + 1e-15j, (-1,), (1,))
+    # a matrix of another box would be read at the wrong indices
+    _, larger, _, _ = make_sample(2, 1, u, seed=1)
+    with pytest.raises(ValueError, match="does not act"):
+        green_block(larger, b, 0.5 + 0.1j, (-1,), (1,))
+    with pytest.raises(ValueError, match="does not act"):
+        krein_decomposition(larger, b, 1.0, v, 0.5 + 0.1j, (-1,), (1,))
 
 
 def test_green_entries_respect_the_dense_cap(monkeypatch):
-    sample = make_sample(1, 1, SingleSitePotential.delta(1), seed=1)
+    b, h, v, _ = make_sample(1, 1, SingleSitePotential.delta(1), seed=1)
     monkeypatch.setattr(operator, "DENSE_SOLVE_LIMIT", 2)
     with pytest.raises(ResourceLimit):
-        green_block(sample, 0.5 + 0.1j, (-1,), (1,))
+        green_block(h, b, 0.5 + 0.1j, (-1,), (1,))
     with pytest.raises(ResourceLimit):
-        krein_decomposition(sample, 0.5 + 0.1j, (-1,), (1,))
+        krein_decomposition(h, b, 1.0, v, 0.5 + 0.1j, (-1,), (1,))
 
 
 def test_green_block_symmetry_random_instances():
     rng = np.random.default_rng(100)
     u = SingleSitePotential({(0,): 1.0, (1,): 0.2, (-1,): 0.2})
     for _ in range(100):
-        sample = make_sample(2, 1, u, lam=1.5, seed=int(rng.integers(1 << 30)))
-        sites = sample.box.sites()
+        b, h, _, _ = make_sample(2, 1, u, lam=1.5, seed=int(rng.integers(1 << 30)))
+        sites = b.sites()
         i, j = rng.choice(len(sites), size=2, replace=False)
-        g = green_block(sample, 0.3 + 0.1j, sites[i], sites[j])
+        g = green_block(h, b, 0.3 + 0.1j, sites[i], sites[j])
         assert g.entries[0, 1] == pytest.approx(g.entries[1, 0], abs=1e-12)
 
 
@@ -307,9 +258,9 @@ def test_det_imaginary_positive_and_bounded(imag):
     rng = np.random.default_rng(int(imag * 1000) + 1)
     u = SingleSitePotential({(0,): 1.0, (1,): -0.25})
     for _ in range(334):
-        sample = make_sample(2, 1, u, lam=2.0, seed=int(rng.integers(1 << 30)))
+        b, h, _, _ = make_sample(2, 1, u, lam=2.0, seed=int(rng.integers(1 << 30)))
         z = float(rng.uniform(-2.0, 4.0)) + 1j * imag
-        g = green_block(sample, z, (-1,), (1,))
+        g = green_block(h, b, z, (-1,), (1,))
         assert 0.0 < g.det_imaginary <= imag**-2
 
 
@@ -317,18 +268,18 @@ def test_green_block_spectral_decomposition_oracle():
     rng = np.random.default_rng(55)
     u = SingleSitePotential({(0, 0): 1.0, (1, 1): 0.15})
     for _ in range(10):
-        sample = make_sample(2, 2, u, lam=1.2, seed=int(rng.integers(1 << 30)))
-        assert sample.size == 25
-        vals, vecs = np.linalg.eigh(sample.matrix)
+        b, h, _, _ = make_sample(2, 2, u, lam=1.2, seed=int(rng.integers(1 << 30)))
+        assert b.size == 25
+        vals, vecs = np.linalg.eigh(h)
         z = 0.4 + 0.2j
         x, y = (0, 0), (1, -1)
-        ix, iy = sample.box.index_of(x), sample.box.index_of(y)
+        ix, iy = b.index_of(x), b.index_of(y)
         oracle = np.zeros((2, 2), dtype=complex)
-        for n in range(sample.size):
+        for n in range(b.size):
             phi = vecs[:, n]
             weight = 1.0 / (vals[n] - z)
             oracle += weight * np.outer(phi[[ix, iy]], phi[[ix, iy]])
-        g = green_block(sample, z, x, y)
+        g = green_block(h, b, z, x, y)
         assert np.max(np.abs(g.entries - oracle)) < 1e-8
 
 
@@ -354,41 +305,34 @@ def krein_cases(n_cases, seed=7):
         u = potentials[d][int(rng.integers(2))]
         lam = float(rng.choice([0.5, 2.0]))
         z = float(rng.uniform(-2.0, 2.0)) + 1j * float(rng.choice([1e-2, 1.0]))
-        sample = make_sample(radius, d, u, lam=lam, seed=int(rng.integers(1 << 30)))
-        sites = sample.box.sites()
+        b, h, v, _ = make_sample(radius, d, u, lam=lam, seed=int(rng.integers(1 << 30)))
+        sites = b.sites()
         i, j = rng.choice(len(sites), size=2, replace=False)
-        yield sample, z, sites[i], sites[j]
+        yield b, h, lam, v, z, sites[i], sites[j]
 
 
 def test_krein_identity_reconstructs_green_block():
-    for sample, z, x, y in krein_cases(100):
-        g = green_block(sample, z, x, y)
-        dec = krein_decomposition(sample, z, x, y)
+    for b, h, lam, v, z, x, y in krein_cases(100):
+        g = green_block(h, b, z, x, y)
+        dec = krein_decomposition(h, b, lam, v, z, x, y)
         assert np.max(np.abs(dec.reconstructed_block() - g.entries)) < 1e-9
 
 
 def test_krein_imaginary_part_positive_definite():
-    for sample, z, x, y in krein_cases(50, seed=8):
-        dec = krein_decomposition(sample, z, x, y)
+    for b, h, lam, v, z, x, y in krein_cases(50, seed=8):
+        dec = krein_decomposition(h, b, lam, v, z, x, y)
         im_m = (dec.m_matrix - dec.m_matrix.conj().T) / 2j
         assert np.min(np.linalg.eigvalsh(im_m)) > 0.0
 
 
 def test_krein_matrix_independent_of_local_potential():
-    for sample, z, x, y in krein_cases(20, seed=9):
-        dec = krein_decomposition(sample, z, x, y)
-        bumped = sample.matrix.copy()
-        ix = sample.box.index_of(x)
+    for b, h, lam, v, z, x, y in krein_cases(20, seed=9):
+        dec = krein_decomposition(h, b, lam, v, z, x, y)
+        bumped = h.copy()
+        ix = b.index_of(x)
         bumped[ix, ix] += 0.37
-        modified = HamiltonianSample(
-            box=sample.box,
-            matrix=bumped,
-            lam=sample.lam,
-            couplings=sample.couplings,
-            potential_diagonal=sample.potential_diagonal
-            + 0.37 / sample.lam * (np.arange(sample.size) == ix),
-        )
-        dec2 = krein_decomposition(modified, z, x, y)
+        bumped_v = v + 0.37 / lam * (np.arange(b.size) == ix)
+        dec2 = krein_decomposition(bumped, b, lam, bumped_v, z, x, y)
         assert np.max(np.abs(dec.m_matrix - dec2.m_matrix)) < 1e-12
 
 

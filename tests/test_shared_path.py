@@ -2,9 +2,9 @@
 
 The batched kernels (certified counts through ``run_parallel``, the eigenvalue kernel
 of the IDS and spacing ensembles) must agree, sample by sample, with a
-reference built one sample at a time from the public single-sample API:
-the sample's generator, written out here -> ``sample_couplings`` ->
-``build_hamiltonian`` -> ``eigenvalues``.  The one resolvent solve,
+reference built one sample at a time: the sample's generator, written out
+here -> ``tests.sample_reference`` (``draw_couplings`` -> ``assemble``) ->
+``eigvalsh``.  The one resolvent solve,
 ``resolvent_columns``, must agree bit for bit with the columns of the dense
 inverse it replaced.
 """
@@ -13,19 +13,12 @@ import numpy as np
 import pytest
 
 from alloylab.config import nn_signed_potential
-from alloylab.disorder import bump_density, sample_couplings
+from alloylab.disorder import bump_density
 from alloylab.estimators import ExperimentConfig, _batched_counts, run_parallel
 from alloylab.lattice import box, envelope_box
-from alloylab.operator import (
-    base_matrix,
-    build_hamiltonian,
-    count_in_interval,
-    eigenvalues,
-    hamiltonian_stack,
-    laplacian_matrix,
-    resolvent_columns,
-)
+from alloylab.operator import base_matrix, hamiltonian_stack, laplacian_matrix, resolvent_columns
 from alloylab.spectra import _eigenvalue_kernel
+from tests.sample_reference import assemble, draw_couplings
 
 N_SAMPLES = 10
 CASES = [(1, 4), (2, 2), (3, 1)]  # (dimension, box radius): bandwidths 1, 5 and 9
@@ -46,15 +39,15 @@ def shared_config(dimension, radius, shifted):
     )
 
 
-def reference_samples(cfg, radius):
+def reference_spectra(cfg, radius):
+    """Each sample's ``eigvalsh`` eigenvalues, one sample at a time."""
     inner = box(radius, cfg.dimension)
     env = envelope_box(inner, cfg.potential.support_radius)
     for index in range(N_SAMPLES):
         stream = np.random.SeedSequence(cfg.seed, spawn_key=(index,))
-        couplings = sample_couplings(cfg.density, env, np.random.Generator(np.random.PCG64(stream)))
-        yield build_hamiltonian(
-            inner, cfg.potential, couplings, cfg.disorder_strength, cfg.shifted_laplacian
-        )
+        omega = draw_couplings(cfg.density, env, np.random.Generator(np.random.PCG64(stream)))
+        h, _ = assemble(inner, cfg.potential, omega, cfg.disorder_strength, cfg.shifted_laplacian)
+        yield np.linalg.eigvalsh(h)
 
 
 @pytest.mark.parametrize("chunk_size", [1, 4])
@@ -62,15 +55,15 @@ def reference_samples(cfg, radius):
 @pytest.mark.parametrize("dimension, radius", CASES)
 def test_counting_kernel_matches_per_sample_reference(dimension, radius, shifted, chunk_size):
     cfg = shared_config(dimension, radius, shifted)
-    samples = list(reference_samples(cfg, radius))
+    spectra = list(reference_spectra(cfg, radius))
     # closed intervals: endpoints set exactly to a reference eigenvalue count it
     lo, hi = cfg.interval
-    level = next(v for v in eigenvalues(samples[0]) if lo < v < hi)
+    level = next(v for v in spectra[0] if lo < v < hi)
     intervals = [cfg.interval, (lo, level), (level, level), (level, hi), (hi, hi + 1.0)]
     k = len(intervals)
     rows = run_parallel(_batched_counts(cfg, intervals), N_SAMPLES, 2 * k, 1, chunk_size)
     rows, fallbacks = rows[:, :k], rows[:, k:]
-    expected = [[count_in_interval(s, interval) for interval in intervals] for s in samples]
+    expected = [[int(np.sum((s >= a) & (s <= b))) for a, b in intervals] for s in spectra]
     assert rows.tolist() == expected
     assert rows[0, 2] >= 1
     assert rows[:, 1].sum() + rows[:, 3].sum() - rows[:, 2].sum() == rows[:, 0].sum()
@@ -86,7 +79,7 @@ def test_eigenvalue_kernel_matches_per_sample_reference(dimension, radius, shift
     cfg = shared_config(dimension, radius, shifted)
     inner, kernel = _eigenvalue_kernel(cfg, radius)
     rows = run_parallel(kernel, N_SAMPLES, inner.size, 1, chunk_size)
-    expected = np.stack([eigenvalues(s) for s in reference_samples(cfg, radius)])
+    expected = np.stack(list(reference_spectra(cfg, radius)))
     np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-12)
 
 

@@ -8,23 +8,23 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from alloylab import transform as transform_module
-from alloylab.disorder import (
-    CouplingConfiguration,
-    SingleSitePotential,
-    bump_density,
-    raised_cosine_density,
-    sample_couplings,
-)
-from alloylab.lattice import box, periodize
-from alloylab.operator import potential_profile
+from alloylab.disorder import SingleSitePotential, bump_density, raised_cosine_density
+from alloylab.lattice import box
+from alloylab.operator import potential_profiles
 from alloylab.transform import (
     TransformError,
     build_circulant,
     limit_inverse_one_norm,
     minami_constants,
-    transform_couplings,
+    periodic_convolution,
 )
 from tests.dense_reference import transform_inverse, transform_matrix
+from tests.sample_reference import draw_couplings
+
+
+def transformed(t, omega):
+    """Couplings over the envelope pushed through the transform, enumeration order."""
+    return periodic_convolution(t.table, omega.reshape(t.table.shape)).ravel()
 
 
 def test_delta_transform_is_identity():
@@ -78,13 +78,13 @@ def test_circulant_shift_property_exhaustive():
     n = env.size
     assert n <= 125
     sites = env.sites()
-    length = env.radius
+    r, side = env.radius, env.side
     for i in range(n):
         for j in range(n):
             for axis in range(2):
                 shift = tuple(1 if a == axis else 0 for a in range(2))
-                si = periodize(tuple(c + s for c, s in zip(sites[i], shift)), length)
-                sj = periodize(tuple(c + s for c, s in zip(sites[j], shift)), length)
+                si = tuple((c + s + r) % side - r for c, s in zip(sites[i], shift))
+                sj = tuple((c + s + r) % side - r for c, s in zip(sites[j], shift))
                 assert matrix[env.index_of(si), env.index_of(sj)] == matrix[i, j]
 
 
@@ -169,8 +169,8 @@ def test_limit_norm_nonconvergent_raises():
 def test_transform_is_identity_for_delta():
     u = SingleSitePotential.delta(1)
     t = build_circulant(u, box(2, 1))
-    couplings = sample_couplings(bump_density(), t.envelope, np.random.default_rng(0))
-    assert np.array_equal(transform_couplings(t, couplings), couplings.values)
+    omega = draw_couplings(bump_density(), t.envelope, np.random.default_rng(0))
+    assert np.array_equal(transformed(t, omega), omega)
 
 
 def test_transformed_vector_matches_potential_on_inner_box():
@@ -181,9 +181,9 @@ def test_transformed_vector_matches_potential_on_inner_box():
         )
         inner = box(3, 1)
         t = build_circulant(u, inner)
-        couplings = sample_couplings(bump_density(), t.envelope, rng)
-        zeta = transform_couplings(t, couplings)
-        v = potential_profile(inner, u, couplings)
+        omega = draw_couplings(bump_density(), t.envelope, rng)
+        zeta = transformed(t, omega)
+        v = potential_profiles(inner, u, t.envelope, omega[None])[0]
         for site in inner.sites():
             assert abs(zeta[t.envelope.index_of(site)] - v[inner.index_of(site)]) <= 1e-12
 
@@ -192,8 +192,7 @@ def test_transform_differs_outside_inner_box():
     u = SingleSitePotential({(0,): 1.0, (1,): 0.25, (-1,): 0.25})
     inner = box(1, 1)
     t = build_circulant(u, inner)
-    couplings = CouplingConfiguration(t.envelope, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
-    zeta = transform_couplings(t, couplings)
+    zeta = transformed(t, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     # direct convolution at the edge site 2 gives u(4) = 0, the periodic
     # wrap-around gives u(4 - 5) = 0.25
     edge = t.envelope.index_of((2,))
@@ -203,18 +202,10 @@ def test_transform_differs_outside_inner_box():
 def test_round_trip_through_inverse():
     u = SingleSitePotential({(0,): 1.0, (1,): -0.2, (-1,): 0.1})
     t = build_circulant(u, box(2, 1))
-    couplings = sample_couplings(bump_density(), t.envelope, np.random.default_rng(5))
-    zeta = transform_couplings(t, couplings)
+    omega = draw_couplings(bump_density(), t.envelope, np.random.default_rng(5))
+    zeta = transformed(t, omega)
     back = transform_inverse(t) @ zeta
-    assert np.max(np.abs(back - couplings.values)) <= 1e-10
-
-
-def test_transform_rejects_wrong_domain():
-    u = SingleSitePotential.delta(1)
-    t = build_circulant(u, box(2, 1))
-    couplings = CouplingConfiguration(box(1, 1), np.zeros(3))
-    with pytest.raises(ValueError):
-        transform_couplings(t, couplings)
+    assert np.max(np.abs(back - omega)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

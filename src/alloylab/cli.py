@@ -379,7 +379,7 @@ def cmd_ids(raw, args, reporter) -> int:
         "ids.csv", ["energy", "ids"], [[float(e), float(v)] for e, v in zip(ids.grid, ids.values)]
     )
     if epsilons is not None:
-        reporter.record({"kind": "pos_probe", "config_digest": digest, **probe.to_record()})
+        reporter.record({"kind": "pos_probe", "config_digest": digest, **dataclasses.asdict(probe)})
     reporter.finalize(digest, cfg.seed, cfg.workers)
     return 0
 
@@ -439,7 +439,7 @@ def cmd_spacing(raw, args, reporter) -> int:
     reporter.csv(
         "rescaled.csv",
         ["realization", "xi"],
-        [[r, float(x)] for r, sample in enumerate(samples) for x in sample.xi],
+        [[r, float(x)] for r, xi in enumerate(samples) for x in xi],
     )
     reporter.finalize(digest, cfg.seed, cfg.workers)
     return 0 if stats.verdict() == "pass" else 1

@@ -175,10 +175,10 @@ def run_parallel(
     The kernel maps an array of sample indices to one row per sample (NaN
     rows mark failed samples).  Chunk boundaries depend only on
     ``chunk_size``, never on ``workers``, and BLAS is pinned to one thread
-    at every worker count.  At ``W = min(workers, chunks) > 1`` the caller
-    forks ``W - 1`` processes (POSIX only) and worker ``w`` runs chunks
-    ``w, w + W, ...`` into shared memory, so only the returned rows come
-    back.  The lowest failing chunk's exception is raised, as at one worker.
+    at every worker count.  With ``W = min(workers, chunks)`` the caller
+    forks ``W - 1`` processes (POSIX only; none at ``W = 1``) and worker
+    ``w`` runs chunks ``w, w + W, ...`` into shared memory, so only the
+    returned rows come back.  The lowest failing chunk's exception is raised.
     """
     if n_samples <= 0:
         raise ValueError("empty sample")
@@ -186,11 +186,8 @@ def run_parallel(
         raise ValueError("worker count must be at least 1")
     spans = [(s, min(s + chunk_size, n_samples)) for s in range(0, n_samples, chunk_size)]
     n_workers = min(workers, len(spans))
-    if n_workers == 1:
-        values = np.empty((n_samples, n_columns))
-    else:
-        shared = mmap.mmap(-1, 8 * max(n_samples * n_columns, 1))
-        values = np.frombuffer(shared, count=n_samples * n_columns).reshape(n_samples, n_columns)
+    shared = mmap.mmap(-1, 8 * max(n_samples * n_columns, 1))
+    values = np.frombuffer(shared, count=n_samples * n_columns).reshape(n_samples, n_columns)
     values.fill(np.nan)
 
     def run_spans(worker, catch):
@@ -206,10 +203,7 @@ def run_parallel(
             values[start:stop, :] = out
 
     with blas_threads(PINNED_BLAS_THREADS):
-        if n_workers == 1:
-            run_spans(0, ())
-        else:
-            _run_forked(run_spans, n_workers)
+        _run_forked(run_spans, n_workers)
     return values
 
 
@@ -325,8 +319,12 @@ class ExperimentConfig:
             raise ValueError("box radius must be non-negative")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
-        if self.disorder_strength < 0:
-            raise ValueError("disorder strength must be non-negative")
+        if not 0 <= self.disorder_strength < math.inf:
+            raise ValueError(
+                f"disorder strength must be finite and non-negative, got {self.disorder_strength}"
+            )
+        if self.energy is not None and not np.isfinite(self.energy):
+            raise ValueError(f"energy must be finite, got {self.energy}")
         if self.interval is not None:
             a, b = self.interval
             if not (math.isfinite(a) and math.isfinite(b) and a <= b):
@@ -613,13 +611,6 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
     if lam > 0 and inner.size < 2:
         raise ValueError("the two-eigenvalue bound needs a box with at least two sites")
     kernel = _batched_counts(cfg, [cfg.interval])
-    values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _chunk_for(inner.size))
-    counts, fallbacks = values.T
-    values = np.stack([(counts >= 2.0).astype(float), counts * (counts - 1.0) / 2.0], axis=1)
-    exact = bool(np.all(values[:, 0] <= values[:, 1] + 1e-12))
-    if not exact:
-        raise NumericalFault("indicator exceeded the pair count; counting is broken")
-
     width = cfg.interval[1] - cfg.interval[0]
     if lam > 0:
         transform = build_circulant(cfg.potential, inner)
@@ -630,6 +621,15 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
         bound = 0.5 * constants.determinant_bound * width**2 * inner.size**2
     else:
         bound = math.inf
+
+    values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _chunk_for(inner.size))
+    counts, fallbacks = values.T
+    failed = np.isnan(counts)  # an uncounted sample fails both estimates
+    indicator = np.where(failed, np.nan, counts >= 2.0)
+    values = np.stack([indicator, counts * (counts - 1.0) / 2.0], axis=1)
+    exact = bool(np.all(values[~failed, 0] <= values[~failed, 1] + 1e-12))
+    if not exact:
+        raise NumericalFault("indicator exceeded the pair count; counting is broken")
 
     probability, half_moment = (
         _summarize(cfg, name, values, column, bound, started, {"interval_width": width})
@@ -679,8 +679,8 @@ def probe_fvc(
         raise ValueError("localization probe needs a reference energy")
     if regularization <= MIN_IMAG_PART:
         raise ValueError(f"regularization must exceed {MIN_IMAG_PART}, got {regularization}")
-    if any(int(radius) < 1 for radius in radii):
-        raise ValueError(f"box radii must be at least 1, got {list(radii)}")
+    if not radii or any(int(radius) < 1 for radius in radii):
+        raise ValueError(f"box radii must be a non-empty list, each at least 1, got {list(radii)}")
     energy = float(cfg.energy.real)
     lam = cfg.disorder_strength
     boxes = [box(int(radius), cfg.dimension) for radius in radii]

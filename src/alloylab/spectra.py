@@ -8,7 +8,7 @@ randomness of the unfolding independent of the samples it rescales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
@@ -118,15 +118,17 @@ def empirical_ids(
         grid = np.linspace(lo - 1.0, hi + 1.0, grid_points)
     else:
         grid = np.asarray(grid, dtype=float)
+    if grid.size < 2 or not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ValueError(
+            f"the IDS grid needs 2 or more finite, increasing energies, got {grid.size} points"
+        )
 
     inner, kernel = _eigenvalue_kernel(cfg, ids_radius)
     spectra = run_parallel(kernel, n_realizations, inner.size, cfg.workers, chunk_size=1)
-    counts = np.zeros(grid.size, dtype=np.int64)
-    for vals in spectra:
-        if vals[0] < grid[0] or vals[-1] > grid[-1]:
-            escaped = vals[(vals < grid[0]) | (vals > grid[-1])]
-            raise ValueError(f"eigenvalues escaped the IDS grid: {escaped[:5]!r}")
-        counts += np.searchsorted(vals, grid, side="right")
+    escaped = spectra[~((spectra >= grid[0]) & (spectra <= grid[-1]))]
+    if escaped.size:
+        raise ValueError(f"eigenvalues escaped the IDS grid: {escaped[:5]!r}")
+    counts = np.searchsorted(np.sort(spectra, axis=None), grid, side="right")
 
     values = counts / (n_realizations * inner.size)
     return EmpiricalIDS(
@@ -144,43 +146,19 @@ def empirical_ids(
     )
 
 
-@dataclass
-class RescaledSample:
-    """Unfolded spectrum of one realization relative to a reference energy."""
-
-    xi: np.ndarray
-    reference_energy: float
-    stats_radius: int
-
-    def __post_init__(self) -> None:
-        self.xi = np.asarray(self.xi, dtype=float)
-        if np.any(np.diff(self.xi) < 0):
-            raise ValueError("rescaled values must be sorted")
-
-    def count_in(self, lo: float, hi: float) -> int:
-        return int(
-            np.searchsorted(self.xi, hi, side="left")
-            - np.searchsorted(self.xi, lo, side="left")
-        )
-
-
 def rescale(
-    eigenvalues: np.ndarray,
-    ids: EmpiricalIDS,
-    reference_energy: float,
-    stats_size: int,
-    stats_radius: int = 0,
-) -> RescaledSample:
-    """Unfold eigenvalues through the interpolated IDS.
+    eigenvalues: np.ndarray, ids: EmpiricalIDS, reference_energy: float, stats_size: int
+) -> np.ndarray:
+    """Unfold eigenvalues through the interpolated IDS, sorted along the last axis.
 
     ``xi = stats_size * (N(E_j) - N(E_0))`` with piecewise-linear
-    interpolation; monotone because the IDS is.
+    interpolation; monotone because the IDS is.  A 2-D input unfolds one
+    realization per row.
     """
     if not ids.grid[0] < reference_energy < ids.grid[-1]:
         raise ValueError("reference energy must lie inside the IDS grid")
     level = ids.evaluate(reference_energy)
-    xi = stats_size * (ids.evaluate(np.sort(np.asarray(eigenvalues, dtype=float))) - level)
-    return RescaledSample(xi=xi, reference_energy=reference_energy, stats_radius=stats_radius)
+    return stats_size * (ids.evaluate(np.sort(np.asarray(eigenvalues, dtype=float))) - level)
 
 
 def rescaled_ensemble(
@@ -189,8 +167,8 @@ def rescaled_ensemble(
     n_realizations: int,
     ids: EmpiricalIDS,
     reference_energy: float,
-) -> list[RescaledSample]:
-    """Generate and unfold independent realizations of the statistics box."""
+) -> np.ndarray:
+    """Unfolded spectra of independent realizations of the statistics box, one per row."""
     ids_radius = ids.metadata.get("ids_radius")
     if ids_radius is not None and ids_radius < 2 * stats_radius:
         raise ValueError(
@@ -199,7 +177,7 @@ def rescaled_ensemble(
         )
     inner, kernel = _eigenvalue_kernel(cfg, stats_radius)
     spectra = run_parallel(kernel, n_realizations, inner.size, cfg.workers, chunk_size=1)
-    return [rescale(vals, ids, reference_energy, inner.size, stats_radius) for vals in spectra]
+    return rescale(spectra, ids, reference_energy, inner.size)
 
 
 # ---------------------------------------------------------------------------
@@ -299,60 +277,57 @@ class PointProcessStats:
         return "pass"
 
     def to_record(self) -> dict:
-        return {
-            "window": list(self.window),
-            "n_realizations": self.n_realizations,
-            "n_gaps": self.n_gaps,
-            "ks_statistic": self.ks_statistic,
-            "ks_threshold": self.ks_threshold,
+        record = asdict(self)
+        del record["counts"]
+        return record | {
             "ks_pass": self.ks_pass,
-            "chi2_statistic": self.chi2_statistic,
-            "chi2_dof": self.chi2_dof,
-            "chi2_pvalue": self.chi2_pvalue,
             "chi2_pass": self.chi2_pass,
-            "correlation": self.correlation,
-            "correlation_threshold": self.correlation_threshold,
             "correlation_pass": self.correlation_pass,
-            "unit_mean": self.unit_mean,
-            "unit_stderr": self.unit_stderr,
             "verdict": self.verdict(),
         }
 
 
-def window_gaps(sample: RescaledSample, lo: float, hi: float) -> np.ndarray:
-    """Nearest-neighbor gaps whose left point lies in [lo, hi).
+def window_gaps(xi: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Nearest-neighbor gaps of the sorted points ``xi`` whose left point lies in [lo, hi).
 
     Keeping the right neighbor unrestricted (it exists in the full rescaled
     spectrum) avoids the length bias of demanding both endpoints inside the
     window; the partial gaps at the window boundary are censored either way.
     """
-    xi = sample.xi
-    if xi.size < 2:
-        return np.empty(0)
     left = xi[:-1]
     mask = (left >= lo) & (left < hi)
     return np.diff(xi)[mask]
 
 
-def poisson_tests(samples: list[RescaledSample], window: tuple[float, float]) -> PointProcessStats:
+def _point_counts(samples, intervals) -> np.ndarray:
+    """Points of each sample (row) in each half-open interval ``[a, b)`` (column)."""
+    positions = np.array([np.searchsorted(xi, intervals) for xi in samples])
+    return positions[..., 1] - positions[..., 0]
+
+
+def poisson_tests(samples, window: tuple[float, float]) -> PointProcessStats:
     """Test a family of unfolded spectra against the unit Poisson process.
 
-    Pooled in-window gaps are compared to the unit exponential law by a KS
-    test at the asymptotic 5% critical value; per-realization window counts
-    to the matching Poisson law by chi-square with pooled bins; counts in
-    the two outermost disjoint unit subintervals by their sample
-    correlation at a 3-sigma threshold.
+    ``samples`` is a sequence of sorted 1-D arrays, one per realization (the
+    rows of a 2-D array qualify).  Pooled in-window gaps are compared to the
+    unit exponential law by a KS test at the asymptotic 5% critical value;
+    per-realization window counts to the matching Poisson law by chi-square
+    with pooled bins; counts in the two outermost disjoint unit
+    subintervals by their sample correlation at a 3-sigma threshold.
     """
     lo, hi = float(window[0]), float(window[1])
     if hi <= lo:
         raise ValueError("empty window")
     if len(samples) < 1:
         raise ValueError("need at least one realization")
+    if any(np.any(np.diff(xi) < 0) for xi in samples):
+        raise ValueError("rescaled values must be sorted")
     width = hi - lo
     n_real = len(samples)
 
-    counts = np.array([s.count_in(lo, hi) for s in samples])
-    gaps = np.concatenate([window_gaps(s, lo, hi) for s in samples])
+    intervals = [(lo, hi), (lo, lo + 1.0), (hi - 1.0, hi), UNIT_INTERVAL]
+    counts, first, second, unit_counts = _point_counts(samples, intervals).T
+    gaps = np.concatenate([window_gaps(xi, lo, hi) for xi in samples])
 
     ks_stat = exponential_ks_statistic(gaps) if gaps.size else None
     ks_threshold = KS_CRITICAL_SCALE / math.sqrt(gaps.size) if gaps.size else None
@@ -361,11 +336,9 @@ def poisson_tests(samples: list[RescaledSample], window: tuple[float, float]) ->
 
     correlation: float | None = None
     if width >= 2.0:
-        first = np.array([s.count_in(lo, lo + 1.0) for s in samples], dtype=float)
-        second = np.array([s.count_in(hi - 1.0, hi) for s in samples], dtype=float)
-        correlation = sample_correlation(first, second)
+        correlation = sample_correlation(first.astype(float), second.astype(float))
 
-    unit_counts = np.array([s.count_in(*UNIT_INTERVAL) for s in samples], dtype=float)
+    unit_counts = unit_counts.astype(float)
     unit_mean = float(unit_counts.mean())
     unit_stderr = (
         float(unit_counts.std(ddof=1) / math.sqrt(n_real)) if n_real > 1 else 0.0
@@ -392,21 +365,15 @@ def poisson_tests(samples: list[RescaledSample], window: tuple[float, float]) ->
 # synthetic controls
 # ---------------------------------------------------------------------------
 
-def poisson_process_sample(rng: np.random.Generator, lo: float, hi: float) -> RescaledSample:
-    """Points of a unit-intensity Poisson process on [lo, hi]."""
+def poisson_process_sample(rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
+    """Sorted points of a unit-intensity Poisson process on [lo, hi]."""
     n = int(rng.poisson(hi - lo))
-    return RescaledSample(
-        xi=np.sort(rng.uniform(lo, hi, size=n)), reference_energy=0.0, stats_radius=0
-    )
+    return np.sort(rng.uniform(lo, hi, size=n))
 
 
-def picket_fence_sample(lo: float, hi: float) -> RescaledSample:
+def picket_fence_sample(lo: float, hi: float) -> np.ndarray:
     """Rigid unit-spaced spectrum; the canonical non-Poisson control."""
-    return RescaledSample(
-        xi=np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=float),
-        reference_energy=0.0,
-        stats_radius=0,
-    )
+    return np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +395,6 @@ class PosProbe:
     kappa: float
     fitted_exponent: float | None
     reliable: bool
-
-    def to_record(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "fitted_exponent": self.fitted_exponent,
-            "reliable": self.reliable,
-            "rows": [
-                {"epsilon": r.epsilon, "increment": r.increment, "reference": r.reference}
-                for r in self.rows
-            ],
-        }
 
 
 def probe_pos(

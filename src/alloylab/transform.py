@@ -231,8 +231,8 @@ def minami_constants(
     y: Site,
 ) -> MinamiConstants:
     """Evaluate both forms of the determinant bound for a site pair."""
-    if lam <= 0:
-        raise ValueError("disorder strength must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"disorder strength must be positive and finite, got {lam!r}")
     if x == y:
         raise ValueError("the bound concerns two distinct sites")
     if not (transform.box.contains(x) and transform.box.contains(y)):
@@ -242,17 +242,21 @@ def minami_constants(
     d1, d2 = density.d1_norm, density.d2_norm
     cross = col_x.sum() - col_x  # sum over l != j of |B_{l x}|
     core = float(np.sum(col_y * (d2 * col_x + d1**2 * cross)))
-    site_resolved = (math.pi**2 / (4.0 * lam**2)) * core
-    constants = MinamiConstants(
-        inverse_norm=transform.inverse_one_norm,
-        rho_d1_norm=d1,
-        rho_d2_norm=d2,
-        lam=lam,
-        site_resolved_bound=site_resolved,
-        x=tuple(x),
-        y=tuple(y),
-    )
-    if site_resolved > constants.determinant_bound * (1.0 + 1e-12):
+    try:
+        site_resolved = (math.pi**2 / (4.0 * lam**2)) * core
+        constants = MinamiConstants(
+            inverse_norm=transform.inverse_one_norm,
+            rho_d1_norm=d1,
+            rho_d2_norm=d2,
+            lam=lam,
+            site_resolved_bound=site_resolved,
+            x=tuple(x),
+            y=tuple(y),
+        )
+        norm_bound = constants.determinant_bound
+    except (OverflowError, ZeroDivisionError):  # lam**2 or (pi / lam)**2 leaves the floats
+        raise ValueError(f"disorder strength {lam!r} is out of range for the bound") from None
+    if site_resolved > norm_bound * (1.0 + 1e-12):
         raise AssertionError(
             "site-resolved bound exceeds the norm bound; inverse norm bookkeeping is wrong"
         )

@@ -434,6 +434,42 @@ def test_resource_cap_refused_before_sampling(tmp_path, monkeypatch, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"disorder_strength": math.nan}, {"disorder_strength": math.inf},
+     {"energy": [math.nan, 0.1]}, {"energy": [0.5, -math.inf]}],
+)
+def test_non_finite_disorder_or_energy_refused_before_sampling(
+    tmp_path, monkeypatch, capsys, fields
+):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **{**minami_fields(), **fields})  # JSON NaN and Infinity
+    out = tmp_path / "run"
+    assert main(["minami", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strength", [1e200, 1e-200])
+@pytest.mark.parametrize(
+    "command, fields",
+    [("minami", minami_fields()), ("constants", base_fields(site_x=[0], site_y=[1])),
+     ("two-ev", base_fields(box_radius=3, interval=[0.95, 1.05]))],
+    ids=["minami", "constants", "two-ev"],
+)
+def test_bound_overflow_refused_before_sampling(
+    tmp_path, monkeypatch, capsys, command, fields, strength
+):
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **{**fields, "disorder_strength": strength})
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "out of range" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectra commands
 # ---------------------------------------------------------------------------
@@ -500,7 +536,7 @@ def test_spacing_pipeline_small(tmp_path):
     assert code in (0, 1)  # statistical verdict at toy scale; records must exist
 
 
-@pytest.mark.parametrize("radii", [[0, 2], [2, 0]])
+@pytest.mark.parametrize("radii", [[0, 2], [2, 0], []])
 def test_fvc_rejects_radius_zero(tmp_path, monkeypatch, capsys, radii):
     monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
     cfg = write_config(tmp_path, **fvc_fields(radii=radii))
@@ -667,6 +703,20 @@ def test_ids_and_spacing_ranges_refused_before_sampling(
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert f"'{field}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [0, 1])
+@pytest.mark.parametrize("command", ["ids", "spacing"])
+def test_ids_grid_of_fewer_than_two_points_refused_before_sampling(
+    tmp_path, monkeypatch, capsys, command, points
+):
+    monkeypatch.setattr(spectra, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **{**COMMAND_FIELDS[command], "ids_grid_points": points})
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "IDS grid" in err and "Traceback" not in err
     assert not out.exists()
 
 

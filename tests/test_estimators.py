@@ -552,6 +552,27 @@ def test_two_eigenvalue_rejects_single_site_box_before_sampling(monkeypatch):
         estimate_two_eigenvalue_probability(cfg)
 
 
+def test_two_eigenvalue_counts_an_uncounted_sample_as_failed(monkeypatch):
+    count = estimators.interval_counts
+
+    def first_row_uncounted(base, lam, profiles, intervals):
+        counts, fallback = count(base, lam, profiles, intervals)
+        if not calls:
+            counts[0] = np.nan
+        calls.append(len(counts))
+        return counts, fallback
+
+    calls = []
+    monkeypatch.setattr(estimators, "interval_counts", first_row_uncounted)
+    # one NaN row of 1000 stays within the 0.1% cap
+    result = estimate_two_eigenvalue_probability(
+        make_config(interval=(0.95, 1.05), n_samples=1000, seed=4)
+    )
+    assert result.probability.n_failed == result.half_moment.n_failed == 1
+    assert result.exact_inequality_holds
+    assert len(calls) == 2
+
+
 def test_two_eigenvalue_bound_holds_at_moderate_width():
     cfg = make_config(box_radius=3, interval=(0.95, 1.05), n_samples=4000, seed=2)
     result = estimate_two_eigenvalue_probability(cfg)

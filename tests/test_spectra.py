@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 import alloylab
+from alloylab import spectra
 from alloylab.disorder import SingleSitePotential, bump_density
 from alloylab.estimators import ExperimentConfig
 from alloylab.spectra import (
     EmpiricalIDS,
-    RescaledSample,
     empirical_ids,
     exponential_ks_statistic,
     free_chain_ids,
@@ -33,6 +33,10 @@ from alloylab.spectra import (
 
 RHO = bump_density()
 DELTA = SingleSitePotential.delta(1)
+
+
+def refuse_sampling(*args, **kwargs):
+    raise AssertionError("sampling started before the grid was checked")
 
 
 def chain_config(**kwargs):
@@ -93,6 +97,13 @@ def test_ids_grid_escape_reports_eigenvalues():
         empirical_ids(cfg, ids_radius=20, n_realizations=2, grid=np.linspace(-1.0, 1.0, 101))
 
 
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf]])
+def test_ids_grid_refused_before_sampling(monkeypatch, grid):
+    monkeypatch.setattr(spectra, "run_parallel", refuse_sampling)
+    with pytest.raises(ValueError, match="IDS grid needs 2 or more finite, increasing"):
+        empirical_ids(chain_config(), ids_radius=20, n_realizations=2, grid=np.array(grid))
+
+
 def test_ids_median_inversion():
     cfg = chain_config(disorder_strength=2.0, seed=1)
     ids = empirical_ids(cfg, ids_radius=100, n_realizations=10, grid_points=4001)
@@ -121,25 +132,25 @@ def linear_ids(slope=0.1, lo=-5.0, hi=5.0):
 def test_rescale_affine_case():
     ids = linear_ids()
     eigs = np.array([-1.0, 0.0, 0.5, 2.0])
-    sample = rescale(eigs, ids, reference_energy=0.0, stats_size=100)
+    xi = rescale(eigs, ids, reference_energy=0.0, stats_size=100)
     # slope 0.1 and size 100: xi = 10 * E
-    assert np.allclose(sample.xi, [-10.0, 0.0, 5.0, 20.0], atol=1e-10)
-    gaps = np.diff(sample.xi)
+    assert np.allclose(xi, [-10.0, 0.0, 5.0, 20.0], atol=1e-10)
+    gaps = np.diff(xi)
     assert np.allclose(gaps, 100 * 0.1 * np.diff(eigs))
 
 
 def test_rescale_reference_maps_to_zero():
     ids = linear_ids()
-    sample = rescale(np.array([0.7]), ids, reference_energy=0.7, stats_size=33)
-    assert sample.xi[0] == pytest.approx(0.0, abs=1e-12)
+    xi = rescale(np.array([0.7]), ids, reference_energy=0.7, stats_size=33)
+    assert xi[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rescale_is_monotone_and_validates_grid():
     ids = linear_ids()
     rng = np.random.default_rng(0)
     eigs = np.sort(rng.uniform(-4.9, 4.9, size=50))
-    sample = rescale(eigs, ids, 0.0, 10)
-    assert np.all(np.diff(sample.xi) >= 0)
+    xi = rescale(eigs, ids, 0.0, 10)
+    assert np.all(np.diff(xi) >= 0)
     with pytest.raises(ValueError, match="outside"):
         rescale(np.array([7.0]), ids, 0.0, 10)
     with pytest.raises(ValueError, match="inside"):
@@ -158,7 +169,18 @@ def test_rescale_idempotent_under_interpolation():
     eigs = np.array([-2.0, -0.3, 1.7])
     a = rescale(eigs, ids, 0.1, 57)
     b = rescale(eigs, refined, 0.1, 57)
-    assert np.allclose(a.xi, b.xi, atol=1e-12)
+    assert np.allclose(a, b, atol=1e-12)
+
+
+def test_rescale_unfolds_each_row_of_an_ensemble():
+    ids = linear_ids()
+    rng = np.random.default_rng(3)
+    ensemble = rng.uniform(-4.9, 4.9, size=(4, 30))
+    rows = rescale(ensemble, ids, 0.2, 30)
+    assert rows.shape == ensemble.shape
+    for row, eigs in zip(rows, ensemble):
+        assert np.array_equal(row, rescale(eigs, ids, 0.2, 30))
+        assert np.all(np.diff(row) >= 0)
 
 
 def test_rescaled_ensemble_requires_decoupled_ids():
@@ -173,13 +195,25 @@ def test_rescaled_ensemble_requires_decoupled_ids():
 # ---------------------------------------------------------------------------
 
 def test_window_gaps_left_endpoint_convention():
-    sample = RescaledSample(
-        xi=np.array([-2.0, -0.5, 0.3, 0.9, 1.4, 3.2]), reference_energy=0.0, stats_radius=0
-    )
-    gaps = window_gaps(sample, 0.0, 1.0)
+    gaps = window_gaps(np.array([-2.0, -0.5, 0.3, 0.9, 1.4, 3.2]), 0.0, 1.0)
     # left endpoints 0.3 and 0.9 are in the window; their right neighbors may
     # fall outside
     assert np.allclose(gaps, [0.6, 0.5])
+
+
+def test_poisson_tests_read_array_rows_as_samples():
+    rng = np.random.default_rng(8)
+    ensemble = np.sort(rng.uniform(-8.0, 8.0, size=(40, 16)), axis=1)
+    rows, listed = poisson_tests(ensemble, (-3.0, 3.0)), poisson_tests(list(ensemble), (-3.0, 3.0))
+    assert rows.to_record() == listed.to_record()
+    assert np.array_equal(rows.counts, listed.counts)
+    expected = [np.sum((xi >= -3.0) & (xi < 3.0)) for xi in ensemble]
+    assert rows.counts.tolist() == expected
+
+
+def test_poisson_tests_refuse_an_unsorted_sample():
+    with pytest.raises(ValueError, match="sorted"):
+        poisson_tests([np.array([0.1, 0.5]), np.array([0.4, 0.2])], (0.0, 1.0))
 
 
 def test_ks_statistic_exact_exponential_grid():

@@ -287,6 +287,13 @@ def test_constants_validate_sites():
         minami_constants(t, rho, 1.0, (0,), (3,))  # outside the inner box
     with pytest.raises(ValueError):
         minami_constants(t, rho, -1.0, (0,), (1,))
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            minami_constants(t, rho, lam, (0,), (1,))
+    # lam**2 overflows, or underflows to zero below (pi / lam)**2's overflow
+    for lam in (1e200, 1e-200):
+        with pytest.raises(ValueError, match="out of range"):
+            minami_constants(t, rho, lam, (0,), (1,))
 
 
 # ---------------------------------------------------------------------------

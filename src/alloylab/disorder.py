@@ -17,6 +17,7 @@ from numpy.polynomial import polynomial as npoly
 from .lattice import Site
 
 QUANTILE_TOL = 1e-12
+_TABLE_DEPTH = 12  # bisection levels tabulated per density: 4095 CDF values
 _CONTINUITY_TOL = 1e-12
 
 
@@ -170,8 +171,10 @@ class DisorderDensity:
     Subclasses provide ``pdf``/``cdf`` and the exact norms ``sup_norm``,
     ``d1_norm`` (L1 of the first derivative) and ``d2_norm`` (L1 of the
     second), and refuse to be built outside ``W^{2,1}``, so every density
-    object is in the class.  Quantiles are obtained by bisection on the CDF
-    to 1e-12, so sampling is deterministic given the uniform draws.
+    object is in the class.  Quantiles are a bisection on the CDF to
+    1e-12, so sampling is deterministic given the uniform draws; its first
+    levels are tabulated at construction (``_tabulate_bisection``), and the
+    result has the bits of the plain bisection.
     """
 
     support: tuple[float, float]
@@ -188,19 +191,94 @@ class DisorderDensity:
     def config_key(self):
         raise NotImplementedError
 
-    def quantile(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
+    def _tabulate_bisection(self, pieces=()) -> None:
+        """Replay the first levels of the quantile bisection once, for every ``q`` at the same time.
+
+        Node ``n`` of the bisection tree has children ``2 n + 1`` (left) and
+        ``2 n + 2`` (right), levels numbered left to right; ``_cdf_table[n]``
+        is ``cdf`` at its midpoint, and leaf ``j`` brackets
+        ``[_edges[j], _edges[j + 1]]``.  ``pieces`` are ``(left, right, f)``
+        with ``f`` a cheaper function that every comparison ``f(t) < q``
+        answers as ``cdf(t) < q`` does, for ``left < t < right``;
+        ``_leaf_piece[j]`` is the piece that strictly contains leaf ``j``'s
+        bracket, or -1.
+        """
         a, b = self.support
-        lo = np.full(q.shape, a)
-        hi = np.full(q.shape, b)
-        n_iter = max(1, math.ceil(math.log2((b - a) / QUANTILE_TOL)))
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < q
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        mid = 0.5 * (lo + hi)
+        self._n_iter = max(1, math.ceil(math.log2((b - a) / QUANTILE_TOL)))
+        edges = np.array([a, b])
+        mids = []
+        for _ in range(min(_TABLE_DEPTH, self._n_iter)):
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            mids.append(mid)
+            edges = np.insert(edges, np.arange(1, edges.size), mid)
+        self._cdf_table = np.asarray(self.cdf(np.concatenate(mids)))
+        self._edges = edges
+        self._piece_cdfs = []
+        self._leaf_piece = np.full(edges.size - 1, -1)
+        for i, (left, right, f) in enumerate(pieces):
+            self._piece_cdfs.append(f)
+            self._leaf_piece[(left < edges[:-1]) & (edges[1:] < right)] = i
+
+    def quantile(self, q) -> np.ndarray:
+        """The bisection on ``cdf`` to ``QUANTILE_TOL``, bit for bit, from a tabulated prefix.
+
+        A draw walks the tabulated levels by the bisection's own comparisons
+        ``cdf(mid) < q`` (a NaN ``q`` goes left) and bisects on from its
+        leaf: on its piece's function when the leaf lies strictly inside a
+        piece, on ``cdf`` otherwise.
+        """
+        q = np.asarray(q, dtype=float)
+        flat = q.ravel()
+        node = np.zeros(flat.shape, dtype=np.intp)
+        levels = self._cdf_table.size.bit_length()
+        for _ in range(levels):
+            node = 2 * node + 1 + (self._cdf_table[node] < flat)
+        leaf = node - self._cdf_table.size
+        lo = self._edges[leaf]
+        hi = self._edges[leaf + 1]
+        piece = self._leaf_piece[leaf]
+        for i, cdf in enumerate([self.cdf] + self._piece_cdfs, start=-1):
+            rows = np.flatnonzero(piece == i)
+            if rows.size == flat.size:
+                lo, hi = _bisect(lo, hi, flat, cdf, self._n_iter - levels)
+            elif rows.size:
+                lo[rows], hi[rows] = _bisect(lo[rows], hi[rows], flat[rows], cdf, self._n_iter - levels)
+        mid = (0.5 * (lo + hi)).reshape(q.shape)
         return mid if mid.ndim else float(mid)
+
+
+def _bisect(lo, hi, q, cdf, levels):
+    """``levels`` more steps of the quantile bisection from the brackets ``[lo, hi]``."""
+    mid = np.empty_like(lo)
+    for _ in range(levels):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        below = cdf(mid) < q
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return lo, hi
+
+
+def _piece_cdf(anti: np.ndarray, anti_left: float, cum: float):
+    """``cum + (A(t) - A(t_i))`` by the steps of ``npoly.polyval`` and ``cdf``, for finite ``t``.
+
+    Adding an exact zero changes at most the sign of a zero, which no
+    comparison sees, so those steps are left out.
+    """
+
+    def cdf(t):
+        value = np.full_like(t, anti[-1])
+        for c in anti[-2::-1]:
+            value *= t
+            if c:
+                value += c
+        if anti_left:
+            value -= anti_left
+        if cum:
+            value += cum
+        return value
+
+    return cdf
 
 
 class PiecewisePolynomialDensity(DisorderDensity):
@@ -243,6 +321,10 @@ class PiecewisePolynomialDensity(DisorderDensity):
         self.d1_norm = profile.total_variation()
         self.d2_norm = deriv.total_variation()
         self._cum = np.concatenate([[0.0], np.cumsum(masses)])
+        self._tabulate_bisection(
+            (left, right, _piece_cdf(anti, anti_left, cum))
+            for left, right, anti, anti_left, cum in zip(bp, bp[1:], self._anti, self._anti_left, self._cum)
+        )
 
     def pdf(self, t):
         return self.profile(t)
@@ -286,6 +368,7 @@ class RaisedCosineDensity(DisorderDensity):
         self.sup_norm = 2.0
         self.d1_norm = 4.0
         self.d2_norm = 8.0 * math.pi
+        self._tabulate_bisection()
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)

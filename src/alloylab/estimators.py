@@ -618,7 +618,12 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
         x = tuple(c - inner.radius for c in inner.center)
         y = x[:-1] + (x[-1] + 1,)
         constants = minami_constants(transform, cfg.density, lam, x, y)
-        bound = 0.5 * constants.determinant_bound * width**2 * inner.size**2
+        try:
+            bound = 0.5 * constants.determinant_bound * width**2 * inner.size**2
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):  # width**2 or the product leaves the floats
+            raise ValueError(f"interval width {width!r} is out of range for the bound")
     else:
         bound = math.inf
 

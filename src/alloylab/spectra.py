@@ -115,6 +115,11 @@ def empirical_ids(
         raise ValueError("need at least one realization")
     if grid is None:
         lo, hi = spectral_range(cfg)
+        if not math.isfinite((hi + 1.0) - (lo - 1.0)):
+            raise ValueError(
+                f"disorder_strength {cfg.disorder_strength!r} puts the spectral range "
+                f"[{lo}, {hi}] out of the floating-point range"
+            )
         grid = np.linspace(lo - 1.0, hi + 1.0, grid_points)
     else:
         grid = np.asarray(grid, dtype=float)

@@ -470,6 +470,19 @@ def test_bound_overflow_refused_before_sampling(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("interval", [[-1e200, 1e200], [-1e308, 1e308]])
+def test_two_ev_interval_overflow_refused_before_sampling(tmp_path, monkeypatch, capsys, interval):
+    # width**2 raised an uncaught OverflowError; an infinite width gave an
+    # infinite bound that no record can hold, refused only after sampling
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **base_fields(interval=interval))
+    out = tmp_path / "run"
+    assert main(["two-ev", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "interval width" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectra commands
 # ---------------------------------------------------------------------------
@@ -717,6 +730,19 @@ def test_ids_grid_of_fewer_than_two_points_refused_before_sampling(
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "IDS grid" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ids", "spacing"])
+def test_ids_spectral_range_overflow_refused_before_sampling(tmp_path, monkeypatch, capsys, command):
+    # lam * max(u) overflows: linspace warned over an infinite range before the refusal
+    monkeypatch.setattr(spectra, "run_parallel", refuse_sampling)
+    fields = {**COMMAND_FIELDS[command], "potential": "nn_positive", "disorder_strength": 1.7e308}
+    cfg = write_config(tmp_path, **fields)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "disorder_strength" in err and "Traceback" not in err
     assert not out.exists()
 
 

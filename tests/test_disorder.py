@@ -23,6 +23,7 @@ from alloylab.disorder import (
     sobolev_ratio,
 )
 from alloylab.lattice import box
+from tests.sample_reference import reference_quantile
 
 
 def quad_abs(f, a, b, points):
@@ -208,6 +209,35 @@ def test_quantile_pinned_values():
         0.000500083374845417, 0.3668073739186184, 0.49999999999954525,
         0.7438629777775532, 0.9994999165060108,
     ]
+
+
+QUANTILE_DENSITIES = {**PIECEWISE_DENSITIES, "raised_cosine": raised_cosine_density()}
+EDGE_QUANTILES = [0.0, 1.0, 1.0 - 2.0**-53, 5e-324, math.nan, math.inf, -math.inf, -0.5, 1.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(QUANTILE_DENSITIES)),
+    points=st.lists(st.floats(-0.5, 1.5), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantile_replays_the_bisection_bit_for_bit(name, points, seed):
+    rho = QUANTILE_DENSITIES[name]
+    rng = np.random.default_rng(seed)
+    # on [0, 1] the bisection's midpoints are the dyadic fractions: j / 2**12
+    # are the tabulated ones, j / 2**40 lie deeper; q equal to cdf there
+    # tests that a tie goes left
+    table = rho.cdf(rng.integers(1, 2**12, 64) / 2**12)
+    deep = rho.cdf(rng.integers(1, 2**40, 64) / 2**40)
+    tails = np.concatenate([rng.random(32) ** 8, 1.0 - rng.random(32) ** 8])
+    q = np.concatenate([points, EDGE_QUANTILES, rng.random(256), table, deep, tails])
+    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+    grid = q[: q.size // 2 * 2].reshape(2, -1)
+    assert rho.quantile(grid).tobytes() == reference_quantile(rho, grid).tobytes()
+    for x in EDGE_QUANTILES + points[:3]:
+        value = rho.quantile(np.float64(x))
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(reference_quantile(rho, x)).tobytes()
 
 
 def test_discontinuous_pieces_rejected():

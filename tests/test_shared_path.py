@@ -9,8 +9,13 @@ here -> ``tests.sample_reference`` (``draw_couplings`` -> ``assemble``) ->
 inverse it replaced.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import alloylab
 
 from alloylab.config import nn_signed_potential
 from alloylab.disorder import bump_density
@@ -158,3 +163,16 @@ def test_resolvent_columns_fall_back_on_a_singular_member():
     assert certified.tolist() == [True, False, True]
     assert np.isnan(solutions[1]).all()
     assert np.array_equal(solutions[[0, 2]], dense_inverse_columns(matrices[[0, 2]], 1j, [0, 1]))
+
+
+def test_quantile_is_defined_only_on_the_base_density():
+    # perfbench's tracer wraps DisorderDensity.quantile: an override in a
+    # subclass, or a second quantile elsewhere, would bypass its spans
+    owners = set()
+    for path in Path(alloylab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            body = node.body if isinstance(node, (ast.Module, ast.ClassDef)) else []
+            for item in body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "quantile":
+                    owners.add((path.stem, getattr(node, "name", "<module>")))
+    assert owners == {("disorder", "DisorderDensity")}

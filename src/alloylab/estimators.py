@@ -27,7 +27,6 @@ import mmap
 import os
 import pickle
 import signal
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -119,38 +118,25 @@ def _openblas_libraries() -> tuple[tuple[BlasLibrary, ...], str | None]:
     return tuple(found), None
 
 
-_blas_lock = threading.Lock()
-_blas_depth = 0
-_blas_saved: list[int] = []
-
-
 @contextlib.contextmanager
 def blas_threads(n: int):
     """Run the body with every loaded OpenBLAS copy at ``n`` threads, then restore.
 
-    Overlapping entries, nested or from several threads, share the first
-    one's pin; the last one out restores the counts it saved.  When a
+    The caller's counts are saved on entry and set back on exit.  When a
     library or symbol is missing this does nothing (``blas_environment``
     names what is missing).
     """
-    global _blas_depth, _blas_saved
     libraries, missing = _openblas_libraries()
     if missing is not None:
         libraries = ()
-    with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = [lib.get_threads() for lib in libraries]
-            for lib in libraries:
-                lib.set_threads(n)
-        _blas_depth += 1
+    saved = [lib.get_threads() for lib in libraries]
+    for lib in libraries:
+        lib.set_threads(n)
     try:
         yield
     finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                for lib, count in zip(libraries, _blas_saved):
-                    lib.set_threads(count)
+        for lib, count in zip(libraries, saved):
+            lib.set_threads(count)
 
 
 def blas_environment() -> dict:
@@ -329,6 +315,8 @@ class ExperimentConfig:
             a, b = self.interval
             if not (math.isfinite(a) and math.isfinite(b) and a <= b):
                 raise ValueError(f"interval [{a}, {b}] must be bounded and ordered")
+            if not math.isfinite(b - a):
+                raise ValueError(f"interval width of [{a}, {b}] is out of range")
             self.interval = (float(a), float(b))
         if self.site_x is not None:
             self.site_x = tuple(int(c) for c in self.site_x)

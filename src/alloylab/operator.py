@@ -261,28 +261,34 @@ def chain_eigenvalues(diagonal: np.ndarray, shifted: bool = False) -> np.ndarray
 def interval_counts(base: np.ndarray, lam: float, profiles: np.ndarray, intervals) -> tuple:
     """Counts of each ``hamiltonian_stack`` member's eigvalsh eigenvalues in closed intervals.
 
-    Returns counts and fallback flags, one row per profile, one column per interval.
-    ``#{mu <= x}`` is the negative pivots of LDL^T of ``H - x -+ delta``, ``delta =
-    COUNT_SHIFT (1 + |H|_inf + |x|)``: certified if both agree and the growth keeps the
-    backward error, plus eigvalsh's, under ``delta / 2`` (Weyl); else the row falls back
-    to ``eigvalsh`` (NaN if non-finite).
+    Returns counts and flags, one row per profile, one column per interval; a flag
+    marks a count taken from ``eigvalsh``.  ``base`` is ``base_matrix(box, shifted)``.
+    ``#{mu <= x}`` is the negative pivots of the red-black LDL^T of ``H - x -+ delta``,
+    ``delta = COUNT_SHIFT (1 + |H|_inf + |x|)``: certified if both agree and the growth
+    keeps the backward error, plus eigvalsh's, under ``delta / 2`` (Weyl); else the row
+    falls back to ``eigvalsh`` (NaN if non-finite).  When ``eigvalsh`` is the cheaper
+    count (many endpoints, mostly at d=3), every finite row is counted by it.
     """
     lo, hi = np.asarray(intervals, dtype=float).reshape(-1, 2).T
     ends, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     ia, ib = where.reshape(2, -1)
-    band, n = int(np.max(np.ptp(np.nonzero(base), axis=0), initial=0)), base.shape[0]
+    plan, n = _elimination_plan(*_box_shape(base)), base.shape[0]
     h = np.diagonal(base) + lam * profiles
-    scale = 1.0 + np.max(np.abs(h) + np.abs(base).sum(1) - np.abs(np.diagonal(base)), axis=1)
-    delta = COUNT_SHIFT * (scale[:, None] + np.abs(ends))
-    shifts = ends[:, None] + np.array([-1.0, 1.0]) * delta[:, :, None]
-    negative, growth = _band_inertia(base, band, (h.T[:, :, None, None] - shifts).reshape(n, -1))
-    # LDL^T is exact for H - y + E, |E|_2 <= 2 (2b + 1) (b + 1)^2 eps growth
-    eps, bound = np.finfo(float).eps, 2 * (2 * band + 1) * (band + 1) ** 2
-    cap = (delta / 2 - EIGVALSH_ERROR * n * n * eps * scale[:, None])[..., None] / (bound * eps)
-    negative, growth = negative.reshape(shifts.shape), growth.reshape(shifts.shape)
-    certain = (negative[..., 0] == negative[..., 1]) & np.all(growth <= cap, axis=2)
-    counts = np.maximum(negative[:, ib, 0] - negative[:, ia, 0], 0.0)
-    fallback = ~(certain[:, ia] & certain[:, ib])
+    # per sample: the kernel's lanes times window entries against eigvalsh's cost
+    if 2 * ends.size * plan.work <= _EIGVALSH_COST * n**2.5:
+        scale = 1.0 + np.max(np.abs(h) + plan.degree, axis=1)
+        delta = COUNT_SHIFT * (scale[:, None] + np.abs(ends))
+        shifts = ends[:, None] + np.array([-1.0, 1.0]) * delta[:, :, None]
+        negative, growth = _red_black_inertia(plan, (h.T[:, :, None, None] - shifts).reshape(n, -1))
+        # the factors are exact for H - y + E, |E|_2 <= plan.bound eps growth
+        eps = np.finfo(float).eps
+        cap = (delta / 2 - EIGVALSH_ERROR * n * n * eps * scale[:, None])[..., None] / (plan.bound * eps)
+        negative, growth = negative.reshape(shifts.shape), growth.reshape(shifts.shape)
+        certain = (negative[..., 0] == negative[..., 1]) & np.all(growth <= cap, axis=2)
+        counts = np.maximum(negative[:, ib, 0] - negative[:, ia, 0], 0.0)
+        fallback = ~(certain[:, ia] & certain[:, ib])
+    else:
+        counts, fallback = np.zeros((len(h), lo.size)), np.ones((len(h), lo.size), dtype=bool)
     redo = np.nonzero(np.any(fallback, axis=1))[0]
     counts[redo] = np.nan
     if (redo := redo[np.all(np.isfinite(h[redo]), axis=1)]).size:
@@ -291,24 +297,195 @@ def interval_counts(base: np.ndarray, lam: float, profiles: np.ndarray, interval
     return counts, fallback
 
 
-@np.errstate(all="ignore")
-def _band_inertia(base: np.ndarray, band: int, diagonals: np.ndarray) -> tuple:
-    """Negative pivots and growth ``max c^2 / |d|`` (NaN past a zero pivot) of banded LDL^T.
+# eigvalsh's time per matrix over n**2.5, in units of the inertia kernel's time per lane
+# and window entry: 1.1-2.6 for 3 <= n <= 2197 on one core (eigvalsh nears its n**3
+# asymptote only at the dense cap), so the count takes the side this model finds cheaper
+_EIGVALSH_COST = 2.0
+_plans: dict = {}
 
-    Lane ``l`` factors ``base`` with diagonal ``diagonals[:, l]``, unpivoted: index
-    ``k`` of the Schur complement lives in slot ``k % (band + 1)`` of a window.
+
+def _box_shape(base: np.ndarray) -> tuple[int, int]:
+    """``(dimension, side)`` of the box of ``base_matrix(box, shifted)``.
+
+    Site 0 is a corner of the box, coupled to the sites at the strides ``side**k``.
     """
-    (n, lanes), w = diagonals.shape, band + 1
-    window, outer = np.zeros((2, w, w, lanes))
-    window[:] = base[:w, :w, None]
-    window[np.arange(w), np.arange(w)] = diagonals[:w]
-    negative, growth = np.zeros(lanes, dtype=np.int64), np.zeros(lanes)
-    for k in range(n):
-        p, j = k % w, k + w
-        negative += window[p, p] < 0
-        np.multiply(window[p][:, None], window[p] / window[p, p], out=outer)
-        np.maximum(growth, np.max(np.abs(np.diagonal(outer)), axis=1), out=growth)
-        window -= outer
-        window[p, :] = window[:, p] = base[j, k + (np.arange(w) - p) % w, None] if j < n else 0.0
-        window[p, p] = diagonals[j] if j < n else 1.0
-    return negative, growth
+    n = base.shape[0]
+    for dimension in range(n.bit_length(), 1, -1):
+        side = round(n ** (1.0 / dimension))
+        if side > 1 and side**dimension == n and all(base[0, side**k] for k in range(dimension)):
+            return dimension, side
+    return 1, n
+
+
+@dataclass(frozen=True)
+class _EliminationPlan:
+    """The elimination order of one box's Hamiltonian, a pure function of the box.
+
+    Red sites (even coordinate sum) are mutually uncoupled and go first, in one
+    step.  The black Schur complement ``S = D_b - C D_r^-1 C^T`` couples black sites
+    that share a red neighbour; black sites are ordered by coordinate sum, then
+    lexicographically, and factored in an envelope whose window at step ``k`` is
+    black positions ``k .. k + fronts[k] - 1``; only a window's lower triangle is
+    kept, updated in the row blocks ``rows[k]``.  ``S`` is held as an array of
+    entries: the ``B`` diagonal ones, then the off-diagonal ones, then a zero.  Entry
+    ``e`` subtracts ``1 / d_r`` at the red slots ``sums[:, e]`` (the slot ``R`` reads
+    0); diagonal entries also at ``extra``.  ``fills[k]`` names the entries entering
+    the window at step ``k``: one row per new position, one column per window position.
+
+    ``bound`` is the backward-error constant: the computed factors are exact for
+    ``H - y + E`` with ``|E|_2 <= bound eps growth``.  An entry of the permuted
+    matrix takes at most ``2d`` red and ``F - 1`` black updates (``F`` the widest
+    front), so ``|E_ij| <= gamma_(2d+F+2) (2d + F) growth``: unpivoted LU (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 9-10), one rounding more
+    for ``l = c / d`` and one for the shifted diagonal.  A row of ``E`` has at most
+    ``2d + 2F - 1`` entries, and ``gamma_m < 0.51 m eps`` for the ``m`` here, so
+    ``(2d + F) gamma_(2d+F+2) < (2d + F + 1)**2 eps``, with room for ``|fl(c/d)| d``.
+    """
+
+    red: np.ndarray
+    black: np.ndarray
+    degree: np.ndarray
+    sums: np.ndarray
+    extra: np.ndarray
+    fronts: tuple
+    fills: tuple
+    rows: tuple
+    bound: int
+    work: int  # window entries a lane updates: sum of fronts**2
+
+
+def _elimination_plan(dimension: int, side: int) -> _EliminationPlan:
+    """The box's plan, built at its first count and kept for the process."""
+    if (dimension, side) in _plans:
+        return _plans[dimension, side]
+    n = side**dimension
+    offsets = np.indices((side,) * dimension).reshape(dimension, n).T
+    strides = side ** np.arange(dimension - 1, -1, -1)
+    neighbours = np.full((n, 2 * dimension), -1)
+    for axis in range(dimension):
+        for column, step in enumerate((-1, 1), start=2 * axis):
+            inside = (offsets[:, axis] + step >= 0) & (offsets[:, axis] + step < side)
+            neighbours[inside, column] = np.arange(n)[inside] + step * strides[axis]
+    level = offsets.sum(axis=1)
+    red = np.flatnonzero(level % 2 == 0)
+    black = np.flatnonzero(level % 2 == 1)
+    black = black[np.argsort(level[black], kind="stable")]
+    R, B = red.size, black.size
+    slot = np.full(n + 1, R)  # a red site's row of 1 / d_r; index -1 (no neighbour) reads the zero
+    slot[red] = np.arange(R)
+    position = np.zeros(n, dtype=np.int64)
+    position[black] = np.arange(B)
+    # off-diagonal entries of S: black pairs with a common red neighbour, at most 2 of them
+    pairs = []
+    around = neighbours[red]
+    for a in range(2 * dimension):
+        for c in range(a + 1, 2 * dimension):
+            both = np.flatnonzero((around[:, a] >= 0) & (around[:, c] >= 0))
+            p, q = position[around[both, a]], position[around[both, c]]
+            pairs.append(np.stack([np.minimum(p, q) * B + np.maximum(p, q), both]))
+    key, via = np.concatenate(pairs, axis=1)
+    order = np.argsort(key, kind="stable")
+    key, via = key[order], via[order]
+    keys, start, count = np.unique(key, return_index=True, return_counts=True)
+    second = np.where(count > 1, via[np.minimum(start + 1, key.size - 1)], R)
+    diagonal = slot[neighbours[black]].T
+    sums = np.concatenate([diagonal[:2], np.stack([via[start], second])], axis=1)
+    # the envelope: the first position coupled to each black position, and each step's window
+    rows, cols = np.divmod(keys, max(B, 1))
+    first = np.arange(B)
+    np.minimum.at(first, cols, rows)
+    last = np.full(B, -1)
+    np.maximum.at(last, first, np.arange(B))
+    last = np.maximum.accumulate(last)
+    fronts = last - np.arange(B) + 1
+    entry = np.concatenate([np.arange(B) * (B + 1), keys])
+    order = np.argsort(entry)
+    fills, previous = [], -1
+    for k in range(B):
+        new = np.arange(previous + 1, last[k] + 1)
+        if new.size:
+            window = np.arange(k, last[k] + 1)
+            wanted = (np.minimum.outer(new, window) * B + np.maximum.outer(new, window)).ravel()
+            at = np.minimum(np.searchsorted(entry, wanted, sorter=order), entry.size - 1)
+            found = entry[order[at]] == wanted
+            fills.append(np.where(found, order[at], entry.size).reshape(new.size, window.size))
+        else:
+            fills.append(None)
+        previous = last[k]
+    widest = int(fronts.max(initial=1))
+    # an update covers rows a..b-1 of the lower triangle and columns up to b - 1, in
+    # blocks of about equal area
+    rows = []
+    for f in fronts - 1:
+        blocks = max(1, f // 5)
+        cuts = [round(f * (i / blocks) ** 0.5) for i in range(blocks + 1)]
+        rows.append(tuple((a, b) for a, b in zip(cuts, cuts[1:]) if b > a))
+    plan = _EliminationPlan(
+        red=red,
+        black=black,
+        degree=np.count_nonzero(neighbours >= 0, axis=1),
+        sums=sums,
+        extra=diagonal[2:],
+        fronts=tuple(int(f) for f in fronts),
+        fills=tuple(fills),
+        rows=tuple(rows),
+        bound=(2 * dimension + 2 * widest - 1) * (2 * dimension + widest + 1) ** 2,
+        work=int(np.sum(fronts**2)),
+    )
+    if len(_plans) >= 16:
+        _plans.clear()
+    _plans[dimension, side] = plan
+    return plan
+
+
+@np.errstate(all="ignore")
+def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray) -> tuple:
+    """Negative pivots and growth ``max c^2 / |d|`` (non-finite past a zero pivot) of LDL^T.
+
+    Lane ``l`` factors the box's Hamiltonian with diagonal ``diagonals[:, l]``,
+    unpivoted, red sites first (their couplings are the hopping -1, so each red
+    pivot's growth is ``max(|d|, 1/|d|)``), then the black Schur complement frontally.
+    """
+    lanes, blacks = diagonals.shape[1], plan.black.size
+    # the red pivots in place, then their reciprocals; the last slot stays 0
+    inverse = np.zeros((plan.red.size + 1, lanes))
+    pivots = inverse[:-1]
+    pivots[:] = diagonals[plan.red]
+    negative = np.count_nonzero(pivots < 0, axis=0)
+    extremes = [np.max(pivots, axis=0), -np.min(pivots, axis=0)]
+    np.divide(1.0, pivots, out=pivots)
+    growth = np.max(extremes + [np.max(pivots, axis=0), -np.min(pivots, axis=0)], axis=0)
+    if not blacks:
+        return negative, growth
+    schur = np.zeros((plan.sums.shape[1] + 1, lanes))
+    schur[:blacks] = diagonals[plan.black]
+    entries = schur.shape[0] - 1
+    for start in range(0, entries, 64):  # in slabs of 64 entries, so the gathers stay small
+        slab, diagonal = slice(start, min(start + 64, entries)), slice(start, min(start + 64, blacks))
+        for column in plan.sums:
+            schur[slab] -= inverse[column[slab]]
+        for column in plan.extra:
+            schur[diagonal] -= inverse[column[diagonal]]
+    del pivots, inverse  # spent: freed before the windows are allocated
+    widest = max(plan.fronts)
+    window, spare = np.empty((2, widest, widest, lanes))
+    pivots = np.empty((blacks, lanes))
+    terms, peak = np.empty((widest, lanes)), np.zeros((widest, lanes))
+    kept = 0
+    for k, (f, fill, rows) in enumerate(zip(plan.fronts, plan.fills, plan.rows)):
+        if fill is not None:
+            window[kept:f, :f] = schur[fill]
+        pivots[k] = window[0, 0]
+        column = window[1:f, 0]
+        ratio = column / window[0, 0]
+        # the growth terms c_i^2 / d, and c_i l_j off the lower triangle (row blocks)
+        np.abs(np.multiply(ratio, column, out=terms[: f - 1]), out=terms[: f - 1])
+        np.maximum(peak[: f - 1], terms[: f - 1], out=peak[: f - 1])
+        for a, b in rows:
+            update = np.multiply(ratio[a:b, None], column[:b], out=spare[a:b, :b])
+            np.subtract(window[1 + a : 1 + b, 1 : 1 + b], update, out=update)
+        window, spare = spare, window
+        kept = f - 1
+    negative += np.count_nonzero(pivots < 0, axis=0)
+    growth = np.maximum(growth, np.max(np.abs(pivots), axis=0))
+    return negative, np.maximum(growth, np.max(peak, axis=0))

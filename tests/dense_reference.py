@@ -1,8 +1,12 @@
-"""Dense ``N x N`` views of a circulant transform, rebuilt from its torus tables.
+"""Slow dense and banded references the library's fast paths are checked against.
 
-The library never forms these matrices; tests use them as the slow reference
+Dense ``N x N`` views of a circulant transform, rebuilt from its torus tables:
+the library never forms these matrices; tests use them as the slow reference
 on small envelopes.  Entry ``(i, j)`` is the table at ``(site_i - site_j) mod
 side``, sites in the envelope's enumeration order.
+
+``band_inertia`` is the lexicographic banded LDL^T that counted eigenvalues
+before the red-black elimination, kept as the oracle of ``_red_black_inertia``.
 """
 
 import numpy as np
@@ -22,3 +26,26 @@ def transform_matrix(transform) -> np.ndarray:
 def transform_inverse(transform) -> np.ndarray:
     """The inverse transform (the reciprocal-symbol kernel) as a dense matrix."""
     return _dense(transform.envelope, transform.kernel)
+
+
+@np.errstate(all="ignore")
+def band_inertia(base: np.ndarray, band: int, diagonals: np.ndarray) -> tuple:
+    """Negative pivots and growth ``max c^2 / |d|`` (NaN past a zero pivot) of banded LDL^T.
+
+    Lane ``l`` factors ``base`` with diagonal ``diagonals[:, l]``, unpivoted: index
+    ``k`` of the Schur complement lives in slot ``k % (band + 1)`` of a window.
+    """
+    (n, lanes), w = diagonals.shape, band + 1
+    window, outer = np.zeros((2, w, w, lanes))
+    window[:] = base[:w, :w, None]
+    window[np.arange(w), np.arange(w)] = diagonals[:w]
+    negative, growth = np.zeros(lanes, dtype=np.int64), np.zeros(lanes)
+    for k in range(n):
+        p, j = k % w, k + w
+        negative += window[p, p] < 0
+        np.multiply(window[p][:, None], window[p] / window[p, p], out=outer)
+        np.maximum(growth, np.max(np.abs(np.diagonal(outer)), axis=1), out=growth)
+        window -= outer
+        window[p, :] = window[:, p] = base[j, k + (np.arange(w) - p) % w, None] if j < n else 0.0
+        window[p, p] = diagonals[j] if j < n else 1.0
+    return negative, growth

@@ -483,6 +483,18 @@ def test_two_ev_interval_overflow_refused_before_sampling(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_wegner_interval_overflow_refused_before_sampling(tmp_path, monkeypatch, capsys):
+    # finite ends whose difference overflows: the width no record can hold
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **base_fields(interval=[-1e308, 1e308]))
+    out = tmp_path / "run"
+    assert main(["wegner", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "interval width of [-1e+308, 1e+308]" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectra commands
 # ---------------------------------------------------------------------------

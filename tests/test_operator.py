@@ -14,7 +14,9 @@ from alloylab.operator import (
     ResolventError,
     ResourceLimit,
     chain_eigenvalues,
-    _band_inertia,
+    _box_shape,
+    _elimination_plan,
+    _red_black_inertia,
     base_matrix,
     green_block,
     hamiltonian_stack,
@@ -22,6 +24,7 @@ from alloylab.operator import (
     krein_decomposition,
     laplacian_matrix,
 )
+from tests.dense_reference import band_inertia
 from tests.sample_reference import assemble, draw_couplings
 
 RHO = bump_density()
@@ -416,8 +419,8 @@ def test_interval_counts_zero_pivot_falls_back():
     assert counts.tolist() == eigvalsh_counts(base, 1.0, profiles, intervals).tolist()
     assert fallback.tolist() == [[True, True], [False, False]]
     diagonals = np.array([[first - first], [0.25 - first], [-0.75 - first]])
-    _, growth = _band_inertia(base, 1, diagonals)
-    assert np.isnan(growth[0])
+    _, growth = _red_black_inertia(_elimination_plan(1, 3), diagonals)
+    assert not np.isfinite(growth[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
@@ -436,12 +439,80 @@ def test_interval_counts_non_finite_rows_count_nan(bad):
 
 
 def test_interval_counts_bandwidth_follows_the_box():
-    # one pivot per site, the band read from the base: 1, side and side**2
-    for dimension, radius, band in [(1, 3, 1), (2, 2, 5), (3, 1, 9)]:
-        base = base_matrix(box(radius, dimension), False)
-        rows, cols = np.nonzero(base)
-        assert np.max(cols - rows) == band
-        n = base.shape[0]
-        negative, growth = _band_inertia(base, band, np.full((n, 1), -10.0))
-        assert negative.tolist() == [n]
+    # one pivot per site, the box read off the base; the widest front grows with it
+    for dimension, radius, front in [(1, 3, 2), (2, 2, 6), (3, 1, 9)]:
+        b = box(radius, dimension)
+        assert _box_shape(base_matrix(b, False)) == (dimension, b.side)
+        plan = _elimination_plan(dimension, b.side)
+        assert max(plan.fronts) == front
+        assert sorted(np.concatenate([plan.red, plan.black]).tolist()) == list(range(b.size))
+        negative, growth = _red_black_inertia(plan, np.full((b.size, 1), -10.0))
+        assert negative.tolist() == [b.size]
         assert np.isfinite(growth).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 0), (1, 1), (1, 4), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]),
+    shifted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.integers(0, 7),
+            st.sampled_from([0.0, np.inf, -np.inf, np.nan]),
+        ),
+        max_size=4,
+    ),
+)
+def test_red_black_inertia_matches_the_banded_reference(shape, shifted, seed, specials):
+    # the lexicographic banded LDL^T it replaces is the oracle: on lanes both
+    # kernels certify against the lane's own spectrum, the negative pivots agree
+    dimension, radius = shape
+    b = box(radius, dimension)
+    base, n, eps = base_matrix(b, shifted), b.size, np.finfo(float).eps
+    diagonals = np.diagonal(base)[:, None] + np.random.default_rng(seed).uniform(-4, 4, (n, 8))
+    for site, lane, value in specials:
+        diagonals[site % n, lane] = value  # an exact 0 on a red site is a zero pivot
+    plan = _elimination_plan(*_box_shape(base))
+    band = b.side ** (dimension - 1) if n > 1 else 0
+    negative, growth = _red_black_inertia(plan, diagonals)
+    reference, reference_growth = band_inertia(base, band, diagonals)
+    finite = np.all(np.isfinite(diagonals), axis=0)
+    zero_red = np.any(diagonals[plan.red] == 0.0, axis=0)
+    assert not np.isfinite(growth[~finite | zero_red]).any()
+    off = base - np.diag(np.diagonal(base))
+    compared = 0
+    for lane in np.flatnonzero(finite):
+        matrix = off + np.diag(diagonals[:, lane])
+        spectrum = np.linalg.eigvalsh(matrix)
+        gap = np.min(np.abs(spectrum)) - 16 * n * n * eps * (1 + np.max(np.abs(matrix).sum(1)))
+        ours = growth[lane] * plan.bound * eps < gap
+        theirs = reference_growth[lane] * 2 * (2 * band + 1) * (band + 1) ** 2 * eps < gap
+        if ours and theirs:
+            assert negative[lane] == reference[lane] == np.sum(spectrum < 0)
+            compared += 1
+    assert compared >= finite.sum() - np.count_nonzero(zero_red & finite) - 1
+
+
+@pytest.mark.parametrize("ends", [1, 8])
+@pytest.mark.parametrize("dimension, radius", [(3, 2), (2, 1)])
+def test_interval_counts_both_sides_of_the_dispatch_match_eigvalsh(dimension, radius, ends):
+    # with many endpoints eigvalsh is the cheaper count (every row flagged as
+    # eigvalsh's); with few, the certified inertia counts and recounts the rest
+    base = base_matrix(box(radius, dimension), False)
+    n = base.shape[0]
+    profiles = np.random.default_rng(8).uniform(-1.0, 1.0, (12, n))
+    profiles[3, 1] = np.nan
+    points = np.linspace(-2.0, 2.5, 2 * ends)
+    intervals = list(zip(points[::2], points[1::2]))
+    plan = _elimination_plan(*_box_shape(base))
+    dense = 2 * len(points) * plan.work > operator._EIGVALSH_COST * n**2.5
+    assert dense == (ends == 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, fallback = interval_counts(base, 2.0, profiles, intervals)
+    kept = np.arange(12) != 3
+    assert counts[kept].tolist() == eigvalsh_counts(base, 2.0, profiles[kept], intervals).tolist()
+    assert np.isnan(counts[3]).all() and fallback[3].all()
+    assert fallback[kept].all() == dense

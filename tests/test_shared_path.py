@@ -176,3 +176,41 @@ def test_quantile_is_defined_only_on_the_base_density():
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "quantile":
                     owners.add((path.stem, getattr(node, "name", "<module>")))
     assert owners == {("disorder", "DisorderDensity")}
+
+
+def _src_functions():
+    """``(module, function, node)`` for every function defined in the package."""
+    for path in sorted(Path(alloylab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, node.name, node
+
+
+def _called(call: ast.Call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def test_only_interval_counts_runs_the_elimination_kernel():
+    callers = {
+        (module, name)
+        for module, name, node in _src_functions()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and _called(call) == "_red_black_inertia"
+    }
+    assert callers == {("operator", "interval_counts")}
+
+
+def test_no_band_is_read_out_of_a_dense_matrix():
+    # the elimination plan is a function of the box; the dense Hamiltonians
+    # (``base``, ``matrix``, ``matrices``, ``stack``) are never searched for a band
+    dense = {"base", "bases", "matrix", "matrices", "stack"}
+    readers = []
+    for module, name, node in _src_functions():
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and _called(call) in {"nonzero", "flatnonzero", "argwhere"}:
+                inputs = [call.func.value] if _called(call) == "nonzero" and call.args == [] else call.args
+                names = {n.id for arg in inputs for n in ast.walk(arg) if isinstance(n, ast.Name)}
+                if names & dense:
+                    readers.append((module, name, ast.unparse(call)))
+    assert readers == []

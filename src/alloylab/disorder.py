@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -100,17 +101,25 @@ class PiecewiseProfile:
                   for c in self.coefficients),
         )
 
-    def _node_values(self) -> list[np.ndarray]:
-        """Per piece, the values at its left end, its interior critical points and its right end.
+    def critical_points(self) -> list[list[float]]:
+        """Per piece, the real roots of its derivative inside it.
 
-        The one critical-point scan: extrema, variation and jumps all read it.
+        The one critical-point scan: extrema, variation, jumps and the quantile's
+        certificate all read it.
         """
-        out = []
-        for (a, b), c in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coefficients):
-            carr = np.asarray(c)
-            deriv = npoly.polyder(carr) if len(c) > 1 else np.zeros(1)
-            out.append(npoly.polyval(np.asarray([a] + _real_roots_in(deriv, a, b) + [b]), carr))
-        return out
+        return [
+            _real_roots_in(npoly.polyder(np.asarray(c)) if len(c) > 1 else np.zeros(1), a, b)
+            for (a, b), c in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coefficients)
+        ]
+
+    def _node_values(self) -> list[np.ndarray]:
+        """Per piece, the values at its left end, its interior critical points and its right end."""
+        return [
+            npoly.polyval(np.asarray([a] + points + [b]), np.asarray(c))
+            for (a, b), c, points in zip(
+                zip(self.breakpoints, self.breakpoints[1:]), self.coefficients, self.critical_points()
+            )
+        ]
 
     def sup_norm(self) -> float:
         return max(float(np.max(np.abs(v))) for v in self._node_values())
@@ -172,15 +181,20 @@ class DisorderDensity:
     ``d1_norm`` (L1 of the first derivative) and ``d2_norm`` (L1 of the
     second), and refuse to be built outside ``W^{2,1}``, so every density
     object is in the class.  Quantiles are a bisection on the CDF to
-    1e-12, so sampling is deterministic given the uniform draws; its first
-    levels are tabulated at construction (``_tabulate_bisection``), and the
-    result has the bits of the plain bisection.
+    1e-12, so sampling is deterministic given the uniform draws, and
+    ``quantile`` returns the plain bisection's bits in three tiers: its
+    first levels are tabulated at construction (``_tabulate_bisection``);
+    below a leaf, a piecewise polynomial density with an exact lattice
+    (``_Lattice``) finds the final cell by an approximate inverse and checks
+    it by two comparisons where its certificate holds, or along the cell's
+    whole path elsewhere; rows that fail both bisect on.
     """
 
     support: tuple[float, float]
     sup_norm: float
     d1_norm: float
     d2_norm: float
+    _lattice: "_Lattice | None" = None
 
     def pdf(self, t) -> np.ndarray:
         raise NotImplementedError
@@ -191,15 +205,15 @@ class DisorderDensity:
     def config_key(self):
         raise NotImplementedError
 
-    def _tabulate_bisection(self, pieces=()) -> None:
+    def _tabulate_bisection(self, breakpoints=()) -> None:
         """Replay the first levels of the quantile bisection once, for every ``q`` at the same time.
 
         Node ``n`` of the bisection tree has children ``2 n + 1`` (left) and
         ``2 n + 2`` (right), levels numbered left to right; ``_cdf_table[n]``
         is ``cdf`` at its midpoint, and leaf ``j`` brackets
-        ``[_edges[j], _edges[j + 1]]``.  ``pieces`` are ``(left, right, f)``
-        with ``f`` a cheaper function that every comparison ``f(t) < q``
-        answers as ``cdf(t) < q`` does, for ``left < t < right``;
+        ``[_edges[j], _edges[j + 1]]``.  ``breakpoints`` bound the pieces of a
+        piecewise density, on which ``_piece_cdf`` with the piece's column of
+        ``_cdf_rows`` answers every comparison as ``cdf`` does, strictly inside;
         ``_leaf_piece[j]`` is the piece that strictly contains leaf ``j``'s
         bracket, or -1.
         """
@@ -213,19 +227,19 @@ class DisorderDensity:
             edges = np.insert(edges, np.arange(1, edges.size), mid)
         self._cdf_table = np.asarray(self.cdf(np.concatenate(mids)))
         self._edges = edges
-        self._piece_cdfs = []
         self._leaf_piece = np.full(edges.size - 1, -1)
-        for i, (left, right, f) in enumerate(pieces):
-            self._piece_cdfs.append(f)
+        for i, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
             self._leaf_piece[(left < edges[:-1]) & (edges[1:] < right)] = i
 
     def quantile(self, q) -> np.ndarray:
         """The bisection on ``cdf`` to ``QUANTILE_TOL``, bit for bit, from a tabulated prefix.
 
         A draw walks the tabulated levels by the bisection's own comparisons
-        ``cdf(mid) < q`` (a NaN ``q`` goes left) and bisects on from its
-        leaf: on its piece's function when the leaf lies strictly inside a
-        piece, on ``cdf`` otherwise.
+        ``cdf(mid) < q`` (a NaN ``q`` goes left).  Below its leaf, the lattice
+        (when the density has one) places most draws in their final cell
+        (``_Lattice.midpoints``); every other draw bisects on: on its piece's
+        function when the leaf lies strictly inside a piece, on ``cdf``
+        otherwise.
         """
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
@@ -235,15 +249,18 @@ class DisorderDensity:
             node = 2 * node + 1 + (self._cdf_table[node] < flat)
         leaf = node - self._cdf_table.size
         lo = self._edges[leaf]
-        hi = self._edges[leaf + 1]
-        piece = self._leaf_piece[leaf]
-        for i, cdf in enumerate([self.cdf] + self._piece_cdfs, start=-1):
-            rows = np.flatnonzero(piece == i)
-            if rows.size == flat.size:
-                lo, hi = _bisect(lo, hi, flat, cdf, self._n_iter - levels)
-            elif rows.size:
-                lo[rows], hi[rows] = _bisect(lo[rows], hi[rows], flat[rows], cdf, self._n_iter - levels)
-        mid = (0.5 * (lo + hi)).reshape(q.shape)
+        if self._lattice is None:
+            mid, rest = np.empty(flat.shape), np.arange(flat.size)
+        else:
+            mid, rest = self._lattice.midpoints(self, leaf, lo, flat)
+        if rest.size:
+            lo, hi, piece = lo[rest], self._edges[leaf[rest] + 1], self._leaf_piece[leaf[rest]]
+            for rows in (np.flatnonzero(piece < 0), np.flatnonzero(piece >= 0)):
+                if rows.size:
+                    cdf = self.cdf if piece[rows[0]] < 0 else partial(_piece_cdf, self._cdf_rows[:, piece[rows]])
+                    lo[rows], hi[rows] = _bisect(lo[rows], hi[rows], flat[rest[rows]], cdf, self._n_iter - levels)
+            mid[rest] = 0.5 * (lo + hi)
+        mid = mid.reshape(q.shape)
         return mid if mid.ndim else float(mid)
 
 
@@ -259,26 +276,179 @@ def _bisect(lo, hi, q, cdf, levels):
     return lo, hi
 
 
-def _piece_cdf(anti: np.ndarray, anti_left: float, cum: float):
-    """``cum + (A(t) - A(t_i))`` by the steps of ``npoly.polyval`` and ``cdf``, for finite ``t``.
+def _piece_cdf(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``cum_i + (A_i(t) - A_i(t_i))`` by the steps of ``npoly.polyval`` and ``cdf``, for finite ``t``.
 
-    Adding an exact zero changes at most the sign of a zero, which no
-    comparison sees, so those steps are left out.
+    ``rows`` is a column of ``_cdf_rows`` or one column per point.  Its zero
+    padding, and any other exact zero it adds, changes at most the sign of a
+    zero, which no comparison sees: ``_piece_cdf(rows, t) < q`` is ``cdf(t) < q``.
+    """
+    value = _horner(rows[:-2], t)
+    value += rows[-2]
+    value += rows[-1]
+    return value
+
+
+_NEWTON_STEPS = 2  # from the secant start: the two comparisons then settle almost every draw
+
+
+def _gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``, ``u`` the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _horner(coefficients: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``sum_k coefficients[k] t**k`` by ``polyval``'s Horner steps; a coefficient row may be per point."""
+    value = coefficients[-1] * t
+    for c in coefficients[-2:0:-1]:
+        value += c
+        value *= t
+    value += coefficients[0]
+    return value
+
+
+def _lattice_step(a: float, b: float, n_iter: int) -> float | None:
+    """The bisection's cell ``h = (b - a) / 2**n_iter``, or None if its points are not all exact.
+
+    Write ``h = m 2**e`` with ``m`` odd.  If ``a / h`` and ``b / h`` are integers and
+    ``2 max(|a|, |b|) / h * m <= 2**53``, every lattice point ``a + k h``, every sum of
+    two of them and every half-lattice point is an integer below ``2**53`` times a
+    power of two no finer than ``2**-1074``, so ``0.5 * (lo + hi)`` is exact at each
+    level and the bisection stays on the lattice.  In integers: ``a = lo / 2**p``,
+    ``b = hi / 2**p`` and ``h = (hi - lo) / 2**(p + n_iter)``.
+    """
+    if not math.isfinite(2 * max(abs(a), abs(b))):
+        return None
+    (lo, den_lo), (hi, den_hi) = a.as_integer_ratio(), b.as_integer_ratio()
+    den = max(den_lo, den_hi)  # both powers of two
+    lo, hi = lo * (den // den_lo), hi * (den // den_hi)
+    width, p = hi - lo, den.bit_length() - 1
+    if (lo << n_iter) % width or (hi << n_iter) % width:
+        return None
+    twos = (width & -width).bit_length() - 1
+    ends = max(abs(lo), abs(hi)) << n_iter >> twos  # max(|a|, |b|) / h * m
+    if 2 * ends > 2**53 or twos - p - n_iter - 1 < -1074:
+        return None
+    return math.ldexp(float(width), -p - n_iter)
+
+
+class _Lattice:
+    """The bisection's lattice below the tabulated leaves of a ``PiecewisePolynomialDensity``.
+
+    With an exact lattice (``_lattice_step``) the bisection below leaf ``[lo, hi]``
+    ends in a cell ``[lo + c h, lo + (c + 1) h]``, ``0 <= c < 2**depth``, and returns
+    ``lo + (c + 1/2) h``.  It compares ``f(x) < q`` only at interior lattice points
+    ``x``, ``f`` the leaf's piece CDF (``_piece_cdf``); if the computed ``f`` is
+    non-decreasing on them, the comparison is true, then false, along the lattice,
+    and the bisection lands on the one cell with ``f(lo + c h) < q`` (or ``c = 0``)
+    and not ``f(lo + (c + 1) h) < q`` (or ``c`` last): any method that finds that
+    cell has the bisection's bits.
+
+    Certificate (per leaf, vectorized).  A leaf is certified when it lies strictly
+    inside one piece ``i`` and ``h min_leaf rho > 4 E``, where, with ``m``
+    coefficients ``A_j`` of the piece's antiderivative and ``T = max |t|`` on the
+    leaf, ``E = gamma_(2m+2) (sum_j |A_j| T**j + |A_i(t_i)| + |cum_i|)``.  Horner's
+    rule is within ``gamma_(2m-2) sum_j |A_j| |t|**j`` of ``A(t)`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., 5.1), and ``_piece_cdf`` rounds
+    twice more, so the computed ``f`` is within ``E`` of the exact
+    ``F = cum_i + A - A_i(t_i)``; underflow adds at most ``2m`` half subnormals,
+    each scaled by at most ``max(1, |a|, |b|)**m``, which ``E`` also carries.  Between
+    neighbouring points ``F`` rises by at least ``h min A'``, and ``A' = rho`` up to
+    the rounding of ``A``'s coefficients, ``u sum_k |rho_k| T**k``.  ``min rho`` over
+    the leaf is taken at its ends and at the piece's interior critical points
+    (``PiecewiseProfile.critical_points``), less ``gamma_(2m) sum_k |rho_k| T**k``
+    for that rounding and the rounding of its own evaluation.  Then ``F`` rises by
+    more than ``4 E`` per cell, twice the ``2 E`` that makes ``f`` increase; the
+    other ``2 E`` is room for the critical points' placement error, which enters
+    ``rho`` squared since ``rho`` is flat there.
+
+    Per draw (``midpoints``): a secant start from the tabulated CDF at the leaf's
+    ends, ``_NEWTON_STEPS`` Newton steps on the leaf's piece, and the cell ``c``
+    holding the result.  A row of a certified leaf is settled by the two
+    comparisons above.  Any other row (a failed check, an uncertified leaf, a leaf
+    across pieces or at a support end) is moved one cell toward the comparison
+    that failed and checked along its whole path: the bisection lands on ``c``
+    exactly when its comparison at each of the ``depth`` ancestor midpoints agrees
+    with ``c``'s bit there, which needs no monotonicity.  Rows that fail both, a
+    NaN ``q`` among them, are left to the bisection.
     """
 
-    def cdf(t):
-        value = np.full_like(t, anti[-1])
-        for c in anti[-2::-1]:
-            value *= t
-            if c:
-                value += c
-        if anti_left:
-            value -= anti_left
-        if cum:
-            value += cum
-        return value
+    def __init__(self, density: "PiecewisePolynomialDensity", step: float):
+        profile, edges, table = density.profile, density._edges, density._cdf_table
+        a, b = density.support
+        self.step = step
+        self.depth = density._n_iter - table.size.bit_length()
+        width = density._cdf_rows.shape[0] - 2
+        self.pdf_rows = np.zeros((width - 1, profile.n_pieces))  # rho's coefficients, one column per piece
+        for i, coefficients in enumerate(profile.coefficients):
+            self.pdf_rows[: len(coefficients), i] = coefficients
+        lo, hi = edges[:-1], edges[1:]
+        # the CDF at the leaves' ends: tree node n at level l, index j in its level, is edge (2j + 1) 2**(D - 1 - l)
+        node = np.arange(table.size) + 1
+        level = np.frexp(node)[1] - 1
+        at_edges = np.zeros(edges.size)
+        at_edges[(2 * (node - (1 << level)) + 1) << (level[-1] - level)] = table
+        at_edges[-1] = 1.0
+        rise = np.diff(at_edges)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.start = np.stack([at_edges[:-1], np.where(rise > 0, (hi - lo) / rise, 0.0)])
+        self.piece = profile.piece_index(0.5 * (lo + hi))
+        # the certificate; a bound that overflows certifies nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = np.maximum(np.abs(lo), np.abs(hi))
+            magnitudes = np.abs(self._rows(density._cdf_rows, self.piece))
+            size = _horner(magnitudes[:width], reach) + magnitudes[width] + magnitudes[width + 1]
+            scale = np.float64(max(1.0, abs(a), abs(b))) ** width
+            error = _gamma(2 * width + 2) * size + 2 * width * np.finfo(float).smallest_subnormal * scale
+            pdf = self._rows(self.pdf_rows, self.piece)
+            low = np.minimum(_horner(pdf, lo), _horner(pdf, hi))
+            for coefficients, points in zip(profile.coefficients, profile.critical_points()):
+                for x in points:
+                    j = np.searchsorted(edges, x) - 1  # the leaf strictly holding x, if any
+                    if 0 <= j < lo.size and lo[j] < x < hi[j]:
+                        low[j] = min(low[j], npoly.polyval(x, coefficients))
+            low -= _gamma(2 * width) * _horner(np.abs(pdf), reach)
+            self.certified = (density._leaf_piece >= 0) & (step * low > 4 * error)
 
-    return cdf
+    @staticmethod
+    def _rows(table: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        """``table``'s column for each entry of ``piece``: one column broadcasts."""
+        return table if table.shape[1] == 1 else table[:, piece]
+
+    @np.errstate(all="ignore")  # a non-finite q or a flat leaf gives a non-finite candidate
+    def midpoints(self, density, leaf, lo, q) -> tuple[np.ndarray, np.ndarray]:
+        """The bisection's result for rows the lattice settles, and the rows it leaves."""
+        h, last = self.step, 2**self.depth - 1
+        cdf_rows = self._rows(density._cdf_rows, self.piece[leaf])
+        pdf_rows = self._rows(self.pdf_rows, self.piece[leaf])
+        at_lo, slope = self.start[:, leaf]
+        t = lo + (q - at_lo) * slope
+        hi = lo + (last + 1) * h
+        for _ in range(_NEWTON_STEPS):
+            t -= (_piece_cdf(cdf_rows, t) - q) / _horner(pdf_rows, t)
+            np.clip(t, lo, hi, out=t)
+        cell = np.clip(np.floor((t - lo) / h), 0, last)
+        x = lo + cell * h
+        below = _piece_cdf(cdf_rows, np.stack([x, x + h])) < q
+        settled = self.certified[leaf] & (below[0] | (cell == 0)) & ~(below[1] & (cell < last))
+        rest = np.flatnonzero(~settled)
+        if rest.size:
+            cell = cell[rest] + (below[1, rest] & (cell[rest] < last)) - (~below[0, rest] & (cell[rest] > 0))
+            finite = ~np.isnan(cell)
+            rows, cell = rest[finite], cell[finite].astype(np.int64)
+            shift = np.arange(self.depth - 1, -1, -1)[:, None]
+            points = lo[rows] + (((cell >> shift) | 1) << shift) * h
+            values = np.empty(points.shape)
+            own = density._leaf_piece[leaf[rows]]
+            inside = own >= 0
+            values[:, inside] = _piece_cdf(density._cdf_rows[:, own[inside]], points[:, inside])
+            if not inside.all():
+                values[:, ~inside] = density.cdf(points[:, ~inside])
+            path = np.all((values < q[rows]) == ((cell >> shift) & 1).astype(bool), axis=0)
+            x[rows[path]] = lo[rows[path]] + cell[path] * h
+            rest = np.concatenate([rest[~finite], rows[~path]])
+        return x + 0.5 * h, rest
 
 
 class PiecewisePolynomialDensity(DisorderDensity):
@@ -321,10 +491,16 @@ class PiecewisePolynomialDensity(DisorderDensity):
         self.d1_norm = profile.total_variation()
         self.d2_norm = deriv.total_variation()
         self._cum = np.concatenate([[0.0], np.cumsum(masses)])
-        self._tabulate_bisection(
-            (left, right, _piece_cdf(anti, anti_left, cum))
-            for left, right, anti, anti_left, cum in zip(bp, bp[1:], self._anti, self._anti_left, self._cum)
-        )
+        # one column per piece: A_i's coefficients (zero-padded), -A_i(t_i) and cum_i
+        width = max(anti.size for anti in self._anti)
+        self._cdf_rows = np.zeros((width + 2, profile.n_pieces))
+        for i, anti in enumerate(self._anti):
+            self._cdf_rows[: anti.size, i] = anti
+        self._cdf_rows[width] = -self._anti_left
+        self._cdf_rows[width + 1] = self._cum[:-1]
+        self._tabulate_bisection(bp)
+        if (step := _lattice_step(a, b, self._n_iter)) is not None:
+            self._lattice = _Lattice(self, step)
 
     def pdf(self, t):
         return self.profile(t)
@@ -466,32 +642,12 @@ class SingleSitePotential:
     def __repr__(self) -> str:
         return f"SingleSitePotential({self._values!r})"
 
-    def mean_value(self) -> float:
-        return sum(self._values.values())
-
     def dominant_site(self) -> Site | None:
         """Site carrying more weight than all others combined, if any."""
         for site, v in self._values.items():
             if abs(v) > self.l1_norm - abs(v):
                 return site
         return None
-
-    def fourier(self, theta) -> np.ndarray:
-        """Fourier transform ``sum_k u(k) exp(i k . theta)``.
-
-        ``theta`` is a point in ``[0, 2 pi)^d`` or an array of such points
-        with the coordinate axis last (a bare scalar is accepted for d=1).
-        """
-        theta = np.asarray(theta, dtype=float)
-        scalar_1d = self.dimension == 1 and theta.ndim == 0
-        if scalar_1d:
-            theta = theta.reshape(1)
-        if theta.shape[-1] != self.dimension:
-            raise ValueError(f"theta must have {self.dimension} coordinates on the last axis")
-        out = np.zeros(theta.shape[:-1], dtype=complex)
-        for site, v in self._values.items():
-            out = out + v * np.exp(1j * (theta @ np.asarray(site, dtype=float)))
-        return complex(out) if (scalar_1d or out.ndim == 0) else out
 
     def torus_table(self, side: int) -> np.ndarray:
         """``u`` on the d-torus of the given side, offset ``o`` at index ``o mod side``.

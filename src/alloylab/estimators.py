@@ -39,6 +39,7 @@ from .lattice import Box, Site, box, envelope_box, origin, sup_distance
 from .operator import (
     MIN_IMAG_PART,
     base_matrix,
+    count_footprint,
     hamiltonian_stack,
     interval_counts,
     potential_profiles,
@@ -49,6 +50,7 @@ from .transform import build_circulant, minami_constants
 FAILURE_CAP = 1e-3
 RESAMPLE_CAP = 1e-2
 _CHUNK_BUDGET = 1_000_000
+_COUNT_CHUNK = 64  # two chunks of a 128-sample count run, so both workers stay busy
 PINNED_BLAS_THREADS = 1
 # OpenBLAS copies bundled with the numpy and scipy wheels: package, library, symbol suffix
 _OPENBLAS_COPIES = (
@@ -430,7 +432,19 @@ def _summarize(
 # ---------------------------------------------------------------------------
 
 def _chunk_for(matrix_dim: int) -> int:
+    """Samples per chunk of a kernel that builds a dense stack."""
     return max(8, min(512, _CHUNK_BUDGET // max(1, matrix_dim * matrix_dim)))
+
+
+def _count_chunk(inner: Box, intervals, profiles: int = 1) -> int:
+    """Samples per chunk of a counting kernel whose samples count ``profiles`` boxes like ``inner``.
+
+    The dense chunk, grown to at most ``_COUNT_CHUNK`` samples where what
+    ``interval_counts`` holds per sample fits the budget: the kernel's cost per
+    call is mostly fixed, so it wants many lanes.
+    """
+    fits = _CHUNK_BUDGET // (profiles * count_footprint(inner, intervals))
+    return max(_chunk_for(inner.size), min(_COUNT_CHUNK, fits))
 
 
 def _draw_potentials(cfg: ExperimentConfig, inner: Box, indices, attempt: int = 0) -> np.ndarray:
@@ -563,7 +577,8 @@ def _wegner_estimates(cfg: ExperimentConfig, swept: list) -> list[MCEstimate]:
     started = time.perf_counter()
     size = cfg.inner_box.size
     kernel = _batched_counts(cfg, intervals)
-    values = run_parallel(kernel, cfg.n_samples, 2 * len(swept), cfg.workers, _chunk_for(size))
+    chunk = _count_chunk(cfg.inner_box, intervals)
+    values = run_parallel(kernel, cfg.n_samples, 2 * len(swept), cfg.workers, chunk)
     estimates = []
     for column, c in enumerate(swept):
         width = c.interval[1] - c.interval[0]
@@ -615,7 +630,7 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
     else:
         bound = math.inf
 
-    values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _chunk_for(inner.size))
+    values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _count_chunk(inner, [cfg.interval]))
     counts, fallbacks = values.T
     failed = np.isnan(counts)  # an uncounted sample fails both estimates
     indicator = np.where(failed, np.nan, counts >= 2.0)
@@ -851,7 +866,8 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
         counts, _ = interval_counts(base, lam, np.concatenate(draws), [cfg.interval])
         return counts.reshape(2, len(indices)).T
 
-    values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, _chunk_for(boxes[0].size))
+    chunk = _count_chunk(boxes[0], [cfg.interval], profiles=2)
+    values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, chunk)
     return IndependenceReport(
         correlation=sample_correlation(values[:, 0], values[:, 1]),
         threshold=3.0 / math.sqrt(cfg.n_samples),

@@ -274,12 +274,11 @@ def interval_counts(base: np.ndarray, lam: float, profiles: np.ndarray, interval
     ia, ib = where.reshape(2, -1)
     plan, n = _elimination_plan(*_box_shape(base)), base.shape[0]
     h = np.diagonal(base) + lam * profiles
-    # per sample: the kernel's lanes times window entries against eigvalsh's cost
-    if 2 * ends.size * plan.work <= _EIGVALSH_COST * n**2.5:
+    if _counts_by_kernel(plan, n, ends.size):
         scale = 1.0 + np.max(np.abs(h) + plan.degree, axis=1)
         delta = COUNT_SHIFT * (scale[:, None] + np.abs(ends))
         shifts = ends[:, None] + np.array([-1.0, 1.0]) * delta[:, :, None]
-        negative, growth = _red_black_inertia(plan, (h.T[:, :, None, None] - shifts).reshape(n, -1))
+        negative, growth = _red_black_inertia(plan, h.T, shifts.reshape(len(h), -1))
         # the factors are exact for H - y + E, |E|_2 <= plan.bound eps growth
         eps = np.finfo(float).eps
         cap = (delta / 2 - EIGVALSH_ERROR * n * n * eps * scale[:, None])[..., None] / (plan.bound * eps)
@@ -292,15 +291,36 @@ def interval_counts(base: np.ndarray, lam: float, profiles: np.ndarray, interval
     redo = np.nonzero(np.any(fallback, axis=1))[0]
     counts[redo] = np.nan
     if (redo := redo[np.all(np.isfinite(h[redo]), axis=1)]).size:
-        spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles[redo]))[:, :, None]
-        counts[redo] = np.sum((spectra >= lo) & (spectra <= hi), axis=1)
+        # in stacks of at most _RECOUNT_ENTRIES, so a chunk that falls back whole stays small
+        for rows in np.array_split(redo, -(-redo.size * n * n // _RECOUNT_ENTRIES)):
+            spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles[rows]))[:, :, None]
+            counts[rows] = np.sum((spectra >= lo) & (spectra <= hi), axis=1)
     return counts, fallback
+
+
+def count_footprint(box: Box, intervals) -> int:
+    """Floats ``interval_counts`` holds per sample of ``box`` for these intervals.
+
+    On the kernel's side: its lanes times the Schur complement's entries and the
+    two windows of the widest front; on eigvalsh's: the ``n x n`` matrix.
+    """
+    n_ends = np.unique(np.asarray(intervals, dtype=float)).size
+    plan = _elimination_plan(box.dimension, box.side)
+    if _counts_by_kernel(plan, box.size, n_ends):
+        return 2 * n_ends * (plan.sums.shape[1] + 1 + 2 * max(plan.fronts, default=0) ** 2)
+    return box.size**2
+
+
+def _counts_by_kernel(plan: "_EliminationPlan", n: int, n_ends: int) -> bool:
+    """Per sample, the kernel's lanes times window entries against eigvalsh's cost."""
+    return 2 * n_ends * plan.work <= _EIGVALSH_COST * n**2.5
 
 
 # eigvalsh's time per matrix over n**2.5, in units of the inertia kernel's time per lane
 # and window entry: 1.1-2.6 for 3 <= n <= 2197 on one core (eigvalsh nears its n**3
 # asymptote only at the dense cap), so the count takes the side this model finds cheaper
 _EIGVALSH_COST = 2.0
+_RECOUNT_ENTRIES = 1_000_000  # matrix entries per eigvalsh recount stack
 _plans: dict = {}
 
 
@@ -439,18 +459,27 @@ def _elimination_plan(dimension: int, side: int) -> _EliminationPlan:
 
 
 @np.errstate(all="ignore")
-def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray) -> tuple:
+def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray, shifts=None) -> tuple:
     """Negative pivots and growth ``max c^2 / |d|`` (non-finite past a zero pivot) of LDL^T.
 
     Lane ``l`` factors the box's Hamiltonian with diagonal ``diagonals[:, l]``,
     unpivoted, red sites first (their couplings are the hopping -1, so each red
     pivot's growth is ``max(|d|, 1/|d|)``), then the black Schur complement frontally.
+    With ``shifts`` (one row per column of ``diagonals``), lane ``l = i s + j``
+    takes ``diagonals[:, i] - shifts[i, j]``, formed one colour at a time.
     """
-    lanes, blacks = diagonals.shape[1], plan.black.size
+
+    def lane_diagonals(sites):
+        if shifts is None:
+            return diagonals[sites]
+        return (diagonals[sites][:, :, None] - shifts).reshape(sites.size, -1)
+
+    lanes = diagonals.shape[1] * (1 if shifts is None else shifts.shape[1])
+    blacks = plan.black.size
     # the red pivots in place, then their reciprocals; the last slot stays 0
     inverse = np.zeros((plan.red.size + 1, lanes))
     pivots = inverse[:-1]
-    pivots[:] = diagonals[plan.red]
+    pivots[:] = lane_diagonals(plan.red)
     negative = np.count_nonzero(pivots < 0, axis=0)
     extremes = [np.max(pivots, axis=0), -np.min(pivots, axis=0)]
     np.divide(1.0, pivots, out=pivots)
@@ -458,7 +487,7 @@ def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray) -> tuple:
     if not blacks:
         return negative, growth
     schur = np.zeros((plan.sums.shape[1] + 1, lanes))
-    schur[:blacks] = diagonals[plan.black]
+    schur[:blacks] = lane_diagonals(plan.black)
     entries = schur.shape[0] - 1
     for start in range(0, entries, 64):  # in slabs of 64 entries, so the gathers stay small
         slab, diagonal = slice(start, min(start + 64, entries)), slice(start, min(start + 64, blacks))
@@ -469,7 +498,8 @@ def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray) -> tuple:
     del pivots, inverse  # spent: freed before the windows are allocated
     widest = max(plan.fronts)
     window, spare = np.empty((2, widest, widest, lanes))
-    pivots = np.empty((blacks, lanes))
+    # pivot k overwrites S's diagonal entry k, which no fill reads after k entered the window
+    pivots = schur[:blacks]
     terms, peak = np.empty((widest, lanes)), np.zeros((widest, lanes))
     kept = 0
     for k, (f, fill, rows) in enumerate(zip(plan.fronts, plan.fills, plan.rows)):

@@ -7,6 +7,10 @@ side``, sites in the envelope's enumeration order.
 
 ``band_inertia`` is the lexicographic banded LDL^T that counted eigenvalues
 before the red-black elimination, kept as the oracle of ``_red_black_inertia``.
+
+``fourier`` and ``mean_value`` are the symbol of a single-site potential written
+out as the exponential sum, the explicit reference for the library's one symbol,
+``fftn`` of ``SingleSitePotential.torus_table``.
 """
 
 import numpy as np
@@ -49,3 +53,26 @@ def band_inertia(base: np.ndarray, band: int, diagonals: np.ndarray) -> tuple:
         window[p, :] = window[:, p] = base[j, k + (np.arange(w) - p) % w, None] if j < n else 0.0
         window[p, p] = diagonals[j] if j < n else 1.0
     return negative, growth
+
+
+def fourier(potential, theta):
+    """Fourier transform ``sum_k u(k) exp(i k . theta)`` of a ``SingleSitePotential``.
+
+    ``theta`` is a point in ``[0, 2 pi)^d`` or an array of such points
+    with the coordinate axis last (a bare scalar is accepted for d=1).
+    """
+    theta = np.asarray(theta, dtype=float)
+    scalar_1d = potential.dimension == 1 and theta.ndim == 0
+    if scalar_1d:
+        theta = theta.reshape(1)
+    if theta.shape[-1] != potential.dimension:
+        raise ValueError(f"theta must have {potential.dimension} coordinates on the last axis")
+    out = np.zeros(theta.shape[:-1], dtype=complex)
+    for site, v in potential.items():
+        out = out + v * np.exp(1j * (theta @ np.asarray(site, dtype=float)))
+    return complex(out) if (scalar_1d or out.ndim == 0) else out
+
+
+def mean_value(potential) -> float:
+    """``sum_k u(k)``, the symbol at ``theta = 0``."""
+    return sum(v for _, v in potential.items())

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy import integrate
 
+from alloylab import disorder
 from alloylab.disorder import (
     PiecewisePolynomialDensity,
     PiecewiseProfile,
@@ -23,6 +24,7 @@ from alloylab.disorder import (
     sobolev_ratio,
 )
 from alloylab.lattice import box
+from tests.dense_reference import fourier, mean_value
 from tests.sample_reference import reference_quantile
 
 
@@ -240,6 +242,107 @@ def test_quantile_replays_the_bisection_bit_for_bit(name, points, seed):
         assert np.float64(value).tobytes() == np.float64(reference_quantile(rho, x)).tobytes()
 
 
+def moved(profile, scale, shift, split=None):
+    """``rho((t - shift) / scale) / scale`` as a profile; ``split`` in (0, 1) cuts its first piece there."""
+    inner = npoly.Polynomial([-shift / scale, 1.0 / scale])
+    breakpoints = [shift + scale * t for t in profile.breakpoints]
+    coefficients = [tuple((npoly.Polynomial(c)(inner) / scale).coef) for c in profile.coefficients]
+    if split is not None:
+        breakpoints.insert(1, breakpoints[0] + split * (breakpoints[1] - breakpoints[0]))
+        coefficients.insert(0, coefficients[0])
+    return PiecewiseProfile(tuple(breakpoints), tuple(coefficients))
+
+
+def lattice_quantiles(rho, rng):
+    """``EDGE_QUANTILES``, uniforms, 8th-power tails, and ``cdf`` at tabulated and deep lattice points.
+
+    A tie ``q = cdf(x)`` lands left of ``x`` and the next float up lands right of it,
+    so an inverse that rounds to the wrong side of ``x`` is caught either way.
+    """
+    a, b = rho.support
+    n_iter = max(1, math.ceil(math.log2((b - a) / 1e-12)))
+    table = rho.cdf(a + (b - a) * (rng.integers(1, 2**12, 32) / 2**12))
+    deep = rho.cdf(a + (b - a) * (rng.integers(1, 2**n_iter, 64) / 2**n_iter))
+    tails = np.concatenate([rng.random(32) ** 8, 1.0 - rng.random(32) ** 8])
+    return np.concatenate([EDGE_QUANTILES, rng.random(256), table, deep, np.nextafter(deep, 2.0), tails])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PIECEWISE_DENSITIES)),
+    scale=st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 0.8]),
+    shift=st.sampled_from([-1.0, -0.375, 0.0, 0.125, 0.5, 1.0, 0.1, 1.0 / 3.0]),
+    split=st.none() | st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lattice_quantile_matches_the_bisection_on_moved_densities(name, scale, shift, split, seed):
+    # the W^{2,1} shapes above, scaled, shifted and with a piece cut in two:
+    # dyadic supports have an exact lattice, the others (0.1, 1/3, 0.8) mostly not
+    try:
+        rho = PiecewisePolynomialDensity(moved(PIECEWISE_DENSITIES[name].profile, scale, shift, split))
+    except ValueError:  # the moved coefficients round outside the mass or continuity tolerance
+        assume(False)
+    q = lattice_quantiles(rho, np.random.default_rng(seed))
+    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+    grid = q[: q.size // 2 * 2].reshape(2, -1)
+    assert rho.quantile(grid).tobytes() == reference_quantile(rho, grid).tobytes()
+
+
+def test_quantile_tiers_each_keep_the_bisection_bits(monkeypatch):
+    # the bump cut at 1/3, off the tabulated grid: the leaf holding 1/3 lies across two pieces
+    rho = PiecewisePolynomialDensity(moved(bump_profile(), 1.0, 0.0, split=1.0 / 3.0))
+    lattice = rho._lattice
+    bisected = []
+
+    def spy(lo, hi, q, cdf, levels):
+        bisected.extend(q.tolist())
+        return real(lo, hi, q, cdf, levels)
+
+    real = disorder._bisect
+    monkeypatch.setattr(disorder, "_bisect", spy)
+    # a certified leaf at 0.4; near 1, where the CDF is large and rho small, the
+    # leaves are not certified; at 1/3 the leaf spans two pieces; a NaN
+    q = np.array([float(rho.cdf(0.4)), float(rho.cdf(0.985)), float(rho.cdf(1.0 / 3.0)), math.nan])
+    t = rho.quantile(q)
+    assert t.tobytes() == reference_quantile(rho, q).tobytes()
+    leaf = np.floor(t[:3] * 4096).astype(int)
+    assert lattice.certified[leaf[0]]
+    assert not lattice.certified[leaf[1]] and rho._leaf_piece[leaf[1]] >= 0
+    assert rho._leaf_piece[leaf[2]] == -1
+    # the first three are settled on the lattice (two comparisons, then the path
+    # check); only the NaN bisects
+    assert len(bisected) == 1 and math.isnan(bisected[0])
+    # with no Newton step, the secant's cell is mostly wrong: those rows fail
+    # both checks, bisect, and keep their bits
+    monkeypatch.setattr(disorder, "_NEWTON_STEPS", 0)
+    bisected.clear()
+    q = np.random.default_rng(4).random(2000)
+    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+    assert len(bisected) > 1000
+
+
+def test_quantile_without_an_exact_lattice_bisects_everything():
+    # on [0.1, 0.9] the bisection's midpoints round off the lattice a + k h
+    rho = PiecewisePolynomialDensity(moved(bump_profile(), 0.8, 0.1))
+    assert rho._lattice is None
+    q = lattice_quantiles(rho, np.random.default_rng(5))
+    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+
+
+def test_leaves_where_the_density_vanishes_stay_uncertified():
+    # rho = c t^2 (1 - t)^2 (t - 1/3)^2: a double zero inside leaf 1365 of [0, 1]
+    shape = npoly.polymul(npoly.polymul([0, 0, 1], [1, -2, 1]), [1 / 9, -2 / 3, 1])
+    anti = npoly.polyint(shape)
+    coefficients = tuple(shape / (npoly.polyval(1.0, anti) - npoly.polyval(0.0, anti)))
+    rho = PiecewisePolynomialDensity(PiecewiseProfile((0.0, 1.0), (coefficients,)))
+    certified = rho._lattice.certified
+    assert not certified[1365] and not certified[0] and not certified[-1]
+    assert certified[[1000, 2000, 3000]].all()
+    zero = float(rho.cdf(1.0 / 3.0))
+    q = np.concatenate([zero + np.linspace(-1e-9, 1e-9, 101), lattice_quantiles(rho, np.random.default_rng(6))])
+    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+
+
 def test_discontinuous_pieces_rejected():
     # p1(1/2) = 1.5 but p2(1/2) = 2.5: value jump at the knot
     profile = PiecewiseProfile(
@@ -257,13 +360,13 @@ def test_discontinuous_pieces_rejected():
 def test_delta_fourier_is_one():
     u = SingleSitePotential.delta(2)
     for theta in ([0.0, 0.0], [1.0, 2.0], [3.14, 0.5]):
-        assert u.fourier(theta) == pytest.approx(1.0 + 0.0j)
+        assert fourier(u, theta) == pytest.approx(1.0 + 0.0j)
 
 
 def test_fourier_symmetric_neighbors():
     u = SingleSitePotential({(0,): 1.0, (1,): 0.25, (-1,): 0.25})
     grid = np.linspace(0.0, 2.0 * np.pi, 701, endpoint=False)
-    values = u.fourier(grid[:, None])
+    values = fourier(u, grid[:, None])
     expected = 1.0 + 0.5 * np.cos(grid)
     assert np.max(np.abs(values - expected)) < 1e-12
     assert np.min(np.abs(values)) == pytest.approx(0.5, abs=1e-4)
@@ -275,12 +378,12 @@ def test_fourier_mean_value_identity():
         sites = [(int(a), int(b)) for a, b in rng.integers(-2, 3, size=(4, 2))]
         vals = rng.normal(size=4)
         u = SingleSitePotential(dict(zip(sites, 1.0 + np.abs(vals))))
-        assert u.fourier([0.0, 0.0]) == pytest.approx(u.mean_value(), abs=1e-12)
+        assert fourier(u, [0.0, 0.0]) == pytest.approx(mean_value(u), abs=1e-12)
 
 
 def test_zero_mean_potential_fourier_vanishes_at_zero():
     u = SingleSitePotential({(0,): 1.0, (1,): -1.0})
-    assert abs(u.fourier(0.0)) == pytest.approx(0.0, abs=1e-15)
+    assert abs(fourier(u, 0.0)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_check_assumption_delta():
@@ -350,7 +453,7 @@ def test_symbol_minimum_matches_explicit_sum(u, extra):
     report = check_assumption(u, bump_density(), resolution)
     axis = 2.0 * np.pi * np.arange(resolution) / resolution
     theta = np.stack(np.meshgrid(*([axis] * u.dimension), indexing="ij"), axis=-1)
-    explicit = float(np.min(np.abs(u.fourier(theta))))
+    explicit = float(np.min(np.abs(fourier(u, theta))))
     assert abs(report.fourier_min_modulus - explicit) <= 1e-14 * u.l1_norm
 
 

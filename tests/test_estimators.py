@@ -498,6 +498,52 @@ def test_wegner_sweep_solves_each_sample_once(monkeypatch):
     assert [estimate.count_fallbacks for estimate in sweep] == [0, 0, 0]
 
 
+def test_count_chunks_leave_the_counting_results_unchanged(monkeypatch):
+    # d=2 r=6 counts run in 64-sample chunks; at the dense budget's 35 every
+    # wegner, two-ev and independence result is the same
+    cfg = make_config(
+        dimension=2,
+        box_radius=6,
+        potential=SingleSitePotential({(0, 0): 1.0, (1, 0): 0.25, (0, -1): -0.25}),
+        interval=(0.95, 1.05),
+        n_samples=150,
+        seed=3,
+    )
+    assert estimators._count_chunk(cfg.inner_box, [cfg.interval]) == 64
+    assert estimators._chunk_for(cfg.inner_box.size) == 35
+
+    def results():
+        two_ev = estimate_two_eigenvalue_probability(cfg)
+        sweep = wegner_ratio_sweep(cfg, [0.05, 0.1, 0.2], center=1.0)
+        records = [e.to_record() for e in [two_ev.probability, two_ev.half_moment, *sweep]]
+        for record in records:
+            del record["wall_time"]
+        return records, independence_probe(cfg, separation=16)
+
+    chunks = []
+    count_chunk = estimators._count_chunk
+    monkeypatch.setattr(estimators, "_count_chunk", lambda *a, **k: chunks.append(count_chunk(*a, **k)) or chunks[-1])
+    grown = results()
+    assert chunks == [64, 64, 64]
+    monkeypatch.setattr(estimators, "_count_chunk", lambda *a, **k: 35)
+    assert results() == grown
+
+
+def test_wegner_counts_a_single_site_box():
+    # one site, no black sites and no front: the counting chunk is the dense one
+    for dimension in (1, 2):
+        cfg = make_config(
+            dimension=dimension,
+            potential=SingleSitePotential.delta(dimension),
+            box_radius=0,
+            interval=(0.0, 1.0),
+            n_samples=20,
+        )
+        assert estimators._count_chunk(cfg.inner_box, [cfg.interval]) == 512
+        estimate = estimate_wegner(cfg)
+        assert estimate.n_failed == 0 and 0.0 <= estimate.mean <= 1.0
+
+
 def test_wegner_sweep_matches_single_interval_runs():
     cfg = make_config(box_radius=3, n_samples=700, seed=8, workers=2)
     widths = [0.0, 0.1, 0.4]

@@ -27,6 +27,7 @@ from . import __version__
 from .config import ConfigError, experiment_from_config, load_config, read
 from .disorder import check_assumption
 from .estimators import (
+    PINNED_BLAS_THREADS,
     NumericalFault,
     RunFailure,
     blas_environment,
@@ -34,6 +35,7 @@ from .estimators import (
     estimate_minami,
     estimate_two_eigenvalue_probability,
     estimate_wegner,
+    pin_blas_threads,
     probe_fractional_moment,
     probe_fvc,
     sweep_configs,
@@ -509,6 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the command is the process: pinned once and never restored, BLAS is already
+    # at run_parallel's count after each fork, so no OpenBLAS pool is re-created
+    pin_blas_threads(PINNED_BLAS_THREADS)
     try:
         raw = load_config(args.config)
         raw.update(_overrides(args))

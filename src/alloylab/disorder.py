@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -101,31 +101,33 @@ class PiecewiseProfile:
                   for c in self.coefficients),
         )
 
-    def critical_points(self) -> list[list[float]]:
+    @cached_property
+    def critical_points(self) -> tuple[tuple[float, ...], ...]:
         """Per piece, the real roots of its derivative inside it.
 
-        The one critical-point scan: extrema, variation, jumps and the quantile's
-        certificate all read it.
+        The one critical-point scan, made once per profile: extrema, variation,
+        jumps and the quantile's certificate all read it.
         """
-        return [
-            _real_roots_in(npoly.polyder(np.asarray(c)) if len(c) > 1 else np.zeros(1), a, b)
+        return tuple(
+            tuple(_real_roots_in(npoly.polyder(np.asarray(c)) if len(c) > 1 else np.zeros(1), a, b))
             for (a, b), c in zip(zip(self.breakpoints, self.breakpoints[1:]), self.coefficients)
-        ]
+        )
 
-    def _node_values(self) -> list[np.ndarray]:
+    @cached_property
+    def _node_values(self) -> tuple[np.ndarray, ...]:
         """Per piece, the values at its left end, its interior critical points and its right end."""
-        return [
-            npoly.polyval(np.asarray([a] + points + [b]), np.asarray(c))
+        return tuple(
+            npoly.polyval(np.asarray([a, *points, b]), np.asarray(c))
             for (a, b), c, points in zip(
-                zip(self.breakpoints, self.breakpoints[1:]), self.coefficients, self.critical_points()
+                zip(self.breakpoints, self.breakpoints[1:]), self.coefficients, self.critical_points
             )
-        ]
+        )
 
     def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self._node_values())
+        return max(float(np.max(np.abs(v))) for v in self._node_values)
 
     def min_value(self) -> float:
-        return min(float(np.min(v)) for v in self._node_values())
+        return min(float(np.min(v)) for v in self._node_values)
 
     def total_variation(self) -> float:
         """Variation of the profile over its support (exact for polynomials).
@@ -133,11 +135,11 @@ class PiecewiseProfile:
         Equals the L1 norm of the derivative when the profile is absolutely
         continuous, which callers are expected to validate.
         """
-        return sum(float(np.sum(np.abs(np.diff(v)))) for v in self._node_values())
+        return sum(float(np.sum(np.abs(np.diff(v)))) for v in self._node_values)
 
     def jump_sizes(self) -> list[float]:
         """Mismatch of values across internal breakpoints plus the edge values."""
-        values = self._node_values()
+        values = self._node_values
         inner = [abs(float(left[-1] - right[0])) for left, right in zip(values, values[1:])]
         return [abs(float(values[0][0]))] + inner + [abs(float(values[-1][-1]))]
 
@@ -187,7 +189,8 @@ class DisorderDensity:
     below a leaf, a piecewise polynomial density with an exact lattice
     (``_Lattice``) finds the final cell by an approximate inverse and checks
     it by two comparisons where its certificate holds, or along the cell's
-    whole path elsewhere; rows that fail both bisect on.
+    whole path elsewhere, resuming the bisection where the path disagrees;
+    densities without a lattice bisect on.
     """
 
     support: tuple[float, float]
@@ -236,9 +239,9 @@ class DisorderDensity:
 
         A draw walks the tabulated levels by the bisection's own comparisons
         ``cdf(mid) < q`` (a NaN ``q`` goes left).  Below its leaf, the lattice
-        (when the density has one) places most draws in their final cell
-        (``_Lattice.midpoints``); every other draw bisects on: on its piece's
-        function when the leaf lies strictly inside a piece, on ``cdf``
+        (when the density has one) finds every draw's final cell
+        (``_Lattice.midpoints``); without one, every draw bisects on: on its
+        piece's function when the leaf lies strictly inside a piece, on ``cdf``
         otherwise.
         """
         q = np.asarray(q, dtype=float)
@@ -249,17 +252,15 @@ class DisorderDensity:
             node = 2 * node + 1 + (self._cdf_table[node] < flat)
         leaf = node - self._cdf_table.size
         lo = self._edges[leaf]
-        if self._lattice is None:
-            mid, rest = np.empty(flat.shape), np.arange(flat.size)
+        if self._lattice is not None:
+            mid = self._lattice.midpoints(self, leaf, lo, flat)
         else:
-            mid, rest = self._lattice.midpoints(self, leaf, lo, flat)
-        if rest.size:
-            lo, hi, piece = lo[rest], self._edges[leaf[rest] + 1], self._leaf_piece[leaf[rest]]
+            hi, piece = self._edges[leaf + 1], self._leaf_piece[leaf]
             for rows in (np.flatnonzero(piece < 0), np.flatnonzero(piece >= 0)):
                 if rows.size:
                     cdf = self.cdf if piece[rows[0]] < 0 else partial(_piece_cdf, self._cdf_rows[:, piece[rows]])
-                    lo[rows], hi[rows] = _bisect(lo[rows], hi[rows], flat[rest[rows]], cdf, self._n_iter - levels)
-            mid[rest] = 0.5 * (lo + hi)
+                    lo[rows], hi[rows] = _bisect(lo[rows], hi[rows], flat[rows], cdf, self._n_iter - levels)
+            mid = 0.5 * (lo + hi)
         mid = mid.reshape(q.shape)
         return mid if mid.ndim else float(mid)
 
@@ -370,8 +371,12 @@ class _Lattice:
     across pieces or at a support end) is moved one cell toward the comparison
     that failed and checked along its whole path: the bisection lands on ``c``
     exactly when its comparison at each of the ``depth`` ancestor midpoints agrees
-    with ``c``'s bit there, which needs no monotonicity.  Rows that fail both, a
-    NaN ``q`` among them, are left to the bisection.
+    with ``c``'s bit there, which needs no monotonicity.  Down to the first
+    comparison that disagrees, the path is the bisection's own, so a row off its
+    path resumes the bisection there (``_resume``): near a support end, where
+    ``f``'s rounding spans many cells, a few levels instead of ``depth``.  A NaN
+    candidate (a NaN ``q``, or ``0 / 0`` in a Newton step) starts from cell 0; a
+    NaN ``q`` goes left at every level, so it is on that cell's path.
     """
 
     def __init__(self, density: "PiecewisePolynomialDensity", step: float):
@@ -403,7 +408,7 @@ class _Lattice:
             error = _gamma(2 * width + 2) * size + 2 * width * np.finfo(float).smallest_subnormal * scale
             pdf = self._rows(self.pdf_rows, self.piece)
             low = np.minimum(_horner(pdf, lo), _horner(pdf, hi))
-            for coefficients, points in zip(profile.coefficients, profile.critical_points()):
+            for coefficients, points in zip(profile.coefficients, profile.critical_points):
                 for x in points:
                     j = np.searchsorted(edges, x) - 1  # the leaf strictly holding x, if any
                     if 0 <= j < lo.size and lo[j] < x < hi[j]:
@@ -417,8 +422,8 @@ class _Lattice:
         return table if table.shape[1] == 1 else table[:, piece]
 
     @np.errstate(all="ignore")  # a non-finite q or a flat leaf gives a non-finite candidate
-    def midpoints(self, density, leaf, lo, q) -> tuple[np.ndarray, np.ndarray]:
-        """The bisection's result for rows the lattice settles, and the rows it leaves."""
+    def midpoints(self, density, leaf, lo, q) -> np.ndarray:
+        """The bisection's result for every row."""
         h, last = self.step, 2**self.depth - 1
         cdf_rows = self._rows(density._cdf_rows, self.piece[leaf])
         pdf_rows = self._rows(self.pdf_rows, self.piece[leaf])
@@ -435,20 +440,45 @@ class _Lattice:
         rest = np.flatnonzero(~settled)
         if rest.size:
             cell = cell[rest] + (below[1, rest] & (cell[rest] < last)) - (~below[0, rest] & (cell[rest] > 0))
-            finite = ~np.isnan(cell)
-            rows, cell = rest[finite], cell[finite].astype(np.int64)
-            shift = np.arange(self.depth - 1, -1, -1)[:, None]
-            points = lo[rows] + (((cell >> shift) | 1) << shift) * h
-            values = np.empty(points.shape)
-            own = density._leaf_piece[leaf[rows]]
-            inside = own >= 0
-            values[:, inside] = _piece_cdf(density._cdf_rows[:, own[inside]], points[:, inside])
-            if not inside.all():
-                values[:, ~inside] = density.cdf(points[:, ~inside])
-            path = np.all((values < q[rows]) == ((cell >> shift) & 1).astype(bool), axis=0)
-            x[rows[path]] = lo[rows[path]] + cell[path] * h
-            rest = np.concatenate([rest[~finite], rows[~path]])
-        return x + 0.5 * h, rest
+            cell = np.nan_to_num(cell).astype(np.int64)  # a NaN candidate starts from cell 0
+            x[rest] = lo[rest] + self._resume(density, leaf[rest], lo[rest], q[rest], cell) * h
+        return x + 0.5 * h
+
+    def _resume(self, density, leaf, lo, q, cell) -> np.ndarray:
+        """The bisection's cell below each leaf, from any candidate ``cell``.
+
+        The comparisons at ``cell``'s ``depth`` ancestor midpoints are made at
+        once; down to the first one that disagrees with ``cell``'s bit there, they
+        are the bisection's own, so the bisection resumes at that level.
+        """
+        own = density._leaf_piece[leaf]
+        shift = np.arange(self.depth - 1, -1, -1)[:, None]
+        go_right = _below(density, own, q, lo + (((cell >> shift) | 1) << shift) * self.step)
+        wrong = go_right != ((cell >> shift) & 1).astype(bool)
+        rows = np.flatnonzero(wrong.any(axis=0))
+        if rows.size:
+            level = np.argmax(wrong[:, rows], axis=0)
+            bit = shift[level, 0]
+            # the bisection's cell so far: the bits above the first wrong level, then its comparison there
+            resumed = (cell[rows] >> (bit + 1) << (bit + 1)) | (go_right[level, rows].astype(np.int64) << bit)
+            own, lo, q = own[rows], lo[rows], q[rows]
+            for next_level in range(int(level.min()) + 1, self.depth):
+                mid = resumed | 1 << (self.depth - 1 - next_level)
+                right = (level < next_level) & _below(density, own, q, lo + mid * self.step)
+                resumed = np.where(right, mid, resumed)
+            cell[rows] = resumed
+        return cell
+
+
+def _below(density, own, q, points) -> np.ndarray:
+    """``cdf(points) < q`` for each row: by piece ``own``'s function where the row's leaf lies inside it."""
+    values = np.empty(points.shape)
+    inside = own >= 0
+    if inside.any():
+        values[..., inside] = _piece_cdf(density._cdf_rows[:, own[inside]], points[..., inside])
+    if not inside.all():
+        values[..., ~inside] = density.cdf(points[..., ~inside])
+    return values < q
 
 
 class PiecewisePolynomialDensity(DisorderDensity):

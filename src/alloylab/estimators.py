@@ -120,24 +120,34 @@ def _openblas_libraries() -> tuple[tuple[BlasLibrary, ...], str | None]:
     return tuple(found), None
 
 
+def pin_blas_threads(n: int) -> list[tuple[BlasLibrary, int]]:
+    """Set every loaded OpenBLAS copy to ``n`` threads; the copies changed, with their old counts.
+
+    A copy already at ``n`` is left alone: once the process has forked,
+    OpenBLAS re-creates its thread pool on any thread-count call, and the new
+    threads spin before they sleep.  When a library or symbol is missing this
+    does nothing (``blas_environment`` names what is missing).
+    """
+    libraries, missing = _openblas_libraries()
+    if missing is not None:
+        return []
+    changed = [(lib, count) for lib in libraries if (count := lib.get_threads()) != n]
+    for lib, _ in changed:
+        lib.set_threads(n)
+    return changed
+
+
 @contextlib.contextmanager
 def blas_threads(n: int):
     """Run the body with every loaded OpenBLAS copy at ``n`` threads, then restore.
 
-    The caller's counts are saved on entry and set back on exit.  When a
-    library or symbol is missing this does nothing (``blas_environment``
-    names what is missing).
+    Only the copies ``pin_blas_threads`` changed are set back on exit.
     """
-    libraries, missing = _openblas_libraries()
-    if missing is not None:
-        libraries = ()
-    saved = [lib.get_threads() for lib in libraries]
-    for lib in libraries:
-        lib.set_threads(n)
+    changed = pin_blas_threads(n)
     try:
         yield
     finally:
-        for lib, count in zip(libraries, saved):
+        for lib, count in changed:
             lib.set_threads(count)
 
 

@@ -132,6 +132,22 @@ def test_constants_d3_beyond_dense_reach(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["wall_times"] == []
 
 
+def test_main_pins_blas_for_the_life_of_the_process(tmp_path):
+    libraries, missing = estimators._openblas_libraries()
+    if missing is not None:
+        pytest.skip(f"no bundled OpenBLAS thread control: {missing} not found")
+    cfg = write_config(tmp_path, **base_fields(interval=[0.0, 1.0], samples=40))
+    before = [lib.get_threads() for lib in libraries]
+    try:
+        for lib in libraries:
+            lib.set_threads(2)
+        assert main(["wegner", "--config", cfg, "--workers", "2"]) == 0
+        assert [lib.get_threads() for lib in libraries] == [estimators.PINNED_BLAS_THREADS] * 2
+    finally:
+        for lib, count in zip(libraries, before):
+            lib.set_threads(count)
+
+
 def test_manifest_environment_schema(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, **base_fields(interval=[0.0, 1.0], samples=40))
     out = tmp_path / "run"

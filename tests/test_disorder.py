@@ -181,6 +181,49 @@ def reference_cdf(rho, t):
 PIECEWISE_DENSITIES = {"bump": bump_density(), "spline": spline_density(), "skewed": skewed_density()}
 
 
+def uncached_node_values(profile):
+    """Per piece, the profile at its ends and at a fresh scan of its critical points."""
+    values = []
+    for (a, b), c in zip(zip(profile.breakpoints, profile.breakpoints[1:]), profile.coefficients):
+        roots = disorder._real_roots_in(npoly.polyder(c) if len(c) > 1 else np.zeros(1), a, b)
+        values.append(npoly.polyval(np.asarray([a, *roots, b]), np.asarray(c)))
+    return values
+
+
+PROFILE_DENSITIES = {
+    **{name: density_preset(name) for name in disorder.DENSITY_PRESETS},
+    **PIECEWISE_DENSITIES,
+}
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, rho in PROFILE_DENSITIES.items() if isinstance(rho, PiecewisePolynomialDensity)]
+)
+def test_profile_norms_equal_an_uncached_scan(name):
+    rho = PROFILE_DENSITIES[name]
+
+    def variation(values):
+        return sum(float(np.sum(np.abs(np.diff(v)))) for v in values)
+
+    values = uncached_node_values(rho.profile)
+    assert rho.sup_norm == max(float(np.max(np.abs(v))) for v in values)
+    assert rho.profile.min_value() == min(float(np.min(v)) for v in values)
+    assert rho.d1_norm == variation(values)
+    assert rho.d2_norm == variation(uncached_node_values(rho.profile.derivative()))
+
+
+def test_a_density_build_scans_the_profile_and_its_derivative_once(monkeypatch):
+    scans = []
+    real = disorder._real_roots_in
+    monkeypatch.setattr(disorder, "_real_roots_in", lambda *args: scans.append(args) or real(*args))
+    for rho in PIECEWISE_DENSITIES.values():
+        profile = PiecewiseProfile(rho.profile.breakpoints, rho.profile.coefficients)
+        scans.clear()
+        PiecewisePolynomialDensity(profile)
+        # one root search per piece for the profile, and one for its derivative
+        assert len(scans) == 2 * profile.n_pieces
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(PIECEWISE_DENSITIES)),
@@ -288,18 +331,31 @@ def test_lattice_quantile_matches_the_bisection_on_moved_densities(name, scale, 
     assert rho.quantile(grid).tobytes() == reference_quantile(rho, grid).tobytes()
 
 
+def spy_on_the_tiers(monkeypatch):
+    """Lists of the rows that reach ``_bisect`` and of ``(rows, cells moved)`` per ``_Lattice._resume`` call."""
+    bisected, resumed = [], []
+    real_bisect, real_resume = disorder._bisect, disorder._Lattice._resume
+
+    def bisect_spy(lo, hi, q, cdf, levels):
+        bisected.extend(q.tolist())
+        return real_bisect(lo, hi, q, cdf, levels)
+
+    def resume_spy(self, density, leaf, lo, q, cell):
+        candidate = cell.copy()
+        out = real_resume(self, density, leaf, lo, q, cell)
+        resumed.append((q.size, int(np.sum(out != candidate))))
+        return out
+
+    monkeypatch.setattr(disorder, "_bisect", bisect_spy)
+    monkeypatch.setattr(disorder._Lattice, "_resume", resume_spy)
+    return bisected, resumed
+
+
 def test_quantile_tiers_each_keep_the_bisection_bits(monkeypatch):
     # the bump cut at 1/3, off the tabulated grid: the leaf holding 1/3 lies across two pieces
     rho = PiecewisePolynomialDensity(moved(bump_profile(), 1.0, 0.0, split=1.0 / 3.0))
     lattice = rho._lattice
-    bisected = []
-
-    def spy(lo, hi, q, cdf, levels):
-        bisected.extend(q.tolist())
-        return real(lo, hi, q, cdf, levels)
-
-    real = disorder._bisect
-    monkeypatch.setattr(disorder, "_bisect", spy)
+    bisected, resumed = spy_on_the_tiers(monkeypatch)
     # a certified leaf at 0.4; near 1, where the CDF is large and rho small, the
     # leaves are not certified; at 1/3 the leaf spans two pieces; a NaN
     q = np.array([float(rho.cdf(0.4)), float(rho.cdf(0.985)), float(rho.cdf(1.0 / 3.0)), math.nan])
@@ -309,16 +365,35 @@ def test_quantile_tiers_each_keep_the_bisection_bits(monkeypatch):
     assert lattice.certified[leaf[0]]
     assert not lattice.certified[leaf[1]] and rho._leaf_piece[leaf[1]] >= 0
     assert rho._leaf_piece[leaf[2]] == -1
-    # the first three are settled on the lattice (two comparisons, then the path
-    # check); only the NaN bisects
-    assert len(bisected) == 1 and math.isnan(bisected[0])
+    # the first is settled by two comparisons, the other three by the path
+    # check (a NaN goes left at every level, the path of cell 0): none moves
+    assert resumed == [(3, 0)] and not bisected
     # with no Newton step, the secant's cell is mostly wrong: those rows fail
-    # both checks, bisect, and keep their bits
+    # both checks, resume the bisection where their path disagrees, and keep
+    # their bits
     monkeypatch.setattr(disorder, "_NEWTON_STEPS", 0)
-    bisected.clear()
+    resumed.clear()
     q = np.random.default_rng(4).random(2000)
     assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
-    assert len(bisected) > 1000
+    assert sum(moved for _, moved in resumed) > 1000 and not bisected
+
+
+def test_quantile_near_a_support_end_resumes_the_bisection_on_the_lattice(monkeypatch):
+    # near 1 the bump's computed CDF rounds over tens of cells, so two Newton
+    # steps, or more, leave the draw off the bisection's cell; the bisection
+    # resumes where the cell's path first disagrees
+    rho = bump_density()
+    bisected, resumed = spy_on_the_tiers(monkeypatch)
+    comparisons = []
+    real_below = disorder._below
+    monkeypatch.setattr(disorder, "_below", lambda *args: comparisons.append(args) or real_below(*args))
+    q = np.array([float(rho.cdf(0.999))])
+    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+    # the path check, then a few of the 28 levels below the table
+    assert resumed[0][1] == 1 and 1 < len(comparisons) <= 8
+    q = np.array([float(rho.cdf(x)) for x in (0.9995, 0.9999, 1e-4, 1e-5)])
+    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+    assert not bisected
 
 
 def test_quantile_without_an_exact_lattice_bisects_everything():

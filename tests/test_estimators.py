@@ -1,6 +1,8 @@
 import ast
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -238,6 +240,55 @@ def test_blas_threads_restores_the_callers_counts():
     finally:
         for lib, count in zip(libraries, before):
             lib.set_threads(count)
+
+
+def fake_blas(package, count, calls):
+    """A ``BlasLibrary`` at ``count`` threads that logs each ``set_threads`` call."""
+    state = [count]
+
+    def set_threads(n):
+        calls.append((package, n))
+        state[0] = n
+
+    return estimators.BlasLibrary(package, "fake", lambda: state[0], set_threads)
+
+
+def test_blas_threads_sets_only_the_copies_not_at_the_count(monkeypatch):
+    calls = []
+    libraries = (fake_blas("numpy", 1, calls), fake_blas("scipy", 2, calls))
+    monkeypatch.setattr(estimators, "_openblas_libraries", lambda: (libraries, None))
+    with estimators.blas_threads(1):
+        assert calls == [("scipy", 1)]
+    assert calls == [("scipy", 1), ("scipy", 2)]
+    # once every copy is pinned, a forked run makes no thread-count call at all
+    calls.clear()
+    estimators.pin_blas_threads(1)
+    assert calls == [("scipy", 1)]
+    calls.clear()
+    run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=2, chunk_size=8)
+    assert calls == []
+
+
+def test_forked_runs_leave_no_blas_threads_in_a_pinned_process():
+    openblas_libraries()
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads")
+    # OpenBLAS shuts its pool down at a fork and re-creates it on any thread-count call
+    code = (
+        "import os, numpy as np\n"
+        "from alloylab import estimators\n"
+        "for lib in estimators._openblas_libraries()[0]:\n"
+        "    lib.set_threads(1)\n"
+        "for _ in range(2):\n"
+        "    estimators.run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=2, chunk_size=8)\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    src = str(Path(estimators.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "1"
 
 
 def test_run_parallel_without_blas_control(monkeypatch):

@@ -185,12 +185,13 @@ class DisorderDensity:
     object is in the class.  Quantiles are a bisection on the CDF to
     1e-12, so sampling is deterministic given the uniform draws, and
     ``quantile`` returns the plain bisection's bits in three tiers: its
-    first levels are tabulated at construction (``_tabulate_bisection``);
-    below a leaf, a piecewise polynomial density with an exact lattice
-    (``_Lattice``) finds the final cell by an approximate inverse and checks
-    it by two comparisons where its certificate holds, or along the cell's
-    whole path elsewhere, resuming the bisection where the path disagrees;
-    densities without a lattice bisect on.
+    first levels are tabulated at construction, as ``cdf`` at every bracket
+    end in x order (``_tabulate_bisection``); below a leaf, a piecewise
+    polynomial density with an exact lattice (``_Lattice``) finds the final
+    cell by an approximate inverse and checks it by two comparisons where
+    its certificate holds, or along the cell's whole path elsewhere,
+    resuming the bisection where the path disagrees; densities without a
+    lattice bisect on.
     """
 
     support: tuple[float, float]
@@ -211,24 +212,21 @@ class DisorderDensity:
     def _tabulate_bisection(self, breakpoints=()) -> None:
         """Replay the first levels of the quantile bisection once, for every ``q`` at the same time.
 
-        Node ``n`` of the bisection tree has children ``2 n + 1`` (left) and
-        ``2 n + 2`` (right), levels numbered left to right; ``_cdf_table[n]``
-        is ``cdf`` at its midpoint, and leaf ``j`` brackets
-        ``[_edges[j], _edges[j + 1]]``.  ``breakpoints`` bound the pieces of a
-        piecewise density, on which ``_piece_cdf`` with the piece's column of
-        ``_cdf_rows`` answers every comparison as ``cdf`` does, strictly inside;
-        ``_leaf_piece[j]`` is the piece that strictly contains leaf ``j``'s
-        bracket, or -1.
+        ``_edges`` are the bisection's bracket ends down to ``D = min(_TABLE_DEPTH,
+        n_iter)`` levels, in x order, and ``_edge_cdf`` is ``cdf`` at each of them.
+        A draw at level ``l`` is at an edge ``j``, a multiple of ``2**(D - l)``, and
+        compares at edge ``j + 2**(D - l - 1)``; leaf ``j`` brackets ``[_edges[j],
+        _edges[j + 1]]``, and ``_depth`` levels of the bisection remain below it.
+        ``breakpoints`` bound the pieces of a piecewise density; ``_leaf_piece[j]``
+        is the piece that strictly contains leaf ``j``'s bracket, or -1.
         """
         a, b = self.support
         self._n_iter = max(1, math.ceil(math.log2((b - a) / QUANTILE_TOL)))
+        self._depth = max(0, self._n_iter - _TABLE_DEPTH)
         edges = np.array([a, b])
-        mids = []
-        for _ in range(min(_TABLE_DEPTH, self._n_iter)):
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            mids.append(mid)
-            edges = np.insert(edges, np.arange(1, edges.size), mid)
-        self._cdf_table = np.asarray(self.cdf(np.concatenate(mids)))
+        for _ in range(self._n_iter - self._depth):
+            edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
+        self._edge_cdf = np.asarray(self.cdf(edges))
         self._edges = edges
         self._leaf_piece = np.full(edges.size - 1, -1)
         for i, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
@@ -246,11 +244,11 @@ class DisorderDensity:
         """
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
-        node = np.zeros(flat.shape, dtype=np.intp)
-        levels = self._cdf_table.size.bit_length()
-        for _ in range(levels):
-            node = 2 * node + 1 + (self._cdf_table[node] < flat)
-        leaf = node - self._cdf_table.size
+        leaf = np.zeros(flat.shape, dtype=np.intp)
+        step = self._edge_cdf.size // 2
+        while step:
+            leaf += step * (self._edge_cdf[leaf + step] < flat)
+            step //= 2
         lo = self._edges[leaf]
         if self._lattice is not None:
             mid = self._lattice.midpoints(self, leaf, lo, flat)
@@ -259,7 +257,7 @@ class DisorderDensity:
             for rows in (np.flatnonzero(piece < 0), np.flatnonzero(piece >= 0)):
                 if rows.size:
                     cdf = self.cdf if piece[rows[0]] < 0 else partial(_piece_cdf, self._cdf_rows[:, piece[rows]])
-                    lo[rows], hi[rows] = _bisect(lo[rows], hi[rows], flat[rows], cdf, self._n_iter - levels)
+                    lo[rows], hi[rows] = _bisect(lo[rows], hi[rows], flat[rows], cdf, self._depth)
             mid = 0.5 * (lo + hi)
         mid = mid.reshape(q.shape)
         return mid if mid.ndim else float(mid)
@@ -278,11 +276,12 @@ def _bisect(lo, hi, q, cdf, levels):
 
 
 def _piece_cdf(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``cum_i + (A_i(t) - A_i(t_i))`` by the steps of ``npoly.polyval`` and ``cdf``, for finite ``t``.
+    """``cum_i + (A_i(t) - A_i(t_i))`` by the steps of ``npoly.polyval``, for finite ``t``.
 
-    ``rows`` is a column of ``_cdf_rows`` or one column per point.  Its zero
-    padding, and any other exact zero it adds, changes at most the sign of a
-    zero, which no comparison sees: ``_piece_cdf(rows, t) < q`` is ``cdf(t) < q``.
+    ``rows`` is a column of ``_cdf_rows`` or one column per point; with each
+    point's own piece it is ``cdf``.  The zero padding changes no bit: Horner's
+    steps through leading zeros give the top coefficient exactly, and the final
+    ``+ cum_i`` turns a ``-0.0`` into ``+0.0``.
     """
     value = _horner(rows[:-2], t)
     value += rows[-2]
@@ -380,24 +379,17 @@ class _Lattice:
     """
 
     def __init__(self, density: "PiecewisePolynomialDensity", step: float):
-        profile, edges, table = density.profile, density._edges, density._cdf_table
+        profile, edges = density.profile, density._edges
         a, b = density.support
         self.step = step
-        self.depth = density._n_iter - table.size.bit_length()
         width = density._cdf_rows.shape[0] - 2
         self.pdf_rows = np.zeros((width - 1, profile.n_pieces))  # rho's coefficients, one column per piece
         for i, coefficients in enumerate(profile.coefficients):
             self.pdf_rows[: len(coefficients), i] = coefficients
         lo, hi = edges[:-1], edges[1:]
-        # the CDF at the leaves' ends: tree node n at level l, index j in its level, is edge (2j + 1) 2**(D - 1 - l)
-        node = np.arange(table.size) + 1
-        level = np.frexp(node)[1] - 1
-        at_edges = np.zeros(edges.size)
-        at_edges[(2 * (node - (1 << level)) + 1) << (level[-1] - level)] = table
-        at_edges[-1] = 1.0
-        rise = np.diff(at_edges)
+        rise = np.diff(density._edge_cdf)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.start = np.stack([at_edges[:-1], np.where(rise > 0, (hi - lo) / rise, 0.0)])
+            self.slope = np.where(rise > 0, (hi - lo) / rise, 0.0)  # the secant start's slope in each leaf
         self.piece = profile.piece_index(0.5 * (lo + hi))
         # the certificate; a bound that overflows certifies nothing
         with np.errstate(over="ignore", invalid="ignore"):
@@ -424,11 +416,10 @@ class _Lattice:
     @np.errstate(all="ignore")  # a non-finite q or a flat leaf gives a non-finite candidate
     def midpoints(self, density, leaf, lo, q) -> np.ndarray:
         """The bisection's result for every row."""
-        h, last = self.step, 2**self.depth - 1
+        h, last = self.step, 2**density._depth - 1
         cdf_rows = self._rows(density._cdf_rows, self.piece[leaf])
         pdf_rows = self._rows(self.pdf_rows, self.piece[leaf])
-        at_lo, slope = self.start[:, leaf]
-        t = lo + (q - at_lo) * slope
+        t = lo + (q - density._edge_cdf[leaf]) * self.slope[leaf]
         hi = lo + (last + 1) * h
         for _ in range(_NEWTON_STEPS):
             t -= (_piece_cdf(cdf_rows, t) - q) / _horner(pdf_rows, t)
@@ -441,19 +432,19 @@ class _Lattice:
         if rest.size:
             cell = cell[rest] + (below[1, rest] & (cell[rest] < last)) - (~below[0, rest] & (cell[rest] > 0))
             cell = np.nan_to_num(cell).astype(np.int64)  # a NaN candidate starts from cell 0
-            x[rest] = lo[rest] + self._resume(density, leaf[rest], lo[rest], q[rest], cell) * h
+            x[rest] = lo[rest] + self._resume(density, lo[rest], q[rest], cell) * h
         return x + 0.5 * h
 
-    def _resume(self, density, leaf, lo, q, cell) -> np.ndarray:
+    def _resume(self, density, lo, q, cell) -> np.ndarray:
         """The bisection's cell below each leaf, from any candidate ``cell``.
 
         The comparisons at ``cell``'s ``depth`` ancestor midpoints are made at
         once; down to the first one that disagrees with ``cell``'s bit there, they
         are the bisection's own, so the bisection resumes at that level.
         """
-        own = density._leaf_piece[leaf]
-        shift = np.arange(self.depth - 1, -1, -1)[:, None]
-        go_right = _below(density, own, q, lo + (((cell >> shift) | 1) << shift) * self.step)
+        depth = density._depth
+        shift = np.arange(depth - 1, -1, -1)[:, None]
+        go_right = density.cdf(lo + (((cell >> shift) | 1) << shift) * self.step) < q
         wrong = go_right != ((cell >> shift) & 1).astype(bool)
         rows = np.flatnonzero(wrong.any(axis=0))
         if rows.size:
@@ -461,24 +452,13 @@ class _Lattice:
             bit = shift[level, 0]
             # the bisection's cell so far: the bits above the first wrong level, then its comparison there
             resumed = (cell[rows] >> (bit + 1) << (bit + 1)) | (go_right[level, rows].astype(np.int64) << bit)
-            own, lo, q = own[rows], lo[rows], q[rows]
-            for next_level in range(int(level.min()) + 1, self.depth):
-                mid = resumed | 1 << (self.depth - 1 - next_level)
-                right = (level < next_level) & _below(density, own, q, lo + mid * self.step)
+            lo, q = lo[rows], q[rows]
+            for next_level in range(int(level.min()) + 1, depth):
+                mid = resumed | 1 << (depth - 1 - next_level)
+                right = (level < next_level) & (density.cdf(lo + mid * self.step) < q)
                 resumed = np.where(right, mid, resumed)
             cell[rows] = resumed
         return cell
-
-
-def _below(density, own, q, points) -> np.ndarray:
-    """``cdf(points) < q`` for each row: by piece ``own``'s function where the row's leaf lies inside it."""
-    values = np.empty(points.shape)
-    inside = own >= 0
-    if inside.any():
-        values[..., inside] = _piece_cdf(density._cdf_rows[:, own[inside]], points[..., inside])
-    if not inside.all():
-        values[..., ~inside] = density.cdf(points[..., ~inside])
-    return values < q
 
 
 class PiecewisePolynomialDensity(DisorderDensity):
@@ -487,9 +467,9 @@ class PiecewisePolynomialDensity(DisorderDensity):
     Construction validates non-negativity, unit mass, and the regularity
     needed for the second-derivative norm to be a plain integral: the
     density and its first derivative must be continuous across pieces and
-    vanish at the support edges.  It also builds the CDF tables once: each
-    piece's antiderivative ``A_i``, its value ``A_i(t_i)`` at the left
-    breakpoint, and the cumulative piece masses.
+    vanish at the support edges.  It also builds the CDF table once,
+    ``_cdf_rows``: per piece, its antiderivative ``A_i``, its value
+    ``-A_i(t_i)`` at the left breakpoint, and the cumulative mass below it.
     """
 
     def __init__(self, profile: PiecewiseProfile, name: str | None = None):
@@ -499,10 +479,10 @@ class PiecewisePolynomialDensity(DisorderDensity):
         if profile.min_value() < -1e-12:
             raise ValueError("density takes negative values")
         bp = profile.breakpoints
-        self._anti = [npoly.polyint(np.asarray(c)) for c in profile.coefficients]
-        self._anti_left = np.array([npoly.polyval(t, anti) for t, anti in zip(bp, self._anti)])
-        masses = np.array([npoly.polyval(t, anti) for t, anti in zip(bp[1:], self._anti)])
-        masses -= self._anti_left
+        anti = [npoly.polyint(np.asarray(c)) for c in profile.coefficients]
+        anti_left = np.array([npoly.polyval(t, a_i) for t, a_i in zip(bp, anti)])
+        masses = np.array([npoly.polyval(t, a_i) for t, a_i in zip(bp[1:], anti)])
+        masses -= anti_left
         mass = float(np.sum(masses))
         if abs(mass - 1.0) > 1e-12:
             raise ValueError(f"density mass is {mass!r}, expected 1 within 1e-12")
@@ -520,14 +500,13 @@ class PiecewisePolynomialDensity(DisorderDensity):
         self.sup_norm = profile.sup_norm()
         self.d1_norm = profile.total_variation()
         self.d2_norm = deriv.total_variation()
-        self._cum = np.concatenate([[0.0], np.cumsum(masses)])
         # one column per piece: A_i's coefficients (zero-padded), -A_i(t_i) and cum_i
-        width = max(anti.size for anti in self._anti)
+        width = max(a_i.size for a_i in anti)
         self._cdf_rows = np.zeros((width + 2, profile.n_pieces))
-        for i, anti in enumerate(self._anti):
-            self._cdf_rows[: anti.size, i] = anti
-        self._cdf_rows[width] = -self._anti_left
-        self._cdf_rows[width + 1] = self._cum[:-1]
+        for i, a_i in enumerate(anti):
+            self._cdf_rows[: a_i.size, i] = a_i
+        self._cdf_rows[width] = -anti_left
+        self._cdf_rows[width + 1, 1:] = np.cumsum(masses)[:-1]
         self._tabulate_bisection(bp)
         if (step := _lattice_step(a, b, self._n_iter)) is not None:
             self._lattice = _Lattice(self, step)
@@ -536,21 +515,17 @@ class PiecewisePolynomialDensity(DisorderDensity):
         return self.profile(t)
 
     def cdf(self, t):
-        """``cum[i] + (A_i(t) - A_i(t_i))`` on piece ``i``, read from the construction tables."""
+        """``cum_i + (A_i(t) - A_i(t_i))`` on piece ``i``: ``_piece_cdf`` on its column of ``_cdf_rows``."""
         t = np.asarray(t, dtype=float)
         a, b = self.support
         out = np.zeros_like(t)
         out[t >= b] = 1.0
         inside = (t >= a) & (t < b)
         if np.any(inside):
-            t_in = t[inside]
-            idx = self.profile.piece_index(t_in)
-            vals = np.empty(idx.shape)
-            for i, anti in enumerate(self._anti):
-                mask = idx == i
-                if np.any(mask):
-                    vals[mask] = npoly.polyval(t_in[mask], anti) - self._anti_left[i]
-            out[inside] = self._cum[idx] + vals
+            t_in, rows = t[inside], self._cdf_rows  # one piece's column broadcasts
+            if rows.shape[1] > 1:
+                rows = rows[:, self.profile.piece_index(t_in)]
+            out[inside] = _piece_cdf(rows, t_in)
         return out if out.ndim else float(out)
 
     def config_key(self):

@@ -43,6 +43,7 @@ from .operator import (
     hamiltonian_stack,
     interval_counts,
     potential_profiles,
+    require_dense,
     resolvent_columns,
 )
 from .transform import build_circulant, minami_constants
@@ -466,12 +467,12 @@ def _draw_potentials(cfg: ExperimentConfig, inner: Box, indices, attempt: int = 
 
 def _batched_counts(cfg: ExperimentConfig, intervals) -> Callable:
     """Kernel: each sample's counts in every interval, then a 0/1 eigvalsh fallback for each."""
-    inner = cfg.inner_box
-    base = base_matrix(inner, cfg.shifted_laplacian)
+    inner, shifted, lam = cfg.inner_box, cfg.shifted_laplacian, cfg.disorder_strength
+    require_dense(inner.size)  # a count's eigvalsh recount is dense
 
     def kernel(indices):
         profiles = _draw_potentials(cfg, inner, indices)
-        return np.hstack(interval_counts(base, cfg.disorder_strength, profiles, intervals))
+        return np.hstack(interval_counts(inner, shifted, lam, profiles, intervals))
 
     return kernel
 
@@ -700,10 +701,10 @@ def probe_fvc(
     if not radii or any(int(radius) < 1 for radius in radii):
         raise ValueError(f"box radii must be a non-empty list, each at least 1, got {list(radii)}")
     energy = float(cfg.energy.real)
-    lam = cfg.disorder_strength
+    lam, shifted = cfg.disorder_strength, cfg.shifted_laplacian
     boxes = [box(int(radius), cfg.dimension) for radius in radii]
     # every radius passes the dense cap before the first one is sampled
-    bases = [base_matrix(inner, cfg.shifted_laplacian) for inner in boxes]
+    bases = [base_matrix(inner, shifted) for inner in boxes]
     results = []
     for radius, inner, base in zip(radii, boxes, bases):
         sites = inner.site_array()
@@ -721,7 +722,7 @@ def probe_fvc(
             pending = np.arange(len(indices))
             for attempt in range(max_attempts):
                 profiles[pending] = _draw_potentials(cfg, inner, indices[pending], attempt)
-                counts, fallback = interval_counts(base, lam, profiles[pending], [window])
+                counts, fallback = interval_counts(inner, shifted, lam, profiles[pending], [window])
                 rows[pending, 2] += fallback[:, 0]
                 pending = pending[~(counts[:, 0] == 0)]
                 rows[pending, 1] += 1.0
@@ -866,14 +867,14 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
         raise ValueError("boxes overlap or share couplings at this separation")
     center_two = (separation,) + (0,) * (cfg.dimension - 1)
     boxes = (box(cfg.box_radius, cfg.dimension), Box(center_two, cfg.box_radius))
-    # both boxes have the same shape, hence the same potential-free part
-    base = base_matrix(boxes[0], cfg.shifted_laplacian)
+    require_dense(boxes[0].size)  # a count's eigvalsh recount is dense
     lam = cfg.disorder_strength
 
     def kernel(indices):
         # the two envelopes are disjoint and equal in size: box one reads block 0, box two block 1
-        draws = [_draw_potentials(cfg, b, indices, k) for k, b in enumerate(boxes)]
-        counts, _ = interval_counts(base, lam, np.concatenate(draws), [cfg.interval])
+        draws = np.concatenate([_draw_potentials(cfg, b, indices, k) for k, b in enumerate(boxes)])
+        # both boxes have the same shape, so one plan counts both
+        counts, _ = interval_counts(boxes[0], cfg.shifted_laplacian, lam, draws, [cfg.interval])
         return counts.reshape(2, len(indices)).T
 
     chunk = _count_chunk(boxes[0], [cfg.interval], profiles=2)

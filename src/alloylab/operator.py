@@ -9,6 +9,7 @@ outside the box is dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -57,8 +58,8 @@ def base_matrix(box: Box, shifted: bool) -> np.ndarray:
     """The potential-free part of the Hamiltonian on the box.
 
     The Laplacian, plus ``2d`` on the diagonal when ``shifted``.  Every
-    dense Hamiltonian starts here, so this is where the dense cap refuses a
-    box (``ResourceLimit``), before anything is sampled.
+    dense Hamiltonian starts here, so it refuses a box past the dense cap
+    (``ResourceLimit``).
     """
     require_dense(box.size)
     h = laplacian_matrix(box)
@@ -258,11 +259,12 @@ def chain_eigenvalues(diagonal: np.ndarray, shifted: bool = False) -> np.ndarray
 
 
 @np.errstate(all="ignore")  # a non-finite row or pivot is flagged, not warned about
-def interval_counts(base: np.ndarray, lam: float, profiles: np.ndarray, intervals) -> tuple:
+def interval_counts(box: Box, shifted: bool, lam: float, profiles: np.ndarray, intervals) -> tuple:
     """Counts of each ``hamiltonian_stack`` member's eigvalsh eigenvalues in closed intervals.
 
     Returns counts and flags, one row per profile, one column per interval; a flag
-    marks a count taken from ``eigvalsh``.  ``base`` is ``base_matrix(box, shifted)``.
+    marks a count taken from ``eigvalsh``.  The Hamiltonians are ``base_matrix(box,
+    shifted)`` plus ``lam * profiles``, which is built dense only for a recount.
     ``#{mu <= x}`` is the negative pivots of the red-black LDL^T of ``H - x -+ delta``,
     ``delta = COUNT_SHIFT (1 + |H|_inf + |x|)``: certified if both agree and the growth
     keeps the backward error, plus eigvalsh's, under ``delta / 2`` (Weyl); else the row
@@ -272,8 +274,8 @@ def interval_counts(base: np.ndarray, lam: float, profiles: np.ndarray, interval
     lo, hi = np.asarray(intervals, dtype=float).reshape(-1, 2).T
     ends, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     ia, ib = where.reshape(2, -1)
-    plan, n = _elimination_plan(*_box_shape(base)), base.shape[0]
-    h = np.diagonal(base) + lam * profiles
+    plan, n = _elimination_plan(box.dimension, box.side), box.size
+    h = lam * profiles + (2.0 * box.dimension if shifted else 0.0)
     if _counts_by_kernel(plan, n, ends.size):
         scale = 1.0 + np.max(np.abs(h) + plan.degree, axis=1)
         delta = COUNT_SHIFT * (scale[:, None] + np.abs(ends))
@@ -291,6 +293,7 @@ def interval_counts(base: np.ndarray, lam: float, profiles: np.ndarray, interval
     redo = np.nonzero(np.any(fallback, axis=1))[0]
     counts[redo] = np.nan
     if (redo := redo[np.all(np.isfinite(h[redo]), axis=1)]).size:
+        base = base_matrix(box, shifted)
         # in stacks of at most _RECOUNT_ENTRIES, so a chunk that falls back whole stays small
         for rows in np.array_split(redo, -(-redo.size * n * n // _RECOUNT_ENTRIES)):
             spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles[rows]))[:, :, None]
@@ -321,20 +324,6 @@ def _counts_by_kernel(plan: "_EliminationPlan", n: int, n_ends: int) -> bool:
 # asymptote only at the dense cap), so the count takes the side this model finds cheaper
 _EIGVALSH_COST = 2.0
 _RECOUNT_ENTRIES = 1_000_000  # matrix entries per eigvalsh recount stack
-_plans: dict = {}
-
-
-def _box_shape(base: np.ndarray) -> tuple[int, int]:
-    """``(dimension, side)`` of the box of ``base_matrix(box, shifted)``.
-
-    Site 0 is a corner of the box, coupled to the sites at the strides ``side**k``.
-    """
-    n = base.shape[0]
-    for dimension in range(n.bit_length(), 1, -1):
-        side = round(n ** (1.0 / dimension))
-        if side > 1 and side**dimension == n and all(base[0, side**k] for k in range(dimension)):
-            return dimension, side
-    return 1, n
 
 
 @dataclass(frozen=True)
@@ -374,10 +363,9 @@ class _EliminationPlan:
     work: int  # window entries a lane updates: sum of fronts**2
 
 
+@lru_cache(maxsize=16)
 def _elimination_plan(dimension: int, side: int) -> _EliminationPlan:
-    """The box's plan, built at its first count and kept for the process."""
-    if (dimension, side) in _plans:
-        return _plans[dimension, side]
+    """The box's plan, built at its first count; the last 16 boxes' plans are kept."""
     n = side**dimension
     offsets = np.indices((side,) * dimension).reshape(dimension, n).T
     strides = side ** np.arange(dimension - 1, -1, -1)
@@ -440,7 +428,7 @@ def _elimination_plan(dimension: int, side: int) -> _EliminationPlan:
         blocks = max(1, f // 5)
         cuts = [round(f * (i / blocks) ** 0.5) for i in range(blocks + 1)]
         rows.append(tuple((a, b) for a, b in zip(cuts, cuts[1:]) if b > a))
-    plan = _EliminationPlan(
+    return _EliminationPlan(
         red=red,
         black=black,
         degree=np.count_nonzero(neighbours >= 0, axis=1),
@@ -452,10 +440,6 @@ def _elimination_plan(dimension: int, side: int) -> _EliminationPlan:
         bound=(2 * dimension + 2 * widest - 1) * (2 * dimension + widest + 1) ** 2,
         work=int(np.sum(fronts**2)),
     )
-    if len(_plans) >= 16:
-        _plans.clear()
-    _plans[dimension, side] = plan
-    return plan
 
 
 @np.errstate(all="ignore")

@@ -747,6 +747,32 @@ def test_ids_and_spacing_ranges_refused_before_sampling(
     assert not out.exists()
 
 
+NON_FINITE_FIELDS = [
+    ("ids", "pos_epsilons", [math.inf]),
+    ("ids", "pos_a", -math.inf),
+    ("ids", "kappa", math.nan),
+    ("spacing", "window", [-math.inf, 5.0]),
+    ("fvc", "regularization", math.inf),
+    ("fvc", "decay_exponent", math.nan),
+]
+
+
+@pytest.mark.parametrize("command, field, value", NON_FINITE_FIELDS)
+def test_non_finite_probe_fields_refused_before_sampling(
+    tmp_path, monkeypatch, capsys, command, field, value
+):
+    # each sampled, then exited 2 on a non-JSON record, died on math.ceil(inf) or failed every sample
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    monkeypatch.setattr(spectra, "run_parallel", refuse_sampling)
+    cfg = write_config(tmp_path, **{**COMMAND_FIELDS[command], field: value})
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert f"'{field}' must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points", [0, 1])
 @pytest.mark.parametrize("command", ["ids", "spacing"])
 def test_ids_grid_of_fewer_than_two_points_refused_before_sampling(

@@ -34,7 +34,13 @@ from alloylab.estimators import (
     wegner_ratio_sweep,
 )
 from alloylab.lattice import box, envelope_box
-from alloylab.operator import base_matrix, hamiltonian_stack, resolvent_columns
+from alloylab.operator import (
+    DENSE_SOLVE_LIMIT,
+    ResourceLimit,
+    base_matrix,
+    hamiltonian_stack,
+    resolvent_columns,
+)
 from tests.sample_reference import assemble, draw_couplings
 
 RHO = bump_density()
@@ -525,9 +531,9 @@ def test_wegner_sweep_solves_each_sample_once(monkeypatch):
     calls, fallbacks, solves = [], [], []
     count, solve = estimators.interval_counts, np.linalg.eigvalsh
 
-    def spy(base, lam, profiles, intervals):
+    def spy(inner, shifted, lam, profiles, intervals):
         calls.append(len(profiles))
-        counts, fallback = count(base, lam, profiles, intervals)
+        counts, fallback = count(inner, shifted, lam, profiles, intervals)
         fallbacks.append(int(fallback.sum()))
         return counts, fallback
 
@@ -652,8 +658,8 @@ def test_two_eigenvalue_rejects_single_site_box_before_sampling(monkeypatch):
 def test_two_eigenvalue_counts_an_uncounted_sample_as_failed(monkeypatch):
     count = estimators.interval_counts
 
-    def first_row_uncounted(base, lam, profiles, intervals):
-        counts, fallback = count(base, lam, profiles, intervals)
+    def first_row_uncounted(inner, shifted, lam, profiles, intervals):
+        counts, fallback = count(inner, shifted, lam, profiles, intervals)
         if not calls:
             counts[0] = np.nan
         calls.append(len(counts))
@@ -837,6 +843,28 @@ def test_independence_probe_honours_shifted_laplacian():
     assert independence_probe(shifted, separation=10).correlation == pytest.approx(
         expected, abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        estimate_wegner,
+        estimate_two_eigenvalue_probability,
+        lambda cfg: independence_probe(cfg, separation=100),
+    ],
+)
+def test_counting_refuses_a_box_past_the_dense_cap_before_sampling(monkeypatch, run):
+    # counting needs no dense base, but its eigvalsh recount does
+    def refuse_sampling(*args, **kwargs):
+        raise AssertionError("sampling started before the box was checked")
+
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = make_config(
+        dimension=2, potential=SingleSitePotential.delta(2), box_radius=40, interval=(0.0, 1.0)
+    )
+    assert cfg.inner_box.size > DENSE_SOLVE_LIMIT
+    with pytest.raises(ResourceLimit):
+        run(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from alloylab.operator import (
     ResolventError,
     ResourceLimit,
     chain_eigenvalues,
-    _box_shape,
     _elimination_plan,
     _red_black_inertia,
     base_matrix,
@@ -369,7 +368,8 @@ def eigvalsh_counts(base, lam, profiles, intervals):
 def test_interval_counts_match_eigvalsh(shape, shifted, lam, seed, ends):
     # signed potentials, endpoints on, 1e-10 from and away from eigvalsh's eigenvalues
     dimension, radius = shape
-    base = base_matrix(box(radius, dimension), shifted)
+    b = box(radius, dimension)
+    base = base_matrix(b, shifted)
     profiles = np.random.default_rng(seed).uniform(-3.0, 3.0, (4, base.shape[0]))
     spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles)).ravel()
     nudge = {"on": 0.0, "below": -1e-10, "above": 1e-10}
@@ -379,7 +379,7 @@ def test_interval_counts_match_eigvalsh(shape, shifted, lam, seed, ends):
     ]
     intervals = [(x, x) for x in points]
     intervals += [tuple(sorted(pair)) for pair in zip(points, points[1:])]
-    counts, fallback = interval_counts(base, lam, profiles, intervals)
+    counts, fallback = interval_counts(b, shifted, lam, profiles, intervals)
     assert counts.tolist() == eigvalsh_counts(base, lam, profiles, intervals).tolist()
     assert fallback.shape == counts.shape
     # an endpoint on an eigenvalue is never certified
@@ -390,23 +390,47 @@ def test_interval_counts_match_eigvalsh(shape, shifted, lam, seed, ends):
 
 
 def test_interval_counts_certify_endpoints_away_from_eigenvalues():
-    base = base_matrix(box(3, 2), False)
+    b = box(3, 2)
+    base = base_matrix(b, False)
     profiles = np.random.default_rng(5).uniform(-1.0, 1.0, (6, base.shape[0]))
     spectra = np.linalg.eigvalsh(hamiltonian_stack(base, 2.0, profiles))
     level = spectra[0, 20]
     intervals = [(-0.3, 0.7), (level, level + 1.0), (level - 1e-10, level)]
     intervals.append((level - 1.0, level + 1e-10))
-    counts, fallback = interval_counts(base, 2.0, profiles, intervals)
+    counts, fallback = interval_counts(b, False, 2.0, profiles, intervals)
     assert counts.tolist() == eigvalsh_counts(base, 2.0, profiles, intervals).tolist()
     assert not fallback[:, 0].any()
     assert fallback[0, 1:].all()
+
+
+def test_a_count_builds_a_dense_matrix_only_to_recount(monkeypatch):
+    built = []
+    real = operator.base_matrix
+    monkeypatch.setattr(operator, "base_matrix", lambda *args: built.append(args) or real(*args))
+    b = box(3, 2)
+    profiles = np.random.default_rng(5).uniform(-1.0, 1.0, (6, b.size))
+    # every count certified: no dense matrix
+    _, fallback = interval_counts(b, False, 2.0, profiles, [(-0.3, 0.7)])
+    assert not fallback.any() and built == []
+    # an endpoint on an eigenvalue of row 0: one dense base for the recount
+    base = real(b, False)
+    level = np.linalg.eigvalsh(hamiltonian_stack(base, 2.0, profiles[:1]))[0, 20]
+    intervals = [(level, level + 1.0)]
+    counts, fallback = interval_counts(b, False, 2.0, profiles, intervals)
+    assert fallback[0, 0] and built == [(b, False)]
+    assert counts.tolist() == eigvalsh_counts(base, 2.0, profiles, intervals).tolist()
+    # a NaN row falls back, but has nothing to recount
+    profiles[1, 4] = np.nan
+    counts, fallback = interval_counts(b, False, 2.0, profiles, [(-0.3, 0.7)])
+    assert fallback[1, 0] and np.isnan(counts[1, 0]) and len(built) == 1
 
 
 def test_interval_counts_zero_pivot_falls_back():
     # x - delta (delta = 2**-20 (1 + |H|_inf + |x|), exact here) equals the first
     # diagonal entry, so the first pivot of that factorization is exactly 0;
     # |H|_inf = 2.25 is the middle row's |0.25| + 2
-    base = base_matrix(box(1, 1), False)
+    b = box(1, 1)
+    base = base_matrix(b, False)
     x, norm = 0.5, 2.25
     first = x - 2.0**-20 * (1.0 + norm + x)
     profiles = np.array([[first, 0.25, -0.75], [0.1, 0.25, -0.75]])
@@ -415,7 +439,7 @@ def test_interval_counts_zero_pivot_falls_back():
     intervals = [(x, 3.0), (-3.0, x)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts, fallback = interval_counts(base, 1.0, profiles, intervals)
+        counts, fallback = interval_counts(b, False, 1.0, profiles, intervals)
     assert counts.tolist() == eigvalsh_counts(base, 1.0, profiles, intervals).tolist()
     assert fallback.tolist() == [[True, True], [False, False]]
     diagonals = np.array([[first - first], [0.25 - first], [-0.75 - first]])
@@ -425,13 +449,14 @@ def test_interval_counts_zero_pivot_falls_back():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
 def test_interval_counts_non_finite_rows_count_nan(bad):
-    base = base_matrix(box(2, 2), True)
+    b = box(2, 2)
+    base = base_matrix(b, True)
     profiles = np.random.default_rng(3).uniform(-2.0, 2.0, (3, base.shape[0]))
     profiles[1, 7] = bad
     intervals = [(3.0, 5.0), (4.0, 4.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts, fallback = interval_counts(base, 2.0, profiles, intervals)
+        counts, fallback = interval_counts(b, True, 2.0, profiles, intervals)
     assert np.isnan(counts[1]).all() and fallback[1].all()
     kept = [0, 2]
     expected = eigvalsh_counts(base, 2.0, profiles[kept], intervals)
@@ -439,10 +464,9 @@ def test_interval_counts_non_finite_rows_count_nan(bad):
 
 
 def test_interval_counts_bandwidth_follows_the_box():
-    # one pivot per site, the box read off the base; the widest front grows with it
+    # one pivot per site; the widest front grows with the box
     for dimension, radius, front in [(1, 3, 2), (2, 2, 6), (3, 1, 9)]:
         b = box(radius, dimension)
-        assert _box_shape(base_matrix(b, False)) == (dimension, b.side)
         plan = _elimination_plan(dimension, b.side)
         assert max(plan.fronts) == front
         assert sorted(np.concatenate([plan.red, plan.black]).tolist()) == list(range(b.size))
@@ -474,7 +498,7 @@ def test_red_black_inertia_matches_the_banded_reference(shape, shifted, seed, sp
     diagonals = np.diagonal(base)[:, None] + np.random.default_rng(seed).uniform(-4, 4, (n, 8))
     for site, lane, value in specials:
         diagonals[site % n, lane] = value  # an exact 0 on a red site is a zero pivot
-    plan = _elimination_plan(*_box_shape(base))
+    plan = _elimination_plan(dimension, b.side)
     band = b.side ** (dimension - 1) if n > 1 else 0
     negative, growth = _red_black_inertia(plan, diagonals)
     reference, reference_growth = band_inertia(base, band, diagonals)
@@ -500,18 +524,18 @@ def test_red_black_inertia_matches_the_banded_reference(shape, shifted, seed, sp
 def test_interval_counts_both_sides_of_the_dispatch_match_eigvalsh(dimension, radius, ends):
     # with many endpoints eigvalsh is the cheaper count (every row flagged as
     # eigvalsh's); with few, the certified inertia counts and recounts the rest
-    base = base_matrix(box(radius, dimension), False)
-    n = base.shape[0]
+    b = box(radius, dimension)
+    base, n = base_matrix(b, False), b.size
     profiles = np.random.default_rng(8).uniform(-1.0, 1.0, (12, n))
     profiles[3, 1] = np.nan
     points = np.linspace(-2.0, 2.5, 2 * ends)
     intervals = list(zip(points[::2], points[1::2]))
-    plan = _elimination_plan(*_box_shape(base))
+    plan = _elimination_plan(dimension, b.side)
     dense = 2 * len(points) * plan.work > operator._EIGVALSH_COST * n**2.5
     assert dense == (ends == 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts, fallback = interval_counts(base, 2.0, profiles, intervals)
+        counts, fallback = interval_counts(b, False, 2.0, profiles, intervals)
     kept = np.arange(12) != 3
     assert counts[kept].tolist() == eigvalsh_counts(base, 2.0, profiles[kept], intervals).tolist()
     assert np.isnan(counts[3]).all() and fallback[3].all()

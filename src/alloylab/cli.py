@@ -14,7 +14,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -238,8 +237,8 @@ def _read_sweep(raw) -> tuple[list[float], float] | None:
         return None
     widths = read(raw, "widths", [float])
     center = read(raw, "center", float)
-    if not (widths and all(0 <= w < math.inf for w in widths)):
-        raise ConfigError(f"'widths' must be a non-empty list of finite numbers >= 0: {widths}")
+    if not (widths and all(w >= 0 for w in widths)):
+        raise ConfigError(f"'widths' must be a non-empty list of numbers >= 0: {widths}")
     return widths, center
 
 
@@ -282,14 +281,11 @@ def cmd_two_ev(raw, args, reporter) -> int:
 
 def cmd_fvc(raw, args, reporter) -> int:
     cfg = experiment_from_config(raw, required=("energy",))
-    decay_exponent = read(raw, "decay_exponent", float)
-    regularization = read(raw, "regularization", float, 1e-8)
-    _require_finite(decay_exponent=decay_exponent, regularization=regularization)
     points = probe_fvc(
         cfg,
-        decay_exponent=decay_exponent,
+        decay_exponent=read(raw, "decay_exponent", float),
         radii=read(raw, "radii", [int]),
-        regularization=regularization,
+        regularization=read(raw, "regularization", float, 1e-8),
     )
     digest = cfg.digest()
     rows = []
@@ -336,12 +332,6 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _require_finite(**fields) -> None:
-    """Refuse a non-finite number, or a list holding one, before sampling."""
-    for name, value in fields.items():
-        _require(np.all(np.isfinite(value)), f"{name!r} must be finite, got {value}")
-
-
 def _require_level(level: float) -> None:
     _require(0.0 <= level <= 1.0, f"'reference_level' must lie in [0, 1], got {level}")
 
@@ -365,7 +355,6 @@ def cmd_ids(raw, args, reporter) -> int:
     pos_a = read(raw, "pos_a", float, -1.0)
     pos_b = read(raw, "pos_b", float, 1.0)
     if epsilons is not None:
-        _require_finite(pos_epsilons=epsilons, kappa=kappa, pos_a=pos_a, pos_b=pos_b)
         _require_level(reference_level)
         _require(pos_a < pos_b, f"need a < b, got 'pos_a' {pos_a} and 'pos_b' {pos_b}")
         _require(all(eps > 0 for eps in epsilons), f"'pos_epsilons' must be positive: {epsilons}")
@@ -398,7 +387,6 @@ def cmd_ids(raw, args, reporter) -> int:
 
 def cmd_spacing(raw, args, reporter) -> int:
     window = tuple(read(raw, "window", [float, float], [-5.0, 5.0]))
-    _require_finite(window=list(window))
     _require(window[0] < window[1], f"'window' must be an increasing pair, got {list(window)}")
     if args.synthetic:
         n_realizations = read(raw, "realizations", int, 300)

@@ -3,12 +3,13 @@
 All physical parameters (dimension, box radii, disorder strength) must be
 explicit in the config; silent defaults would corrupt reproducibility
 claims.  Sampling parameters (seed, samples, workers) have CLI flags.
-Every field is read through ``read``, which checks its JSON type.
+Every field is read through ``read``, which checks its JSON type and finiteness.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .disorder import (
@@ -38,7 +39,10 @@ def _describe(kind) -> str:
 
 
 def _convert(value, kind):
-    """``value`` as ``kind``; ``TypeError`` when its JSON type is another."""
+    """``value`` as ``kind``; ``TypeError`` when its JSON type is another.
+
+    A number no finite double holds ends the search: ``ValueError`` or ``OverflowError``.
+    """
     if isinstance(kind, tuple):
         for option in kind:
             try:
@@ -51,7 +55,9 @@ def _convert(value, kind):
             raise TypeError
         kinds = kind if len(kind) > 1 else kind * len(value)
         return [_convert(item, k) for item, k in zip(value, kinds)]
-    if kind is float and type(value) is int:
+    if kind is float and type(value) in (int, float):
+        if not math.isfinite(value):  # OverflowError for an integer past the doubles
+            raise ValueError
         return float(value)
     if type(value) is not kind:
         raise TypeError
@@ -65,9 +71,10 @@ def read(raw: dict, name: str, kind, default=REQUIRED):
     list of any length whose entries are ``k``, ``[k1, k2, ...]`` a list of
     exactly those entries, and a tuple of kinds accepts any one of them.  An
     integer is a JSON integer and a boolean is ``true``/``false``; a boolean
-    is never a number, and a number is returned as a float.  A missing field
-    returns ``default``; without one it is a ``ConfigError``, and so is a
-    value of another type.
+    is never a number, and a number is returned as a finite float (``NaN``,
+    ``Infinity``, ``1e400`` or an integer past the doubles is refused, in a
+    list too).  A missing field returns ``default``; without one it is a
+    ``ConfigError``, and so is a value of another type or a non-finite number.
     """
     if name not in raw:
         if default is REQUIRED:
@@ -76,9 +83,10 @@ def read(raw: dict, name: str, kind, default=REQUIRED):
     try:
         return _convert(raw[name], kind)
     except TypeError:
-        raise ConfigError(
-            f"field {name!r} must be {_describe(kind)}, got {json.dumps(raw[name])}"
-        ) from None
+        expected = _describe(kind)
+    except (ValueError, OverflowError):
+        expected = "finite"
+    raise ConfigError(f"field {name!r} must be {expected}, got {json.dumps(raw[name])}")
 
 
 def delta_potential(dimension: int) -> SingleSitePotential:

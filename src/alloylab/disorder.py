@@ -59,11 +59,14 @@ class PiecewiseProfile:
 
     def __post_init__(self) -> None:
         bp = tuple(float(t) for t in self.breakpoints)
+        cf = tuple(tuple(float(c) for c in piece) for piece in self.coefficients)
+        # each c_k and the derivative's k c_k, since polyroots refuses a non-finite one
+        if not all(map(math.isfinite, bp + tuple(max(k, 1) * c for p in cf for k, c in enumerate(p)))):
+            raise ValueError(f"breakpoints {bp} and coefficients {cf} must be finite (k c_k too)")
         if len(bp) < 2:
             raise ValueError("a profile needs at least one piece")
         if any(b - a <= 0 for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        cf = tuple(tuple(float(c) for c in piece) for piece in self.coefficients)
         if len(cf) != len(bp) - 1:
             raise ValueError("need exactly one coefficient tuple per piece")
         if any(len(piece) == 0 for piece in cf):
@@ -476,15 +479,16 @@ class PiecewisePolynomialDensity(DisorderDensity):
         a, b = profile.support
         if b - a <= 0:
             raise ValueError("density support must have positive length")
-        if profile.min_value() < -1e-12:
-            raise ValueError("density takes negative values")
-        bp = profile.breakpoints
-        anti = [npoly.polyint(np.asarray(c)) for c in profile.coefficients]
-        anti_left = np.array([npoly.polyval(t, a_i) for t, a_i in zip(bp, anti)])
-        masses = np.array([npoly.polyval(t, a_i) for t, a_i in zip(bp[1:], anti)])
-        masses -= anti_left
-        mass = float(np.sum(masses))
-        if abs(mass - 1.0) > 1e-12:
+        with np.errstate(over="ignore", invalid="ignore"):  # a table past the doubles fails below
+            if profile.min_value() < -1e-12:
+                raise ValueError("density takes negative values")
+            bp = profile.breakpoints
+            anti = [npoly.polyint(np.asarray(c)) for c in profile.coefficients]
+            anti_left = np.array([npoly.polyval(t, a_i) for t, a_i in zip(bp, anti)])
+            masses = np.array([npoly.polyval(t, a_i) for t, a_i in zip(bp[1:], anti)])
+            masses -= anti_left
+            mass = float(np.sum(masses))
+        if not abs(mass - 1.0) <= 1e-12:
             raise ValueError(f"density mass is {mass!r}, expected 1 within 1e-12")
         if not profile.is_absolutely_continuous():
             raise ValueError("density must be continuous and vanish at the support edges")

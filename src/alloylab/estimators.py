@@ -690,14 +690,14 @@ def probe_fvc(
     imaginary part; draws with an eigenvalue in ``[E - gap, E + gap]`` (or
     non-finite) are redrawn from the sample's next block of uniforms and counted.
     """
-    if decay_exponent <= 3 * cfg.dimension - 1:
+    if not decay_exponent > 3 * cfg.dimension - 1:  # NaN included
         raise ValueError(
             f"decay exponent must exceed 3d - 1 = {3 * cfg.dimension - 1}, got {decay_exponent}"
         )
     if cfg.energy is None:
         raise ValueError("localization probe needs a reference energy")
-    if regularization <= MIN_IMAG_PART:
-        raise ValueError(f"regularization must exceed {MIN_IMAG_PART}, got {regularization}")
+    if not MIN_IMAG_PART < regularization < math.inf:
+        raise ValueError(f"regularization must be finite, above {MIN_IMAG_PART}, got {regularization}")
     if not radii or any(int(radius) < 1 for radius in radii):
         raise ValueError(f"box radii must be a non-empty list, each at least 1, got {list(radii)}")
     energy = float(cfg.energy.real)

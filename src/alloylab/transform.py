@@ -138,8 +138,8 @@ def limit_inverse_one_norm(
     geometric tail (fitted on max-norm shells) is added twice to cover both
     the missing coefficients and the aliasing they induce.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     d = potential.dimension
     resolution = 32
     while resolution < 4 * (2 * potential.support_radius + 1):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from alloylab import estimators, spectra
+from alloylab import cli, config, estimators, spectra
 from alloylab.cli import main
 from alloylab.config import ConfigError, read
 
@@ -611,6 +612,19 @@ def test_reader_type_rule():
         read({}, "x", int)
 
 
+def test_reader_refuses_non_finite_numbers():
+    raw = json.loads('{"nan": NaN, "inf": Infinity, "literal": 1e400, "integer": 1' + "0" * 400 + "}")
+    for name in raw:
+        with pytest.raises(ConfigError, match=f"field '{name}' must be finite, got "):
+            read(raw, name, float)
+    # inside lists and tuple kinds too
+    for value, kind in [([1.0, math.nan], [float, float]), ([0.5, -math.inf], (float, [float, float])),
+                        (-math.inf, (float, [float, float])), ([[[0], math.inf]], [[[int], float]])]:
+        with pytest.raises(ConfigError, match="field 'x' must be finite, got "):
+            read({"x": value}, "x", kind)
+    assert read({"x": [1e308, 2**1000]}, "x", [float]) == [1e308, float(2**1000)]
+
+
 COMMAND_FIELDS = {
     "check": base_fields(),
     "constants": base_fields(site_x=[0], site_y=[1]),
@@ -818,3 +832,132 @@ def test_worker_count_below_one_exits_2(tmp_path, monkeypatch, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("config error: worker count must be at least 1")
     assert not (tmp_path / "run").exists()
+
+
+# ---------------------------------------------------------------------------
+# every field of every command, fuzzed
+# ---------------------------------------------------------------------------
+
+class Sampled(Exception):
+    """Raised by the stand-in parallel driver: the config passed every check before sampling."""
+
+
+def reach_sampling(*args, **kwargs):
+    raise Sampled
+
+
+ABSENT = object()
+NON_FINITE = [math.nan, math.inf, -math.inf]
+HUGE = 10**400  # a JSON integer no double holds; never given where an integer is read
+
+
+def locate(node, target, path=()):
+    """The key path from ``node`` to its first part equal to ``target``, or None."""
+    if node == target:
+        return path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        if (found := locate(child, target, path + (key,))) is not None:
+            return found
+    return None
+
+
+def holder(fields, path):
+    """The dict or list that holds the entry at ``path``."""
+    for key in path[:-1]:
+        fields = fields[key]
+    return fields
+
+
+def replaced(fields, path, value):
+    """A copy of ``fields`` with the entry at ``path`` set to ``value``, or removed for ABSENT."""
+    fields = copy.deepcopy(fields)
+    if value is ABSENT:
+        del holder(fields, path)[path[-1]]
+    else:
+        holder(fields, path)[path[-1]] = value
+    return fields
+
+
+def numbers_in(value, path):
+    """``(path, number)`` for every number inside the list ``value``, nested lists included."""
+    for index, item in enumerate(value):
+        if isinstance(item, list):
+            yield from numbers_in(item, path + (index,))
+        elif type(item) in (int, float):
+            yield path + (index,), item
+
+
+def fuzz_cases(fields, kinds):
+    """``(path, value, non_finite)``: each field replaced, then each number inside a list field.
+
+    Inside a list, only a number written as a float is given ``HUGE``: an integer
+    there may be an integer field's.
+    """
+    for path, kind in kinds.items():
+        takes_float = kind is float or (isinstance(kind, tuple) and float in kind and int not in kind)
+        for value in NON_FINITE + [HUGE] * takes_float:
+            yield path, value, True
+        current = holder(fields, path).get(path[-1], ABSENT)
+        for value in [1e308, "true" if kind is bool else True, []] + [ABSENT] * (current is not ABSENT):
+            yield path, value, False
+        for entry, number in numbers_in(current, path) if isinstance(current, list) else ():
+            for value in NON_FINITE + [HUGE] * (type(number) is float):
+                yield entry, value, True
+            yield entry, 1e308, False
+
+
+BUMP_TABLE = {"pieces": [{"interval": [0.0, 1.0], "coefficients": [0.0, 0.0, 30.0, -60.0, 30.0]}]}
+FUZZED = {
+    **{command: ([command], fields) for command, fields in COMMAND_FIELDS.items()},
+    "spacing --synthetic": (["spacing", "--synthetic", "poisson"], base_fields(realizations=10)),
+    "minami, density table": (["minami"], minami_fields(density=BUMP_TABLE)),
+}
+NEVER_SAMPLES = {"check", "constants", "verify-digest", "spacing --synthetic"}
+
+
+@pytest.mark.parametrize("case", FUZZED)
+def test_every_field_is_typed_and_finite_before_sampling(tmp_path, monkeypatch, capsys, case):
+    # the fields are those the command reads, so a field added later is fuzzed too
+    argv, fields = FUZZED[case]
+    if case == "verify-digest":
+        (tmp_path / "results.jsonl").write_text("")
+        argv = argv + ["--records", str(tmp_path / "results.jsonl")]
+    monkeypatch.setattr(estimators, "run_parallel", reach_sampling)
+    monkeypatch.setattr(spectra, "run_parallel", reach_sampling)  # imported by name
+
+    def run(fields, out):
+        try:
+            return main(argv + ["--config", write_config(tmp_path, **fields), "--out", str(out)])
+        except Sampled:
+            return "sampled"
+
+    kinds = {}
+    with monkeypatch.context() as spy:
+        read_field = config.read
+
+        def spy_read(raw, name, kind, *default):
+            kinds.setdefault(locate(fields, raw) + (name,), kind)
+            return read_field(raw, name, kind, *default)
+
+        spy.setattr(config, "read", spy_read)
+        spy.setattr(cli, "read", spy_read)
+        base = run(fields, tmp_path / "base")
+    base_err = capsys.readouterr().err
+    assert base in ((0, 1) if case in NEVER_SAMPLES else ("sampled",)), base_err
+    assert kinds
+
+    failures = []
+    for n, (path, value, non_finite) in enumerate(fuzz_cases(fields, kinds)):
+        out = tmp_path / f"run{n}"
+        try:
+            code = run(replaced(fields, path, value), out)
+        except Exception as err:  # listed with the other failures
+            code = f"raised {err!r}"[:120]
+        err = capsys.readouterr().err
+        refused = code == 2 and err.startswith("config error:") and not out.exists()
+        ordinary = code == "sampled" or (case in NEVER_SAMPLES and code in (0, 1))
+        if "run failed:" in err or "Traceback" in err or not (refused or ordinary and not non_finite):
+            shown = "absent" if value is ABSENT else json.dumps(value)[:12]
+            failures.append(f"{'.'.join(map(str, path))} = {shown}: {code} {err[:80]!r}")
+    assert failures == []

@@ -95,6 +95,30 @@ def test_zero_length_support_rejected():
         PiecewiseProfile((0.5, 0.5), ((1.0,),))
 
 
+@pytest.mark.parametrize(
+    "breakpoints, coefficients",
+    [
+        ((0.0, 1.0), ((0.0, 0.0, math.nan, -60.0, 30.0),)),
+        ((0.0, 1.0), ((math.inf,),)),
+        ((0.0, math.inf), ((0.0, 0.0, 30.0, -60.0, 30.0),)),
+        ((math.nan, 1.0), ((0.0, 0.0, 30.0, -60.0, 30.0),)),
+        ((0.0, 1.0), ((0.0, 0.0, 1e308, -60.0, 30.0),)),  # finite, but its derivative's 2e308 is not
+    ],
+)
+def test_profile_refuses_non_finite_breakpoints_or_coefficients(breakpoints, coefficients):
+    # a NaN coefficient surfaced as numpy's LinAlgError from polyroots
+    with pytest.raises(ValueError, match=r"breakpoints .* and coefficients .* must be finite"):
+        PiecewiseProfile(breakpoints, coefficients)
+
+
+@pytest.mark.parametrize("breakpoints, mass", [((0.0, 1e308), "inf"), ((1e300, 1e308), "nan")])
+def test_density_table_past_the_doubles_is_refused_by_its_mass(breakpoints, mass):
+    # finite entries whose values overflow: refused without a RuntimeWarning; a NaN
+    # mass (inf - inf) passed the mass check and ended in an OverflowError traceback
+    with pytest.raises(ValueError, match=f"density mass is {mass}"):
+        PiecewisePolynomialDensity(PiecewiseProfile(breakpoints, bump_profile().coefficients))
+
+
 def test_unnormalized_density_rejected():
     half = PiecewiseProfile((0.0, 1.0), ((0.0, 0.0, 15.0, -30.0, 15.0),))
     with pytest.raises(ValueError):

@@ -694,6 +694,22 @@ def test_fvc_rejects_small_exponent():
         probe_fvc(cfg, decay_exponent=2.0, radii=[4])
 
 
+@pytest.mark.parametrize(
+    "decay_exponent, regularization",
+    [(math.nan, 1e-8), (3.0, math.inf), (3.0, math.nan)],
+)
+def test_fvc_refuses_non_finite_inputs_before_sampling(monkeypatch, decay_exponent, regularization):
+    # a NaN exponent reported probability 0.0, an infinite regularization failed every sample
+    def refuse_sampling(*args, **kwargs):
+        raise AssertionError("sampling started before the inputs were checked")
+
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    cfg = make_config(disorder_strength=30.0, energy=0.0 + 0j, n_samples=64)
+    name = "decay exponent" if math.isnan(decay_exponent) else "regularization"
+    with pytest.raises(ValueError, match=name):
+        probe_fvc(cfg, decay_exponent=decay_exponent, radii=[4], regularization=regularization)
+
+
 def test_fvc_strong_disorder_localizes():
     cfg = make_config(
         disorder_strength=50.0, energy=0.0 + 0j, n_samples=1000, seed=4

@@ -156,6 +156,17 @@ def test_finite_volume_norm_below_limit_norm():
     assert previous == pytest.approx(limit, rel=1e-3)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, 0.0])
+def test_limit_norm_refuses_a_tolerance_outside_the_positive_doubles(monkeypatch, tolerance):
+    # NaN ran every grid before failing; Infinity returned a bound held to no tolerance
+    def refuse_transform(*args, **kwargs):
+        raise AssertionError("an FFT ran before the tolerance was checked")
+
+    monkeypatch.setattr(transform_module, "_reciprocal_kernel", refuse_transform)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        limit_inverse_one_norm(SingleSitePotential.delta(1), tolerance=tolerance)
+
+
 def test_limit_norm_nonconvergent_raises():
     u = SingleSitePotential({(0,): 1.0, (1,): -1.0})
     with pytest.raises(TransformError, match="smallest"):

@@ -54,6 +54,7 @@ from .transform import TransformError, build_circulant, limit_inverse_one_norm, 
 
 WORKERS_ENV = "ALLOYLAB_WORKERS"
 IDS_SEED_OFFSET = 1_000_003  # default decoupling of the unfolding seed
+SYNTHETIC_POINTS = 10**7  # points a synthetic spacing control may draw per run: 80 MB of doubles
 
 
 class _Reporter:
@@ -394,6 +395,10 @@ def cmd_spacing(raw, args, reporter) -> int:
         workers = read(raw, "workers", int, 1)
         _require(workers >= 1, "worker count must be at least 1")
         span = (window[0] - 10.0, window[1] + 10.0)
+        points = span[1] - span[0]  # about a realization's points: unit intensity over the span
+        _require(points <= SYNTHETIC_POINTS, f"'window' {list(window)} spans over {SYNTHETIC_POINTS} points")
+        most = SYNTHETIC_POINTS // points  # realizations within the budget
+        _require(1 <= n_realizations <= most, f"'realizations' must lie in [1, {most:g}], got {n_realizations}")
         if args.synthetic == "poisson":
             # a control point process, not a Monte Carlo estimate of the operator,
             # so it keeps one sequential stream rather than estimators.uniforms

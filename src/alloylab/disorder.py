@@ -376,9 +376,9 @@ class _Lattice:
     with ``c``'s bit there, which needs no monotonicity.  Down to the first
     comparison that disagrees, the path is the bisection's own, so a row off its
     path resumes the bisection there (``_resume``): near a support end, where
-    ``f``'s rounding spans many cells, a few levels instead of ``depth``.  A NaN
-    candidate (a NaN ``q``, or ``0 / 0`` in a Newton step) starts from cell 0; a
-    NaN ``q`` goes left at every level, so it is on that cell's path.
+    ``f``'s rounding spans many cells, a few levels instead of ``depth``.  A Newton
+    step that is not finite (``rho`` is 0 at a support end) keeps the last point.
+    A NaN ``q`` starts from cell 0, on whose path it lies: it goes left at every level.
     """
 
     def __init__(self, density: "PiecewisePolynomialDensity", step: float):
@@ -416,7 +416,7 @@ class _Lattice:
         """``table``'s column for each entry of ``piece``: one column broadcasts."""
         return table if table.shape[1] == 1 else table[:, piece]
 
-    @np.errstate(all="ignore")  # a non-finite q or a flat leaf gives a non-finite candidate
+    @np.errstate(all="ignore")  # a non-finite q or a flat leaf gives a non-finite step
     def midpoints(self, density, leaf, lo, q) -> np.ndarray:
         """The bisection's result for every row."""
         h, last = self.step, 2**density._depth - 1
@@ -425,7 +425,9 @@ class _Lattice:
         t = lo + (q - density._edge_cdf[leaf]) * self.slope[leaf]
         hi = lo + (last + 1) * h
         for _ in range(_NEWTON_STEPS):
-            t -= (_piece_cdf(cdf_rows, t) - q) / _horner(pdf_rows, t)
+            step = (_piece_cdf(cdf_rows, t) - q) / _horner(pdf_rows, t)
+            step[~np.isfinite(step)] = 0.0  # a non-finite step keeps the last point
+            t -= step
             np.clip(t, lo, hi, out=t)
         cell = np.clip(np.floor((t - lo) / h), 0, last)
         x = lo + cell * h

@@ -40,6 +40,7 @@ from .operator import (
     MIN_IMAG_PART,
     base_matrix,
     count_footprint,
+    hamiltonian_diagonals,
     hamiltonian_stack,
     interval_counts,
     potential_profiles,
@@ -458,21 +459,21 @@ def _count_chunk(inner: Box, intervals, profiles: int = 1) -> int:
     return max(_chunk_for(inner.size), min(_COUNT_CHUNK, fits))
 
 
-def _draw_potentials(cfg: ExperimentConfig, inner: Box, indices, attempt: int = 0) -> np.ndarray:
-    """Profiles over ``inner``, one row per sample, from block ``attempt`` of its envelope draws."""
+def _draw_diagonals(cfg: ExperimentConfig, inner: Box, indices, attempt: int = 0) -> np.ndarray:
+    """Each sample's ``hamiltonian_diagonals`` over ``inner``, from block ``attempt`` of its draws."""
     field = envelope_box(inner, cfg.potential.support_radius)
     couplings = cfg.density.quantile(uniforms(cfg.seed, indices, field.size, attempt))
-    return potential_profiles(inner, cfg.potential, field, couplings)
+    profiles = potential_profiles(inner, cfg.potential, field, couplings)
+    return hamiltonian_diagonals(inner, cfg.shifted_laplacian, cfg.disorder_strength, profiles)
 
 
 def _batched_counts(cfg: ExperimentConfig, intervals) -> Callable:
     """Kernel: each sample's counts in every interval, then a 0/1 eigvalsh fallback for each."""
-    inner, shifted, lam = cfg.inner_box, cfg.shifted_laplacian, cfg.disorder_strength
+    inner = cfg.inner_box
     require_dense(inner.size)  # a count's eigvalsh recount is dense
 
     def kernel(indices):
-        profiles = _draw_potentials(cfg, inner, indices)
-        return np.hstack(interval_counts(inner, shifted, lam, profiles, intervals))
+        return np.hstack(interval_counts(inner, _draw_diagonals(cfg, inner, indices), intervals))
 
     return kernel
 
@@ -496,7 +497,7 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     inner = cfg.inner_box
     if not (inner.contains(cfg.site_x) and inner.contains(cfg.site_y)):
         raise ValueError("both sites must lie in the box")
-    base = base_matrix(inner, cfg.shifted_laplacian)
+    base = base_matrix(inner)
 
     started = time.perf_counter()
     lam = cfg.disorder_strength
@@ -513,7 +514,7 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     envelope_cap = z.imag**-2
 
     def kernel(indices):
-        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, inner, indices))
+        matrices = hamiltonian_stack(base, _draw_diagonals(cfg, inner, indices))
         solutions, good = resolvent_columns(matrices, z, [ix, iy])
         g_im = solutions[:, [ix, iy], :].imag
         det = g_im[:, 0, 0] * g_im[:, 1, 1] - g_im[:, 0, 1] * g_im[:, 1, 0]
@@ -701,10 +702,9 @@ def probe_fvc(
     if not radii or any(int(radius) < 1 for radius in radii):
         raise ValueError(f"box radii must be a non-empty list, each at least 1, got {list(radii)}")
     energy = float(cfg.energy.real)
-    lam, shifted = cfg.disorder_strength, cfg.shifted_laplacian
     boxes = [box(int(radius), cfg.dimension) for radius in radii]
     # every radius passes the dense cap before the first one is sampled
-    bases = [base_matrix(inner, shifted) for inner in boxes]
+    bases = [base_matrix(inner) for inner in boxes]
     results = []
     for radius, inner, base in zip(radii, boxes, bases):
         sites = inner.site_array()
@@ -717,12 +717,12 @@ def probe_fvc(
         def kernel(indices):
             rows = np.full((len(indices), 3), np.nan)
             rows[:, 1:] = 0.0
-            profiles = np.empty((len(indices), inner.size))
+            diagonals = np.empty((len(indices), inner.size))
             # round k redraws the rows still resonant (NaN counts too) from block k
             pending = np.arange(len(indices))
             for attempt in range(max_attempts):
-                profiles[pending] = _draw_potentials(cfg, inner, indices[pending], attempt)
-                counts, fallback = interval_counts(inner, shifted, lam, profiles[pending], [window])
+                diagonals[pending] = _draw_diagonals(cfg, inner, indices[pending], attempt)
+                counts, fallback = interval_counts(inner, diagonals[pending], [window])
                 rows[pending, 2] += fallback[:, 0]
                 pending = pending[~(counts[:, 0] == 0)]
                 rows[pending, 1] += 1.0
@@ -731,7 +731,7 @@ def probe_fvc(
             accepted = np.setdiff1d(np.arange(len(indices)), pending)
             if accepted.size:
                 columns = np.arange(base.shape[0])
-                matrices = hamiltonian_stack(base, lam, profiles[accepted])
+                matrices = hamiltonian_stack(base, diagonals[accepted])
                 green, certified = resolvent_columns(matrices, shift, columns)
                 ok = np.all(np.abs(green[:, pair_mask]) <= threshold, axis=1)
                 rows[accepted, 0] = np.where(certified, ok, np.nan)
@@ -786,7 +786,7 @@ def probe_fractional_moment(
     if cfg.energy is None or cfg.energy.imag <= MIN_IMAG_PART:
         raise ValueError(f"fractional moment probe needs Im z > {MIN_IMAG_PART}")
     inner = cfg.inner_box
-    base = base_matrix(inner, cfg.shifted_laplacian)
+    base = base_matrix(inner)
     if pairs is None:
         anchor = origin(cfg.dimension)
         pairs = [
@@ -804,10 +804,9 @@ def probe_fractional_moment(
     pair_rows = np.array([inner.index_of(x) for x, _ in pairs])
     # G(z; x, y) is entry x of resolvent column y; solve each distinct column once
     columns, pair_cols = np.unique([inner.index_of(y) for _, y in pairs], return_inverse=True)
-    lam = cfg.disorder_strength
 
     def kernel(indices):
-        matrices = hamiltonian_stack(base, lam, _draw_potentials(cfg, inner, indices))
+        matrices = hamiltonian_stack(base, _draw_diagonals(cfg, inner, indices))
         green, certified = resolvent_columns(matrices, cfg.energy, columns)
         values = np.abs(green[:, pair_rows, pair_cols]) ** moment
         values[~certified] = np.nan
@@ -868,13 +867,12 @@ def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceRe
     center_two = (separation,) + (0,) * (cfg.dimension - 1)
     boxes = (box(cfg.box_radius, cfg.dimension), Box(center_two, cfg.box_radius))
     require_dense(boxes[0].size)  # a count's eigvalsh recount is dense
-    lam = cfg.disorder_strength
 
     def kernel(indices):
         # the two envelopes are disjoint and equal in size: box one reads block 0, box two block 1
-        draws = np.concatenate([_draw_potentials(cfg, b, indices, k) for k, b in enumerate(boxes)])
+        draws = np.concatenate([_draw_diagonals(cfg, b, indices, k) for k, b in enumerate(boxes)])
         # both boxes have the same shape, so one plan counts both
-        counts, _ = interval_counts(boxes[0], cfg.shifted_laplacian, lam, draws, [cfg.interval])
+        counts, _ = interval_counts(boxes[0], draws, [cfg.interval])
         return counts.reshape(2, len(indices)).T
 
     chunk = _count_chunk(boxes[0], [cfg.interval], profiles=2)

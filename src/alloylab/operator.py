@@ -1,8 +1,9 @@
 """Finite-volume Hamiltonians, Green-function blocks, and eigenvalue counts.
 
-The kinetic term is the negated adjacency matrix of the box (zero diagonal,
-free spectrum [-2d, 2d]); an optional flag restores the 2d-shifted
-convention.  Boundary condition is plain restriction: hopping to sites
+A sample's Hamiltonian is the kinetic term ``base_matrix``, the negated adjacency
+matrix of the box (zero diagonal, free spectrum [-2d, 2d]), plus one diagonal row,
+``hamiltonian_diagonals``: ``lam V``, and ``2d`` under the shifted convention.  Every
+kernel takes that row.  Boundary condition is plain restriction: hopping to sites
 outside the box is dropped.
 """
 
@@ -40,8 +41,13 @@ def require_dense(n: int) -> None:
         raise ResourceLimit(f"matrix dimension {n} exceeds {DENSE_SOLVE_LIMIT}")
 
 
-def laplacian_matrix(box: Box) -> np.ndarray:
-    """Negated adjacency matrix of the box graph (the kinetic term)."""
+def base_matrix(box: Box) -> np.ndarray:
+    """The kinetic term on the box: its negated adjacency matrix, zero on the diagonal.
+
+    Every dense Hamiltonian starts here, so it refuses a box past the dense
+    cap (``ResourceLimit``).
+    """
+    require_dense(box.size)
     n = box.size
     h = np.zeros((n, n))
     offsets = box.site_array() - np.asarray(box.center) + box.radius
@@ -54,30 +60,24 @@ def laplacian_matrix(box: Box) -> np.ndarray:
     return h
 
 
-def base_matrix(box: Box, shifted: bool) -> np.ndarray:
-    """The potential-free part of the Hamiltonian on the box.
+@np.errstate(all="ignore")  # a non-finite entry is flagged where the row is used, not warned about
+def hamiltonian_diagonals(box: Box, shifted: bool, lam: float, profiles: np.ndarray) -> np.ndarray:
+    """The diagonal each profile row puts on ``base_matrix``: ``lam * profile``, ``+ 2d`` if ``shifted``.
 
-    The Laplacian, plus ``2d`` on the diagonal when ``shifted``.  Every
-    dense Hamiltonian starts here, so it refuses a box past the dense cap
-    (``ResourceLimit``).
+    The one place the disorder strength and the convention enter.  An unshifted
+    row gets no ``+ 0.0``, which would turn a ``-0.0`` into ``+0.0``.
     """
-    require_dense(box.size)
-    h = laplacian_matrix(box)
-    if shifted:
-        idx = np.arange(box.size)
-        h[idx, idx] += 2.0 * box.dimension
-    return h
+    return lam * profiles + 2.0 * box.dimension if shifted else lam * profiles
 
 
-def hamiltonian_stack(base: np.ndarray, lam: float, profiles: np.ndarray) -> np.ndarray:
-    """One matrix per profile row: ``base`` with ``lam * profile`` added to the diagonal.
+def hamiltonian_stack(base: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """One matrix per row of ``diagonals``: ``base`` with that row added to its diagonal.
 
-    This is the single assembly path; the base comes first so every caller
-    adds in the same order and gets the same bits.
+    This is the single assembly path, so every caller gets the same bits.
     """
-    stack = np.repeat(base[None, :, :], profiles.shape[0], axis=0)
+    stack = np.repeat(base[None, :, :], diagonals.shape[0], axis=0)
     idx = np.arange(base.shape[0])
-    stack[:, idx, idx] += lam * profiles
+    stack[:, idx, idx] += diagonals
     return stack
 
 
@@ -247,11 +247,9 @@ def krein_decomposition(
     )
 
 
-def chain_eigenvalues(diagonal: np.ndarray, shifted: bool = False) -> np.ndarray:
+def chain_eigenvalues(diagonal: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 1d chain with the given diagonal (O(n^2) tridiagonal path)."""
     diagonal = np.asarray(diagonal, dtype=float)
-    if shifted:
-        diagonal = diagonal + 2.0
     if diagonal.size == 1:
         return diagonal.copy()
     off = -np.ones(diagonal.size - 1)
@@ -259,12 +257,12 @@ def chain_eigenvalues(diagonal: np.ndarray, shifted: bool = False) -> np.ndarray
 
 
 @np.errstate(all="ignore")  # a non-finite row or pivot is flagged, not warned about
-def interval_counts(box: Box, shifted: bool, lam: float, profiles: np.ndarray, intervals) -> tuple:
+def interval_counts(box: Box, diagonals: np.ndarray, intervals) -> tuple:
     """Counts of each ``hamiltonian_stack`` member's eigvalsh eigenvalues in closed intervals.
 
-    Returns counts and flags, one row per profile, one column per interval; a flag
-    marks a count taken from ``eigvalsh``.  The Hamiltonians are ``base_matrix(box,
-    shifted)`` plus ``lam * profiles``, which is built dense only for a recount.
+    Returns counts and flags, one row per row of ``diagonals``, one column per interval;
+    a flag marks a count taken from ``eigvalsh``.  The Hamiltonians are ``base_matrix(box)``
+    plus each row of ``diagonals``, built dense only for a recount.
     ``#{mu <= x}`` is the negative pivots of the red-black LDL^T of ``H - x -+ delta``,
     ``delta = COUNT_SHIFT (1 + |H|_inf + |x|)``: certified if both agree and the growth
     keeps the backward error, plus eigvalsh's, under ``delta / 2`` (Weyl); else the row
@@ -275,12 +273,11 @@ def interval_counts(box: Box, shifted: bool, lam: float, profiles: np.ndarray, i
     ends, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     ia, ib = where.reshape(2, -1)
     plan, n = _elimination_plan(box.dimension, box.side), box.size
-    h = lam * profiles + (2.0 * box.dimension if shifted else 0.0)
     if _counts_by_kernel(plan, n, ends.size):
-        scale = 1.0 + np.max(np.abs(h) + plan.degree, axis=1)
+        scale = 1.0 + np.max(np.abs(diagonals) + plan.degree, axis=1)
         delta = COUNT_SHIFT * (scale[:, None] + np.abs(ends))
         shifts = ends[:, None] + np.array([-1.0, 1.0]) * delta[:, :, None]
-        negative, growth = _red_black_inertia(plan, h.T, shifts.reshape(len(h), -1))
+        negative, growth = _red_black_inertia(plan, diagonals.T, shifts.reshape(len(diagonals), -1))
         # the factors are exact for H - y + E, |E|_2 <= plan.bound eps growth
         eps = np.finfo(float).eps
         cap = (delta / 2 - EIGVALSH_ERROR * n * n * eps * scale[:, None])[..., None] / (plan.bound * eps)
@@ -289,14 +286,14 @@ def interval_counts(box: Box, shifted: bool, lam: float, profiles: np.ndarray, i
         counts = np.maximum(negative[:, ib, 0] - negative[:, ia, 0], 0.0)
         fallback = ~(certain[:, ia] & certain[:, ib])
     else:
-        counts, fallback = np.zeros((len(h), lo.size)), np.ones((len(h), lo.size), dtype=bool)
+        counts, fallback = np.zeros((len(diagonals), lo.size)), np.ones((len(diagonals), lo.size), dtype=bool)
     redo = np.nonzero(np.any(fallback, axis=1))[0]
     counts[redo] = np.nan
-    if (redo := redo[np.all(np.isfinite(h[redo]), axis=1)]).size:
-        base = base_matrix(box, shifted)
+    if (redo := redo[np.all(np.isfinite(diagonals[redo]), axis=1)]).size:
+        base = base_matrix(box)
         # in stacks of at most _RECOUNT_ENTRIES, so a chunk that falls back whole stays small
         for rows in np.array_split(redo, -(-redo.size * n * n // _RECOUNT_ENTRIES)):
-            spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles[rows]))[:, :, None]
+            spectra = np.linalg.eigvalsh(hamiltonian_stack(base, diagonals[rows]))[:, :, None]
             counts[rows] = np.sum((spectra >= lo) & (spectra <= hi), axis=1)
     return counts, fallback
 
@@ -443,27 +440,21 @@ def _elimination_plan(dimension: int, side: int) -> _EliminationPlan:
 
 
 @np.errstate(all="ignore")
-def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray, shifts=None) -> tuple:
+def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray, shifts: np.ndarray) -> tuple:
     """Negative pivots and growth ``max c^2 / |d|`` (non-finite past a zero pivot) of LDL^T.
 
-    Lane ``l`` factors the box's Hamiltonian with diagonal ``diagonals[:, l]``,
-    unpivoted, red sites first (their couplings are the hopping -1, so each red
-    pivot's growth is ``max(|d|, 1/|d|)``), then the black Schur complement frontally.
-    With ``shifts`` (one row per column of ``diagonals``), lane ``l = i s + j``
-    takes ``diagonals[:, i] - shifts[i, j]``, formed one colour at a time.
+    With ``s`` shifts per column of ``diagonals`` (``shifts`` has one row per
+    column), lane ``l = i s + j`` factors the box's Hamiltonian with diagonal
+    ``diagonals[:, i] - shifts[i, j]``, formed one colour at a time; unpivoted,
+    red sites first (their couplings are the hopping -1, so each red pivot's
+    growth is ``max(|d|, 1/|d|)``), then the black Schur complement frontally.
     """
-
-    def lane_diagonals(sites):
-        if shifts is None:
-            return diagonals[sites]
-        return (diagonals[sites][:, :, None] - shifts).reshape(sites.size, -1)
-
-    lanes = diagonals.shape[1] * (1 if shifts is None else shifts.shape[1])
+    lanes = diagonals.shape[1] * shifts.shape[1]
     blacks = plan.black.size
     # the red pivots in place, then their reciprocals; the last slot stays 0
     inverse = np.zeros((plan.red.size + 1, lanes))
     pivots = inverse[:-1]
-    pivots[:] = lane_diagonals(plan.red)
+    pivots[:] = (diagonals[plan.red][:, :, None] - shifts).reshape(plan.red.size, lanes)
     negative = np.count_nonzero(pivots < 0, axis=0)
     extremes = [np.max(pivots, axis=0), -np.min(pivots, axis=0)]
     np.divide(1.0, pivots, out=pivots)
@@ -471,7 +462,7 @@ def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray, shifts=Non
     if not blacks:
         return negative, growth
     schur = np.zeros((plan.sums.shape[1] + 1, lanes))
-    schur[:blacks] = lane_diagonals(plan.black)
+    schur[:blacks] = (diagonals[plan.black][:, :, None] - shifts).reshape(blacks, lanes)
     entries = schur.shape[0] - 1
     for start in range(0, entries, 64):  # in slabs of 64 entries, so the gathers stay small
         slab, diagonal = slice(start, min(start + 64, entries)), slice(start, min(start + 64, blacks))

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import special
 
-from .estimators import ExperimentConfig, _draw_potentials, run_parallel, sample_correlation
+from .estimators import ExperimentConfig, _draw_diagonals, run_parallel, sample_correlation
 from .lattice import box
 from .operator import base_matrix, chain_eigenvalues, hamiltonian_stack
 
@@ -47,19 +47,18 @@ def _eigenvalue_kernel(cfg: ExperimentConfig, radius: int):
     The kernel returns one row per realization: the tridiagonal solver per
     row in d=1, a batched ``eigvalsh`` of the assembled stack otherwise.
     Callers run it with ``chunk_size=1``, which spreads a few large
-    realizations over the workers; a realization's profile has the same bits
+    realizations over the workers; a realization's diagonal has the same bits
     in a chunk of any size.
     """
     inner = box(radius, cfg.dimension)
-    lam = cfg.disorder_strength
     if cfg.dimension > 1:
-        base = base_matrix(inner, cfg.shifted_laplacian)
+        base = base_matrix(inner)
 
     def kernel(indices):
-        profiles = _draw_potentials(cfg, inner, indices)
+        diagonals = _draw_diagonals(cfg, inner, indices)
         if cfg.dimension == 1:
-            return np.stack([chain_eigenvalues(lam * p, cfg.shifted_laplacian) for p in profiles])
-        return np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))
+            return np.stack([chain_eigenvalues(d) for d in diagonals])
+        return np.linalg.eigvalsh(hamiltonian_stack(base, diagonals))
 
     return inner, kernel
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from alloylab.disorder import QUANTILE_TOL
 from alloylab.lattice import envelope_box
-from alloylab.operator import base_matrix, hamiltonian_stack, potential_profiles
+from alloylab.operator import base_matrix, hamiltonian_diagonals, hamiltonian_stack, potential_profiles
 
 
 def draw_couplings(density, env, rng):
@@ -25,7 +25,8 @@ def draw_couplings(density, env, rng):
 def assemble(inner, u, omega, lam, shifted=False):
     """``(H, V)`` on ``inner`` from couplings ``omega`` over its envelope."""
     profile = potential_profiles(inner, u, envelope_box(inner, u.support_radius), omega[None])[0]
-    return hamiltonian_stack(base_matrix(inner, shifted), lam, profile[None])[0], profile
+    diagonals = hamiltonian_diagonals(inner, shifted, lam, profile[None])
+    return hamiltonian_stack(base_matrix(inner), diagonals)[0], profile
 
 
 def reference_quantile(density, q):

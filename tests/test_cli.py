@@ -555,6 +555,25 @@ def test_spacing_picket_fence_fails_decisively(tmp_path, capsys):
     assert record["ks_statistic"] > 0.5
 
 
+@pytest.mark.parametrize("synthetic", ["poisson", "picket_fence"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("window", [-5.0, 1e308]), ("window", [-5.0, 1e9]), ("realizations", 10**9), ("realizations", 0)],
+)
+def test_spacing_synthetic_refuses_an_oversized_run_before_drawing(
+    tmp_path, monkeypatch, capsys, synthetic, field, value
+):
+    # a run draws about realizations x (window width + 20) points: past 10**7 it is refused
+    monkeypatch.setattr(cli, "poisson_process_sample", refuse_sampling)
+    monkeypatch.setattr(cli, "picket_fence_sample", refuse_sampling)
+    cfg = write_config(tmp_path, **base_fields(**{"realizations": 300, field: value}))
+    out = tmp_path / "run"
+    assert main(["spacing", "--config", cfg, "--synthetic", synthetic, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{field}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_spacing_pipeline_small(tmp_path):
     cfg = write_config(
         tmp_path,

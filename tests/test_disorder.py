@@ -422,6 +422,25 @@ def test_quantile_near_a_support_end_resumes_the_bisection_on_the_lattice(monkey
     assert not bisected
 
 
+def test_a_non_finite_newton_step_keeps_the_last_point(monkeypatch):
+    # rho vanishes at the support ends, so a Newton step there divides by 0; the
+    # draw keeps its last point instead of falling to the leaf's other end and
+    # resuming through all 28 levels below the table
+    rho = bump_density()
+    comparisons = []
+    real_cdf = rho.cdf
+    monkeypatch.setattr(rho, "cdf", lambda t: comparisons.append(t) or real_cdf(t))
+    calls = []
+    for q in (5e-324, 1 - 2**-53, 1.0):
+        comparisons.clear()
+        t = rho.quantile(np.array([q]))
+        calls.append(len(comparisons))
+        assert t.tobytes() == reference_quantile(rho, np.array([q])).tobytes()
+    # the path check alone at 0; near 1 the computed CDF's rounding plateau
+    # still leaves the cell off the bisection's path for most levels
+    assert calls[0] == 1 and max(calls[1:]) < 28
+
+
 def test_quantile_without_an_exact_lattice_bisects_everything():
     # on [0.1, 0.9] the bisection's midpoints round off the lattice a + k h
     rho = PiecewisePolynomialDensity(moved(bump_profile(), 0.8, 0.1))

@@ -301,10 +301,10 @@ def test_run_parallel_without_blas_control(monkeypatch):
     # a resolvent kernel, so every chunk reaches LAPACK
     cfg = make_config(box_radius=3, n_samples=96, seed=4)
     inner = cfg.inner_box
-    base = base_matrix(inner, False)
+    base = base_matrix(inner)
 
     def kernel(indices):
-        matrices = hamiltonian_stack(base, 2.0, estimators._draw_potentials(cfg, inner, indices))
+        matrices = hamiltonian_stack(base, estimators._draw_diagonals(cfg, inner, indices))
         green, certified = resolvent_columns(matrices, 0.5 + 0.1j, [0, 3])
         return np.hstack([green.imag.reshape(len(indices), -1), certified[:, None]])
 
@@ -531,9 +531,9 @@ def test_wegner_sweep_solves_each_sample_once(monkeypatch):
     calls, fallbacks, solves = [], [], []
     count, solve = estimators.interval_counts, np.linalg.eigvalsh
 
-    def spy(inner, shifted, lam, profiles, intervals):
-        calls.append(len(profiles))
-        counts, fallback = count(inner, shifted, lam, profiles, intervals)
+    def spy(inner, diagonals, intervals):
+        calls.append(len(diagonals))
+        counts, fallback = count(inner, diagonals, intervals)
         fallbacks.append(int(fallback.sum()))
         return counts, fallback
 
@@ -658,8 +658,8 @@ def test_two_eigenvalue_rejects_single_site_box_before_sampling(monkeypatch):
 def test_two_eigenvalue_counts_an_uncounted_sample_as_failed(monkeypatch):
     count = estimators.interval_counts
 
-    def first_row_uncounted(inner, shifted, lam, profiles, intervals):
-        counts, fallback = count(inner, shifted, lam, profiles, intervals)
+    def first_row_uncounted(inner, diagonals, intervals):
+        counts, fallback = count(inner, diagonals, intervals)
         if not calls:
             counts[0] = np.nan
         calls.append(len(counts))
@@ -735,17 +735,17 @@ def test_fvc_zero_disorder_deterministic():
 
 def test_fvc_redraws_non_finite_rows(monkeypatch):
     # a non-finite profile has no certified count: it is resonant, so redrawn
-    draw = estimators._draw_potentials
+    draw = estimators._draw_diagonals
 
     def spoiled(cfg, inner, indices, attempt=0):
-        profiles = draw(cfg, inner, indices, attempt)
+        diagonals = draw(cfg, inner, indices, attempt)
         if attempt == 0:
-            profiles[indices % 4 == 0, 0] = np.nan
-        return profiles
+            diagonals[indices % 4 == 0, 0] = np.nan
+        return diagonals
 
     cfg = make_config(disorder_strength=5.0, energy=0.5 + 0j, n_samples=64, seed=2)
     clean = probe_fvc(cfg, decay_exponent=3.0, radii=[3])[0]
-    monkeypatch.setattr(estimators, "_draw_potentials", spoiled)
+    monkeypatch.setattr(estimators, "_draw_diagonals", spoiled)
     (point,) = probe_fvc(cfg, decay_exponent=3.0, radii=[3])
     assert point.n_failed == 0
     assert point.resample_fraction > clean.resample_fraction

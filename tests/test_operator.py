@@ -18,10 +18,10 @@ from alloylab.operator import (
     _red_black_inertia,
     base_matrix,
     green_block,
+    hamiltonian_diagonals,
     hamiltonian_stack,
     interval_counts,
     krein_decomposition,
-    laplacian_matrix,
 )
 from tests.dense_reference import band_inertia
 from tests.sample_reference import assemble, draw_couplings
@@ -167,7 +167,7 @@ def test_nonpositive_disorder_rejected():
 
 
 def test_2d_laplacian_degree():
-    lap = laplacian_matrix(box(1, 2))
+    lap = base_matrix(box(1, 2))
     # center of the 3x3 grid has four neighbors
     center = box(1, 2).index_of((0, 0))
     assert lap[center].sum() == -4.0
@@ -203,7 +203,7 @@ def test_chain_eigenvalues_matches_dense():
     dense = -np.diag(np.ones(30), 1) - np.diag(np.ones(30), -1) + np.diag(diag)
     assert np.allclose(chain_eigenvalues(diag), np.linalg.eigvalsh(dense), atol=1e-10)
     assert np.allclose(
-        chain_eigenvalues(diag, shifted=True),
+        chain_eigenvalues(hamiltonian_diagonals(box(15, 1), True, 1.0, diag)),
         np.linalg.eigvalsh(dense + 2.0 * np.eye(31)),
         atol=1e-10,
     )
@@ -342,9 +342,9 @@ def test_krein_matrix_independent_of_local_potential():
 # certified counts against eigvalsh
 # ---------------------------------------------------------------------------
 
-def eigvalsh_counts(base, lam, profiles, intervals):
+def eigvalsh_counts(base, diagonals, intervals):
     """The dense rule: count each member's ``eigvalsh`` eigenvalues in the closed intervals."""
-    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles))[:, :, None]
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, diagonals))[:, :, None]
     lo, hi = np.asarray(intervals, dtype=float).T
     return np.sum((spectra >= lo) & (spectra <= hi), axis=1).astype(float)
 
@@ -369,9 +369,10 @@ def test_interval_counts_match_eigvalsh(shape, shifted, lam, seed, ends):
     # signed potentials, endpoints on, 1e-10 from and away from eigvalsh's eigenvalues
     dimension, radius = shape
     b = box(radius, dimension)
-    base = base_matrix(b, shifted)
+    base = base_matrix(b)
     profiles = np.random.default_rng(seed).uniform(-3.0, 3.0, (4, base.shape[0]))
-    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, lam, profiles)).ravel()
+    diagonals = hamiltonian_diagonals(b, shifted, lam, profiles)
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, diagonals)).ravel()
     nudge = {"on": 0.0, "below": -1e-10, "above": 1e-10}
     points = [
         value if kind == "away" else spectra[pick % spectra.size] + nudge[kind]
@@ -379,8 +380,8 @@ def test_interval_counts_match_eigvalsh(shape, shifted, lam, seed, ends):
     ]
     intervals = [(x, x) for x in points]
     intervals += [tuple(sorted(pair)) for pair in zip(points, points[1:])]
-    counts, fallback = interval_counts(b, shifted, lam, profiles, intervals)
-    assert counts.tolist() == eigvalsh_counts(base, lam, profiles, intervals).tolist()
+    counts, fallback = interval_counts(b, diagonals, intervals)
+    assert counts.tolist() == eigvalsh_counts(base, diagonals, intervals).tolist()
     assert fallback.shape == counts.shape
     # an endpoint on an eigenvalue is never certified
     for column, (a, b) in enumerate(intervals):
@@ -391,14 +392,14 @@ def test_interval_counts_match_eigvalsh(shape, shifted, lam, seed, ends):
 
 def test_interval_counts_certify_endpoints_away_from_eigenvalues():
     b = box(3, 2)
-    base = base_matrix(b, False)
-    profiles = np.random.default_rng(5).uniform(-1.0, 1.0, (6, base.shape[0]))
-    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, 2.0, profiles))
+    base = base_matrix(b)
+    diagonals = 2.0 * np.random.default_rng(5).uniform(-1.0, 1.0, (6, base.shape[0]))
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, diagonals))
     level = spectra[0, 20]
     intervals = [(-0.3, 0.7), (level, level + 1.0), (level - 1e-10, level)]
     intervals.append((level - 1.0, level + 1e-10))
-    counts, fallback = interval_counts(b, False, 2.0, profiles, intervals)
-    assert counts.tolist() == eigvalsh_counts(base, 2.0, profiles, intervals).tolist()
+    counts, fallback = interval_counts(b, diagonals, intervals)
+    assert counts.tolist() == eigvalsh_counts(base, diagonals, intervals).tolist()
     assert not fallback[:, 0].any()
     assert fallback[0, 1:].all()
 
@@ -408,20 +409,20 @@ def test_a_count_builds_a_dense_matrix_only_to_recount(monkeypatch):
     real = operator.base_matrix
     monkeypatch.setattr(operator, "base_matrix", lambda *args: built.append(args) or real(*args))
     b = box(3, 2)
-    profiles = np.random.default_rng(5).uniform(-1.0, 1.0, (6, b.size))
+    diagonals = 2.0 * np.random.default_rng(5).uniform(-1.0, 1.0, (6, b.size))
     # every count certified: no dense matrix
-    _, fallback = interval_counts(b, False, 2.0, profiles, [(-0.3, 0.7)])
+    _, fallback = interval_counts(b, diagonals, [(-0.3, 0.7)])
     assert not fallback.any() and built == []
     # an endpoint on an eigenvalue of row 0: one dense base for the recount
-    base = real(b, False)
-    level = np.linalg.eigvalsh(hamiltonian_stack(base, 2.0, profiles[:1]))[0, 20]
+    base = real(b)
+    level = np.linalg.eigvalsh(hamiltonian_stack(base, diagonals[:1]))[0, 20]
     intervals = [(level, level + 1.0)]
-    counts, fallback = interval_counts(b, False, 2.0, profiles, intervals)
-    assert fallback[0, 0] and built == [(b, False)]
-    assert counts.tolist() == eigvalsh_counts(base, 2.0, profiles, intervals).tolist()
+    counts, fallback = interval_counts(b, diagonals, intervals)
+    assert fallback[0, 0] and built == [(b,)]
+    assert counts.tolist() == eigvalsh_counts(base, diagonals, intervals).tolist()
     # a NaN row falls back, but has nothing to recount
-    profiles[1, 4] = np.nan
-    counts, fallback = interval_counts(b, False, 2.0, profiles, [(-0.3, 0.7)])
+    diagonals[1, 4] = np.nan
+    counts, fallback = interval_counts(b, diagonals, [(-0.3, 0.7)])
     assert fallback[1, 0] and np.isnan(counts[1, 0]) and len(built) == 1
 
 
@@ -430,36 +431,37 @@ def test_interval_counts_zero_pivot_falls_back():
     # diagonal entry, so the first pivot of that factorization is exactly 0;
     # |H|_inf = 2.25 is the middle row's |0.25| + 2
     b = box(1, 1)
-    base = base_matrix(b, False)
+    base = base_matrix(b)
     x, norm = 0.5, 2.25
     first = x - 2.0**-20 * (1.0 + norm + x)
     profiles = np.array([[first, 0.25, -0.75], [0.1, 0.25, -0.75]])
-    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, 1.0, profiles))
+    spectra = np.linalg.eigvalsh(hamiltonian_stack(base, profiles))
     assert np.min(np.abs(spectra - x)) > 1e-3
     intervals = [(x, 3.0), (-3.0, x)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts, fallback = interval_counts(b, False, 1.0, profiles, intervals)
-    assert counts.tolist() == eigvalsh_counts(base, 1.0, profiles, intervals).tolist()
+        counts, fallback = interval_counts(b, profiles, intervals)
+    assert counts.tolist() == eigvalsh_counts(base, profiles, intervals).tolist()
     assert fallback.tolist() == [[True, True], [False, False]]
     diagonals = np.array([[first - first], [0.25 - first], [-0.75 - first]])
-    _, growth = _red_black_inertia(_elimination_plan(1, 3), diagonals)
+    _, growth = _red_black_inertia(_elimination_plan(1, 3), diagonals, np.zeros((1, 1)))
     assert not np.isfinite(growth[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
 def test_interval_counts_non_finite_rows_count_nan(bad):
     b = box(2, 2)
-    base = base_matrix(b, True)
+    base = base_matrix(b)
     profiles = np.random.default_rng(3).uniform(-2.0, 2.0, (3, base.shape[0]))
     profiles[1, 7] = bad
+    diagonals = hamiltonian_diagonals(b, True, 2.0, profiles)
     intervals = [(3.0, 5.0), (4.0, 4.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts, fallback = interval_counts(b, True, 2.0, profiles, intervals)
+        counts, fallback = interval_counts(b, diagonals, intervals)
     assert np.isnan(counts[1]).all() and fallback[1].all()
     kept = [0, 2]
-    expected = eigvalsh_counts(base, 2.0, profiles[kept], intervals)
+    expected = eigvalsh_counts(base, diagonals[kept], intervals)
     assert counts[kept].tolist() == expected.tolist()
 
 
@@ -470,7 +472,7 @@ def test_interval_counts_bandwidth_follows_the_box():
         plan = _elimination_plan(dimension, b.side)
         assert max(plan.fronts) == front
         assert sorted(np.concatenate([plan.red, plan.black]).tolist()) == list(range(b.size))
-        negative, growth = _red_black_inertia(plan, np.full((b.size, 1), -10.0))
+        negative, growth = _red_black_inertia(plan, np.full((b.size, 1), -10.0), np.zeros((1, 1)))
         assert negative.tolist() == [b.size]
         assert np.isfinite(growth).all()
 
@@ -494,13 +496,14 @@ def test_red_black_inertia_matches_the_banded_reference(shape, shifted, seed, sp
     # kernels certify against the lane's own spectrum, the negative pivots agree
     dimension, radius = shape
     b = box(radius, dimension)
-    base, n, eps = base_matrix(b, shifted), b.size, np.finfo(float).eps
-    diagonals = np.diagonal(base)[:, None] + np.random.default_rng(seed).uniform(-4, 4, (n, 8))
+    base, n, eps = base_matrix(b), b.size, np.finfo(float).eps
+    draws = np.random.default_rng(seed).uniform(-4, 4, (n, 8))
+    diagonals = hamiltonian_diagonals(b, shifted, 1.0, draws.T).T
     for site, lane, value in specials:
         diagonals[site % n, lane] = value  # an exact 0 on a red site is a zero pivot
     plan = _elimination_plan(dimension, b.side)
     band = b.side ** (dimension - 1) if n > 1 else 0
-    negative, growth = _red_black_inertia(plan, diagonals)
+    negative, growth = _red_black_inertia(plan, diagonals, np.zeros((8, 1)))
     reference, reference_growth = band_inertia(base, band, diagonals)
     finite = np.all(np.isfinite(diagonals), axis=0)
     zero_red = np.any(diagonals[plan.red] == 0.0, axis=0)
@@ -525,9 +528,9 @@ def test_interval_counts_both_sides_of_the_dispatch_match_eigvalsh(dimension, ra
     # with many endpoints eigvalsh is the cheaper count (every row flagged as
     # eigvalsh's); with few, the certified inertia counts and recounts the rest
     b = box(radius, dimension)
-    base, n = base_matrix(b, False), b.size
-    profiles = np.random.default_rng(8).uniform(-1.0, 1.0, (12, n))
-    profiles[3, 1] = np.nan
+    base, n = base_matrix(b), b.size
+    diagonals = 2.0 * np.random.default_rng(8).uniform(-1.0, 1.0, (12, n))
+    diagonals[3, 1] = np.nan
     points = np.linspace(-2.0, 2.5, 2 * ends)
     intervals = list(zip(points[::2], points[1::2]))
     plan = _elimination_plan(dimension, b.side)
@@ -535,8 +538,8 @@ def test_interval_counts_both_sides_of_the_dispatch_match_eigvalsh(dimension, ra
     assert dense == (ends == 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts, fallback = interval_counts(b, False, 2.0, profiles, intervals)
+        counts, fallback = interval_counts(b, diagonals, intervals)
     kept = np.arange(12) != 3
-    assert counts[kept].tolist() == eigvalsh_counts(base, 2.0, profiles[kept], intervals).tolist()
+    assert counts[kept].tolist() == eigvalsh_counts(base, diagonals[kept], intervals).tolist()
     assert np.isnan(counts[3]).all() and fallback[3].all()
     assert fallback[kept].all() == dense

@@ -21,22 +21,26 @@ from alloylab.config import nn_signed_potential
 from alloylab.disorder import bump_density
 from alloylab.estimators import ExperimentConfig, _batched_counts, run_parallel
 from alloylab.lattice import box, envelope_box
-from alloylab.operator import base_matrix, hamiltonian_stack, laplacian_matrix, resolvent_columns
+from alloylab.operator import base_matrix, hamiltonian_diagonals, hamiltonian_stack, resolvent_columns
 from alloylab.spectra import _eigenvalue_kernel
 from tests.sample_reference import assemble, draw_couplings
 
 N_SAMPLES = 10
-CASES = [(1, 4), (2, 2), (3, 1)]  # (dimension, box radius): bandwidths 1, 5 and 9
+# (dimension, box radius, disorder strength): bandwidths 1, 5 and 9; at strength 0
+# the signed potential's negative entries put -0.0 on the diagonal (unshifted, seed
+# 17: site 1 of sample 9)
+CASES = [(1, 4, 2.0), (2, 2, 2.0), (3, 1, 2.0), (1, 4, 0.0)]
+CASE_IDS = ["1-4", "2-2", "3-1", "1-4-lam0"]
 
 
-def shared_config(dimension, radius, shifted):
+def shared_config(dimension, radius, shifted, lam):
     shift = 2.0 * dimension if shifted else 0.0
     return ExperimentConfig(
         dimension=dimension,
         box_radius=radius,
         potential=nn_signed_potential(dimension),
         density=bump_density(),
-        disorder_strength=2.0,
+        disorder_strength=lam,
         interval=(0.5 + shift, 2.0 + shift),
         n_samples=N_SAMPLES,
         seed=17,
@@ -57,9 +61,9 @@ def reference_spectra(cfg, radius):
 
 @pytest.mark.parametrize("chunk_size", [1, 4])
 @pytest.mark.parametrize("shifted", [False, True])
-@pytest.mark.parametrize("dimension, radius", CASES)
-def test_counting_kernel_matches_per_sample_reference(dimension, radius, shifted, chunk_size):
-    cfg = shared_config(dimension, radius, shifted)
+@pytest.mark.parametrize("dimension, radius, lam", CASES, ids=CASE_IDS)
+def test_counting_kernel_matches_per_sample_reference(dimension, radius, lam, shifted, chunk_size):
+    cfg = shared_config(dimension, radius, shifted, lam)
     spectra = list(reference_spectra(cfg, radius))
     # closed intervals: endpoints set exactly to a reference eigenvalue count it
     lo, hi = cfg.interval
@@ -79,9 +83,9 @@ def test_counting_kernel_matches_per_sample_reference(dimension, radius, shifted
 
 @pytest.mark.parametrize("chunk_size", [1, 4])
 @pytest.mark.parametrize("shifted", [False, True])
-@pytest.mark.parametrize("dimension, radius", CASES)
-def test_eigenvalue_kernel_matches_per_sample_reference(dimension, radius, shifted, chunk_size):
-    cfg = shared_config(dimension, radius, shifted)
+@pytest.mark.parametrize("dimension, radius, lam", CASES, ids=CASE_IDS)
+def test_eigenvalue_kernel_matches_per_sample_reference(dimension, radius, lam, shifted, chunk_size):
+    cfg = shared_config(dimension, radius, shifted, lam)
     inner, kernel = _eigenvalue_kernel(cfg, radius)
     rows = run_parallel(kernel, N_SAMPLES, inner.size, 1, chunk_size)
     expected = np.stack(list(reference_spectra(cfg, radius)))
@@ -91,14 +95,16 @@ def test_eigenvalue_kernel_matches_per_sample_reference(dimension, radius, shift
 def test_base_matrix_and_stack_layout():
     b = box(1, 2)
     idx = np.arange(b.size)
-    base = base_matrix(b, True)
-    expected = laplacian_matrix(b)
-    expected[idx, idx] = 4.0
+    base = base_matrix(b)
     assert base.dtype == float
-    assert np.array_equal(base, expected)
+    assert np.array_equal(base[idx, idx], np.zeros(b.size))
     profiles = np.arange(2 * b.size, dtype=float).reshape(2, b.size)
-    expected = np.stack([base + np.diag(3.0 * profile) for profile in profiles])
-    assert np.array_equal(hamiltonian_stack(base, 3.0, profiles), expected)
+    diagonals = hamiltonian_diagonals(b, True, 3.0, profiles)
+    assert np.array_equal(diagonals, 3.0 * profiles + 4.0)
+    # unshifted, no + 0.0 is added: a -0.0 stays -0.0
+    assert np.signbit(hamiltonian_diagonals(b, False, 0.0, -1.0 - profiles)).all()
+    expected = np.stack([base + np.diag(diagonal) for diagonal in diagonals])
+    assert np.array_equal(hamiltonian_stack(base, diagonals), expected)
 
 
 def dense_inverse_columns(matrices, z, columns):
@@ -116,9 +122,7 @@ def dense_inverse_columns(matrices, z, columns):
 def test_resolvent_columns_match_dense_inverse(dimension, radius):
     rng = np.random.default_rng(10 * dimension + radius)
     b = box(radius, dimension)
-    matrices = hamiltonian_stack(
-        base_matrix(b, False), 3.0, rng.uniform(-1.0, 1.0, size=(16, b.size))
-    )
+    matrices = hamiltonian_stack(base_matrix(b), 3.0 * rng.uniform(-1.0, 1.0, size=(16, b.size)))
     z = complex(rng.uniform(-2.0, 2.0), 0.05)
     for columns in ([0], [b.size - 1, 0], list(range(0, b.size, 3)), list(range(b.size))):
         solutions, certified = resolvent_columns(matrices, z, columns)
@@ -130,9 +134,9 @@ def test_resolvent_columns_subtract_z_after_the_shift():
     b = box(1, 2)
     z = complex(0.5, 0.1)
     idx = np.arange(b.size)
-    expected = laplacian_matrix(b).astype(complex)
+    expected = base_matrix(b).astype(complex)
     expected[idx, idx] = 4.0 - z
-    stack = hamiltonian_stack(base_matrix(b, True), 3.0, np.zeros((2, b.size)))
+    stack = hamiltonian_stack(base_matrix(b), hamiltonian_diagonals(b, True, 3.0, np.zeros((2, b.size))))
     solutions, certified = resolvent_columns(stack, z, range(b.size))
     assert certified.all()
     assert np.array_equal(solutions, np.linalg.inv(np.stack([expected, expected])))
@@ -141,7 +145,7 @@ def test_resolvent_columns_subtract_z_after_the_shift():
 def test_resolvent_columns_flag_bad_members_only():
     rng = np.random.default_rng(5)
     b = box(3, 1)
-    matrices = hamiltonian_stack(base_matrix(b, False), 2.0, rng.uniform(size=(6, b.size)))
+    matrices = hamiltonian_stack(base_matrix(b), 2.0 * rng.uniform(size=(6, b.size)))
     matrices[2, 0, 0] = np.nan
     matrices[4, 1, 1] = np.inf
     z = 0.3 + 0.1j
@@ -199,6 +203,33 @@ def test_only_interval_counts_runs_the_elimination_kernel():
         if isinstance(call, ast.Call) and _called(call) == "_red_black_inertia"
     }
     assert callers == {("operator", "interval_counts")}
+
+
+def test_the_convention_enters_only_the_diagonal_row():
+    # a config's shifted_laplacian is read where it is built and digested, by the
+    # draw helper (into hamiltonian_diagonals) and by the two spectral bounds;
+    # every kernel takes the diagonal row, so no other function takes a flag
+    readers = {
+        (module, name)
+        for module, name, node in _src_functions()
+        for part in ast.walk(node)
+        if (isinstance(part, ast.Attribute) and part.attr == "shifted_laplacian")
+        or (isinstance(part, ast.keyword) and part.arg == "shifted_laplacian")
+    }
+    assert readers == {
+        ("config", "experiment_from_config"),
+        ("estimators", "digest_payload"),
+        ("estimators", "_draw_diagonals"),
+        ("spectra", "spectral_range"),
+        ("cli", "cmd_ids"),
+    }
+    flagged = {
+        (module, name)
+        for module, name, node in _src_functions()
+        if module in {"operator", "estimators", "spectra"}
+        and "shifted" in {arg.arg for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    }
+    assert flagged == {("operator", "hamiltonian_diagonals")}
 
 
 def test_no_band_is_read_out_of_a_dense_matrix():

@@ -24,9 +24,11 @@ import scipy
 
 from . import __version__
 from .config import ConfigError, experiment_from_config, load_config, read
-from .disorder import check_assumption
+from .disorder import POINTS_BUDGET, check_assumption
 from .estimators import (
     PINNED_BLAS_THREADS,
+    VERDICT_VIOLATED,
+    VERDICT_WITHIN,
     NumericalFault,
     RunFailure,
     blas_environment,
@@ -54,7 +56,6 @@ from .transform import TransformError, build_circulant, limit_inverse_one_norm, 
 
 WORKERS_ENV = "ALLOYLAB_WORKERS"
 IDS_SEED_OFFSET = 1_000_003  # default decoupling of the unfolding seed
-SYNTHETIC_POINTS = 10**7  # points a synthetic spacing control may draw per run: 80 MB of doubles
 
 
 class _Reporter:
@@ -229,7 +230,7 @@ def cmd_minami(raw, args, reporter) -> int:
     result = estimate_minami(cfg)
     reporter.record({"kind": "mc_estimate", **result.to_record()})
     reporter.finalize(result.config_digest, result.seed, cfg.workers)
-    return 0 if result.verdict == "within_bound" else 1
+    return 0 if result.verdict == VERDICT_WITHIN else 1
 
 
 def _read_sweep(raw) -> tuple[list[float], float] | None:
@@ -274,8 +275,8 @@ def cmd_two_ev(raw, args, reporter) -> int:
     reporter.finalize(result.probability.config_digest, cfg.seed, cfg.workers)
     ok = (
         result.exact_inequality_holds
-        and result.probability.verdict != "violated_beyond_3sigma"
-        and result.half_moment.verdict != "violated_beyond_3sigma"
+        and result.probability.verdict != VERDICT_VIOLATED
+        and result.half_moment.verdict != VERDICT_VIOLATED
     )
     return 0 if ok else 1
 
@@ -396,8 +397,8 @@ def cmd_spacing(raw, args, reporter) -> int:
         _require(workers >= 1, "worker count must be at least 1")
         span = (window[0] - 10.0, window[1] + 10.0)
         points = span[1] - span[0]  # about a realization's points: unit intensity over the span
-        _require(points <= SYNTHETIC_POINTS, f"'window' {list(window)} spans over {SYNTHETIC_POINTS} points")
-        most = SYNTHETIC_POINTS // points  # realizations within the budget
+        _require(points <= POINTS_BUDGET, f"'window' {list(window)} spans over {POINTS_BUDGET} points")
+        most = POINTS_BUDGET // points  # realizations within the budget
         _require(1 <= n_realizations <= most, f"'realizations' must lie in [1, {most:g}], got {n_realizations}")
         if args.synthetic == "poisson":
             # a control point process, not a Monte Carlo estimate of the operator,

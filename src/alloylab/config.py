@@ -89,35 +89,22 @@ def read(raw: dict, name: str, kind, default=REQUIRED):
     raise ConfigError(f"field {name!r} must be {expected}, got {json.dumps(raw[name])}")
 
 
-def delta_potential(dimension: int) -> SingleSitePotential:
-    return SingleSitePotential.delta(dimension)
-
-
-def nn_positive_potential(dimension: int) -> SingleSitePotential:
-    """Unit peak plus 0.2 on every nearest neighbor."""
-    values = {(0,) * dimension: 1.0}
-    for axis in range(dimension):
-        for sign in (-1, 1):
-            site = tuple(sign if a == axis else 0 for a in range(dimension))
-            values[site] = 0.2
-    return SingleSitePotential(values)
-
-
-def nn_signed_potential(dimension: int) -> SingleSitePotential:
-    """Unit peak with sign-changing 0.2 neighbors (dominant, zero-free transform)."""
-    values = {(0,) * dimension: 1.0}
-    for axis in range(dimension):
-        for sign in (-1, 1):
-            site = tuple(sign if a == axis else 0 for a in range(dimension))
-            values[site] = 0.2 * sign
-    return SingleSitePotential(values)
-
-
+# each preset's value on the nearest neighbour at ``sign`` (-1 or 1) along an axis; the
+# origin carries 1, and a zero is no support
 POTENTIAL_PRESETS = {
-    "delta": delta_potential,
-    "nn_positive": nn_positive_potential,
-    "nn_signed": nn_signed_potential,
+    "delta": lambda sign: 0.0,
+    "nn_positive": lambda sign: 0.2,
+    "nn_signed": lambda sign: 0.2 * sign,  # dominant, with a zero-free transform
 }
+
+
+def _preset_potential(name: str, dimension: int) -> SingleSitePotential:
+    """Preset ``name`` in ``dimension``: unit peak, ``POTENTIAL_PRESETS[name]`` on the neighbours."""
+    neighbour, values = POTENTIAL_PRESETS[name], {(0,) * dimension: 1.0}
+    for axis in range(dimension):
+        for sign in (-1, 1):
+            values[tuple(sign if a == axis else 0 for a in range(dimension))] = neighbour(sign)
+    return SingleSitePotential(values)
 
 
 def potential_from_config(obj, dimension: int) -> SingleSitePotential:
@@ -126,7 +113,7 @@ def potential_from_config(obj, dimension: int) -> SingleSitePotential:
         obj = read(obj, "preset", str)
     if isinstance(obj, str):
         try:
-            return POTENTIAL_PRESETS[obj](dimension)
+            return _preset_potential(obj, dimension)
         except KeyError:
             raise ConfigError(
                 f"unknown potential preset {obj!r}; have {sorted(POTENTIAL_PRESETS)}"

@@ -18,6 +18,7 @@ from numpy.polynomial import polynomial as npoly
 from .lattice import Site
 
 QUANTILE_TOL = 1e-12
+POINTS_BUDGET = 10**7  # grid or sample points one run may hold: 80 MB of doubles
 _TABLE_DEPTH = 12  # bisection levels tabulated per density: 4095 CDF values
 _CONTINUITY_TOL = 1e-12
 
@@ -719,6 +720,8 @@ def check_assumption(
         raise ValueError(
             f"grid_resolution {grid_resolution} below the Nyquist floor {nyquist}"
         )
+    if grid_resolution**potential.dimension > POINTS_BUDGET:
+        raise ValueError(f"grid_resolution {grid_resolution} puts the grid past {POINTS_BUDGET} points")
     symbol = np.fft.fftn(potential.torus_table(grid_resolution))
     min_modulus = float(np.min(np.abs(symbol)))
     slack = (

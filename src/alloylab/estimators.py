@@ -3,20 +3,19 @@
 Every draw is a pure function of ``(seed, sample index, block)``
 (``uniforms``), so estimates are bit-identical for any worker count; aggregation
 uses numpy's pairwise summation over arrays laid out in sample order, which
-is likewise deterministic.  Every Green entry comes from
-``operator.resolvent_columns``; in every estimator and probe, samples whose
-solve cannot be certified become NaN rows, are counted, and fail the run
-beyond a 0.1% cap.  Determinant samples outside the resolvent envelope
+is likewise deterministic.  Kernels hand ``operator`` a box and diagonal
+rows; its ``green_columns``, behind every Green entry, makes a sample whose
+solve cannot be certified a NaN row, and NaN rows are counted and fail the
+run beyond a 0.1% cap.  Determinant samples outside the resolvent envelope
 abort the run as numerical faults.  ``run_parallel`` is the one parallel
 driver: at ``workers > 1`` it forks worker processes that write their rows
-into shared memory, so work that holds the GIL scales too.  BLAS runs on
-one thread in every worker, so LAPACK sums in the same order whatever
-their number.
+into shared memory, so work that holds the GIL scales too.  It pins BLAS to
+one thread and keeps the pin, so LAPACK sums in the same order whatever the
+number of workers.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
@@ -38,20 +37,19 @@ from .disorder import DisorderDensity, SingleSitePotential
 from .lattice import Box, Site, box, envelope_box, origin, sup_distance
 from .operator import (
     MIN_IMAG_PART,
-    base_matrix,
+    STACK_ENTRIES,
     count_footprint,
+    green_columns,
     hamiltonian_diagonals,
-    hamiltonian_stack,
     interval_counts,
     potential_profiles,
     require_dense,
-    resolvent_columns,
 )
 from .transform import build_circulant, minami_constants
 
 FAILURE_CAP = 1e-3
 RESAMPLE_CAP = 1e-2
-_CHUNK_BUDGET = 1_000_000
+SHARED_BYTES = 2**30  # the most a run's shared rows may map: 1 GiB
 _COUNT_CHUNK = 64  # two chunks of a 128-sample count run, so both workers stay busy
 PINNED_BLAS_THREADS = 1
 # OpenBLAS copies bundled with the numpy and scipy wheels: package, library, symbol suffix
@@ -122,35 +120,20 @@ def _openblas_libraries() -> tuple[tuple[BlasLibrary, ...], str | None]:
     return tuple(found), None
 
 
-def pin_blas_threads(n: int) -> list[tuple[BlasLibrary, int]]:
-    """Set every loaded OpenBLAS copy to ``n`` threads; the copies changed, with their old counts.
+def pin_blas_threads(n: int) -> None:
+    """Set every loaded OpenBLAS copy to ``n`` threads, for the rest of the process.
 
     A copy already at ``n`` is left alone: once the process has forked,
     OpenBLAS re-creates its thread pool on any thread-count call, and the new
-    threads spin before they sleep.  When a library or symbol is missing this
-    does nothing (``blas_environment`` names what is missing).
+    threads spin before they sleep.  So a pin is never restored.  When a
+    library or symbol is missing this does nothing (``blas_environment``
+    names what is missing).
     """
     libraries, missing = _openblas_libraries()
-    if missing is not None:
-        return []
-    changed = [(lib, count) for lib in libraries if (count := lib.get_threads()) != n]
-    for lib, _ in changed:
-        lib.set_threads(n)
-    return changed
-
-
-@contextlib.contextmanager
-def blas_threads(n: int):
-    """Run the body with every loaded OpenBLAS copy at ``n`` threads, then restore.
-
-    Only the copies ``pin_blas_threads`` changed are set back on exit.
-    """
-    changed = pin_blas_threads(n)
-    try:
-        yield
-    finally:
-        for lib, count in changed:
-            lib.set_threads(count)
+    if missing is None:
+        for lib in libraries:
+            if lib.get_threads() != n:
+                lib.set_threads(n)
 
 
 def blas_environment() -> dict:
@@ -174,16 +157,20 @@ def run_parallel(
 
     The kernel maps an array of sample indices to one row per sample (NaN
     rows mark failed samples).  Chunk boundaries depend only on
-    ``chunk_size``, never on ``workers``, and BLAS is pinned to one thread
-    at every worker count.  With ``W = min(workers, chunks)`` the caller
-    forks ``W - 1`` processes (POSIX only; none at ``W = 1``) and worker
-    ``w`` runs chunks ``w, w + W, ...`` into shared memory, so only the
-    returned rows come back.  The lowest failing chunk's exception is raised.
+    ``chunk_size``, never on ``workers``.  BLAS is pinned to one thread at
+    every worker count, and the pin is kept (``pin_blas_threads``).  With
+    ``W = min(workers, chunks)`` the caller forks ``W - 1`` processes (POSIX
+    only; none at ``W = 1``) and worker ``w`` runs chunks ``w, w + W, ...``
+    into shared memory, so only the returned rows come back; rows past
+    ``SHARED_BYTES`` are refused before anything is mapped.  The lowest
+    failing chunk's exception is raised.
     """
     if n_samples <= 0:
         raise ValueError("empty sample")
     if workers < 1:
         raise ValueError("worker count must be at least 1")
+    if 8 * n_samples * n_columns > SHARED_BYTES:
+        raise ValueError(f"{n_samples} rows of {n_columns} values pass the {SHARED_BYTES}-byte shared map")
     spans = [(s, min(s + chunk_size, n_samples)) for s in range(0, n_samples, chunk_size)]
     n_workers = min(workers, len(spans))
     shared = mmap.mmap(-1, 8 * max(n_samples * n_columns, 1))
@@ -202,8 +189,8 @@ def run_parallel(
                 return index, exc
             values[start:stop, :] = out
 
-    with blas_threads(PINNED_BLAS_THREADS):
-        _run_forked(run_spans, n_workers)
+    pin_blas_threads(PINNED_BLAS_THREADS)
+    _run_forked(run_spans, n_workers)
     return values
 
 
@@ -444,8 +431,8 @@ def _summarize(
 # ---------------------------------------------------------------------------
 
 def _chunk_for(matrix_dim: int) -> int:
-    """Samples per chunk of a kernel that builds a dense stack."""
-    return max(8, min(512, _CHUNK_BUDGET // max(1, matrix_dim * matrix_dim)))
+    """Samples per chunk of a kernel whose samples ``operator`` holds as a dense stack."""
+    return max(8, min(512, STACK_ENTRIES // max(1, matrix_dim * matrix_dim)))
 
 
 def _count_chunk(inner: Box, intervals, profiles: int = 1) -> int:
@@ -455,7 +442,7 @@ def _count_chunk(inner: Box, intervals, profiles: int = 1) -> int:
     ``interval_counts`` holds per sample fits the budget: the kernel's cost per
     call is mostly fixed, so it wants many lanes.
     """
-    fits = _CHUNK_BUDGET // (profiles * count_footprint(inner, intervals))
+    fits = STACK_ENTRIES // (profiles * count_footprint(inner, intervals))
     return max(_chunk_for(inner.size), min(_COUNT_CHUNK, fits))
 
 
@@ -497,7 +484,7 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     inner = cfg.inner_box
     if not (inner.contains(cfg.site_x) and inner.contains(cfg.site_y)):
         raise ValueError("both sites must lie in the box")
-    base = base_matrix(inner)
+    require_dense(inner.size)
 
     started = time.perf_counter()
     lam = cfg.disorder_strength
@@ -514,20 +501,17 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     envelope_cap = z.imag**-2
 
     def kernel(indices):
-        matrices = hamiltonian_stack(base, _draw_diagonals(cfg, inner, indices))
-        solutions, good = resolvent_columns(matrices, z, [ix, iy])
-        g_im = solutions[:, [ix, iy], :].imag
+        green = green_columns(inner, _draw_diagonals(cfg, inner, indices), z, [ix, iy])
+        g_im = green[:, [ix, iy], :].imag
         det = g_im[:, 0, 0] * g_im[:, 1, 1] - g_im[:, 0, 1] * g_im[:, 1, 0]
-        bad = good & ((det <= 0.0) | (det > envelope_cap))
+        bad = (det <= 0.0) | (det > envelope_cap)  # an uncertified sample's NaN is neither
         if np.any(bad):
             worst = det[bad][0]
             raise NumericalFault(
                 f"det Im g = {worst!r} outside (0, {envelope_cap!r}] at sample "
                 f"{int(indices[np.nonzero(bad)[0][0]])}"
             )
-        out = det[:, None].astype(float)
-        out[~good] = np.nan
-        return out
+        return det[:, None]
 
     values = run_parallel(kernel, cfg.n_samples, 1, cfg.workers, _chunk_for(inner.size))
     extras = {"envelope_violations": 0, "inverse_one_norm": transform.inverse_one_norm}
@@ -535,14 +519,11 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     mean, stderr = estimate.mean, estimate.stderr
     extras["n_valid"] = cfg.n_samples - estimate.n_failed
     if constants:
-        extras["site_resolved_bound"] = constants.site_resolved_bound
-        extras["within_site_resolved"] = bool(
-            mean <= constants.site_resolved_bound + 3.0 * stderr
-        )
+        extras["site_resolved_bound"] = site_resolved = constants.site_resolved_bound
+        extras["within_site_resolved"] = bound_verdict(mean, stderr, site_resolved) == VERDICT_WITHIN
     if cfg.potential == SingleSitePotential.delta(cfg.dimension):
-        classical = math.pi**2 * cfg.density.sup_norm**2
-        extras["classical_bound"] = classical
-        extras["within_classical"] = bool(mean <= classical + 3.0 * stderr)
+        extras["classical_bound"] = classical = math.pi**2 * cfg.density.sup_norm**2
+        extras["within_classical"] = bound_verdict(mean, stderr, classical) == VERDICT_WITHIN
     return estimate
 
 
@@ -703,10 +684,9 @@ def probe_fvc(
         raise ValueError(f"box radii must be a non-empty list, each at least 1, got {list(radii)}")
     energy = float(cfg.energy.real)
     boxes = [box(int(radius), cfg.dimension) for radius in radii]
-    # every radius passes the dense cap before the first one is sampled
-    bases = [base_matrix(inner) for inner in boxes]
+    require_dense(max(inner.size for inner in boxes))  # every radius, before the first is sampled
     results = []
-    for radius, inner, base in zip(radii, boxes, bases):
+    for radius, inner in zip(radii, boxes):
         sites = inner.site_array()
         seps = np.max(np.abs(sites[:, None, :] - sites[None, :, :]), axis=2)
         pair_mask = seps >= radius / 2.0
@@ -730,11 +710,9 @@ def probe_fvc(
                     break
             accepted = np.setdiff1d(np.arange(len(indices)), pending)
             if accepted.size:
-                columns = np.arange(base.shape[0])
-                matrices = hamiltonian_stack(base, diagonals[accepted])
-                green, certified = resolvent_columns(matrices, shift, columns)
-                ok = np.all(np.abs(green[:, pair_mask]) <= threshold, axis=1)
-                rows[accepted, 0] = np.where(certified, ok, np.nan)
+                green = green_columns(inner, diagonals[accepted], shift, np.arange(inner.size))
+                worst = np.max(np.abs(green[:, pair_mask]), axis=1)  # NaN if uncertified
+                rows[accepted, 0] = np.where(np.isnan(worst), np.nan, worst <= threshold)
             return rows
 
         values = run_parallel(kernel, cfg.n_samples, 3, cfg.workers, _chunk_for(inner.size))
@@ -786,7 +764,7 @@ def probe_fractional_moment(
     if cfg.energy is None or cfg.energy.imag <= MIN_IMAG_PART:
         raise ValueError(f"fractional moment probe needs Im z > {MIN_IMAG_PART}")
     inner = cfg.inner_box
-    base = base_matrix(inner)
+    require_dense(inner.size)
     if pairs is None:
         anchor = origin(cfg.dimension)
         pairs = [
@@ -806,11 +784,8 @@ def probe_fractional_moment(
     columns, pair_cols = np.unique([inner.index_of(y) for _, y in pairs], return_inverse=True)
 
     def kernel(indices):
-        matrices = hamiltonian_stack(base, _draw_diagonals(cfg, inner, indices))
-        green, certified = resolvent_columns(matrices, cfg.energy, columns)
-        values = np.abs(green[:, pair_rows, pair_cols]) ** moment
-        values[~certified] = np.nan
-        return values
+        green = green_columns(inner, _draw_diagonals(cfg, inner, indices), cfg.energy, columns)
+        return np.abs(green[:, pair_rows, pair_cols]) ** moment
 
     values = run_parallel(kernel, cfg.n_samples, len(pairs), cfg.workers, _chunk_for(inner.size))
     points = []

@@ -2,9 +2,9 @@
 
 A sample's Hamiltonian is the kinetic term ``base_matrix``, the negated adjacency
 matrix of the box (zero diagonal, free spectrum [-2d, 2d]), plus one diagonal row,
-``hamiltonian_diagonals``: ``lam V``, and ``2d`` under the shifted convention.  Every
-kernel takes that row.  Boundary condition is plain restriction: hopping to sites
-outside the box is dropped.
+``hamiltonian_diagonals``: ``lam V``, and ``2d`` under the shifted convention.  Kernels
+hand this module a box and those rows; the dense matrix is its own format.  Boundary
+condition is plain restriction: hopping to sites outside the box is dropped.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ MIN_IMAG_PART = 1e-14
 CONDITION_LIMIT = 1e12
 COUNT_SHIFT = 2.0**-20  # a count's endpoint x is factored at x -+ COUNT_SHIFT (1 + |H|_inf + |x|)
 EIGVALSH_ERROR = 16.0  # eigvalsh is taken within EIGVALSH_ERROR n^2 eps (1 + |H|_inf) of exact
+STACK_ENTRIES = 1_000_000  # matrix entries per dense stack: a chunk's Hamiltonians, or a recount's
 
 
 class ResolventError(RuntimeError):
@@ -147,6 +148,13 @@ def resolvent_columns(
     return solutions, certified
 
 
+def green_columns(box: Box, diagonals: np.ndarray, z: complex, columns: Sequence[int]) -> np.ndarray:
+    """``resolvent_columns`` of ``base_matrix(box)`` plus each row, NaN in every uncertified member."""
+    solutions, certified = resolvent_columns(hamiltonian_stack(base_matrix(box), diagonals), z, columns)
+    solutions[~certified] = complex(np.nan, np.nan)  # a real NaN would leave the imaginary parts 0
+    return solutions
+
+
 def _pair_block(matrix: np.ndarray, z: complex, ix: int, iy: int) -> np.ndarray:
     """The certified 2x2 resolvent block of one matrix at indices ``ix``, ``iy``."""
     solutions, certified = resolvent_columns(matrix[None], z, [ix, iy])
@@ -256,6 +264,18 @@ def chain_eigenvalues(diagonal: np.ndarray) -> np.ndarray:
     return scipy.linalg.eigh_tridiagonal(diagonal, off, eigvals_only=True)
 
 
+def require_eigenvalues(box: Box) -> None:
+    """Refuse a box whose ``eigenvalues`` are dense (every box past d=1) past the cap."""
+    require_dense(box.size if box.dimension > 1 else 0)
+
+
+def eigenvalues(box: Box, diagonals: np.ndarray) -> np.ndarray:
+    """Each row's ascending eigenvalues: ``chain_eigenvalues`` per row in d=1, else ``eigvalsh``."""
+    if box.dimension == 1:
+        return np.stack([chain_eigenvalues(d) for d in diagonals])
+    return np.linalg.eigvalsh(hamiltonian_stack(base_matrix(box), diagonals))
+
+
 @np.errstate(all="ignore")  # a non-finite row or pivot is flagged, not warned about
 def interval_counts(box: Box, diagonals: np.ndarray, intervals) -> tuple:
     """Counts of each ``hamiltonian_stack`` member's eigvalsh eigenvalues in closed intervals.
@@ -291,8 +311,8 @@ def interval_counts(box: Box, diagonals: np.ndarray, intervals) -> tuple:
     counts[redo] = np.nan
     if (redo := redo[np.all(np.isfinite(diagonals[redo]), axis=1)]).size:
         base = base_matrix(box)
-        # in stacks of at most _RECOUNT_ENTRIES, so a chunk that falls back whole stays small
-        for rows in np.array_split(redo, -(-redo.size * n * n // _RECOUNT_ENTRIES)):
+        # in stacks of at most STACK_ENTRIES, so a chunk that falls back whole stays small
+        for rows in np.array_split(redo, -(-redo.size * n * n // STACK_ENTRIES)):
             spectra = np.linalg.eigvalsh(hamiltonian_stack(base, diagonals[rows]))[:, :, None]
             counts[rows] = np.sum((spectra >= lo) & (spectra <= hi), axis=1)
     return counts, fallback
@@ -320,7 +340,6 @@ def _counts_by_kernel(plan: "_EliminationPlan", n: int, n_ends: int) -> bool:
 # and window entry: 1.1-2.6 for 3 <= n <= 2197 on one core (eigvalsh nears its n**3
 # asymptote only at the dense cap), so the count takes the side this model finds cheaper
 _EIGVALSH_COST = 2.0
-_RECOUNT_ENTRIES = 1_000_000  # matrix entries per eigvalsh recount stack
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import special
 
+from .disorder import POINTS_BUDGET
 from .estimators import ExperimentConfig, _draw_diagonals, run_parallel, sample_correlation
 from .lattice import box
-from .operator import base_matrix, chain_eigenvalues, hamiltonian_stack
+from .operator import eigenvalues, require_eigenvalues
 
 KS_CRITICAL_SCALE = 1.358  # asymptotic 5% Kolmogorov-Smirnov constant
 MIN_GAPS_FOR_KS = 50
@@ -44,23 +45,14 @@ def free_chain_ids(energies) -> np.ndarray:
 def _eigenvalue_kernel(cfg: ExperimentConfig, radius: int):
     """Box of the given radius and a ``run_parallel`` kernel of sorted eigenvalues.
 
-    The kernel returns one row per realization: the tridiagonal solver per
-    row in d=1, a batched ``eigvalsh`` of the assembled stack otherwise.
-    Callers run it with ``chunk_size=1``, which spreads a few large
-    realizations over the workers; a realization's diagonal has the same bits
-    in a chunk of any size.
+    The kernel returns one row per realization (``operator.eigenvalues``); a box
+    past the dense cap is refused here, before sampling.  Callers run it with
+    ``chunk_size=1``, which spreads a few large realizations over the workers; a
+    realization's diagonal has the same bits in a chunk of any size.
     """
     inner = box(radius, cfg.dimension)
-    if cfg.dimension > 1:
-        base = base_matrix(inner)
-
-    def kernel(indices):
-        diagonals = _draw_diagonals(cfg, inner, indices)
-        if cfg.dimension == 1:
-            return np.stack([chain_eigenvalues(d) for d in diagonals])
-        return np.linalg.eigvalsh(hamiltonian_stack(base, diagonals))
-
-    return inner, kernel
+    require_eigenvalues(inner)
+    return inner, lambda indices: eigenvalues(inner, _draw_diagonals(cfg, inner, indices))
 
 
 @dataclass
@@ -113,6 +105,8 @@ def empirical_ids(
     if n_realizations < 1:
         raise ValueError("need at least one realization")
     if grid is None:
+        if grid_points > POINTS_BUDGET:
+            raise ValueError(f"grid_points {grid_points} is past the budget of {POINTS_BUDGET} points")
         lo, hi = spectral_range(cfg)
         if not math.isfinite((hi + 1.0) - (lo - 1.0)):
             raise ValueError(

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 import scipy
 
-from alloylab import cli, config, estimators, spectra
+from alloylab import cli, config, estimators, operator, spectra
 from alloylab.cli import main
 from alloylab.config import ConfigError, read
+from alloylab.disorder import SingleSitePotential
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -358,7 +359,7 @@ def test_fmb_command(tmp_path):
     [("fvc", fvc_fields(radii=[4], samples=1000)), ("fmb", fmb_fields(samples=1000))],
 )
 def test_probe_records_count_failed_samples(tmp_path, monkeypatch, command, fields):
-    solve = estimators.resolvent_columns
+    solve = operator.resolvent_columns
     calls = []
 
     def first_member_uncertified_once(matrices, z, columns):
@@ -368,7 +369,7 @@ def test_probe_records_count_failed_samples(tmp_path, monkeypatch, command, fiel
         calls.append(len(certified))
         return solutions, certified
 
-    monkeypatch.setattr(estimators, "resolvent_columns", first_member_uncertified_once)
+    monkeypatch.setattr(operator, "resolvent_columns", first_member_uncertified_once)
     # one uncertified sample of 1000 stays within the 0.1% cap; one worker,
     # so that every call reaches the spy's list in this process
     cfg = write_config(tmp_path, **fields)
@@ -571,6 +572,33 @@ def test_spacing_synthetic_refuses_an_oversized_run_before_drawing(
     assert main(["spacing", "--config", cfg, "--synthetic", synthetic, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"'{field}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, fields, flags, allocator",
+    [
+        ("check", base_fields(dimension=2, potential="nn_signed", grid_resolution=10**6), [],
+         (SingleSitePotential, "torus_table")),
+        ("ids", base_fields(ids_radius=4, ids_realizations=2, ids_grid_points=10**12), [],
+         (np, "linspace")),
+        ("minami", minami_fields(), ["--samples", str(10**12)], (estimators.mmap, "mmap")),
+    ],
+    ids=["check-grid", "ids-grid", "minami-samples"],
+)
+def test_oversized_grids_and_sample_maps_are_refused_before_allocating(
+    tmp_path, monkeypatch, capsys, command, fields, flags, allocator
+):
+    # past 10**7 grid points, or 1 GiB of shared sample rows, is a config error
+    def refuse_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the size was checked")
+
+    monkeypatch.setattr(*allocator, refuse_allocation)
+    cfg = write_config(tmp_path, **fields)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
     assert not out.exists()
 
 

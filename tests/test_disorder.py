@@ -521,6 +521,26 @@ def test_check_assumption_symmetric_neighbors():
     assert report.satisfied
 
 
+class Allocated(Exception):
+    """Raised by a stand-in allocator: the size check let the grid through."""
+
+
+def test_check_assumption_refuses_a_grid_past_the_points_budget(monkeypatch):
+    def allocate(self, side):
+        raise Allocated(side)
+
+    monkeypatch.setattr(SingleSitePotential, "torus_table", allocate)
+    u = SingleSitePotential({(0, 0): 1.0, (1, 0): 0.2})
+    # 3162**2 and 10**7 points fit the budget of 10**7; one more per axis does not
+    for potential, admitted in ((u, 3162), (SingleSitePotential.delta(1), 10**7)):
+        with pytest.raises(Allocated):
+            check_assumption(potential, bump_density(), admitted)
+        with pytest.raises(ValueError, match="past 10000000 points"):
+            check_assumption(potential, bump_density(), admitted + 1)
+    # every preset's default grid (64 points an axis, at R = 1) is admitted up to d = 3
+    assert 64**3 <= disorder.POINTS_BUDGET
+
+
 def test_check_assumption_zero_mean_fails():
     u = SingleSitePotential({(0,): 1.0, (1,): -1.0})
     report = check_assumption(u, bump_density(), 64)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alloylab import estimators
+from alloylab import estimators, operator
 from alloylab.disorder import SingleSitePotential, bump_density
 from alloylab.estimators import (
     ExperimentConfig,
@@ -34,13 +34,7 @@ from alloylab.estimators import (
     wegner_ratio_sweep,
 )
 from alloylab.lattice import box, envelope_box
-from alloylab.operator import (
-    DENSE_SOLVE_LIMIT,
-    ResourceLimit,
-    base_matrix,
-    hamiltonian_stack,
-    resolvent_columns,
-)
+from alloylab.operator import DENSE_SOLVE_LIMIT, ResourceLimit, green_columns
 from tests.sample_reference import assemble, draw_couplings
 
 RHO = bump_density()
@@ -75,6 +69,25 @@ def make_config(potential=DELTA, **kwargs):
 def test_run_parallel_rejects_empty_sample():
     with pytest.raises(ValueError, match="empty sample"):
         run_parallel(lambda idx: np.zeros((len(idx), 1)), 0, 1)
+
+
+def test_run_parallel_refuses_a_shared_map_past_its_budget(monkeypatch):
+    class Mapped(Exception):
+        pass
+
+    def mapped(*args, **kwargs):
+        raise Mapped
+
+    monkeypatch.setattr(estimators.mmap, "mmap", mapped)
+    kernel = lambda idx: np.zeros((len(idx), 1))  # noqa: E731
+    # 2**27 rows of one double, or 2**26 of two, map exactly 1 GiB; a row more does not
+    for rows, columns in ((2**27, 1), (2**26, 2)):
+        with pytest.raises(Mapped):
+            run_parallel(kernel, rows, columns)
+        with pytest.raises(ValueError, match="shared map"):
+            run_parallel(kernel, rows + 1, columns)
+    with pytest.raises(ValueError, match="shared map"):
+        run_parallel(kernel, 10**12, 1)
 
 
 def test_run_parallel_worker_count_invariance():
@@ -228,26 +241,6 @@ def test_run_parallel_pins_blas_to_one_thread(workers):
     assert np.all(values == 1.0)
 
 
-def test_blas_threads_restores_the_callers_counts():
-    libraries = openblas_libraries()
-    before = [lib.get_threads() for lib in libraries]
-
-    def failing(indices):
-        raise ZeroDivisionError("kernel failure")
-
-    try:
-        for lib in libraries:
-            lib.set_threads(2)
-        run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=2)
-        assert [lib.get_threads() for lib in libraries] == [2, 2]
-        with pytest.raises(ZeroDivisionError):
-            run_parallel(failing, 32, 1, workers=2, chunk_size=8)
-        assert [lib.get_threads() for lib in libraries] == [2, 2]
-    finally:
-        for lib, count in zip(libraries, before):
-            lib.set_threads(count)
-
-
 def fake_blas(package, count, calls):
     """A ``BlasLibrary`` at ``count`` threads that logs each ``set_threads`` call."""
     state = [count]
@@ -263,15 +256,12 @@ def test_blas_threads_sets_only_the_copies_not_at_the_count(monkeypatch):
     calls = []
     libraries = (fake_blas("numpy", 1, calls), fake_blas("scipy", 2, calls))
     monkeypatch.setattr(estimators, "_openblas_libraries", lambda: (libraries, None))
-    with estimators.blas_threads(1):
-        assert calls == [("scipy", 1)]
-    assert calls == [("scipy", 1), ("scipy", 2)]
-    # once every copy is pinned, a forked run makes no thread-count call at all
-    calls.clear()
     estimators.pin_blas_threads(1)
     assert calls == [("scipy", 1)]
+    # the pin is kept: a forked run finds every copy pinned and makes no thread-count call
     calls.clear()
     run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=2, chunk_size=8)
+    run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=1)
     assert calls == []
 
 
@@ -279,12 +269,11 @@ def test_forked_runs_leave_no_blas_threads_in_a_pinned_process():
     openblas_libraries()
     if not Path("/proc/self/task").is_dir():
         pytest.skip("no /proc/self/task to count threads")
-    # OpenBLAS shuts its pool down at a fork and re-creates it on any thread-count call
+    # OpenBLAS shuts its pool down at a fork and re-creates it on any thread-count call;
+    # the process starts at OpenBLAS's own count, and run_parallel's pin is never undone
     code = (
         "import os, numpy as np\n"
         "from alloylab import estimators\n"
-        "for lib in estimators._openblas_libraries()[0]:\n"
-        "    lib.set_threads(1)\n"
         "for _ in range(2):\n"
         "    estimators.run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=2, chunk_size=8)\n"
         "print(len(os.listdir('/proc/self/task')))\n"
@@ -301,15 +290,13 @@ def test_run_parallel_without_blas_control(monkeypatch):
     # a resolvent kernel, so every chunk reaches LAPACK
     cfg = make_config(box_radius=3, n_samples=96, seed=4)
     inner = cfg.inner_box
-    base = base_matrix(inner)
 
     def kernel(indices):
-        matrices = hamiltonian_stack(base, estimators._draw_diagonals(cfg, inner, indices))
-        green, certified = resolvent_columns(matrices, 0.5 + 0.1j, [0, 3])
-        return np.hstack([green.imag.reshape(len(indices), -1), certified[:, None]])
+        green = green_columns(inner, estimators._draw_diagonals(cfg, inner, indices), 0.5 + 0.1j, [0, 3])
+        return green.imag.reshape(len(indices), -1)
 
-    pinned = run_parallel(kernel, 96, 2 * inner.size + 1, chunk_size=32)
-    assert np.all(pinned[:, -1] == 1.0)
+    pinned = run_parallel(kernel, 96, 2 * inner.size, chunk_size=32)
+    assert np.all(np.isfinite(pinned))  # every sample certified
     monkeypatch.setattr(
         estimators, "_openblas_libraries", lambda: ((), "scipy_openblas_set_num_threads64_")
     )
@@ -319,7 +306,7 @@ def test_run_parallel_without_blas_control(monkeypatch):
         warnings.filterwarnings(
             "ignore", message=r".*multi-threaded, use of fork\(\)", category=DeprecationWarning
         )
-        unpinned = run_parallel(kernel, 96, 2 * inner.size + 1, workers=2, chunk_size=32)
+        unpinned = run_parallel(kernel, 96, 2 * inner.size, workers=2, chunk_size=32)
     assert np.array_equal(pinned, unpinned)
 
 
@@ -819,23 +806,25 @@ def test_fmb_validates_input():
         probe_fractional_moment(cfg, moment=0.5, pairs=[((0,), (0,))])
 
 
-@pytest.mark.parametrize("probe", ["fvc", "fmb"])
+@pytest.mark.parametrize("probe", ["fvc", "fmb", "minami"])
 def test_probes_count_uncertified_solves(monkeypatch, probe):
-    solve = estimators.resolvent_columns
+    solve = operator.resolvent_columns
 
     def first_member_uncertified(matrices, z, columns):
         solutions, certified = solve(matrices, z, columns)
         certified[0] = False
         return solutions, certified
 
-    monkeypatch.setattr(estimators, "resolvent_columns", first_member_uncertified)
+    monkeypatch.setattr(operator, "resolvent_columns", first_member_uncertified)
     cfg = make_config(disorder_strength=30.0, energy=0.0 + 0.01j, n_samples=40, seed=3)
-    # one uncertified sample of 40 is beyond the 0.1% cap
+    # one uncertified sample of 40 is beyond the 0.1% cap; minami's NaN det is no envelope fault
     with pytest.raises(RunFailure, match="1 of 40"):
         if probe == "fvc":
             probe_fvc(cfg, decay_exponent=3.0, radii=[4])
-        else:
+        elif probe == "fmb":
             probe_fractional_moment(cfg, moment=0.5)
+        else:
+            estimate_minami(replace(cfg, site_x=(-1,), site_y=(1,)))
 
 
 def test_independence_probe_distant_boxes():

@@ -17,11 +17,17 @@ import pytest
 
 import alloylab
 
-from alloylab.config import nn_signed_potential
+from alloylab.config import potential_from_config
 from alloylab.disorder import bump_density
 from alloylab.estimators import ExperimentConfig, _batched_counts, run_parallel
 from alloylab.lattice import box, envelope_box
-from alloylab.operator import base_matrix, hamiltonian_diagonals, hamiltonian_stack, resolvent_columns
+from alloylab.operator import (
+    base_matrix,
+    green_columns,
+    hamiltonian_diagonals,
+    hamiltonian_stack,
+    resolvent_columns,
+)
 from alloylab.spectra import _eigenvalue_kernel
 from tests.sample_reference import assemble, draw_couplings
 
@@ -38,7 +44,7 @@ def shared_config(dimension, radius, shifted, lam):
     return ExperimentConfig(
         dimension=dimension,
         box_radius=radius,
-        potential=nn_signed_potential(dimension),
+        potential=potential_from_config("nn_signed", dimension),
         density=bump_density(),
         disorder_strength=lam,
         interval=(0.5 + shift, 2.0 + shift),
@@ -157,6 +163,21 @@ def test_resolvent_columns_flag_bad_members_only():
         assert np.array_equal(solutions[i], alone[0])
 
 
+def test_green_columns_are_nan_in_every_uncertified_member():
+    # the solve of the box's stack, with real and imaginary parts NaN wherever it is
+    # uncertified: an imaginary part left at 0 would make det Im g an envelope fault
+    rng = np.random.default_rng(5)
+    b = box(3, 1)
+    diagonals = 2.0 * rng.uniform(size=(6, b.size))
+    diagonals[2, 0], diagonals[4, 1] = np.nan, np.inf
+    z = 0.3 + 0.1j
+    green = green_columns(b, diagonals, z, [1, 5])
+    solutions, certified = resolvent_columns(hamiltonian_stack(base_matrix(b), diagonals), z, [1, 5])
+    assert certified.tolist() == [True, True, False, True, False, True]
+    assert np.array_equal(green[certified], solutions[certified])
+    assert np.isnan(green[~certified].real).all() and np.isnan(green[~certified].imag).all()
+
+
 def test_resolvent_columns_fall_back_on_a_singular_member():
     # a rotation generator is not symmetric: H - i is exactly singular,
     # which makes the batched solve raise and the per-member path take over
@@ -203,6 +224,27 @@ def test_only_interval_counts_runs_the_elimination_kernel():
         if isinstance(call, ast.Call) and _called(call) == "_red_black_inertia"
     }
     assert callers == {("operator", "interval_counts")}
+
+
+def test_only_operator_holds_a_dense_hamiltonian():
+    # kernels hand operator a box and diagonal rows: the dense matrix, its solve and
+    # its eigensolves are operator's own format, so a banded one changes one module;
+    # and BLAS threads are set in one place, whose pin is never undone
+    dense = {"base_matrix", "hamiltonian_stack", "resolvent_columns", "chain_eigenvalues",
+             "eigvalsh", "eigh_tridiagonal"}
+    callers, pins = set(), set()
+    for module, name, node in _src_functions():
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            if module != "operator" and (
+                _called(call) in dense or ast.unparse(call.func).endswith("linalg.solve")
+            ):
+                callers.add((module, name, ast.unparse(call.func)))
+            if _called(call) == "set_threads":
+                pins.add((module, name))
+    assert callers == set()
+    assert pins == {("estimators", "pin_blas_threads")}
 
 
 def test_the_convention_enters_only_the_diagonal_row():

@@ -57,6 +57,21 @@ def chain_config(**kwargs):
 # empirical IDS
 # ---------------------------------------------------------------------------
 
+def test_empirical_ids_refuses_a_grid_past_the_points_budget(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def allocate(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "linspace", allocate)
+    monkeypatch.setattr(spectra, "run_parallel", allocate)
+    with pytest.raises(Allocated):
+        empirical_ids(chain_config(), 2, 1, grid_points=10**7)
+    with pytest.raises(ValueError, match="past the budget of 10000000 points"):
+        empirical_ids(chain_config(), 2, 1, grid_points=10**7 + 1)
+
+
 def test_spectral_range_contains_all_eigenvalues():
     cfg = chain_config(disorder_strength=3.0)
     lo, hi = spectral_range(cfg)

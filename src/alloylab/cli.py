@@ -517,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # the command is the process: pinned once and never restored, BLAS is already
-    # at run_parallel's count after each fork, so no OpenBLAS pool is re-created
+    # at run_parallel's count after each fork, so no OpenBLAS pool is re-created;
+    # scipy's copy, loaded later if at all, is pinned where it loads
     pin_blas_threads(PINNED_BLAS_THREADS)
     try:
         raw = load_config(args.config)

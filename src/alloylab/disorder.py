@@ -378,7 +378,9 @@ class _Lattice:
     comparison that disagrees, the path is the bisection's own, so a row off its
     path resumes the bisection there (``_resume``): near a support end, where
     ``f``'s rounding spans many cells, a few levels instead of ``depth``.  A Newton
-    step that is not finite (``rho`` is 0 at a support end) keeps the last point.
+    step that leaves the leaf, or is not finite, keeps the last point: near a
+    support end ``rho`` is small or 0, and a step clipped to the leaf's far end
+    would leave the draw off its path from the top level.
     A NaN ``q`` starts from cell 0, on whose path it lies: it goes left at every level.
     """
 
@@ -427,9 +429,9 @@ class _Lattice:
         hi = lo + (last + 1) * h
         for _ in range(_NEWTON_STEPS):
             step = (_piece_cdf(cdf_rows, t) - q) / _horner(pdf_rows, t)
-            step[~np.isfinite(step)] = 0.0  # a non-finite step keeps the last point
-            t -= step
-            np.clip(t, lo, hi, out=t)
+            moved = t - step
+            # a step that leaves the leaf, or is not finite, keeps the last point
+            t = np.where((lo <= moved) & (moved <= hi), moved, t)
         cell = np.clip(np.floor((t - lo) / h), 0, last)
         x = lo + cell * h
         below = _piece_cdf(cdf_rows, np.stack([x, x + h])) < q
@@ -449,8 +451,9 @@ class _Lattice:
         are the bisection's own, so the bisection resumes at that level.
         """
         depth = density._depth
+        cdf = self._leaf_cdf(density, lo)
         shift = np.arange(depth - 1, -1, -1)[:, None]
-        go_right = density.cdf(lo + (((cell >> shift) | 1) << shift) * self.step) < q
+        go_right = cdf(lo + (((cell >> shift) | 1) << shift) * self.step) < q
         wrong = go_right != ((cell >> shift) & 1).astype(bool)
         rows = np.flatnonzero(wrong.any(axis=0))
         if rows.size:
@@ -459,12 +462,33 @@ class _Lattice:
             # the bisection's cell so far: the bits above the first wrong level, then its comparison there
             resumed = (cell[rows] >> (bit + 1) << (bit + 1)) | (go_right[level, rows].astype(np.int64) << bit)
             lo, q = lo[rows], q[rows]
+            cdf = self._leaf_cdf(density, lo)
             for next_level in range(int(level.min()) + 1, depth):
                 mid = resumed | 1 << (depth - 1 - next_level)
-                right = (level < next_level) & (density.cdf(lo + mid * self.step) < q)
+                right = (level < next_level) & (cdf(lo + mid * self.step) < q)
                 resumed = np.where(right, mid, resumed)
             cell[rows] = resumed
         return cell
+
+    def _leaf_cdf(self, density, lo):
+        """``density.cdf`` at lattice points inside the leaves ``[lo, lo + 2**depth h]``, a column each.
+
+        Where a leaf holds no breakpoint, every such point is on one piece, so its
+        column of ``_cdf_rows`` is gathered once and broadcast over the levels: the
+        bits of ``cdf``'s per-point gather.  A leaf across pieces is left to ``cdf``.
+        """
+        if density.profile.n_pieces == 1:
+            return density.cdf  # its one column broadcasts already
+        first, last = density.profile.piece_index(lo + np.array([[1], [2**density._depth - 1]]) * self.step)
+        rows, across = density._cdf_rows[:, first], np.flatnonzero(first != last)
+
+        def cdf(x):
+            out = _piece_cdf(rows, x)
+            if across.size:
+                out[..., across] = density.cdf(x[..., across])
+            return out
+
+        return cdf
 
 
 class PiecewisePolynomialDensity(DisorderDensity):

@@ -17,15 +17,14 @@ number of workers.
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
-import importlib
 import json
 import math
 import mmap
 import os
 import pickle
 import signal
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -91,33 +90,38 @@ class BlasLibrary:
     set_threads: Callable[[int], None]
 
 
-@functools.cache
 def _openblas_libraries() -> tuple[tuple[BlasLibrary, ...], str | None]:
-    """The loaded OpenBLAS copies, and the first library or symbol not found (None if all were).
+    """The OpenBLAS copies loaded now, and the first library or symbol not found (None if all were).
 
-    Libraries are opened with ``RTLD_NOLOAD``, so one that is not loaded
-    already is never loaded.
+    Each call looks again, since a copy can load partway through a process:
+    importing ``scipy.linalg`` or ``scipy.special`` loads scipy's.  A copy not
+    loaded yet (its package not imported, or its library not mapped) is neither
+    listed nor missing; an imported package without its bundled library, or a
+    loaded library without a symbol, is missing.  Libraries are opened with
+    ``RTLD_NOLOAD``, so one that is not loaded already is never loaded.
     """
-    found = []
+    found, missing = [], []
     for package, pattern, suffix in _OPENBLAS_COPIES:
-        module = importlib.import_module(package)
+        if (module := sys.modules.get(package)) is None:
+            continue
         paths = sorted(Path(module.__file__).parents[1].glob(f"{package}.libs/{pattern}"))
         if not paths:
-            return tuple(found), f"{package}.libs/{pattern}"
+            missing.append(f"{package}.libs/{pattern}")
+            continue
         try:
             lib = ctypes.CDLL(str(paths[0]), mode=os.RTLD_NOLOAD)
         except OSError:
-            return tuple(found), f"{paths[0].name} (not loaded)"
+            continue
         verbs = ("get_num_threads", "set_num_threads", "get_config")
         names = [f"scipy_openblas_{verb}{suffix}" for verb in verbs]
-        missing = [name for name in names if not hasattr(lib, name)]
-        if missing:
-            return tuple(found), missing[0]
+        if absent := [name for name in names if not hasattr(lib, name)]:
+            missing.append(absent[0])
+            continue
         getter, setter, config = (getattr(lib, name) for name in names)
         setter.argtypes, setter.restype = [ctypes.c_int], None
         config.restype = ctypes.c_char_p
         found.append(BlasLibrary(package, config().decode(), getter, setter))
-    return tuple(found), None
+    return tuple(found), missing[0] if missing else None
 
 
 def pin_blas_threads(n: int) -> None:
@@ -125,19 +129,17 @@ def pin_blas_threads(n: int) -> None:
 
     A copy already at ``n`` is left alone: once the process has forked,
     OpenBLAS re-creates its thread pool on any thread-count call, and the new
-    threads spin before they sleep.  So a pin is never restored.  When a
-    library or symbol is missing this does nothing (``blas_environment``
-    names what is missing).
+    threads spin before they sleep.  So a pin is never restored.  A copy that
+    loads later is pinned by the next call; a missing library or symbol is
+    skipped (``blas_environment`` names it).
     """
-    libraries, missing = _openblas_libraries()
-    if missing is None:
-        for lib in libraries:
-            if lib.get_threads() != n:
-                lib.set_threads(n)
+    for lib in _openblas_libraries()[0]:
+        if lib.get_threads() != n:
+            lib.set_threads(n)
 
 
 def blas_environment() -> dict:
-    """BLAS facts for a run manifest: each copy's config and the count ``run_parallel`` pins."""
+    """BLAS facts for a run manifest: each loaded copy's config and the count ``run_parallel`` pins."""
     libraries, missing = _openblas_libraries()
     return {
         "openblas": {lib.package: lib.config for lib in libraries},

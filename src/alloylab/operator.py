@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .disorder import SingleSitePotential
 from .lattice import Box, Site
@@ -256,7 +255,13 @@ def krein_decomposition(
 
 
 def chain_eigenvalues(diagonal: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 1d chain with the given diagonal (O(n^2) tridiagonal path)."""
+    """Eigenvalues of a 1d chain with the given diagonal (O(n^2) tridiagonal path).
+
+    ``scipy.linalg`` is imported here, at its one use, so a process that solves
+    no chain never loads it (``require_eigenvalues`` loads it before a run forks).
+    """
+    import scipy.linalg
+
     diagonal = np.asarray(diagonal, dtype=float)
     if diagonal.size == 1:
         return diagonal.copy()
@@ -265,7 +270,14 @@ def chain_eigenvalues(diagonal: np.ndarray) -> np.ndarray:
 
 
 def require_eigenvalues(box: Box) -> None:
-    """Refuse a box whose ``eigenvalues`` are dense (every box past d=1) past the cap."""
+    """Refuse a box whose ``eigenvalues`` are dense (every box past d=1) past the cap.
+
+    A d=1 box loads ``scipy.linalg`` here, in the caller: a forked run's workers
+    inherit it, and its OpenBLAS copy pinned by ``run_parallel``, instead of
+    each importing it with an unpinned OpenBLAS.
+    """
+    if box.dimension == 1:
+        import scipy.linalg  # noqa: F401
     require_dense(box.size if box.dimension > 1 else 0)
 
 

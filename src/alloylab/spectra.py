@@ -11,10 +11,16 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .disorder import POINTS_BUDGET
-from .estimators import ExperimentConfig, _draw_diagonals, run_parallel, sample_correlation
+from .estimators import (
+    PINNED_BLAS_THREADS,
+    ExperimentConfig,
+    _draw_diagonals,
+    pin_blas_threads,
+    run_parallel,
+    sample_correlation,
+)
 from .lattice import box
 from .operator import eigenvalues, require_eigenvalues
 
@@ -191,8 +197,21 @@ def exponential_ks_statistic(gaps: np.ndarray) -> float:
     return float(max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n))))
 
 
+def _special():
+    """``scipy.special``, imported at first use: the Poisson tails are its only callers.
+
+    Importing it loads scipy's OpenBLAS copy, so that copy is pinned here, as
+    ``run_parallel`` pins the copies loaded before it.
+    """
+    from scipy import special
+
+    pin_blas_threads(PINNED_BLAS_THREADS)
+    return special
+
+
 def poisson_pmf(k, mean):
     """Poisson probabilities ``mean**k exp(-mean) / k!``, computed as ``scipy.stats`` does."""
+    special = _special()
     return np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
 
 
@@ -203,6 +222,7 @@ def poisson_count_chisquare(counts: np.ndarray, mean: float) -> tuple[float, int
     ``MIN_EXPECTED_COUNT``.  Returns (statistic, dof, p-value); dof < 1 signals
     that pooling collapsed everything.
     """
+    special = _special()
     counts = np.asarray(counts, dtype=int)
     n = counts.size
     kmax = int(max(counts.max(), math.ceil(mean))) + 1

@@ -1,8 +1,11 @@
+import argparse
 import copy
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +138,8 @@ def test_constants_d3_beyond_dense_reach(tmp_path):
 
 
 def test_main_pins_blas_for_the_life_of_the_process(tmp_path):
+    import scipy.linalg  # noqa: F401  -- both copies loaded, so both are pinned
+
     libraries, missing = estimators._openblas_libraries()
     if missing is not None:
         pytest.skip(f"no bundled OpenBLAS thread control: {missing} not found")
@@ -163,12 +168,22 @@ def test_manifest_environment_schema(tmp_path, monkeypatch):
     assert environment["scipy"] == scipy.__version__
     assert environment["workers"] == 2
     assert environment["cpu_count"] == os.cpu_count()
+    libraries, missing = estimators._openblas_libraries()
     if environment["blas_missing"] is None:
         assert environment["blas_threads"] == 1
-        assert set(environment["openblas"]) == {"numpy", "scipy"}
+        # the copies loaded when the manifest is written: numpy's, and scipy's once imported
+        assert set(environment["openblas"]) == {lib.package for lib in libraries} >= {"numpy"}
         assert all(config.startswith("OpenBLAS") for config in environment["openblas"].values())
     else:
         assert environment["blas_threads"] is None
+
+    # a copy not loaded (scipy's, before any scipy.linalg or scipy.special) is not missing
+    numpy_only = tuple(lib for lib in libraries if lib.package == "numpy")
+    monkeypatch.setattr(estimators, "_openblas_libraries", lambda: (numpy_only, None))
+    assert main(["wegner", "--config", cfg, "--out", str(out)]) == 0
+    environment = json.loads((out / "manifest.json").read_text())["environment"]
+    assert environment["blas_threads"] == 1 and environment["blas_missing"] is None
+    assert set(environment["openblas"]) == {lib.package for lib in numpy_only}
 
     monkeypatch.setattr(estimators, "_openblas_libraries", lambda: ((), "scipy_openblas_get_config"))
     assert main(["wegner", "--config", cfg, "--out", str(out)]) == 0
@@ -1008,3 +1023,137 @@ def test_every_field_is_typed_and_finite_before_sampling(tmp_path, monkeypatch, 
             shown = "absent" if value is ABSENT else json.dumps(value)[:12]
             failures.append(f"{'.'.join(map(str, path))} = {shown}: {code} {err[:80]!r}")
     assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# scipy's footprint and the BLAS pin in a fresh process
+# ---------------------------------------------------------------------------
+
+# a fresh interpreter's state, read without alloylab: the scipy modules it has
+# imported, and the thread count of every OpenBLAS copy mapped into it
+FRESH_STATE = r"""
+import contextlib, ctypes, io, json, os, sys
+import alloylab.cli
+
+GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+           "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def state():
+    with open("/proc/self/maps") as maps:
+        paths = {parts[5] for parts in map(str.split, maps)
+                 if len(parts) > 5 and "openblas" in os.path.basename(parts[5])}
+    threads = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for name in filter(lambda name: hasattr(lib, name), GETTERS):
+            threads[os.path.basename(path)] = getattr(lib, name)()
+            break
+    modules = [m for m in ("scipy.linalg", "scipy.special", "scipy.stats") if m in sys.modules]
+    return {"modules": modules, "threads": threads}
+"""
+
+
+def run_fresh(tmp_path, body, *args):
+    """Run ``FRESH_STATE`` and then ``body`` in a new interpreter; the JSON of its last line."""
+    if not Path("/proc/self/maps").is_file():
+        pytest.skip("no /proc/self/maps to list the loaded libraries")
+    script = tmp_path / "fresh.py"
+    script.write_text(FRESH_STATE + body)
+    result = subprocess.run(
+        [sys.executable, str(script), *map(str, args)], capture_output=True, text=True,
+        check=True, timeout=300, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_scipy_loads_only_for_chain_eigenvalues_and_poisson_tails(tmp_path):
+    # the Wegner and Minami commands never call scipy, so neither importing the CLI
+    # nor running them loads scipy.linalg or scipy.special (nor scipy.stats, which
+    # nothing needs); d=1 eigenvalues load scipy.linalg, the Poisson tails
+    # scipy.special, and after every command each loaded OpenBLAS copy is at one thread
+    def config(name, fields):
+        return write_config(tmp_path, name=f"{name}.json", **fields)
+
+    minami = tmp_path / "minami"
+    spacing_d1 = ids_fields(ids_radius=20, ids_realizations=4, stats_radius=10,
+                            realizations=20, window=[-2.0, 2.0])
+    runs = [  # argv, and the scipy modules loaded after it
+        (["check", "--config", config("check", base_fields())], []),
+        (["constants", "--config", config("constants", base_fields(site_x=[0], site_y=[1]))], []),
+        (["minami", "--config", config("minami", minami_fields(samples=40)), "--out", minami], []),
+        (["verify-digest", "--config", tmp_path / "minami.json",
+          "--records", minami / "results.jsonl"], []),
+        (["wegner", "--config", config("wegner", base_fields(interval=[0.0, 1.0], samples=40))], []),
+        (["two-ev", "--config", config("two-ev", base_fields(box_radius=3, interval=[0.95, 1.05],
+                                                             samples=40))], []),
+        (["fvc", "--config", config("fvc", fvc_fields())], []),
+        (["fmb", "--config", config("fmb", fmb_fields())], []),
+        (["ids", "--config", config("ids_d2", ids_fields(dimension=2, ids_radius=3, ids_realizations=2))],
+         []),
+        # the Poisson tails first load scipy's OpenBLAS copy here
+        (["spacing", "--config", config("synthetic", base_fields(realizations=50)),
+          "--synthetic", "poisson"], ["scipy.special"]),
+        (["ids", "--config", config("ids_d1", ids_fields(ids_radius=20, ids_realizations=2))],
+         ["scipy.linalg", "scipy.special"]),
+        (["spacing", "--config", config("spacing_d1", spacing_d1)], ["scipy.linalg", "scipy.special"]),
+    ]
+    subcommands = next(
+        action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    assert {argv[0] for argv, _ in runs} == set(subcommands), "give every command a run here"
+    body = """
+report = [state()]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        report.append([alloylab.cli.main(argv), state()])
+print(json.dumps(report))
+"""
+    imported, *after = run_fresh(tmp_path, body, json.dumps([list(map(str, argv)) for argv, _ in runs]))
+    assert imported["modules"] == []
+    for (argv, modules), (code, state) in zip(runs, after):
+        assert code in ((0, 1) if argv[0] == "spacing" else (0,)), argv
+        assert state["modules"] == modules, argv
+        assert set(state["threads"].values()) <= {estimators.PINNED_BLAS_THREADS}, (argv, state)
+
+
+def test_a_copy_loaded_partway_through_a_process_is_pinned(tmp_path):
+    # two-ev loads only numpy's OpenBLAS copy, and its manifest lists that one with
+    # the pinned count; a d=1 spacing run then loads scipy.linalg in this process
+    # before it forks, so its workers inherit it, and pins scipy's copy with it
+    if estimators._openblas_libraries()[1] is not None:
+        pytest.skip("no bundled OpenBLAS thread control")
+    two_ev = write_config(tmp_path, name="two-ev.json",
+                          **base_fields(box_radius=3, interval=[0.95, 1.05], samples=40))
+    spacing = write_config(tmp_path, name="spacing.json",
+                           **ids_fields(ids_radius=20, ids_realizations=4, stats_radius=10,
+                                        realizations=20, window=[-2.0, 2.0]))
+    body = """
+from alloylab import spectra
+
+real_run_parallel, first_run = spectra.run_parallel, []
+
+
+def spy(*args, **kwargs):
+    if not first_run:
+        first_run.append(state()["modules"])
+    return real_run_parallel(*args, **kwargs)
+
+
+spectra.run_parallel = spy
+two_ev, spacing, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [alloylab.cli.main(["two-ev", "--config", two_ev, "--out", out])]
+    after_two_ev = state()
+    codes.append(alloylab.cli.main(["spacing", "--config", spacing, "--workers", "2"]))
+print(json.dumps([codes, after_two_ev, first_run, state()]))
+"""
+    out = tmp_path / "two-ev"
+    codes, after_two_ev, first_run, after_spacing = run_fresh(tmp_path, body, two_ev, spacing, out)
+    assert codes[0] == 0 and codes[1] in (0, 1)
+    assert first_run == [["scipy.linalg"]]
+    assert list(after_two_ev["threads"].values()) == [1]
+    assert list(after_spacing["threads"].values()) == [1, 1]
+    environment = json.loads((out / "manifest.json").read_text())["environment"]
+    assert environment["blas_threads"] == 1 and environment["blas_missing"] is None
+    assert list(environment["openblas"]) == ["numpy"]

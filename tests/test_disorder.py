@@ -441,6 +441,28 @@ def test_a_non_finite_newton_step_keeps_the_last_point(monkeypatch):
     assert calls[0] == 1 and max(calls[1:]) < 28
 
 
+def test_a_newton_step_that_leaves_the_leaf_keeps_the_last_point(monkeypatch):
+    # near a support end rho is small but not 0, so a Newton step there is finite
+    # and huge; clipped to the leaf's far end, it left these draws off their cell at
+    # the top level, and each resumed through all 28 levels below the table
+    rho = bump_density()
+    comparisons = []
+    real_cdf = rho.cdf
+    monkeypatch.setattr(rho, "cdf", lambda t: comparisons.append(t) or real_cdf(t))
+    low = [10.0**-e for e in range(100, 10, -1)]
+    high = [1.0 - 10.0**-e for e in range(14, 10, -1)]
+    calls = []
+    for q in low + high:
+        comparisons.clear()
+        t = rho.quantile(np.array([q]))
+        calls.append(len(comparisons))
+        assert t.tobytes() == reference_quantile(rho, np.array([q])).tobytes()
+    # below about 1e-35 the draw stays in cell 0, settled by the path check alone;
+    # above, and near 1 (where the CDF's rounding spans many cells), fewer levels resume
+    assert calls[: low.index(1e-35) + 1] == [1] * (low.index(1e-35) + 1)
+    assert max(calls) < 28 and sum(calls) < 600  # 94 x 28 = 2632 with the clip
+
+
 def test_quantile_without_an_exact_lattice_bisects_everything():
     # on [0.1, 0.9] the bisection's midpoints round off the lattice a + k h
     rho = PiecewisePolynomialDensity(moved(bump_profile(), 0.8, 0.1))

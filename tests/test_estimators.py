@@ -231,6 +231,8 @@ def openblas_libraries():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_parallel_pins_blas_to_one_thread(workers):
+    import scipy.linalg  # noqa: F401  -- loads scipy's copy, which the run then pins too
+
     libraries = openblas_libraries()
     assert [lib.package for lib in libraries] == ["numpy", "scipy"]
 
@@ -263,6 +265,14 @@ def test_blas_threads_sets_only_the_copies_not_at_the_count(monkeypatch):
     run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=2, chunk_size=8)
     run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=1)
     assert calls == []
+    # a copy that loads later is pinned by the next call, and a missing symbol of
+    # one copy does not keep the loaded ones from their pin
+    late = fake_blas("scipy", 2, calls)
+    monkeypatch.setattr(
+        estimators, "_openblas_libraries", lambda: ((libraries[0], late), "scipy_openblas_get_config")
+    )
+    run_parallel(lambda idx: np.zeros((len(idx), 1)), 32, 1, workers=1)
+    assert calls == [("scipy", 1)]
 
 
 def test_forked_runs_leave_no_blas_threads_in_a_pinned_process():

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-import alloylab
 from alloylab import spectra
 from alloylab.disorder import SingleSitePotential, bump_density
 from alloylab.estimators import ExperimentConfig
@@ -278,16 +273,6 @@ def test_poisson_and_chi2_tails_match_scipy_stats_bit_for_bit(k, mean, statistic
     assert np.array_equal(poisson_pmf(ks, mean), stats.poisson.pmf(ks, mean))
     assert special.pdtrc(k, mean) == stats.poisson.sf(k, mean)
     assert special.chdtrc(dof, statistic) == stats.chi2.sf(statistic, dof)
-
-
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    code = "import sys, alloylab.cli; print('scipy.stats' in sys.modules)"
-    src = str(Path(alloylab.__file__).parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.stdout.strip() == "False"
 
 
 def test_poisson_tests_pass_on_true_poisson_input():

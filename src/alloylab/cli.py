@@ -26,7 +26,6 @@ from . import __version__
 from .config import ConfigError, experiment_from_config, load_config, read
 from .disorder import POINTS_BUDGET, check_assumption
 from .estimators import (
-    PINNED_BLAS_THREADS,
     VERDICT_VIOLATED,
     VERDICT_WITHIN,
     NumericalFault,
@@ -519,7 +518,7 @@ def main(argv=None) -> int:
     # the command is the process: pinned once and never restored, BLAS is already
     # at run_parallel's count after each fork, so no OpenBLAS pool is re-created;
     # scipy's copy, loaded later if at all, is pinned where it loads
-    pin_blas_threads(PINNED_BLAS_THREADS)
+    pin_blas_threads()
     try:
         raw = load_config(args.config)
         raw.update(_overrides(args))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -194,8 +194,8 @@ class DisorderDensity:
     polynomial density with an exact lattice (``_Lattice``) finds the final
     cell by an approximate inverse and checks it by two comparisons where
     its certificate holds, or along the cell's whole path elsewhere,
-    resuming the bisection where the path disagrees; densities without a
-    lattice bisect on.
+    resuming the bisection on ``cdf`` where the path disagrees; densities
+    without a lattice bisect on ``cdf``.
     """
 
     support: tuple[float, float]
@@ -213,7 +213,7 @@ class DisorderDensity:
     def config_key(self):
         raise NotImplementedError
 
-    def _tabulate_bisection(self, breakpoints=()) -> None:
+    def _tabulate_bisection(self) -> None:
         """Replay the first levels of the quantile bisection once, for every ``q`` at the same time.
 
         ``_edges`` are the bisection's bracket ends down to ``D = min(_TABLE_DEPTH,
@@ -221,8 +221,6 @@ class DisorderDensity:
         A draw at level ``l`` is at an edge ``j``, a multiple of ``2**(D - l)``, and
         compares at edge ``j + 2**(D - l - 1)``; leaf ``j`` brackets ``[_edges[j],
         _edges[j + 1]]``, and ``_depth`` levels of the bisection remain below it.
-        ``breakpoints`` bound the pieces of a piecewise density; ``_leaf_piece[j]``
-        is the piece that strictly contains leaf ``j``'s bracket, or -1.
         """
         a, b = self.support
         self._n_iter = max(1, math.ceil(math.log2((b - a) / QUANTILE_TOL)))
@@ -232,9 +230,6 @@ class DisorderDensity:
             edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
         self._edge_cdf = np.asarray(self.cdf(edges))
         self._edges = edges
-        self._leaf_piece = np.full(edges.size - 1, -1)
-        for i, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
-            self._leaf_piece[(left < edges[:-1]) & (edges[1:] < right)] = i
 
     def quantile(self, q) -> np.ndarray:
         """The bisection on ``cdf`` to ``QUANTILE_TOL``, bit for bit, from a tabulated prefix.
@@ -242,9 +237,7 @@ class DisorderDensity:
         A draw walks the tabulated levels by the bisection's own comparisons
         ``cdf(mid) < q`` (a NaN ``q`` goes left).  Below its leaf, the lattice
         (when the density has one) finds every draw's final cell
-        (``_Lattice.midpoints``); without one, every draw bisects on: on its
-        piece's function when the leaf lies strictly inside a piece, on ``cdf``
-        otherwise.
+        (``_Lattice.midpoints``); without one, every draw bisects on ``cdf``.
         """
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
@@ -257,11 +250,7 @@ class DisorderDensity:
         if self._lattice is not None:
             mid = self._lattice.midpoints(self, leaf, lo, flat)
         else:
-            hi, piece = self._edges[leaf + 1], self._leaf_piece[leaf]
-            for rows in (np.flatnonzero(piece < 0), np.flatnonzero(piece >= 0)):
-                if rows.size:
-                    cdf = self.cdf if piece[rows[0]] < 0 else partial(_piece_cdf, self._cdf_rows[:, piece[rows]])
-                    lo[rows], hi[rows] = _bisect(lo[rows], hi[rows], flat[rows], cdf, self._depth)
+            lo, hi = _bisect(lo, self._edges[leaf + 1], flat, self.cdf, self._depth)
             mid = 0.5 * (lo + hi)
         mid = mid.reshape(q.shape)
         return mid if mid.ndim else float(mid)
@@ -283,9 +272,12 @@ def _piece_cdf(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``cum_i + (A_i(t) - A_i(t_i))`` by the steps of ``npoly.polyval``, for finite ``t``.
 
     ``rows`` is a column of ``_cdf_rows`` or one column per point; with each
-    point's own piece it is ``cdf``.  The zero padding changes no bit: Horner's
-    steps through leading zeros give the top coefficient exactly, and the final
-    ``+ cum_i`` turns a ``-0.0`` into ``+0.0``.
+    point's own piece it is ``cdf``.  So every path of ``quantile`` keeps the
+    plain bisection's bits: the lattice compares on this only inside a leaf
+    strictly within one piece, and every other comparison calls ``cdf``.  The
+    zero padding changes no bit: Horner's steps through leading zeros give the
+    top coefficient exactly, and the final ``+ cum_i`` turns a ``-0.0`` into
+    ``+0.0``.
     """
     value = _horner(rows[:-2], t)
     value += rows[-2]
@@ -397,6 +389,8 @@ class _Lattice:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.slope = np.where(rise > 0, (hi - lo) / rise, 0.0)  # the secant start's slope in each leaf
         self.piece = profile.piece_index(0.5 * (lo + hi))
+        left, right = np.asarray(profile.breakpoints)[[self.piece, self.piece + 1]]
+        inside = (left < lo) & (hi < right)  # the leaf lies strictly inside its piece
         # the certificate; a bound that overflows certifies nothing
         with np.errstate(over="ignore", invalid="ignore"):
             reach = np.maximum(np.abs(lo), np.abs(hi))
@@ -412,7 +406,7 @@ class _Lattice:
                     if 0 <= j < lo.size and lo[j] < x < hi[j]:
                         low[j] = min(low[j], npoly.polyval(x, coefficients))
             low -= _gamma(2 * width) * _horner(np.abs(pdf), reach)
-            self.certified = (density._leaf_piece >= 0) & (step * low > 4 * error)
+            self.certified = inside & (step * low > 4 * error)
 
     @staticmethod
     def _rows(table: np.ndarray, piece: np.ndarray) -> np.ndarray:
@@ -451,9 +445,8 @@ class _Lattice:
         are the bisection's own, so the bisection resumes at that level.
         """
         depth = density._depth
-        cdf = self._leaf_cdf(density, lo)
         shift = np.arange(depth - 1, -1, -1)[:, None]
-        go_right = cdf(lo + (((cell >> shift) | 1) << shift) * self.step) < q
+        go_right = density.cdf(lo + (((cell >> shift) | 1) << shift) * self.step) < q
         wrong = go_right != ((cell >> shift) & 1).astype(bool)
         rows = np.flatnonzero(wrong.any(axis=0))
         if rows.size:
@@ -462,33 +455,12 @@ class _Lattice:
             # the bisection's cell so far: the bits above the first wrong level, then its comparison there
             resumed = (cell[rows] >> (bit + 1) << (bit + 1)) | (go_right[level, rows].astype(np.int64) << bit)
             lo, q = lo[rows], q[rows]
-            cdf = self._leaf_cdf(density, lo)
             for next_level in range(int(level.min()) + 1, depth):
                 mid = resumed | 1 << (depth - 1 - next_level)
-                right = (level < next_level) & (cdf(lo + mid * self.step) < q)
+                right = (level < next_level) & (density.cdf(lo + mid * self.step) < q)
                 resumed = np.where(right, mid, resumed)
             cell[rows] = resumed
         return cell
-
-    def _leaf_cdf(self, density, lo):
-        """``density.cdf`` at lattice points inside the leaves ``[lo, lo + 2**depth h]``, a column each.
-
-        Where a leaf holds no breakpoint, every such point is on one piece, so its
-        column of ``_cdf_rows`` is gathered once and broadcast over the levels: the
-        bits of ``cdf``'s per-point gather.  A leaf across pieces is left to ``cdf``.
-        """
-        if density.profile.n_pieces == 1:
-            return density.cdf  # its one column broadcasts already
-        first, last = density.profile.piece_index(lo + np.array([[1], [2**density._depth - 1]]) * self.step)
-        rows, across = density._cdf_rows[:, first], np.flatnonzero(first != last)
-
-        def cdf(x):
-            out = _piece_cdf(rows, x)
-            if across.size:
-                out[..., across] = density.cdf(x[..., across])
-            return out
-
-        return cdf
 
 
 class PiecewisePolynomialDensity(DisorderDensity):
@@ -538,7 +510,7 @@ class PiecewisePolynomialDensity(DisorderDensity):
             self._cdf_rows[: a_i.size, i] = a_i
         self._cdf_rows[width] = -anti_left
         self._cdf_rows[width + 1, 1:] = np.cumsum(masses)[:-1]
-        self._tabulate_bisection(bp)
+        self._tabulate_bisection()
         if (step := _lattice_step(a, b, self._n_iter)) is not None:
             self._lattice = _Lattice(self, step)
 

@@ -48,6 +48,8 @@ from .transform import build_circulant, minami_constants
 
 FAILURE_CAP = 1e-3
 RESAMPLE_CAP = 1e-2
+RESONANCE_GAP = 1e-6  # fvc redraws a sample with an eigenvalue this close to its energy
+MAX_ATTEMPTS = 64  # draws per fvc sample before it counts as failed
 SHARED_BYTES = 2**30  # the most a run's shared rows may map: 1 GiB
 _COUNT_CHUNK = 64  # two chunks of a 128-sample count run, so both workers stay busy
 PINNED_BLAS_THREADS = 1
@@ -124,18 +126,18 @@ def _openblas_libraries() -> tuple[tuple[BlasLibrary, ...], str | None]:
     return tuple(found), missing[0] if missing else None
 
 
-def pin_blas_threads(n: int) -> None:
-    """Set every loaded OpenBLAS copy to ``n`` threads, for the rest of the process.
+def pin_blas_threads() -> None:
+    """Set every loaded OpenBLAS copy to ``PINNED_BLAS_THREADS``, for the rest of the process.
 
-    A copy already at ``n`` is left alone: once the process has forked,
+    A copy already at that count is left alone: once the process has forked,
     OpenBLAS re-creates its thread pool on any thread-count call, and the new
     threads spin before they sleep.  So a pin is never restored.  A copy that
     loads later is pinned by the next call; a missing library or symbol is
     skipped (``blas_environment`` names it).
     """
     for lib in _openblas_libraries()[0]:
-        if lib.get_threads() != n:
-            lib.set_threads(n)
+        if lib.get_threads() != PINNED_BLAS_THREADS:
+            lib.set_threads(PINNED_BLAS_THREADS)
 
 
 def blas_environment() -> dict:
@@ -191,7 +193,7 @@ def run_parallel(
                 return index, exc
             values[start:stop, :] = out
 
-    pin_blas_threads(PINNED_BLAS_THREADS)
+    pin_blas_threads()
     _run_forked(run_spans, n_workers)
     return values
 
@@ -665,14 +667,13 @@ def probe_fvc(
     decay_exponent: float,
     radii: Sequence[int],
     regularization: float = 1e-8,
-    resonance_gap: float = 1e-6,
-    max_attempts: int = 64,
 ) -> list[FvcPoint]:
     """Probability that all well-separated Green entries decay like ``L**-Theta``.
 
     The energy is taken real (from ``cfg.energy``), regularized by a tiny
-    imaginary part; draws with an eigenvalue in ``[E - gap, E + gap]`` (or
-    non-finite) are redrawn from the sample's next block of uniforms and counted.
+    imaginary part; draws with an eigenvalue in ``[E - RESONANCE_GAP, E + RESONANCE_GAP]``
+    (or non-finite) are redrawn from the sample's next block of uniforms and
+    counted, up to ``MAX_ATTEMPTS`` draws.
     """
     if not decay_exponent > 3 * cfg.dimension - 1:  # NaN included
         raise ValueError(
@@ -694,7 +695,7 @@ def probe_fvc(
         pair_mask = seps >= radius / 2.0
         threshold = float(radius) ** -decay_exponent
         shift = energy + 1j * regularization
-        window = (energy - resonance_gap, energy + resonance_gap)
+        window = (energy - RESONANCE_GAP, energy + RESONANCE_GAP)
 
         def kernel(indices):
             rows = np.full((len(indices), 3), np.nan)
@@ -702,7 +703,7 @@ def probe_fvc(
             diagonals = np.empty((len(indices), inner.size))
             # round k redraws the rows still resonant (NaN counts too) from block k
             pending = np.arange(len(indices))
-            for attempt in range(max_attempts):
+            for attempt in range(MAX_ATTEMPTS):
                 diagonals[pending] = _draw_diagonals(cfg, inner, indices[pending], attempt)
                 counts, fallback = interval_counts(inner, diagonals[pending], [window])
                 rows[pending, 2] += fallback[:, 0]

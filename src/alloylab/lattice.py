@@ -85,9 +85,9 @@ class Box:
         return rank
 
 
-def box(radius: int, dimension: int, center: Site | None = None) -> Box:
-    """Convenience constructor, origin-centered by default."""
-    return Box(center if center is not None else origin(dimension), radius)
+def box(radius: int, dimension: int) -> Box:
+    """The origin-centered box of the given radius; ``Box(center, radius)`` builds any other."""
+    return Box(origin(dimension), radius)
 
 
 def envelope_box(lambda_box: Box, reach: int) -> Box:

@@ -263,8 +263,6 @@ def chain_eigenvalues(diagonal: np.ndarray) -> np.ndarray:
     import scipy.linalg
 
     diagonal = np.asarray(diagonal, dtype=float)
-    if diagonal.size == 1:
-        return diagonal.copy()
     off = -np.ones(diagonal.size - 1)
     return scipy.linalg.eigh_tridiagonal(diagonal, off, eigvals_only=True)
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .disorder import POINTS_BUDGET
 from .estimators import (
-    PINNED_BLAS_THREADS,
     ExperimentConfig,
     _draw_diagonals,
     pin_blas_threads,
@@ -99,29 +98,25 @@ def empirical_ids(
     cfg: ExperimentConfig,
     ids_radius: int,
     n_realizations: int,
-    grid: np.ndarray | None = None,
     grid_points: int = 20001,
 ) -> EmpiricalIDS:
     """Average the normalized counting function over independent realizations.
 
-    The default grid covers the almost-sure spectral range padded by one
-    unit.  Eigenvalues escaping the grid are a configuration error and are
-    reported, not clipped.
+    The grid is ``grid_points`` energies over the almost-sure spectral range
+    padded by one unit.  Eigenvalues escaping the grid are a configuration
+    error and are reported, not clipped.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")
-    if grid is None:
-        if grid_points > POINTS_BUDGET:
-            raise ValueError(f"grid_points {grid_points} is past the budget of {POINTS_BUDGET} points")
-        lo, hi = spectral_range(cfg)
-        if not math.isfinite((hi + 1.0) - (lo - 1.0)):
-            raise ValueError(
-                f"disorder_strength {cfg.disorder_strength!r} puts the spectral range "
-                f"[{lo}, {hi}] out of the floating-point range"
-            )
-        grid = np.linspace(lo - 1.0, hi + 1.0, grid_points)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    if grid_points > POINTS_BUDGET:
+        raise ValueError(f"grid_points {grid_points} is past the budget of {POINTS_BUDGET} points")
+    lo, hi = spectral_range(cfg)
+    if not math.isfinite((hi + 1.0) - (lo - 1.0)):
+        raise ValueError(
+            f"disorder_strength {cfg.disorder_strength!r} puts the spectral range "
+            f"[{lo}, {hi}] out of the floating-point range"
+        )
+    grid = np.linspace(lo - 1.0, hi + 1.0, grid_points)
     if grid.size < 2 or not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
         raise ValueError(
             f"the IDS grid needs 2 or more finite, increasing energies, got {grid.size} points"
@@ -205,7 +200,7 @@ def _special():
     """
     from scipy import special
 
-    pin_blas_threads(PINNED_BLAS_THREADS)
+    pin_blas_threads()
     return special
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from .disorder import DisorderDensity, SingleSitePotential
 from .lattice import Box, Site, envelope_box
 
+LIMIT_GRID_POINTS = 2**22  # the largest Fourier grid ``limit_inverse_one_norm`` tries
+
 
 class TransformError(RuntimeError):
     """Raised when the periodized transform is singular at this volume."""
@@ -129,14 +131,14 @@ def build_circulant(potential: SingleSitePotential, lambda_box: Box) -> Circulan
 def limit_inverse_one_norm(
     potential: SingleSitePotential,
     tolerance: float = 1e-8,
-    max_grid_points: int = 2**22,
 ) -> float:
     """Certified upper bound on the l1 norm of the infinite inverse convolution.
 
     The Fourier coefficients of the reciprocal symbol are recovered on
     doubling grids; their absolute sum converges from below and the
     geometric tail (fitted on max-norm shells) is added twice to cover both
-    the missing coefficients and the aliasing they induce.
+    the missing coefficients and the aliasing they induce.  If no grid of
+    at most ``LIMIT_GRID_POINTS`` points converges, it raises ``TransformError``.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
@@ -145,7 +147,7 @@ def limit_inverse_one_norm(
     while resolution < 4 * (2 * potential.support_radius + 1):
         resolution *= 2
     min_seen = math.inf
-    while resolution**d <= max_grid_points:
+    while resolution**d <= LIMIT_GRID_POINTS:
         _, kernel, modulus = _reciprocal_kernel(potential, resolution, 1e-13)
         min_seen = min(min_seen, float(np.min(modulus)))
         if kernel is None:

@@ -386,9 +386,9 @@ def test_quantile_tiers_each_keep_the_bisection_bits(monkeypatch):
     t = rho.quantile(q)
     assert t.tobytes() == reference_quantile(rho, q).tobytes()
     leaf = np.floor(t[:3] * 4096).astype(int)
-    assert lattice.certified[leaf[0]]
-    assert not lattice.certified[leaf[1]] and rho._leaf_piece[leaf[1]] >= 0
-    assert rho._leaf_piece[leaf[2]] == -1
+    edges, breakpoints = rho._edges, rho.profile.breakpoints
+    assert [any(edges[j] < x < edges[j + 1] for x in breakpoints) for j in leaf] == [False, False, True]
+    assert lattice.certified[leaf[0]] and not lattice.certified[leaf[1:]].any()
     # the first is settled by two comparisons, the other three by the path
     # check (a NaN goes left at every level, the path of cell 0): none moves
     assert resumed == [(3, 0)] and not bisected
@@ -461,6 +461,24 @@ def test_a_newton_step_that_leaves_the_leaf_keeps_the_last_point(monkeypatch):
     # above, and near 1 (where the CDF's rounding spans many cells), fewer levels resume
     assert calls[: low.index(1e-35) + 1] == [1] * (low.index(1e-35) + 1)
     assert max(calls) < 28 and sum(calls) < 600  # 94 x 28 = 2632 with the clip
+
+
+def test_a_density_without_a_lattice_bisects_every_row_on_its_cdf(monkeypatch):
+    # two pieces on [0.1, 0.9], no exact lattice: rows in leaves inside one piece
+    # and rows in the leaf across the cut all bisect on cdf itself, in one call
+    rho = PiecewisePolynomialDensity(moved(bump_profile(), 0.8, 0.1, split=0.4))
+    assert rho._lattice is None and rho.profile.n_pieces == 2
+    calls = []
+    real_bisect = disorder._bisect
+
+    def bisect_spy(lo, hi, q, cdf, levels):
+        calls.append((q.size, cdf))
+        return real_bisect(lo, hi, q, cdf, levels)
+
+    monkeypatch.setattr(disorder, "_bisect", bisect_spy)
+    q = np.concatenate([[float(rho.cdf(0.42))], lattice_quantiles(rho, np.random.default_rng(7))])
+    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+    assert calls == [(q.size, rho.cdf)]
 
 
 def test_quantile_without_an_exact_lattice_bisects_everything():

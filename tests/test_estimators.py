@@ -258,7 +258,7 @@ def test_blas_threads_sets_only_the_copies_not_at_the_count(monkeypatch):
     calls = []
     libraries = (fake_blas("numpy", 1, calls), fake_blas("scipy", 2, calls))
     monkeypatch.setattr(estimators, "_openblas_libraries", lambda: (libraries, None))
-    estimators.pin_blas_threads(1)
+    estimators.pin_blas_threads()
     assert calls == [("scipy", 1)]
     # the pin is kept: a forked run finds every copy pinned and makes no thread-count call
     calls.clear()
@@ -776,20 +776,23 @@ def fvc_reference(cfg, radius, decay_exponent, gap):
     return outcomes, resamples
 
 
-def test_fvc_resampling_matches_per_row_reference():
+def test_fvc_resampling_matches_per_row_reference(monkeypatch):
     cfg = make_config(disorder_strength=10.0, energy=1.0 + 0j, n_samples=600, seed=4)
     outcomes, resamples = fvc_reference(cfg, 3, 3.0, 0.05)
-    assert 0 < max(resamples) < 64
+    assert 0 < max(resamples) < estimators.MAX_ATTEMPTS
+    monkeypatch.setattr(estimators, "RESONANCE_GAP", 0.05)
     # with a single attempt every resonant first draw is a failed sample
     failed = sum(r > 0 for r in resamples)
     for workers in (1, 2):
         run = replace(cfg, workers=workers)
-        (point,) = probe_fvc(run, decay_exponent=3.0, radii=[3], resonance_gap=0.05)
+        (point,) = probe_fvc(run, decay_exponent=3.0, radii=[3])
         assert point.probability == sum(outcomes) / 600
         assert point.resample_fraction == sum(resamples) / (600 + sum(resamples))
         assert point.n_failed == 0
-        with pytest.raises(RunFailure, match=f"{failed} of 600"):
-            probe_fvc(run, decay_exponent=3.0, radii=[3], resonance_gap=0.05, max_attempts=1)
+        with monkeypatch.context() as single:
+            single.setattr(estimators, "MAX_ATTEMPTS", 1)
+            with pytest.raises(RunFailure, match=f"{failed} of 600"):
+                probe_fvc(run, decay_exponent=3.0, radii=[3])
 
 
 def test_fmb_decay_rate_grows_with_disorder():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from alloylab.disorder import SingleSitePotential, bump_density
 from alloylab import operator
-from alloylab.lattice import box, envelope_box
+from alloylab.lattice import Box, box, envelope_box
 from alloylab.operator import (
     ResolventError,
     ResourceLimit,
@@ -99,8 +99,8 @@ def profile_cases(draw):
     margin = draw(st.integers(0, 2))
     field_center = tuple(draw(st.integers(-3, 3)) for _ in range(d))
     offset = tuple(draw(st.integers(-margin, margin)) for _ in range(d))
-    inner = box(radius, d, center=tuple(c + o for c, o in zip(field_center, offset)))
-    field = box(radius + u.support_radius + margin, d, center=field_center)
+    inner = Box(tuple(c + o for c, o in zip(field_center, offset)), radius)
+    field = Box(field_center, radius + u.support_radius + margin)
     couplings = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
         -1.0, 1.0, size=(draw(st.integers(1, 4)), field.size)
     )
@@ -138,10 +138,10 @@ def test_potential_profiles_refuse_a_field_too_small(case, data):
     edge = field.center[axis] + sign * (field.radius - inner.radius - u.support_radius)
     center = list(inner.center)
     center[axis] = edge
-    touching = box(inner.radius, inner.dimension, center=tuple(center))
+    touching = Box(tuple(center), inner.radius)
     operator.potential_profiles(touching, u, field, couplings)
     center[axis] = edge + sign
-    outside = box(inner.radius, inner.dimension, center=tuple(center))
+    outside = Box(tuple(center), inner.radius)
     with pytest.raises(ValueError, match="leaves the coupling field"):
         operator.potential_profiles(outside, u, field, couplings)
 
@@ -207,6 +207,19 @@ def test_chain_eigenvalues_matches_dense():
         np.linalg.eigvalsh(dense + 2.0 * np.eye(31)),
         atol=1e-10,
     )
+
+
+def test_a_one_site_chain_returns_its_diagonal_bits():
+    # the tridiagonal solver returns a 1x1 diagonal as it is, signed zeros,
+    # subnormals and the largest doubles included
+    rows = np.array([[-0.0], [0.0], [5e-324], [-1e308], [1e308]])
+    for row in rows:
+        assert chain_eigenvalues(row).tobytes() == row.tobytes()
+    assert operator.eigenvalues(box(0, 1), rows).tobytes() == rows.tobytes()
+    # a non-finite diagonal is refused at one site as at two
+    for diagonal in ([math.nan], [math.nan, 0.0]):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            chain_eigenvalues(np.array(diagonal))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ inverse it replaced.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -287,3 +288,41 @@ def test_no_band_is_read_out_of_a_dense_matrix():
                 if names & dense:
                     readers.append((module, name, ast.unparse(call)))
     assert readers == []
+
+
+def test_every_keyword_default_is_passed_inside_the_package():
+    # a default that no call in the package overrides is an option only tests
+    # select: it becomes a module constant (tests monkeypatch it) or goes; the
+    # console entry point's argv is the one exception
+    owners = {}  # (module, line) of each method: its class
+    for path in sorted(Path(alloylab.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            for item in cls.body if isinstance(cls, ast.ClassDef) else []:
+                if isinstance(item, ast.FunctionDef):
+                    owners[path.stem, item.lineno] = cls.name
+    calls = [call for _, _, node in _src_functions() for call in ast.walk(node) if isinstance(call, ast.Call)]
+    unpassed = []
+    for module, name, node in _src_functions():
+        if name.startswith("_") and name != "__init__":
+            continue
+        owner = owners.get((module, node.lineno))
+        static = "staticmethod" in {ast.unparse(d) for d in node.decorator_list}
+        offset = 1 if owner is not None and not static else 0  # self or cls
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        target = owner if name == "__init__" else name  # a class call passes its __init__'s arguments
+        for arg in defaulted:
+            index = positional.index(arg) - offset if arg in positional else math.inf
+            if not any(
+                _called(call) == target
+                and (
+                    len(call.args) > index
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg in (arg.arg, None) for k in call.keywords)
+                )
+                for call in calls
+            ):
+                unpassed.append((module, name, arg.arg))
+    assert unpassed == [("cli", "main", "argv")]

@@ -101,17 +101,24 @@ def test_ids_realization_average_consistency():
     assert np.all(np.abs(few.values - many.values) < 6.0 * envelope + 5e-3)
 
 
-def test_ids_grid_escape_reports_eigenvalues():
+def test_ids_grid_escape_reports_eigenvalues(monkeypatch):
+    # a spectral range of [0, 0] pads to the grid [-1, 1], which the eigenvalues at strength 2 leave
+    monkeypatch.setattr(spectra, "spectral_range", lambda cfg: (0.0, 0.0))
     cfg = chain_config(disorder_strength=2.0)
     with pytest.raises(ValueError, match="escaped"):
-        empirical_ids(cfg, ids_radius=20, n_realizations=2, grid=np.linspace(-1.0, 1.0, 101))
+        empirical_ids(cfg, ids_radius=20, n_realizations=2, grid_points=101)
 
 
-@pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf]])
+# (spectral range or None for the config's own, grid_points): too few points, or a
+# padded range so narrow against its magnitude that the grid's energies repeat
+@pytest.mark.parametrize("grid", [(None, 1), (None, 0), ((1e17, 1e17), 101), ((1e17, 1e17 + 32.0), 101)])
 def test_ids_grid_refused_before_sampling(monkeypatch, grid):
+    span, grid_points = grid
+    if span is not None:
+        monkeypatch.setattr(spectra, "spectral_range", lambda cfg: span)
     monkeypatch.setattr(spectra, "run_parallel", refuse_sampling)
     with pytest.raises(ValueError, match="IDS grid needs 2 or more finite, increasing"):
-        empirical_ids(chain_config(), ids_radius=20, n_realizations=2, grid=np.array(grid))
+        empirical_ids(chain_config(), ids_radius=20, n_realizations=2, grid_points=grid_points)
 
 
 def test_ids_median_inversion():

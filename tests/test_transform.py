@@ -167,10 +167,11 @@ def test_limit_norm_refuses_a_tolerance_outside_the_positive_doubles(monkeypatch
         limit_inverse_one_norm(SingleSitePotential.delta(1), tolerance=tolerance)
 
 
-def test_limit_norm_nonconvergent_raises():
+def test_limit_norm_nonconvergent_raises(monkeypatch):
+    monkeypatch.setattr(transform_module, "LIMIT_GRID_POINTS", 2**10)
     u = SingleSitePotential({(0,): 1.0, (1,): -1.0})
     with pytest.raises(TransformError, match="smallest"):
-        limit_inverse_one_norm(u, max_grid_points=2**10)
+        limit_inverse_one_norm(u)
 
 
 # ---------------------------------------------------------------------------

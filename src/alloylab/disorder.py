@@ -87,17 +87,6 @@ class PiecewiseProfile:
         """The piece holding each ``t``, clipped to the ends; a breakpoint opens its right piece."""
         return np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1, 0, self.n_pieces - 1)
 
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        inside = (t >= self.breakpoints[0]) & (t <= self.breakpoints[-1])
-        idx = self.piece_index(t)
-        for i, coeffs in enumerate(self.coefficients):
-            mask = inside & (idx == i)
-            if np.any(mask):
-                out[mask] = npoly.polyval(t[mask], coeffs)
-        return out if out.ndim else float(out)
-
     def derivative(self) -> "PiecewiseProfile":
         return PiecewiseProfile(
             self.breakpoints,
@@ -109,8 +98,8 @@ class PiecewiseProfile:
     def critical_points(self) -> tuple[tuple[float, ...], ...]:
         """Per piece, the real roots of its derivative inside it.
 
-        The one critical-point scan, made once per profile: extrema, variation,
-        jumps and the quantile's certificate all read it.
+        The one critical-point scan, made once per profile: extrema, variation
+        and jumps all read it.
         """
         return tuple(
             tuple(_real_roots_in(npoly.polyder(np.asarray(c)) if len(c) > 1 else np.zeros(1), a, b))
@@ -186,23 +175,17 @@ class DisorderDensity:
     Subclasses provide ``pdf``/``cdf`` and the exact norms ``sup_norm``,
     ``d1_norm`` (L1 of the first derivative) and ``d2_norm`` (L1 of the
     second), and refuse to be built outside ``W^{2,1}``, so every density
-    object is in the class.  Quantiles are a bisection on the CDF to
-    1e-12, so sampling is deterministic given the uniform draws, and
-    ``quantile`` returns the plain bisection's bits in three tiers: its
-    first levels are tabulated at construction, as ``cdf`` at every bracket
-    end in x order (``_tabulate_bisection``); below a leaf, a piecewise
-    polynomial density with an exact lattice (``_Lattice``) finds the final
-    cell by an approximate inverse and checks it by two comparisons where
-    its certificate holds, or along the cell's whole path elsewhere,
-    resuming the bisection on ``cdf`` where the path disagrees; densities
-    without a lattice bisect on ``cdf``.
+    object is in the class.  ``quantile`` inverts the CDF to within the
+    cell ``h`` of a bisection to ``QUANTILE_TOL``, deterministically given
+    the uniform draws: the first levels of that bisection are tabulated at
+    construction (``_tabulate_bisection``), and below a leaf a checked
+    Newton step, with the bisection as its fallback, finds the point.
     """
 
     support: tuple[float, float]
     sup_norm: float
     d1_norm: float
     d2_norm: float
-    _lattice: "_Lattice | None" = None
 
     def pdf(self, t) -> np.ndarray:
         raise NotImplementedError
@@ -220,24 +203,37 @@ class DisorderDensity:
         n_iter)`` levels, in x order, and ``_edge_cdf`` is ``cdf`` at each of them.
         A draw at level ``l`` is at an edge ``j``, a multiple of ``2**(D - l)``, and
         compares at edge ``j + 2**(D - l - 1)``; leaf ``j`` brackets ``[_edges[j],
-        _edges[j + 1]]``, and ``_depth`` levels of the bisection remain below it.
+        _edges[j + 1]]``, and ``_depth`` levels of the bisection remain below it,
+        down to its cell ``h = (b - a) / 2**n_iter``.  ``_slope`` is each leaf's
+        inverse secant slope, 0 on a leaf the CDF is flat over.
         """
         a, b = self.support
-        self._n_iter = max(1, math.ceil(math.log2((b - a) / QUANTILE_TOL)))
-        self._depth = max(0, self._n_iter - _TABLE_DEPTH)
+        n_iter = max(1, math.ceil(math.log2((b - a) / QUANTILE_TOL)))
+        self._depth = max(0, n_iter - _TABLE_DEPTH)
+        self._half_cell = math.ldexp(b - a, -n_iter - 1)
         edges = np.array([a, b])
-        for _ in range(self._n_iter - self._depth):
+        for _ in range(n_iter - self._depth):
             edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
         self._edge_cdf = np.asarray(self.cdf(edges))
         self._edges = edges
+        rise = np.diff(self._edge_cdf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._slope = np.where(rise > 0, np.diff(edges) / rise, 0.0)
 
+    @np.errstate(all="ignore")  # a non-finite q or a vanishing pdf gives a non-finite step
     def quantile(self, q) -> np.ndarray:
-        """The bisection on ``cdf`` to ``QUANTILE_TOL``, bit for bit, from a tabulated prefix.
+        """``t`` with ``cdf(t - h/2) < q <= cdf(t + h/2)``, or else the bisection's bits.
 
-        A draw walks the tabulated levels by the bisection's own comparisons
-        ``cdf(mid) < q`` (a NaN ``q`` goes left).  Below its leaf, the lattice
-        (when the density has one) finds every draw's final cell
-        (``_Lattice.midpoints``); without one, every draw bisects on ``cdf``.
+        ``h`` is the cell of the bisection to ``QUANTILE_TOL``.  A draw walks
+        the tabulated levels by the bisection's own comparisons ``cdf(mid) <
+        q`` to its leaf, starts from the leaf's secant and takes
+        ``_NEWTON_STEPS`` Newton steps on ``cdf``/``pdf``; a step that leaves
+        the leaf, or is not finite, keeps the last point.  Every row is then
+        checked for the crossing the bisection would bracket; a row that fails
+        (a NaN ``q``, ``q`` at or past the support's ends, a leaf where the
+        density vanishes or the computed CDF rounds flat) bisects below its
+        leaf on ``cdf``, with the plain bisection's bits (``rtsafe``, Press et
+        al., *Numerical Recipes*, 3rd ed., 9.4).
         """
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
@@ -246,14 +242,19 @@ class DisorderDensity:
         while step:
             leaf += step * (self._edge_cdf[leaf + step] < flat)
             step //= 2
-        lo = self._edges[leaf]
-        if self._lattice is not None:
-            mid = self._lattice.midpoints(self, leaf, lo, flat)
-        else:
-            lo, hi = _bisect(lo, self._edges[leaf + 1], flat, self.cdf, self._depth)
-            mid = 0.5 * (lo + hi)
-        mid = mid.reshape(q.shape)
-        return mid if mid.ndim else float(mid)
+        lo, hi = self._edges[leaf], self._edges[leaf + 1]
+        t = lo + (flat - self._edge_cdf[leaf]) * self._slope[leaf]
+        for _ in range(_NEWTON_STEPS):
+            moved = t - (self.cdf(t) - flat) / self.pdf(t)
+            t = np.where((lo <= moved) & (moved <= hi), moved, t)
+        # the crossing the bisection would bracket in its last cell
+        checked = (self.cdf(t - self._half_cell) < flat) & ~(self.cdf(t + self._half_cell) < flat)
+        rest = np.flatnonzero(~checked)
+        if rest.size:
+            lo, hi = _bisect(lo[rest], hi[rest], flat[rest], self.cdf, self._depth)
+            t[rest] = 0.5 * (lo + hi)
+        t = t.reshape(q.shape)
+        return t if t.ndim else float(t)
 
 
 def _bisect(lo, hi, q, cdf, levels):
@@ -268,30 +269,7 @@ def _bisect(lo, hi, q, cdf, levels):
     return lo, hi
 
 
-def _piece_cdf(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``cum_i + (A_i(t) - A_i(t_i))`` by the steps of ``npoly.polyval``, for finite ``t``.
-
-    ``rows`` is a column of ``_cdf_rows`` or one column per point; with each
-    point's own piece it is ``cdf``.  So every path of ``quantile`` keeps the
-    plain bisection's bits: the lattice compares on this only inside a leaf
-    strictly within one piece, and every other comparison calls ``cdf``.  The
-    zero padding changes no bit: Horner's steps through leading zeros give the
-    top coefficient exactly, and the final ``+ cum_i`` turns a ``-0.0`` into
-    ``+0.0``.
-    """
-    value = _horner(rows[:-2], t)
-    value += rows[-2]
-    value += rows[-1]
-    return value
-
-
-_NEWTON_STEPS = 2  # from the secant start: the two comparisons then settle almost every draw
-
-
-def _gamma(k: int) -> float:
-    """Higham's ``gamma_k = k u / (1 - k u)``, ``u`` the unit roundoff."""
-    u = np.finfo(float).eps / 2
-    return k * u / (1 - k * u)
+_NEWTON_STEPS = 2  # from the secant start: the crossing check then passes for almost every draw
 
 
 def _horner(coefficients: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -304,174 +282,16 @@ def _horner(coefficients: np.ndarray, t: np.ndarray) -> np.ndarray:
     return value
 
 
-def _lattice_step(a: float, b: float, n_iter: int) -> float | None:
-    """The bisection's cell ``h = (b - a) / 2**n_iter``, or None if its points are not all exact.
-
-    Write ``h = m 2**e`` with ``m`` odd.  If ``a / h`` and ``b / h`` are integers and
-    ``2 max(|a|, |b|) / h * m <= 2**53``, every lattice point ``a + k h``, every sum of
-    two of them and every half-lattice point is an integer below ``2**53`` times a
-    power of two no finer than ``2**-1074``, so ``0.5 * (lo + hi)`` is exact at each
-    level and the bisection stays on the lattice.  In integers: ``a = lo / 2**p``,
-    ``b = hi / 2**p`` and ``h = (hi - lo) / 2**(p + n_iter)``.
-    """
-    if not math.isfinite(2 * max(abs(a), abs(b))):
-        return None
-    (lo, den_lo), (hi, den_hi) = a.as_integer_ratio(), b.as_integer_ratio()
-    den = max(den_lo, den_hi)  # both powers of two
-    lo, hi = lo * (den // den_lo), hi * (den // den_hi)
-    width, p = hi - lo, den.bit_length() - 1
-    if (lo << n_iter) % width or (hi << n_iter) % width:
-        return None
-    twos = (width & -width).bit_length() - 1
-    ends = max(abs(lo), abs(hi)) << n_iter >> twos  # max(|a|, |b|) / h * m
-    if 2 * ends > 2**53 or twos - p - n_iter - 1 < -1074:
-        return None
-    return math.ldexp(float(width), -p - n_iter)
-
-
-class _Lattice:
-    """The bisection's lattice below the tabulated leaves of a ``PiecewisePolynomialDensity``.
-
-    With an exact lattice (``_lattice_step``) the bisection below leaf ``[lo, hi]``
-    ends in a cell ``[lo + c h, lo + (c + 1) h]``, ``0 <= c < 2**depth``, and returns
-    ``lo + (c + 1/2) h``.  It compares ``f(x) < q`` only at interior lattice points
-    ``x``, ``f`` the leaf's piece CDF (``_piece_cdf``); if the computed ``f`` is
-    non-decreasing on them, the comparison is true, then false, along the lattice,
-    and the bisection lands on the one cell with ``f(lo + c h) < q`` (or ``c = 0``)
-    and not ``f(lo + (c + 1) h) < q`` (or ``c`` last): any method that finds that
-    cell has the bisection's bits.
-
-    Certificate (per leaf, vectorized).  A leaf is certified when it lies strictly
-    inside one piece ``i`` and ``h min_leaf rho > 4 E``, where, with ``m``
-    coefficients ``A_j`` of the piece's antiderivative and ``T = max |t|`` on the
-    leaf, ``E = gamma_(2m+2) (sum_j |A_j| T**j + |A_i(t_i)| + |cum_i|)``.  Horner's
-    rule is within ``gamma_(2m-2) sum_j |A_j| |t|**j`` of ``A(t)`` (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., 5.1), and ``_piece_cdf`` rounds
-    twice more, so the computed ``f`` is within ``E`` of the exact
-    ``F = cum_i + A - A_i(t_i)``; underflow adds at most ``2m`` half subnormals,
-    each scaled by at most ``max(1, |a|, |b|)**m``, which ``E`` also carries.  Between
-    neighbouring points ``F`` rises by at least ``h min A'``, and ``A' = rho`` up to
-    the rounding of ``A``'s coefficients, ``u sum_k |rho_k| T**k``.  ``min rho`` over
-    the leaf is taken at its ends and at the piece's interior critical points
-    (``PiecewiseProfile.critical_points``), less ``gamma_(2m) sum_k |rho_k| T**k``
-    for that rounding and the rounding of its own evaluation.  Then ``F`` rises by
-    more than ``4 E`` per cell, twice the ``2 E`` that makes ``f`` increase; the
-    other ``2 E`` is room for the critical points' placement error, which enters
-    ``rho`` squared since ``rho`` is flat there.
-
-    Per draw (``midpoints``): a secant start from the tabulated CDF at the leaf's
-    ends, ``_NEWTON_STEPS`` Newton steps on the leaf's piece, and the cell ``c``
-    holding the result.  A row of a certified leaf is settled by the two
-    comparisons above.  Any other row (a failed check, an uncertified leaf, a leaf
-    across pieces or at a support end) is moved one cell toward the comparison
-    that failed and checked along its whole path: the bisection lands on ``c``
-    exactly when its comparison at each of the ``depth`` ancestor midpoints agrees
-    with ``c``'s bit there, which needs no monotonicity.  Down to the first
-    comparison that disagrees, the path is the bisection's own, so a row off its
-    path resumes the bisection there (``_resume``): near a support end, where
-    ``f``'s rounding spans many cells, a few levels instead of ``depth``.  A Newton
-    step that leaves the leaf, or is not finite, keeps the last point: near a
-    support end ``rho`` is small or 0, and a step clipped to the leaf's far end
-    would leave the draw off its path from the top level.
-    A NaN ``q`` starts from cell 0, on whose path it lies: it goes left at every level.
-    """
-
-    def __init__(self, density: "PiecewisePolynomialDensity", step: float):
-        profile, edges = density.profile, density._edges
-        a, b = density.support
-        self.step = step
-        width = density._cdf_rows.shape[0] - 2
-        self.pdf_rows = np.zeros((width - 1, profile.n_pieces))  # rho's coefficients, one column per piece
-        for i, coefficients in enumerate(profile.coefficients):
-            self.pdf_rows[: len(coefficients), i] = coefficients
-        lo, hi = edges[:-1], edges[1:]
-        rise = np.diff(density._edge_cdf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.slope = np.where(rise > 0, (hi - lo) / rise, 0.0)  # the secant start's slope in each leaf
-        self.piece = profile.piece_index(0.5 * (lo + hi))
-        left, right = np.asarray(profile.breakpoints)[[self.piece, self.piece + 1]]
-        inside = (left < lo) & (hi < right)  # the leaf lies strictly inside its piece
-        # the certificate; a bound that overflows certifies nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            reach = np.maximum(np.abs(lo), np.abs(hi))
-            magnitudes = np.abs(self._rows(density._cdf_rows, self.piece))
-            size = _horner(magnitudes[:width], reach) + magnitudes[width] + magnitudes[width + 1]
-            scale = np.float64(max(1.0, abs(a), abs(b))) ** width
-            error = _gamma(2 * width + 2) * size + 2 * width * np.finfo(float).smallest_subnormal * scale
-            pdf = self._rows(self.pdf_rows, self.piece)
-            low = np.minimum(_horner(pdf, lo), _horner(pdf, hi))
-            for coefficients, points in zip(profile.coefficients, profile.critical_points):
-                for x in points:
-                    j = np.searchsorted(edges, x) - 1  # the leaf strictly holding x, if any
-                    if 0 <= j < lo.size and lo[j] < x < hi[j]:
-                        low[j] = min(low[j], npoly.polyval(x, coefficients))
-            low -= _gamma(2 * width) * _horner(np.abs(pdf), reach)
-            self.certified = inside & (step * low > 4 * error)
-
-    @staticmethod
-    def _rows(table: np.ndarray, piece: np.ndarray) -> np.ndarray:
-        """``table``'s column for each entry of ``piece``: one column broadcasts."""
-        return table if table.shape[1] == 1 else table[:, piece]
-
-    @np.errstate(all="ignore")  # a non-finite q or a flat leaf gives a non-finite step
-    def midpoints(self, density, leaf, lo, q) -> np.ndarray:
-        """The bisection's result for every row."""
-        h, last = self.step, 2**density._depth - 1
-        cdf_rows = self._rows(density._cdf_rows, self.piece[leaf])
-        pdf_rows = self._rows(self.pdf_rows, self.piece[leaf])
-        t = lo + (q - density._edge_cdf[leaf]) * self.slope[leaf]
-        hi = lo + (last + 1) * h
-        for _ in range(_NEWTON_STEPS):
-            step = (_piece_cdf(cdf_rows, t) - q) / _horner(pdf_rows, t)
-            moved = t - step
-            # a step that leaves the leaf, or is not finite, keeps the last point
-            t = np.where((lo <= moved) & (moved <= hi), moved, t)
-        cell = np.clip(np.floor((t - lo) / h), 0, last)
-        x = lo + cell * h
-        below = _piece_cdf(cdf_rows, np.stack([x, x + h])) < q
-        settled = self.certified[leaf] & (below[0] | (cell == 0)) & ~(below[1] & (cell < last))
-        rest = np.flatnonzero(~settled)
-        if rest.size:
-            cell = cell[rest] + (below[1, rest] & (cell[rest] < last)) - (~below[0, rest] & (cell[rest] > 0))
-            cell = np.nan_to_num(cell).astype(np.int64)  # a NaN candidate starts from cell 0
-            x[rest] = lo[rest] + self._resume(density, lo[rest], q[rest], cell) * h
-        return x + 0.5 * h
-
-    def _resume(self, density, lo, q, cell) -> np.ndarray:
-        """The bisection's cell below each leaf, from any candidate ``cell``.
-
-        The comparisons at ``cell``'s ``depth`` ancestor midpoints are made at
-        once; down to the first one that disagrees with ``cell``'s bit there, they
-        are the bisection's own, so the bisection resumes at that level.
-        """
-        depth = density._depth
-        shift = np.arange(depth - 1, -1, -1)[:, None]
-        go_right = density.cdf(lo + (((cell >> shift) | 1) << shift) * self.step) < q
-        wrong = go_right != ((cell >> shift) & 1).astype(bool)
-        rows = np.flatnonzero(wrong.any(axis=0))
-        if rows.size:
-            level = np.argmax(wrong[:, rows], axis=0)
-            bit = shift[level, 0]
-            # the bisection's cell so far: the bits above the first wrong level, then its comparison there
-            resumed = (cell[rows] >> (bit + 1) << (bit + 1)) | (go_right[level, rows].astype(np.int64) << bit)
-            lo, q = lo[rows], q[rows]
-            for next_level in range(int(level.min()) + 1, depth):
-                mid = resumed | 1 << (depth - 1 - next_level)
-                right = (level < next_level) & (density.cdf(lo + mid * self.step) < q)
-                resumed = np.where(right, mid, resumed)
-            cell[rows] = resumed
-        return cell
-
-
 class PiecewisePolynomialDensity(DisorderDensity):
     """Probability density given by a piecewise polynomial profile.
 
     Construction validates non-negativity, unit mass, and the regularity
     needed for the second-derivative norm to be a plain integral: the
     density and its first derivative must be continuous across pieces and
-    vanish at the support edges.  It also builds the CDF table once,
-    ``_cdf_rows``: per piece, its antiderivative ``A_i``, its value
-    ``-A_i(t_i)`` at the left breakpoint, and the cumulative mass below it.
+    vanish at the support edges.  It also builds two tables once, one
+    column per piece: ``_pdf_rows``, the piece's coefficients, and
+    ``_cdf_rows``, its antiderivative ``A_i``, its value ``-A_i(t_i)`` at
+    the left breakpoint, and the cumulative mass below it.
     """
 
     def __init__(self, profile: PiecewiseProfile, name: str | None = None):
@@ -510,26 +330,42 @@ class PiecewisePolynomialDensity(DisorderDensity):
             self._cdf_rows[: a_i.size, i] = a_i
         self._cdf_rows[width] = -anti_left
         self._cdf_rows[width + 1, 1:] = np.cumsum(masses)[:-1]
+        self._pdf_rows = np.zeros((width - 1, profile.n_pieces))  # rho_i's coefficients, zero-padded
+        for i, coefficients in enumerate(profile.coefficients):
+            self._pdf_rows[: len(coefficients), i] = coefficients
         self._tabulate_bisection()
-        if (step := _lattice_step(a, b, self._n_iter)) is not None:
-            self._lattice = _Lattice(self, step)
+
+    def _columns(self, table: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``table``'s column for the piece of each ``t``; one piece's column broadcasts."""
+        return table[:, 0] if table.shape[1] == 1 else table[:, self.profile.piece_index(t)]
 
     def pdf(self, t):
-        return self.profile(t)
-
-    def cdf(self, t):
-        """``cum_i + (A_i(t) - A_i(t_i))`` on piece ``i``: ``_piece_cdf`` on its column of ``_cdf_rows``."""
+        """``rho_i(t)`` on piece ``i``: ``_horner`` on its column of ``_pdf_rows``, 0 outside the support."""
         t = np.asarray(t, dtype=float)
         a, b = self.support
-        out = np.zeros_like(t)
-        out[t >= b] = 1.0
-        inside = (t >= a) & (t < b)
-        if np.any(inside):
-            t_in, rows = t[inside], self._cdf_rows  # one piece's column broadcasts
-            if rows.shape[1] > 1:
-                rows = rows[:, self.profile.piece_index(t_in)]
-            out[inside] = _piece_cdf(rows, t_in)
-        return out if out.ndim else float(out)
+        flat = t.ravel()
+        x = np.clip(flat, a, b)
+        out = _horner(self._columns(self._pdf_rows, x), x)
+        out[~((flat >= a) & (flat <= b))] = 0.0
+        return out.reshape(t.shape) if t.ndim else float(out[0])
+
+    def cdf(self, t):
+        """``cum_i + (A_i(t) - A_i(t_i))`` on piece ``i``, by Horner on its column of ``_cdf_rows``.
+
+        Every point is evaluated clipped to the support, so none overflows, and
+        kept only inside it.  The zero padding changes no bit: Horner's steps
+        through leading zeros give the top coefficient exactly, and the final
+        ``+ cum_i`` turns a ``-0.0`` into ``+0.0``.
+        """
+        t = np.asarray(t, dtype=float)
+        a, b = self.support
+        flat = t.ravel()
+        x = np.clip(flat, a, b)
+        rows = self._columns(self._cdf_rows, x)
+        out = _horner(rows[:-2], x) + rows[-2] + rows[-1]
+        out[~(flat >= a)] = 0.0  # a NaN too
+        out[flat >= b] = 1.0
+        return out.reshape(t.shape) if t.ndim else float(out[0])
 
     def config_key(self):
         return {

@@ -439,14 +439,14 @@ def _chunk_for(matrix_dim: int) -> int:
     return max(8, min(512, STACK_ENTRIES // max(1, matrix_dim * matrix_dim)))
 
 
-def _count_chunk(inner: Box, intervals, profiles: int = 1) -> int:
-    """Samples per chunk of a counting kernel whose samples count ``profiles`` boxes like ``inner``.
+def _count_chunk(inner: Box, intervals) -> int:
+    """Samples per chunk of a counting kernel over ``inner``.
 
     The dense chunk, grown to at most ``_COUNT_CHUNK`` samples where what
     ``interval_counts`` holds per sample fits the budget: the kernel's cost per
     call is mostly fixed, so it wants many lanes.
     """
-    fits = STACK_ENTRIES // (profiles * count_footprint(inner, intervals))
+    fits = STACK_ENTRIES // count_footprint(inner, intervals)
     return max(_chunk_for(inner.size), min(_COUNT_CHUNK, fits))
 
 
@@ -811,53 +811,4 @@ def probe_fractional_moment(
         amplitude=math.exp(intercept),
         decay_rate=-slope,
         r_squared=r_squared,
-    )
-
-
-# ---------------------------------------------------------------------------
-# independence diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass
-class IndependenceReport:
-    correlation: float
-    threshold: float
-    separation: int
-    n_samples: int
-
-    @property
-    def consistent_with_independence(self) -> bool:
-        return abs(self.correlation) < self.threshold
-
-
-def independence_probe(cfg: ExperimentConfig, separation: int) -> IndependenceReport:
-    """Correlation of eigenvalue counts in two far-apart boxes.
-
-    Counts become independent once the boxes are farther apart than the
-    potential support diameter; this checks the sample correlation is
-    statistically zero.  A diagnostic, not a proof.
-    """
-    if cfg.interval is None:
-        raise ValueError("independence probe needs an interval")
-    reach = cfg.potential.support_radius
-    if separation <= 2 * cfg.box_radius + 2 * reach:
-        raise ValueError("boxes overlap or share couplings at this separation")
-    center_two = (separation,) + (0,) * (cfg.dimension - 1)
-    boxes = (box(cfg.box_radius, cfg.dimension), Box(center_two, cfg.box_radius))
-    require_dense(boxes[0].size)  # a count's eigvalsh recount is dense
-
-    def kernel(indices):
-        # the two envelopes are disjoint and equal in size: box one reads block 0, box two block 1
-        draws = np.concatenate([_draw_diagonals(cfg, b, indices, k) for k, b in enumerate(boxes)])
-        # both boxes have the same shape, so one plan counts both
-        counts, _ = interval_counts(boxes[0], draws, [cfg.interval])
-        return counts.reshape(2, len(indices)).T
-
-    chunk = _count_chunk(boxes[0], [cfg.interval], profiles=2)
-    values = run_parallel(kernel, cfg.n_samples, 2, cfg.workers, chunk)
-    return IndependenceReport(
-        correlation=sample_correlation(values[:, 0], values[:, 1]),
-        threshold=3.0 / math.sqrt(cfg.n_samples),
-        separation=separation,
-        n_samples=cfg.n_samples,
     )

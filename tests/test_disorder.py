@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,6 +203,18 @@ def reference_cdf(rho, t):
     return out
 
 
+def reference_pdf(rho, t):
+    """The piecewise density written out: ``polyval`` on each piece, 0 outside the support."""
+    t = np.asarray(t, dtype=float)
+    bp = rho.profile.breakpoints
+    out = np.zeros_like(t)
+    idx = rho.profile.piece_index(t)
+    for i, coeffs in enumerate(rho.profile.coefficients):
+        mask = (t >= bp[0]) & (t <= bp[-1]) & (idx == i)
+        out[mask] = npoly.polyval(t[mask], coeffs)
+    return out
+
+
 PIECEWISE_DENSITIES = {"bump": bump_density(), "spline": spline_density(), "skewed": skewed_density()}
 
 
@@ -263,50 +276,64 @@ def test_cdf_matches_reference_bit_for_bit(name, points, seed):
     edges = list(rho.profile.breakpoints) + [-1.0, -1e-300, 1.0 + 1e-15, 2.0]
     t = np.array(points + spread + edges)
     assert rho.cdf(t).tobytes() == reference_cdf(rho, t).tobytes()
+    assert rho.pdf(t).tobytes() == reference_pdf(rho, t).tobytes()
     for x in t[:5]:
         assert rho.cdf(float(x)) == reference_cdf(rho, x)
+        assert rho.pdf(float(x)) == reference_pdf(rho, x)
 
 
 def test_quantile_pinned_values():
     # the literal sampling contract: a new quantile algorithm must change these on purpose
     q = [1e-9, 0.25, 0.5, 0.9, 1.0 - 1e-9]
     assert bump_density().quantile(q).tolist() == [
-        0.0004642666604013357, 0.3594361647897131, 0.49999999999954525,
-        0.7533635467111708, 0.9995357333541506,
+        0.0004642666604013357, 0.3594361647896471, 0.5,
+        0.7533635467115333, 0.9995357333541506,
     ]
     assert spline_density().quantile(q).tolist() == [
-        0.000500083374845417, 0.3668073739186184, 0.49999999999954525,
-        0.7438629777775532, 0.9994999165060108,
+        0.000500083374845417, 0.36680737391856777, 0.5,
+        0.7438629777772492, 0.9994999168706117,
     ]
 
 
-QUANTILE_DENSITIES = {**PIECEWISE_DENSITIES, "raised_cosine": raised_cosine_density()}
 EDGE_QUANTILES = [0.0, 1.0, 1.0 - 2.0**-53, 5e-324, math.nan, math.inf, -math.inf, -0.5, 1.5]
+# q from 1e-300 to 1e-11 and 1 - q from 1e-11 to 1e-15: the far tails, where rho is small
+TAIL_QUANTILES = [10.0**-e for e in range(300, 10, -1)] + [1.0 - 10.0**-e for e in range(11, 16)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    name=st.sampled_from(sorted(QUANTILE_DENSITIES)),
-    points=st.lists(st.floats(-0.5, 1.5), max_size=40),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_quantile_replays_the_bisection_bit_for_bit(name, points, seed):
-    rho = QUANTILE_DENSITIES[name]
-    rng = np.random.default_rng(seed)
-    # on [0, 1] the bisection's midpoints are the dyadic fractions: j / 2**12
-    # are the tabulated ones, j / 2**40 lie deeper; q equal to cdf there
-    # tests that a tie goes left
-    table = rho.cdf(rng.integers(1, 2**12, 64) / 2**12)
-    deep = rho.cdf(rng.integers(1, 2**40, 64) / 2**40)
-    tails = np.concatenate([rng.random(32) ** 8, 1.0 - rng.random(32) ** 8])
-    q = np.concatenate([points, EDGE_QUANTILES, rng.random(256), table, deep, tails])
-    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+def double_zero_density():
+    # rho = c t^2 (1 - t)^2 (t - 1/3)^2: the density vanishes inside its support too
+    shape = npoly.polymul(npoly.polymul([0, 0, 1], [1, -2, 1]), [1 / 9, -2 / 3, 1])
+    anti = npoly.polyint(shape)
+    coefficients = tuple(shape / (npoly.polyval(1.0, anti) - npoly.polyval(0.0, anti)))
+    return PiecewisePolynomialDensity(PiecewiseProfile((0.0, 1.0), (coefficients,)))
+
+
+def half_cell(rho):
+    """Half the cell of the bisection to ``QUANTILE_TOL`` on ``rho``'s support."""
+    a, b = rho.support
+    return (b - a) / 2 ** (math.ceil(math.log2((b - a) / disorder.QUANTILE_TOL)) + 1)
+
+
+def crossing_checked(rho, q, t):
+    """Rows where ``cdf(t - h/2) < q <= cdf(t + h/2)``: the bisection's own guarantee on its cell ``h``."""
+    half = half_cell(rho)
+    return (rho.cdf(t - half) < q) & ~(rho.cdf(t + half) < q)
+
+
+def same_bits(x, y):
+    return np.asarray(x, dtype=float).view(np.int64) == np.asarray(y, dtype=float).view(np.int64)
+
+
+def assert_checked_or_bisected(rho, q):
+    """Every row passes the crossing check or carries the plain bisection's bits, at any shape."""
+    t = rho.quantile(q)
+    assert np.all(crossing_checked(rho, q, t) | same_bits(t, reference_quantile(rho, q)))
+    # rows are independent of each other: the same bits as a grid and one at a time
     grid = q[: q.size // 2 * 2].reshape(2, -1)
-    assert rho.quantile(grid).tobytes() == reference_quantile(rho, grid).tobytes()
-    for x in EDGE_QUANTILES + points[:3]:
-        value = rho.quantile(np.float64(x))
-        assert type(value) is float
-        assert np.float64(value).tobytes() == np.float64(reference_quantile(rho, x)).tobytes()
+    assert rho.quantile(grid).tobytes() == t[: q.size // 2 * 2].tobytes()
+    for row in (0, 4, q.size - 1):
+        value = rho.quantile(np.float64(q[row]))
+        assert type(value) is float and same_bits(value, t[row])
 
 
 def moved(profile, scale, shift, split=None):
@@ -321,7 +348,7 @@ def moved(profile, scale, shift, split=None):
 
 
 def lattice_quantiles(rho, rng):
-    """``EDGE_QUANTILES``, uniforms, 8th-power tails, and ``cdf`` at tabulated and deep lattice points.
+    """Edge and tail quantiles, uniforms, 8th-power tails, and ``cdf`` at tabulated and deep bisection points.
 
     A tie ``q = cdf(x)`` lands left of ``x`` and the next float up lands right of it,
     so an inverse that rounds to the wrong side of ``x`` is caught either way.
@@ -331,176 +358,169 @@ def lattice_quantiles(rho, rng):
     table = rho.cdf(a + (b - a) * (rng.integers(1, 2**12, 32) / 2**12))
     deep = rho.cdf(a + (b - a) * (rng.integers(1, 2**n_iter, 64) / 2**n_iter))
     tails = np.concatenate([rng.random(32) ** 8, 1.0 - rng.random(32) ** 8])
-    return np.concatenate([EDGE_QUANTILES, rng.random(256), table, deep, np.nextafter(deep, 2.0), tails])
+    return np.concatenate(
+        [EDGE_QUANTILES, TAIL_QUANTILES, rng.random(256), table, deep, np.nextafter(deep, 2.0), tails]
+    )
+
+
+CONTRACT_DENSITIES = {**PIECEWISE_DENSITIES, "double_zero": double_zero_density()}
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    name=st.sampled_from(sorted(PIECEWISE_DENSITIES)),
+    name=st.sampled_from(sorted(CONTRACT_DENSITIES)),
     scale=st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 0.8]),
     shift=st.sampled_from([-1.0, -0.375, 0.0, 0.125, 0.5, 1.0, 0.1, 1.0 / 3.0]),
     split=st.none() | st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lattice_quantile_matches_the_bisection_on_moved_densities(name, scale, shift, split, seed):
-    # the W^{2,1} shapes above, scaled, shifted and with a piece cut in two:
-    # dyadic supports have an exact lattice, the others (0.1, 1/3, 0.8) mostly not
+def test_quantile_passes_the_crossing_check_or_keeps_the_bisection_bits(name, scale, shift, split, seed):
+    # the W^{2,1} shapes above, scaled, shifted and with a piece cut in two: on
+    # dyadic supports the bisection's points are exact multiples of its cell, on
+    # the others (0.1, 1/3, 0.8) mostly not; the path is the same for both
     try:
-        rho = PiecewisePolynomialDensity(moved(PIECEWISE_DENSITIES[name].profile, scale, shift, split))
+        rho = PiecewisePolynomialDensity(moved(CONTRACT_DENSITIES[name].profile, scale, shift, split))
     except ValueError:  # the moved coefficients round outside the mass or continuity tolerance
         assume(False)
-    q = lattice_quantiles(rho, np.random.default_rng(seed))
-    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
-    grid = q[: q.size // 2 * 2].reshape(2, -1)
-    assert rho.quantile(grid).tobytes() == reference_quantile(rho, grid).tobytes()
+    assert_checked_or_bisected(rho, lattice_quantiles(rho, np.random.default_rng(seed)))
 
 
-def spy_on_the_tiers(monkeypatch):
-    """Lists of the rows that reach ``_bisect`` and of ``(rows, cells moved)`` per ``_Lattice._resume`` call."""
-    bisected, resumed = [], []
-    real_bisect, real_resume = disorder._bisect, disorder._Lattice._resume
-
-    def bisect_spy(lo, hi, q, cdf, levels):
-        bisected.extend(q.tolist())
-        return real_bisect(lo, hi, q, cdf, levels)
-
-    def resume_spy(self, density, lo, q, cell):
-        candidate = cell.copy()
-        out = real_resume(self, density, lo, q, cell)
-        resumed.append((q.size, int(np.sum(out != candidate))))
-        return out
-
-    monkeypatch.setattr(disorder, "_bisect", bisect_spy)
-    monkeypatch.setattr(disorder._Lattice, "_resume", resume_spy)
-    return bisected, resumed
+@settings(max_examples=30, deadline=None)
+@given(points=st.lists(st.floats(-0.5, 1.5), max_size=40), seed=st.integers(0, 2**32 - 1))
+def test_raised_cosine_quantile_passes_the_crossing_check_or_keeps_the_bisection_bits(points, seed):
+    rho = raised_cosine_density()
+    q = np.concatenate([points, lattice_quantiles(rho, np.random.default_rng(seed))])
+    assert_checked_or_bisected(rho, q)
 
 
-def test_quantile_tiers_each_keep_the_bisection_bits(monkeypatch):
-    # the bump cut at 1/3, off the tabulated grid: the leaf holding 1/3 lies across two pieces
-    rho = PiecewisePolynomialDensity(moved(bump_profile(), 1.0, 0.0, split=1.0 / 3.0))
-    lattice = rho._lattice
-    bisected, resumed = spy_on_the_tiers(monkeypatch)
-    # a certified leaf at 0.4; near 1, where the CDF is large and rho small, the
-    # leaves are not certified; at 1/3 the leaf spans two pieces; a NaN
-    q = np.array([float(rho.cdf(0.4)), float(rho.cdf(0.985)), float(rho.cdf(1.0 / 3.0)), math.nan])
-    t = rho.quantile(q)
-    assert t.tobytes() == reference_quantile(rho, q).tobytes()
-    leaf = np.floor(t[:3] * 4096).astype(int)
-    edges, breakpoints = rho._edges, rho.profile.breakpoints
-    assert [any(edges[j] < x < edges[j + 1] for x in breakpoints) for j in leaf] == [False, False, True]
-    assert lattice.certified[leaf[0]] and not lattice.certified[leaf[1:]].any()
-    # the first is settled by two comparisons, the other three by the path
-    # check (a NaN goes left at every level, the path of cell 0): none moves
-    assert resumed == [(3, 0)] and not bisected
-    # with no Newton step, the secant's cell is mostly wrong: those rows fail
-    # both checks, resume the bisection where their path disagrees, and keep
-    # their bits
-    monkeypatch.setattr(disorder, "_NEWTON_STEPS", 0)
-    resumed.clear()
-    q = np.random.default_rng(4).random(2000)
-    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
-    assert sum(moved for _, moved in resumed) > 1000 and not bisected
-
-
-def test_quantile_near_a_support_end_resumes_the_bisection_on_the_lattice(monkeypatch):
-    # near 1 the bump's computed CDF rounds over tens of cells, so two Newton
-    # steps, or more, leave the draw off the bisection's cell; the bisection
-    # resumes where the cell's path first disagrees
-    rho = bump_density()
-    bisected, resumed = spy_on_the_tiers(monkeypatch)
-    q = np.array([float(rho.cdf(0.999))])
-    comparisons = []
-    real_cdf = rho.cdf
-    monkeypatch.setattr(rho, "cdf", lambda t: comparisons.append(t) or real_cdf(t))
-    t = rho.quantile(q)
-    inside_quantile = len(comparisons)
-    assert t.tobytes() == reference_quantile(rho, q).tobytes()
-    # the path check, then a few of the 28 levels below the table
-    assert resumed[0][1] == 1 and 1 < inside_quantile <= 8
-    q = np.array([float(rho.cdf(x)) for x in (0.9995, 0.9999, 1e-4, 1e-5)])
-    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
-    assert not bisected
-
-
-def test_a_non_finite_newton_step_keeps_the_last_point(monkeypatch):
-    # rho vanishes at the support ends, so a Newton step there divides by 0; the
-    # draw keeps its last point instead of falling to the leaf's other end and
-    # resuming through all 28 levels below the table
-    rho = bump_density()
-    comparisons = []
-    real_cdf = rho.cdf
-    monkeypatch.setattr(rho, "cdf", lambda t: comparisons.append(t) or real_cdf(t))
-    calls = []
-    for q in (5e-324, 1 - 2**-53, 1.0):
-        comparisons.clear()
-        t = rho.quantile(np.array([q]))
-        calls.append(len(comparisons))
-        assert t.tobytes() == reference_quantile(rho, np.array([q])).tobytes()
-    # the path check alone at 0; near 1 the computed CDF's rounding plateau
-    # still leaves the cell off the bisection's path for most levels
-    assert calls[0] == 1 and max(calls[1:]) < 28
-
-
-def test_a_newton_step_that_leaves_the_leaf_keeps_the_last_point(monkeypatch):
-    # near a support end rho is small but not 0, so a Newton step there is finite
-    # and huge; clipped to the leaf's far end, it left these draws off their cell at
-    # the top level, and each resumed through all 28 levels below the table
-    rho = bump_density()
-    comparisons = []
-    real_cdf = rho.cdf
-    monkeypatch.setattr(rho, "cdf", lambda t: comparisons.append(t) or real_cdf(t))
-    low = [10.0**-e for e in range(100, 10, -1)]
-    high = [1.0 - 10.0**-e for e in range(14, 10, -1)]
-    calls = []
-    for q in low + high:
-        comparisons.clear()
-        t = rho.quantile(np.array([q]))
-        calls.append(len(comparisons))
-        assert t.tobytes() == reference_quantile(rho, np.array([q])).tobytes()
-    # below about 1e-35 the draw stays in cell 0, settled by the path check alone;
-    # above, and near 1 (where the CDF's rounding spans many cells), fewer levels resume
-    assert calls[: low.index(1e-35) + 1] == [1] * (low.index(1e-35) + 1)
-    assert max(calls) < 28 and sum(calls) < 600  # 94 x 28 = 2632 with the clip
-
-
-def test_a_density_without_a_lattice_bisects_every_row_on_its_cdf(monkeypatch):
-    # two pieces on [0.1, 0.9], no exact lattice: rows in leaves inside one piece
-    # and rows in the leaf across the cut all bisect on cdf itself, in one call
-    rho = PiecewisePolynomialDensity(moved(bump_profile(), 0.8, 0.1, split=0.4))
-    assert rho._lattice is None and rho.profile.n_pieces == 2
+def spy_on_the_fallback(monkeypatch):
+    """The ``q`` of every row that reaches ``_bisect``, one list per call."""
     calls = []
     real_bisect = disorder._bisect
 
     def bisect_spy(lo, hi, q, cdf, levels):
-        calls.append((q.size, cdf))
+        calls.append(q.copy())
         return real_bisect(lo, hi, q, cdf, levels)
 
     monkeypatch.setattr(disorder, "_bisect", bisect_spy)
-    q = np.concatenate([[float(rho.cdf(0.42))], lattice_quantiles(rho, np.random.default_rng(7))])
-    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
-    assert calls == [(q.size, rho.cdf)]
+    return calls
 
 
-def test_quantile_without_an_exact_lattice_bisects_everything():
-    # on [0.1, 0.9] the bisection's midpoints round off the lattice a + k h
-    rho = PiecewisePolynomialDensity(moved(bump_profile(), 0.8, 0.1))
-    assert rho._lattice is None
-    q = lattice_quantiles(rho, np.random.default_rng(5))
-    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+@pytest.mark.parametrize("rho", [bump_density(), raised_cosine_density(),
+                                 PiecewisePolynomialDensity(moved(bump_profile(), 0.8, 0.1, split=0.4))],
+                         ids=["bump", "raised_cosine", "split_bump"])
+def test_only_the_rows_that_fail_the_check_are_bisected(monkeypatch, rho):
+    calls = spy_on_the_fallback(monkeypatch)
+    bulk = np.random.default_rng(8).uniform(1e-5, 1.0 - 1e-4, 14400)
+    fallbacks = [math.nan, 0.0, -0.5, 1.5, math.inf, -math.inf]
+    q = np.concatenate([bulk, fallbacks, TAIL_QUANTILES])
+    t = rho.quantile(q)
+    assert len(calls) == 1
+    fell = np.isin(q, calls[0]) | (np.isnan(q) & np.isnan(calls[0]).any())
+    # the rows that fell back, and only those, carry the bisection's bits: every
+    # other row is a Newton point that passed the crossing check
+    assert same_bits(t[fell], reference_quantile(rho, q[fell])).all()
+    assert crossing_checked(rho, q[~fell], t[~fell]).all()
+    assert np.mean(same_bits(t[~fell], reference_quantile(rho, q[~fell]))) < 0.01
+    # no draw of the bulk falls back (above 1 - 1e-4 a few bump draws in 10^6 do, where
+    # the computed CDF's rounding spans more than a cell); a NaN and q at or past the
+    # support's ends do
+    assert not fell[: bulk.size].any()
+    assert fell[bulk.size: bulk.size + len(fallbacks)].all()
+    # with no Newton step the secant start mostly fails the check: those rows
+    # fall back, and every row still keeps the contract
+    calls.clear()
+    monkeypatch.setattr(disorder, "_NEWTON_STEPS", 0)
+    assert_checked_or_bisected(rho, q)
+    assert calls[0].size > bulk.size // 2
 
 
-def test_leaves_where_the_density_vanishes_stay_uncertified():
-    # rho = c t^2 (1 - t)^2 (t - 1/3)^2: a double zero inside leaf 1365 of [0, 1]
-    shape = npoly.polymul(npoly.polymul([0, 0, 1], [1, -2, 1]), [1 / 9, -2 / 3, 1])
-    anti = npoly.polyint(shape)
-    coefficients = tuple(shape / (npoly.polyval(1.0, anti) - npoly.polyval(0.0, anti)))
-    rho = PiecewisePolynomialDensity(PiecewiseProfile((0.0, 1.0), (coefficients,)))
-    certified = rho._lattice.certified
-    assert not certified[1365] and not certified[0] and not certified[-1]
-    assert certified[[1000, 2000, 3000]].all()
-    zero = float(rho.cdf(1.0 / 3.0))
-    q = np.concatenate([zero + np.linspace(-1e-9, 1e-9, 101), lattice_quantiles(rho, np.random.default_rng(6))])
-    assert rho.quantile(q).tobytes() == reference_quantile(rho, q).tobytes()
+def spy_on_the_cdf(monkeypatch, rho):
+    """The points of every ``rho.cdf`` call."""
+    points = []
+    real_cdf = rho.cdf
+    monkeypatch.setattr(rho, "cdf", lambda t: points.append(np.copy(t)) or real_cdf(t))
+    return points
+
+
+def test_a_non_finite_newton_step_keeps_the_last_point(monkeypatch):
+    # rho vanishes at the support ends, so a Newton step there divides by 0
+    # (5e-324: its secant start is subnormal, and rho's 30 t^2 underflows) or is
+    # 0 / 0 (q = 1 at t = 1): the draw keeps its point for the next step
+    rho = bump_density()
+    points = spy_on_the_cdf(monkeypatch, rho)
+    for q in (5e-324, 1.0):
+        points.clear()
+        t = rho.quantile(np.array([q]))
+        start, after_one_step = points[0], points[1]  # each Newton step evaluates cdf at its point
+        assert start.tobytes() == after_one_step.tobytes()
+        assert crossing_checked(rho, q, t) | same_bits(t, reference_quantile(rho, q))
+    assert t.tobytes() == reference_quantile(rho, np.array([1.0])).tobytes()
+
+
+def test_a_newton_step_that_leaves_the_leaf_keeps_the_last_point(monkeypatch):
+    # near a support end rho is small but not 0, so a Newton step there is finite
+    # and huge: it leaves the leaf, and the draw keeps its point instead of being
+    # clipped to the leaf's far end; the crossing check then sends it to the bisection
+    rho = bump_density()
+    points = spy_on_the_cdf(monkeypatch, rho)
+    calls = spy_on_the_fallback(monkeypatch)
+    for q in (1e-20, 1e-15, 1e-12):
+        points.clear()
+        t = rho.quantile(np.array([q]))
+        start = points[0]
+        assert 0.0 < start[0] < 2.0**-12  # inside the first leaf
+        assert points[1].tobytes() == start.tobytes()  # the second Newton step starts from it again
+        assert t.tobytes() == reference_quantile(rho, np.array([q])).tobytes()
+    assert len(calls) == 3
+
+
+class ExactCdf:
+    """A piecewise density's CDF in exact rational arithmetic on its float coefficients."""
+
+    def __init__(self, rho):
+        self.breakpoints = [Fraction(x) for x in rho.profile.breakpoints]
+        self.antiderivatives = [
+            [Fraction(0)] + [Fraction(c) / (k + 1) for k, c in enumerate(piece)] for piece in rho.profile.coefficients
+        ]
+        self.below = [Fraction(0)]  # the mass below each piece
+        for i, anti in enumerate(self.antiderivatives):
+            self.below.append(self.below[-1] + self.rise(i, self.breakpoints[i + 1]))
+
+    def rise(self, piece, t):
+        value = Fraction(0)
+        for c in reversed(self.antiderivatives[piece]):
+            value = value * t + c
+        return value - sum(c * self.breakpoints[piece] ** k for k, c in enumerate(self.antiderivatives[piece]))
+
+    def __call__(self, t):
+        t = Fraction(t)
+        if t <= self.breakpoints[0]:
+            return Fraction(0)
+        if t >= self.breakpoints[-1]:
+            return self.below[-1]
+        piece = max(i for i, x in enumerate(self.breakpoints[:-1]) if x <= t)
+        return self.below[piece] + self.rise(piece, t)
+
+
+EXACT_CDFS = {name: ExactCdf(rho) for name, rho in PIECEWISE_DENSITIES.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PIECEWISE_DENSITIES)),
+    points=st.lists(st.floats(1e-6, 1.0 - 1e-5), min_size=1, max_size=20),
+)
+def test_quantile_is_within_tol_of_the_exact_inverse(name, points):
+    # |t - F^-1(q)| <= QUANTILE_TOL exactly when F(t - tol) <= q <= F(t + tol), F
+    # increasing; past 1 - 1e-5 the computed CDF's own rounding (terms near 15
+    # that cancel to 1, over rho below 1e-2) puts the plain bisection past the
+    # tolerance too, so no inverse of it can promise the bound there
+    rho, exact = PIECEWISE_DENSITIES[name], EXACT_CDFS[name]
+    q = np.array(points + [1e-6, 1.0 - 1e-5, 0.5])
+    tol = Fraction(disorder.QUANTILE_TOL)
+    for t, p in zip(rho.quantile(q).tolist(), q.tolist()):
+        assert exact(Fraction(t) - tol) <= Fraction(p) <= exact(Fraction(t) + tol)
 
 
 def test_discontinuous_pieces_rejected():

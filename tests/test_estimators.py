@@ -25,7 +25,6 @@ from alloylab.estimators import (
     estimate_minami,
     estimate_two_eigenvalue_probability,
     estimate_wegner,
-    independence_probe,
     probe_fractional_moment,
     probe_fvc,
     run_parallel,
@@ -554,7 +553,7 @@ def test_wegner_sweep_solves_each_sample_once(monkeypatch):
 
 def test_count_chunks_leave_the_counting_results_unchanged(monkeypatch):
     # d=2 r=6 counts run in 64-sample chunks; at the dense budget's 35 every
-    # wegner, two-ev and independence result is the same
+    # wegner and two-ev result is the same
     cfg = make_config(
         dimension=2,
         box_radius=6,
@@ -572,13 +571,13 @@ def test_count_chunks_leave_the_counting_results_unchanged(monkeypatch):
         records = [e.to_record() for e in [two_ev.probability, two_ev.half_moment, *sweep]]
         for record in records:
             del record["wall_time"]
-        return records, independence_probe(cfg, separation=16)
+        return records
 
     chunks = []
     count_chunk = estimators._count_chunk
     monkeypatch.setattr(estimators, "_count_chunk", lambda *a, **k: chunks.append(count_chunk(*a, **k)) or chunks[-1])
     grown = results()
-    assert chunks == [64, 64, 64]
+    assert chunks == [64, 64]
     monkeypatch.setattr(estimators, "_count_chunk", lambda *a, **k: 35)
     assert results() == grown
 
@@ -840,36 +839,9 @@ def test_probes_count_uncertified_solves(monkeypatch, probe):
             estimate_minami(replace(cfg, site_x=(-1,), site_y=(1,)))
 
 
-def test_independence_probe_distant_boxes():
-    cfg = make_config(
-        potential=NN, box_radius=2, interval=(0.0, 2.0), n_samples=600, seed=12
-    )
-    report = independence_probe(cfg, separation=12)
-    assert report.consistent_with_independence
-    with pytest.raises(ValueError, match="overlap"):
-        independence_probe(cfg, separation=5)
-
-
-def test_independence_probe_honours_shifted_laplacian():
-    # the 2d shift moves every eigenvalue by 2d, so shifting the interval
-    # with it must leave every count, hence the correlation, unchanged
-    plain = make_config(potential=NN, interval=(0.5, 1.5), n_samples=300, seed=13)
-    shifted = make_config(
-        potential=NN, interval=(2.5, 3.5), n_samples=300, seed=13, shifted_laplacian=True
-    )
-    expected = independence_probe(plain, separation=10).correlation
-    assert independence_probe(shifted, separation=10).correlation == pytest.approx(
-        expected, abs=1e-12
-    )
-
-
 @pytest.mark.parametrize(
     "run",
-    [
-        estimate_wegner,
-        estimate_two_eigenvalue_probability,
-        lambda cfg: independence_probe(cfg, separation=100),
-    ],
+    [estimate_wegner, estimate_two_eigenvalue_probability],
 )
 def test_counting_refuses_a_box_past_the_dense_cap_before_sampling(monkeypatch, run):
     # counting needs no dense base, but its eigvalsh recount does

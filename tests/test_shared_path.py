@@ -191,17 +191,36 @@ def test_resolvent_columns_fall_back_on_a_singular_member():
     assert np.array_equal(solutions[[0, 2]], dense_inverse_columns(matrices[[0, 2]], 1j, [0, 1]))
 
 
-def test_quantile_is_defined_only_on_the_base_density():
-    # perfbench's tracer wraps DisorderDensity.quantile: an override in a
-    # subclass, or a second quantile elsewhere, would bypass its spans
+def _methods(name):
+    """``(module, class or "<module>")`` for every definition of ``name`` in the package."""
     owners = set()
     for path in Path(alloylab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             body = node.body if isinstance(node, (ast.Module, ast.ClassDef)) else []
             for item in body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "quantile":
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == name:
                     owners.add((path.stem, getattr(node, "name", "<module>")))
-    assert owners == {("disorder", "DisorderDensity")}
+    return owners
+
+
+def test_quantile_is_defined_only_on_the_base_density():
+    # perfbench's tracer wraps DisorderDensity.quantile, PiecewisePolynomialDensity.cdf
+    # and RaisedCosineDensity.cdf by those names: an override in a subclass, a second
+    # quantile elsewhere or a renamed cdf would silently zero its spans
+    assert _methods("quantile") == {("disorder", "DisorderDensity")}
+    assert {("disorder", "PiecewisePolynomialDensity"), ("disorder", "RaisedCosineDensity")} <= _methods("cdf")
+
+
+def test_only_the_base_quantile_bisects():
+    # one quantile path: table walk, Newton, the crossing check, and the
+    # bisection for the rows that fail it
+    callers = {
+        (module, name)
+        for module, name, node in _src_functions()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and _called(call) == "_bisect"
+    }
+    assert callers == {("disorder", "quantile")}
 
 
 def _src_functions():

@@ -374,10 +374,11 @@ CONTRACT_DENSITIES = {**PIECEWISE_DENSITIES, "double_zero": double_zero_density(
     split=st.none() | st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_quantile_passes_the_crossing_check_or_keeps_the_bisection_bits(name, scale, shift, split, seed):
-    # the W^{2,1} shapes above, scaled, shifted and with a piece cut in two: on
-    # dyadic supports the bisection's points are exact multiples of its cell, on
-    # the others (0.1, 1/3, 0.8) mostly not; the path is the same for both
+def test_lattice_quantile_matches_the_bisection_on_moved_densities(name, scale, shift, split, seed):
+    # matches: every row passes the bisection's crossing check or carries its
+    # bits.  The W^{2,1} shapes above, scaled, shifted and with a piece cut in
+    # two: on dyadic supports the bisection's points are exact multiples of its
+    # cell, on the others (0.1, 1/3, 0.8) mostly not; the path is the same for both
     try:
         rho = PiecewisePolynomialDensity(moved(CONTRACT_DENSITIES[name].profile, scale, shift, split))
     except ValueError:  # the moved coefficients round outside the mass or continuity tolerance
@@ -406,6 +407,16 @@ def spy_on_the_fallback(monkeypatch):
     return calls
 
 
+def assert_only_the_fallen_rows_are_bisected(rho, q, calls):
+    """The rows of ``q`` that reach ``_bisect`` in one call carry its bits, and every other row passes the check."""
+    t = rho.quantile(q)
+    assert len(calls) == 1
+    fell = np.isin(q, calls[0]) | (np.isnan(q) & np.isnan(calls[0]).any())
+    assert same_bits(t[fell], reference_quantile(rho, q[fell])).all()
+    assert crossing_checked(rho, q[~fell], t[~fell]).all()
+    return t, fell
+
+
 @pytest.mark.parametrize("rho", [bump_density(), raised_cosine_density(),
                                  PiecewisePolynomialDensity(moved(bump_profile(), 0.8, 0.1, split=0.4))],
                          ids=["bump", "raised_cosine", "split_bump"])
@@ -414,13 +425,9 @@ def test_only_the_rows_that_fail_the_check_are_bisected(monkeypatch, rho):
     bulk = np.random.default_rng(8).uniform(1e-5, 1.0 - 1e-4, 14400)
     fallbacks = [math.nan, 0.0, -0.5, 1.5, math.inf, -math.inf]
     q = np.concatenate([bulk, fallbacks, TAIL_QUANTILES])
-    t = rho.quantile(q)
-    assert len(calls) == 1
-    fell = np.isin(q, calls[0]) | (np.isnan(q) & np.isnan(calls[0]).any())
     # the rows that fell back, and only those, carry the bisection's bits: every
     # other row is a Newton point that passed the crossing check
-    assert same_bits(t[fell], reference_quantile(rho, q[fell])).all()
-    assert crossing_checked(rho, q[~fell], t[~fell]).all()
+    t, fell = assert_only_the_fallen_rows_are_bisected(rho, q, calls)
     assert np.mean(same_bits(t[~fell], reference_quantile(rho, q[~fell]))) < 0.01
     # no draw of the bulk falls back (above 1 - 1e-4 a few bump draws in 10^6 do, where
     # the computed CDF's rounding spans more than a cell); a NaN and q at or past the
@@ -433,6 +440,26 @@ def test_only_the_rows_that_fail_the_check_are_bisected(monkeypatch, rho):
     monkeypatch.setattr(disorder, "_NEWTON_STEPS", 0)
     assert_checked_or_bisected(rho, q)
     assert calls[0].size > bulk.size // 2
+
+
+def test_quantile_without_an_exact_lattice_bisects_everything(monkeypatch):
+    # on [0.1, 0.9] the bisection's midpoints round off the grid a + k h: every
+    # row is still held to the bisection, by its crossing check or by its bits
+    rho = PiecewisePolynomialDensity(moved(bump_profile(), 0.8, 0.1))
+    calls = spy_on_the_fallback(monkeypatch)
+    assert_only_the_fallen_rows_are_bisected(rho, lattice_quantiles(rho, np.random.default_rng(5)), calls)
+
+
+def test_leaves_where_the_density_vanishes_stay_uncertified(monkeypatch):
+    # at the double zero t = 1/3 a Newton step is huge or not finite, so the
+    # draws there keep their secant start, fail the crossing check and bisect
+    rho = double_zero_density()
+    calls = spy_on_the_fallback(monkeypatch)
+    zero = float(rho.cdf(1.0 / 3.0))
+    near = zero + np.linspace(-1e-9, 1e-9, 101)
+    q = np.concatenate([near, lattice_quantiles(rho, np.random.default_rng(6))])
+    _, fell = assert_only_the_fallen_rows_are_bisected(rho, q, calls)
+    assert fell[: near.size].sum() > 90
 
 
 def spy_on_the_cdf(monkeypatch, rho):

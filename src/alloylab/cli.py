@@ -3,9 +3,10 @@
 Outputs are line-delimited JSON records plus CSV for anything plottable;
 timestamps live only in the run manifest so records stay byte-identical
 for identical (config, seed).  Exit status encodes the scientific verdict
-so CI can chain the acceptance suite: 0 pass/complete, 1 verdict failure,
-2 usage or configuration error (an unreadable or unwritable file included),
-or a box past the dense resource cap.
+so CI can chain the acceptance suite: 0 pass/complete; 1 a failed verdict,
+or ``TransformError``, ``RunFailure`` or ``NumericalFault`` (``run failed:``);
+2 a ``ConfigError`` (``ResourceLimit`` included) or an ``OSError``.  Any
+other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class _Reporter:
         payload = dict(payload)
         for key in self.moved.keys() & payload.keys():
             self.moved[key].append(payload.pop(key))
-        # strict JSON: a statistic without a finite value is recorded as None (null)
+        # strict JSON: a statistic without a finite value arrives as None, so NaN here is a bug
         line = json.dumps(payload, sort_keys=True, allow_nan=False)
         self.lines.append(line)
         print(line)
@@ -333,13 +334,10 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _require_level(level: float) -> None:
-    _require(0.0 <= level <= 1.0, f"'reference_level' must lie in [0, 1], got {level}")
-
-
 def _ids_from_config(raw: dict) -> tuple:
     cfg = experiment_from_config(raw)
     ids_seed = read(raw, "ids_seed", int, cfg.seed + IDS_SEED_OFFSET)
+    _require(ids_seed >= 0, f"'ids_seed' must be non-negative, got {ids_seed}")
     ids = empirical_ids(
         dataclasses.replace(cfg, seed=ids_seed),
         ids_radius=read(raw, "ids_radius", int),
@@ -356,7 +354,7 @@ def cmd_ids(raw, args, reporter) -> int:
     pos_a = read(raw, "pos_a", float, -1.0)
     pos_b = read(raw, "pos_b", float, 1.0)
     if epsilons is not None:
-        _require_level(reference_level)
+        _require(0.0 <= reference_level <= 1.0, f"'reference_level' must lie in [0, 1], got {reference_level}")
         _require(pos_a < pos_b, f"need a < b, got 'pos_a' {pos_a} and 'pos_b' {pos_b}")
         _require(all(eps > 0 for eps in epsilons), f"'pos_epsilons' must be positive: {epsilons}")
     cfg, ids = _ids_from_config(raw)
@@ -394,6 +392,7 @@ def cmd_spacing(raw, args, reporter) -> int:
         seed = read(raw, "seed", int, 0)
         workers = read(raw, "workers", int, 1)
         _require(workers >= 1, "worker count must be at least 1")
+        _require(seed >= 0, f"'seed' must be non-negative, got {seed}")
         span = (window[0] - 10.0, window[1] + 10.0)
         points = span[1] - span[0]  # about a realization's points: unit intensity over the span
         _require(points <= POINTS_BUDGET, f"'window' {list(window)} spans over {POINTS_BUDGET} points")
@@ -421,7 +420,8 @@ def cmd_spacing(raw, args, reporter) -> int:
         f"'stats_radius' must lie in [0, ids_radius / 2 = {ids_radius / 2:g}], got {stats_radius}",
     )
     _require(n_realizations >= 1, f"'realizations' must be at least 1, got {n_realizations}")
-    _require_level(reference_level)
+    # level 1 is the grid's last energy, which rescale refuses after both samplings
+    _require(0.0 <= reference_level < 1.0, f"'reference_level' must lie in [0, 1), got {reference_level}")
     cfg, ids = _ids_from_config(raw)
     e0 = ids.energy_at_level(reference_level)
     samples = rescaled_ensemble(
@@ -456,12 +456,16 @@ def cmd_verify_digest(raw, args, reporter) -> int:
     sweep = _read_sweep(raw)
     # a sweep's records carry their own width's digest, as wegner wrote them
     expected = [c.digest() for c in (sweep_configs(cfg, *sweep) if sweep else [cfg])]
-    mismatches = 0
-    total = 0
-    for line in Path(args.records).read_text().splitlines():
+    mismatches = total = 0
+    for number, line in enumerate(Path(args.records).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{args.records}:{number}:{err.colno}: invalid JSON ({err.msg})") from None
+        if not isinstance(record, dict):
+            raise ConfigError(f"{args.records}:{number}: a record must be a JSON object")
         total += 1
         if record.get("config_digest") not in expected:
             mismatches += 1
@@ -533,7 +537,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except ValueError as err:  # a ConfigError, or a range the library refuses
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -20,10 +20,7 @@ from .disorder import (
     density_preset,
 )
 from .estimators import ExperimentConfig
-
-
-class ConfigError(ValueError):
-    """Malformed or incomplete experiment configuration."""
+from .lattice import ConfigError
 
 
 REQUIRED = object()  # default of a field the config must set
@@ -41,7 +38,7 @@ def _describe(kind) -> str:
 def _convert(value, kind):
     """``value`` as ``kind``; ``TypeError`` when its JSON type is another.
 
-    A number no finite double holds ends the search: ``ValueError`` or ``OverflowError``.
+    A number no finite double holds ends the search: ``ConfigError`` or ``OverflowError``.
     """
     if isinstance(kind, tuple):
         for option in kind:
@@ -57,7 +54,7 @@ def _convert(value, kind):
         return [_convert(item, k) for item, k in zip(value, kinds)]
     if kind is float and type(value) in (int, float):
         if not math.isfinite(value):  # OverflowError for an integer past the doubles
-            raise ValueError
+            raise ConfigError
         return float(value)
     if type(value) is not kind:
         raise TypeError
@@ -84,7 +81,7 @@ def read(raw: dict, name: str, kind, default=REQUIRED):
         return _convert(raw[name], kind)
     except TypeError:
         expected = _describe(kind)
-    except (ValueError, OverflowError):
+    except (ConfigError, OverflowError):
         expected = "finite"
     raise ConfigError(f"field {name!r} must be {expected}, got {json.dumps(raw[name])}")
 
@@ -118,12 +115,7 @@ def potential_from_config(obj, dimension: int) -> SingleSitePotential:
             raise ConfigError(
                 f"unknown potential preset {obj!r}; have {sorted(POTENTIAL_PRESETS)}"
             ) from None
-    potential = SingleSitePotential.from_pairs(obj)
-    if potential.dimension != dimension:
-        raise ConfigError(
-            f"potential offsets have dimension {potential.dimension}, expected {dimension}"
-        )
-    return potential
+    return SingleSitePotential.from_pairs(obj)
 
 
 def density_from_config(obj) -> DisorderDensity:
@@ -143,14 +135,11 @@ def density_from_config(obj) -> DisorderDensity:
         try:
             profile = PiecewiseProfile(tuple(breakpoints), tuple(coefficients))
             return PiecewisePolynomialDensity(profile)
-        except ValueError as err:
+        except ConfigError as err:
             raise ConfigError(f"invalid density table: {err}") from err
     if isinstance(obj, dict):
         obj = read(obj, "preset", str)
-    try:
-        return density_preset(obj)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return density_preset(obj)
 
 
 def load_config(path: str | Path) -> dict:
@@ -185,23 +174,20 @@ def experiment_from_config(raw: dict, required: tuple[str, ...] = ()) -> Experim
     energy = read(raw, "energy", (float, [float, float]), default("energy"))
     if energy is not None:
         energy = complex(*energy) if isinstance(energy, list) else complex(energy, 0.0)
-    try:
-        return ExperimentConfig(
-            dimension=dimension,
-            box_radius=read(raw, "box_radius", int, default("box_radius", 0)),
-            potential=potential_from_config(
-                read(raw, "potential", (str, dict, [[[int], float]])), dimension
-            ),
-            density=density_from_config(read(raw, "density", (str, dict))),
-            disorder_strength=read(raw, "disorder_strength", float),
-            energy=energy,
-            interval=read(raw, "interval", [float, float], default("interval")),
-            site_x=read(raw, "site_x", [int], default("site_x")),
-            site_y=read(raw, "site_y", [int], default("site_y")),
-            n_samples=read(raw, "samples", int, 1000),
-            seed=read(raw, "seed", int, 0),
-            workers=read(raw, "workers", int, 1),
-            shifted_laplacian=read(raw, "shifted_laplacian", bool, False),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return ExperimentConfig(
+        dimension=dimension,
+        box_radius=read(raw, "box_radius", int, default("box_radius", 0)),
+        potential=potential_from_config(
+            read(raw, "potential", (str, dict, [[[int], float]])), dimension
+        ),
+        density=density_from_config(read(raw, "density", (str, dict))),
+        disorder_strength=read(raw, "disorder_strength", float),
+        energy=energy,
+        interval=read(raw, "interval", [float, float], default("interval")),
+        site_x=read(raw, "site_x", [int], default("site_x")),
+        site_y=read(raw, "site_y", [int], default("site_y")),
+        n_samples=read(raw, "samples", int, 1000),
+        seed=read(raw, "seed", int, 0),
+        workers=read(raw, "workers", int, 1),
+        shifted_laplacian=read(raw, "shifted_laplacian", bool, False),
+    )

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .lattice import Site
+from .lattice import ConfigError, Site
 
 QUANTILE_TOL = 1e-12
 POINTS_BUDGET = 10**7  # grid or sample points one run may hold: 80 MB of doubles
@@ -63,15 +63,15 @@ class PiecewiseProfile:
         cf = tuple(tuple(float(c) for c in piece) for piece in self.coefficients)
         # each c_k and the derivative's k c_k, since polyroots refuses a non-finite one
         if not all(map(math.isfinite, bp + tuple(max(k, 1) * c for p in cf for k, c in enumerate(p)))):
-            raise ValueError(f"breakpoints {bp} and coefficients {cf} must be finite (k c_k too)")
+            raise ConfigError(f"breakpoints {bp} and coefficients {cf} must be finite (k c_k too)")
         if len(bp) < 2:
-            raise ValueError("a profile needs at least one piece")
+            raise ConfigError("a profile needs at least one piece")
         if any(b - a <= 0 for a, b in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ConfigError("breakpoints must be strictly increasing")
         if len(cf) != len(bp) - 1:
-            raise ValueError("need exactly one coefficient tuple per piece")
+            raise ConfigError("need exactly one coefficient tuple per piece")
         if any(len(piece) == 0 for piece in cf):
-            raise ValueError("empty coefficient tuple")
+            raise ConfigError("empty coefficient tuple")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", cf)
 
@@ -147,7 +147,7 @@ def polyline_profile(nodes: Sequence[float], values: Sequence[float]) -> Piecewi
     nodes = [float(x) for x in nodes]
     values = [float(v) for v in values]
     if len(nodes) != len(values) or len(nodes) < 2:
-        raise ValueError("need matching node/value sequences of length >= 2")
+        raise ConfigError("need matching node/value sequences of length >= 2")
     pieces = []
     for (a, b), (va, vb) in zip(zip(nodes, nodes[1:]), zip(values, values[1:])):
         slope = (vb - va) / (b - a)
@@ -297,10 +297,10 @@ class PiecewisePolynomialDensity(DisorderDensity):
     def __init__(self, profile: PiecewiseProfile, name: str | None = None):
         a, b = profile.support
         if b - a <= 0:
-            raise ValueError("density support must have positive length")
+            raise ConfigError("density support must have positive length")
         with np.errstate(over="ignore", invalid="ignore"):  # a table past the doubles fails below
             if profile.min_value() < -1e-12:
-                raise ValueError("density takes negative values")
+                raise ConfigError("density takes negative values")
             bp = profile.breakpoints
             anti = [npoly.polyint(np.asarray(c)) for c in profile.coefficients]
             anti_left = np.array([npoly.polyval(t, a_i) for t, a_i in zip(bp, anti)])
@@ -308,12 +308,12 @@ class PiecewisePolynomialDensity(DisorderDensity):
             masses -= anti_left
             mass = float(np.sum(masses))
         if not abs(mass - 1.0) <= 1e-12:
-            raise ValueError(f"density mass is {mass!r}, expected 1 within 1e-12")
+            raise ConfigError(f"density mass is {mass!r}, expected 1 within 1e-12")
         if not profile.is_absolutely_continuous():
-            raise ValueError("density must be continuous and vanish at the support edges")
+            raise ConfigError("density must be continuous and vanish at the support edges")
         deriv = profile.derivative()
         if not deriv.is_absolutely_continuous():
-            raise ValueError(
+            raise ConfigError(
                 "density derivative must be continuous and vanish at the support "
                 "edges (second derivative has to be integrable)"
             )
@@ -424,7 +424,7 @@ def density_preset(name: str) -> DisorderDensity:
     try:
         return DENSITY_PRESETS[name]()
     except KeyError:
-        raise ValueError(f"unknown density preset {name!r}; have {sorted(DENSITY_PRESETS)}") from None
+        raise ConfigError(f"unknown density preset {name!r}; have {sorted(DENSITY_PRESETS)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +446,17 @@ class SingleSitePotential:
             site = tuple(int(c) for c in site)
             v = float(v)
             if not math.isfinite(v):
-                raise ValueError(f"non-finite potential value at {site}")
+                raise ConfigError(f"non-finite potential value at {site}")
             if dim is None:
                 dim = len(site)
             elif len(site) != dim:
-                raise ValueError("all support sites must share one dimension")
+                raise ConfigError("all support sites must share one dimension")
             if v != 0.0:
                 cleaned[site] = v
         if not cleaned:
-            raise ValueError("single-site potential must have non-empty support")
+            raise ConfigError("single-site potential must have non-empty support")
+        if dim < 1:  # a preset built for dimension 0, or an offset with no coordinates
+            raise ConfigError("potential support sites need dimension at least 1")
         self._values = dict(sorted(cleaned.items()))
         self.dimension = dim
         self.support_radius = max(max(abs(c) for c in site) for site in cleaned)
@@ -549,11 +551,11 @@ def check_assumption(
         raise TypeError("the density must be a DisorderDensity")
     nyquist = 2 * (2 * potential.support_radius + 1)
     if grid_resolution < nyquist:
-        raise ValueError(
+        raise ConfigError(
             f"grid_resolution {grid_resolution} below the Nyquist floor {nyquist}"
         )
     if grid_resolution**potential.dimension > POINTS_BUDGET:
-        raise ValueError(f"grid_resolution {grid_resolution} puts the grid past {POINTS_BUDGET} points")
+        raise ConfigError(f"grid_resolution {grid_resolution} puts the grid past {POINTS_BUDGET} points")
     symbol = np.fft.fftn(potential.torus_table(grid_resolution))
     min_modulus = float(np.min(np.abs(symbol)))
     slack = (
@@ -592,9 +594,9 @@ class TensorProductFunction:
             if not isinstance(profile, PiecewiseProfile):
                 raise TypeError("tensor factors must be piecewise polynomial profiles")
             if not profile.is_absolutely_continuous():
-                raise ValueError("tensor factors must be continuous and vanish at the edges")
+                raise ConfigError("tensor factors must be continuous and vanish at the edges")
         if self.scale == 0.0:
-            raise ValueError("scale must be nonzero")
+            raise ConfigError("scale must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -619,5 +621,5 @@ def sobolev_ratio(f: TensorProductFunction) -> SobolevReport:
     sup = scale * f.first.sup_norm() * f.second.sup_norm()
     mixed = scale * f.first.total_variation() * f.second.total_variation()
     if mixed == 0.0:
-        raise ValueError("mixed derivative vanishes identically")
+        raise ConfigError("mixed derivative vanishes identically")
     return SobolevReport(sup_norm=sup, mixed_norm=mixed)

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .disorder import DisorderDensity, SingleSitePotential
-from .lattice import Box, Site, box, envelope_box, origin, sup_distance
+from .lattice import Box, ConfigError, Site, box, envelope_box, origin, sup_distance
 from .operator import (
     MIN_IMAG_PART,
     STACK_ENTRIES,
@@ -170,11 +170,11 @@ def run_parallel(
     failing chunk's exception is raised.
     """
     if n_samples <= 0:
-        raise ValueError("empty sample")
+        raise ConfigError("empty sample")
     if workers < 1:
-        raise ValueError("worker count must be at least 1")
+        raise ConfigError("worker count must be at least 1")
     if 8 * n_samples * n_columns > SHARED_BYTES:
-        raise ValueError(f"{n_samples} rows of {n_columns} values pass the {SHARED_BYTES}-byte shared map")
+        raise ConfigError(f"{n_samples} rows of {n_columns} values pass the {SHARED_BYTES}-byte shared map")
     spans = [(s, min(s + chunk_size, n_samples)) for s in range(0, n_samples, chunk_size)]
     n_workers = min(workers, len(spans))
     shared = mmap.mmap(-1, 8 * max(n_samples * n_columns, 1))
@@ -303,25 +303,27 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
+            raise ConfigError("dimension must be at least 1")
         if self.potential.dimension != self.dimension:
-            raise ValueError("potential dimension does not match the experiment")
+            raise ConfigError(f"potential offsets have dimension {self.potential.dimension}, expected {self.dimension}")
         if self.box_radius < 0:
-            raise ValueError("box radius must be non-negative")
+            raise ConfigError("box radius must be non-negative")
         if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
+            raise ConfigError("worker count must be at least 1")
+        if self.seed < 0:  # SeedSequence would refuse it only inside the first chunk
+            raise ConfigError(f"'seed' must be non-negative, got {self.seed}")
         if not 0 <= self.disorder_strength < math.inf:
-            raise ValueError(
+            raise ConfigError(
                 f"disorder strength must be finite and non-negative, got {self.disorder_strength}"
             )
         if self.energy is not None and not np.isfinite(self.energy):
-            raise ValueError(f"energy must be finite, got {self.energy}")
+            raise ConfigError(f"energy must be finite, got {self.energy}")
         if self.interval is not None:
             a, b = self.interval
             if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-                raise ValueError(f"interval [{a}, {b}] must be bounded and ordered")
+                raise ConfigError(f"interval [{a}, {b}] must be bounded and ordered")
             if not math.isfinite(b - a):
-                raise ValueError(f"interval width of [{a}, {b}] is out of range")
+                raise ConfigError(f"interval width of [{a}, {b}] is out of range")
             self.interval = (float(a), float(b))
         if self.site_x is not None:
             self.site_x = tuple(int(c) for c in self.site_x)
@@ -482,12 +484,12 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     ``pi**2 |rho|_inf**2`` comparison is recorded as well.
     """
     if cfg.energy is None or cfg.energy.imag <= MIN_IMAG_PART:
-        raise ValueError("determinant estimator needs a spectral parameter with Im z > 0")
+        raise ConfigError("determinant estimator needs a spectral parameter with Im z > 0")
     if cfg.site_x is None or cfg.site_y is None or cfg.site_x == cfg.site_y:
-        raise ValueError("determinant estimator needs two distinct sites")
+        raise ConfigError("determinant estimator needs two distinct sites")
     inner = cfg.inner_box
     if not (inner.contains(cfg.site_x) and inner.contains(cfg.site_y)):
-        raise ValueError("both sites must lie in the box")
+        raise ConfigError("both sites must lie in the box")
     require_dense(inner.size)
 
     started = time.perf_counter()
@@ -570,7 +572,7 @@ def _wegner_estimates(cfg: ExperimentConfig, swept: list) -> list[MCEstimate]:
     """One counting run of ``cfg``'s samples, one estimate per config of ``swept``."""
     intervals = [c.interval for c in swept]
     if not intervals or None in intervals:
-        raise ValueError("counting estimator needs an interval")
+        raise ConfigError("counting estimator needs an interval")
     started = time.perf_counter()
     size = cfg.inner_box.size
     kernel = _batched_counts(cfg, intervals)
@@ -604,12 +606,12 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
     estimates are compared against the quadratic-in-width bound.
     """
     if cfg.interval is None:
-        raise ValueError("counting estimator needs an interval")
+        raise ConfigError("counting estimator needs an interval")
     started = time.perf_counter()
     inner = cfg.inner_box
     lam = cfg.disorder_strength
     if lam > 0 and inner.size < 2:
-        raise ValueError("the two-eigenvalue bound needs a box with at least two sites")
+        raise ConfigError("the two-eigenvalue bound needs a box with at least two sites")
     kernel = _batched_counts(cfg, [cfg.interval])
     width = cfg.interval[1] - cfg.interval[0]
     if lam > 0:
@@ -623,7 +625,7 @@ def estimate_two_eigenvalue_probability(cfg: ExperimentConfig) -> TwoEigenvalueE
         except OverflowError:
             bound = math.inf
         if not math.isfinite(bound):  # width**2 or the product leaves the floats
-            raise ValueError(f"interval width {width!r} is out of range for the bound")
+            raise ConfigError(f"interval width {width!r} is out of range for the bound")
     else:
         bound = math.inf
 
@@ -676,15 +678,15 @@ def probe_fvc(
     counted, up to ``MAX_ATTEMPTS`` draws.
     """
     if not decay_exponent > 3 * cfg.dimension - 1:  # NaN included
-        raise ValueError(
+        raise ConfigError(
             f"decay exponent must exceed 3d - 1 = {3 * cfg.dimension - 1}, got {decay_exponent}"
         )
     if cfg.energy is None:
-        raise ValueError("localization probe needs a reference energy")
+        raise ConfigError("localization probe needs a reference energy")
     if not MIN_IMAG_PART < regularization < math.inf:
-        raise ValueError(f"regularization must be finite, above {MIN_IMAG_PART}, got {regularization}")
+        raise ConfigError(f"regularization must be finite, above {MIN_IMAG_PART}, got {regularization}")
     if not radii or any(int(radius) < 1 for radius in radii):
-        raise ValueError(f"box radii must be a non-empty list, each at least 1, got {list(radii)}")
+        raise ConfigError(f"box radii must be a non-empty list, each at least 1, got {list(radii)}")
     energy = float(cfg.energy.real)
     boxes = [box(int(radius), cfg.dimension) for radius in radii]
     require_dense(max(inner.size for inner in boxes))  # every radius, before the first is sampled
@@ -763,9 +765,9 @@ def probe_fractional_moment(
 ) -> FmbReport:
     """Fit exponential decay of ``E |G(z; x, y)|^s`` against pair distance."""
     if not 0.0 < moment < 1.0:
-        raise ValueError("the fractional moment exponent must lie in (0, 1)")
+        raise ConfigError("the fractional moment exponent must lie in (0, 1)")
     if cfg.energy is None or cfg.energy.imag <= MIN_IMAG_PART:
-        raise ValueError(f"fractional moment probe needs Im z > {MIN_IMAG_PART}")
+        raise ConfigError(f"fractional moment probe needs Im z > {MIN_IMAG_PART}")
     inner = cfg.inner_box
     require_dense(inner.size)
     if pairs is None:
@@ -777,11 +779,11 @@ def probe_fractional_moment(
     pairs = [(tuple(x), tuple(y)) for x, y in pairs]
     for x, y in pairs:
         if x == y:
-            raise ValueError("pair distances must be positive")
+            raise ConfigError("pair distances must be positive")
         if not (inner.contains(x) and inner.contains(y)):
-            raise ValueError(f"pair {(x, y)} leaves the box")
+            raise ConfigError(f"pair {(x, y)} leaves the box")
     if len({sup_distance(x, y) for x, y in pairs}) < 2:
-        raise ValueError("the decay fit needs pairs at two or more distinct distances")
+        raise ConfigError("the decay fit needs pairs at two or more distinct distances")
     pair_rows = np.array([inner.index_of(x) for x, _ in pairs])
     # G(z; x, y) is entry x of resolvent column y; solve each distinct column once
     columns, pair_cols = np.unique([inner.index_of(y) for _, y in pairs], return_inverse=True)

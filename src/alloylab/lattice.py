@@ -10,6 +10,10 @@ import numpy as np
 Site = tuple[int, ...]
 
 
+class ConfigError(ValueError):
+    """An input the package refuses: malformed or incomplete configuration, or a range it cannot run."""
+
+
 def origin(dimension: int) -> Site:
     """Zero site of the given dimension."""
     return (0,) * dimension
@@ -33,9 +37,9 @@ class Box:
 
     def __post_init__(self) -> None:
         if len(self.center) == 0:
-            raise ValueError("box center needs at least one coordinate")
+            raise ConfigError("box center needs at least one coordinate")
         if self.radius < 0:
-            raise ValueError(f"box radius must be non-negative, got {self.radius}")
+            raise ConfigError(f"box radius must be non-negative, got {self.radius}")
         object.__setattr__(self, "center", tuple(int(c) for c in self.center))
         object.__setattr__(self, "radius", int(self.radius))
 
@@ -78,7 +82,7 @@ class Box:
     def index_of(self, site: Site) -> int:
         """Enumeration rank of a site; raises if the site lies outside the box."""
         if not self.contains(site):
-            raise ValueError(f"site {site} outside box (center={self.center}, radius={self.radius})")
+            raise ConfigError(f"site {site} outside box (center={self.center}, radius={self.radius})")
         rank = 0
         for s, c in zip(site, self.center):
             rank = rank * self.side + (s - c + self.radius)
@@ -97,5 +101,5 @@ def envelope_box(lambda_box: Box, reach: int) -> Box:
     cube this is the box of radius ``l + reach`` with the same center.
     """
     if reach < 0:
-        raise ValueError(f"reach must be non-negative, got {reach}")
+        raise ConfigError(f"reach must be non-negative, got {reach}")
     return Box(lambda_box.center, lambda_box.radius + int(reach))

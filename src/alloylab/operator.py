@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .disorder import SingleSitePotential
-from .lattice import Box, Site
+from .lattice import Box, ConfigError, Site
 from .transform import periodic_convolution
 
 DENSE_SOLVE_LIMIT = 4096
@@ -31,7 +31,7 @@ class ResolventError(RuntimeError):
     """Raised when a resolvent solve cannot be certified."""
 
 
-class ResourceLimit(ValueError):
+class ResourceLimit(ConfigError):
     """A box is too large for the dense linear-algebra path."""
 
 
@@ -91,11 +91,11 @@ def potential_profiles(
     because the envelope of ``box`` must lie inside ``field`` (nothing wraps).
     """
     if not potential.dimension == box.dimension == field.dimension:
-        raise ValueError("potential dimension does not match the box")
+        raise ConfigError("potential dimension does not match the box")
     reach = potential.support_radius
     start = [b - box.radius - f + field.radius for b, f in zip(box.center, field.center)]
     if any(s < reach or s + box.side + reach > field.side for s in start):
-        raise ValueError("the envelope of the box leaves the coupling field")
+        raise ConfigError("the envelope of the box leaves the coupling field")
     lead = couplings.shape[:-1]
     grid = couplings.reshape(lead + (field.side,) * field.dimension)
     grid = periodic_convolution(potential.torus_table(field.side), grid)
@@ -185,9 +185,9 @@ class GreenBlock:
 def _site_pair(name: str, matrix: np.ndarray, box: Box, x: Site, y: Site) -> tuple[int, int]:
     """Indices of two distinct sites of ``box``, on which ``matrix`` must act."""
     if x == y:
-        raise ValueError(f"{name} needs two distinct sites")
+        raise ConfigError(f"{name} needs two distinct sites")
     if matrix.shape != (box.size, box.size):
-        raise ValueError(f"matrix of shape {matrix.shape} does not act on the {box.size} box sites")
+        raise ConfigError(f"matrix of shape {matrix.shape} does not act on the {box.size} box sites")
     return box.index_of(x), box.index_of(y)
 
 
@@ -231,7 +231,7 @@ def krein_decomposition(
     """
     z = complex(z)
     if lam <= 0:
-        raise ValueError(f"disorder strength must be positive, got {lam}")
+        raise ConfigError(f"disorder strength must be positive, got {lam}")
     ix, iy = _site_pair("krein_decomposition", matrix, box, x, y)
     reduced = matrix.copy()
     reduced[ix, ix] -= lam * profile[ix]

@@ -15,12 +15,13 @@ import numpy as np
 from .disorder import POINTS_BUDGET
 from .estimators import (
     ExperimentConfig,
+    NumericalFault,
     _draw_diagonals,
     pin_blas_threads,
     run_parallel,
     sample_correlation,
 )
-from .lattice import box
+from .lattice import ConfigError, box
 from .operator import eigenvalues, require_eigenvalues
 
 KS_CRITICAL_SCALE = 1.358  # asymptotic 5% Kolmogorov-Smirnov constant
@@ -70,21 +71,21 @@ class EmpiricalIDS:
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("IDS grid must be strictly increasing")
+            raise ConfigError("IDS grid must be strictly increasing")
         if np.any(np.diff(self.values) < 0):
-            raise ValueError("IDS values must be monotone")
+            raise ConfigError("IDS values must be monotone")
 
     def evaluate(self, energies) -> np.ndarray:
         e = np.asarray(energies, dtype=float)
         if np.any(e < self.grid[0]) or np.any(e > self.grid[-1]):
             escaped = e[(e < self.grid[0]) | (e > self.grid[-1])]
-            raise ValueError(f"energies outside the IDS grid: {escaped[:5]!r}")
+            raise ConfigError(f"energies outside the IDS grid: {escaped[:5]!r}")
         return np.interp(e, self.grid, self.values)
 
     def energy_at_level(self, level: float) -> float:
         """Inverse of the interpolated IDS (bulk median is level=0.5)."""
         if not 0.0 <= level <= 1.0:
-            raise ValueError("IDS level must lie in [0, 1]")
+            raise ConfigError("IDS level must lie in [0, 1]")
         return float(np.interp(level, self.values, self.grid))
 
     @property
@@ -103,30 +104,30 @@ def empirical_ids(
     """Average the normalized counting function over independent realizations.
 
     The grid is ``grid_points`` energies over the almost-sure spectral range
-    padded by one unit.  Eigenvalues escaping the grid are a configuration
-    error and are reported, not clipped.
+    padded by one unit.  Eigenvalues escaping the grid break that bound, so
+    they are a ``NumericalFault``, reported and not clipped.
     """
     if n_realizations < 1:
-        raise ValueError("need at least one realization")
+        raise ConfigError("need at least one realization")
     if grid_points > POINTS_BUDGET:
-        raise ValueError(f"grid_points {grid_points} is past the budget of {POINTS_BUDGET} points")
+        raise ConfigError(f"grid_points {grid_points} is past the budget of {POINTS_BUDGET} points")
     lo, hi = spectral_range(cfg)
     if not math.isfinite((hi + 1.0) - (lo - 1.0)):
-        raise ValueError(
+        raise ConfigError(
             f"disorder_strength {cfg.disorder_strength!r} puts the spectral range "
             f"[{lo}, {hi}] out of the floating-point range"
         )
-    grid = np.linspace(lo - 1.0, hi + 1.0, grid_points)
+    grid = np.linspace(lo - 1.0, hi + 1.0, grid_points) if grid_points >= 2 else np.empty(0)
     if grid.size < 2 or not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
-        raise ValueError(
-            f"the IDS grid needs 2 or more finite, increasing energies, got {grid.size} points"
+        raise ConfigError(
+            f"the IDS grid needs 2 or more finite, increasing energies, got {grid_points} points"
         )
 
     inner, kernel = _eigenvalue_kernel(cfg, ids_radius)
     spectra = run_parallel(kernel, n_realizations, inner.size, cfg.workers, chunk_size=1)
     escaped = spectra[~((spectra >= grid[0]) & (spectra <= grid[-1]))]
     if escaped.size:
-        raise ValueError(f"eigenvalues escaped the IDS grid: {escaped[:5]!r}")
+        raise NumericalFault(f"eigenvalues escaped the IDS grid: {escaped[:5]!r}")
     counts = np.searchsorted(np.sort(spectra, axis=None), grid, side="right")
 
     values = counts / (n_realizations * inner.size)
@@ -155,7 +156,7 @@ def rescale(
     realization per row.
     """
     if not ids.grid[0] < reference_energy < ids.grid[-1]:
-        raise ValueError("reference energy must lie inside the IDS grid")
+        raise ConfigError("reference energy must lie inside the IDS grid")
     level = ids.evaluate(reference_energy)
     return stats_size * (ids.evaluate(np.sort(np.asarray(eigenvalues, dtype=float))) - level)
 
@@ -170,7 +171,7 @@ def rescaled_ensemble(
     """Unfolded spectra of independent realizations of the statistics box, one per row."""
     ids_radius = ids.metadata.get("ids_radius")
     if ids_radius is not None and ids_radius < 2 * stats_radius:
-        raise ValueError(
+        raise ConfigError(
             f"IDS box radius {ids_radius} must be at least twice the statistics "
             f"radius {stats_radius} to decouple the unfolding"
         )
@@ -330,11 +331,11 @@ def poisson_tests(samples, window: tuple[float, float]) -> PointProcessStats:
     """
     lo, hi = float(window[0]), float(window[1])
     if hi <= lo:
-        raise ValueError("empty window")
+        raise ConfigError("empty window")
     if len(samples) < 1:
-        raise ValueError("need at least one realization")
+        raise ConfigError("need at least one realization")
     if any(np.any(np.diff(xi) < 0) for xi in samples):
-        raise ValueError("rescaled values must be sorted")
+        raise ConfigError("rescaled values must be sorted")
     width = hi - lo
     n_real = len(samples)
 
@@ -424,12 +425,12 @@ def probe_pos(
     reports the log-log slope and flags fits below the IDS resolution.
     """
     if a >= b:
-        raise ValueError("need a < b")
+        raise ConfigError("need a < b")
     rows = []
     for eps in epsilons:
         eps = float(eps)
         if eps <= 0:
-            raise ValueError("epsilons must be positive")
+            raise ConfigError("epsilons must be positive")
         increment = abs(
             float(
                 ids.evaluate(reference_energy + b * eps)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderDensity, SingleSitePotential
-from .lattice import Box, Site, envelope_box
+from .lattice import Box, ConfigError, Site, envelope_box
 
 LIMIT_GRID_POINTS = 2**22  # the largest Fourier grid ``limit_inverse_one_norm`` tries
 
@@ -98,9 +98,9 @@ def build_circulant(potential: SingleSitePotential, lambda_box: Box) -> Circulan
     with ``u`` and comparing with the identity.
     """
     if any(c != 0 for c in lambda_box.center):
-        raise ValueError("transform construction assumes an origin-centered box")
+        raise ConfigError("transform construction assumes an origin-centered box")
     if potential.dimension != lambda_box.dimension:
-        raise ValueError("potential dimension does not match the box")
+        raise ConfigError("potential dimension does not match the box")
     env = envelope_box(lambda_box, potential.support_radius)
     table, kernel, modulus = _reciprocal_kernel(potential, env.side, 1e-12)
     if kernel is None:
@@ -141,7 +141,7 @@ def limit_inverse_one_norm(
     at most ``LIMIT_GRID_POINTS`` points converges, it raises ``TransformError``.
     """
     if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+        raise ConfigError(f"tolerance must be positive and finite, got {tolerance}")
     d = potential.dimension
     resolution = 32
     while resolution < 4 * (2 * potential.support_radius + 1):
@@ -234,11 +234,11 @@ def minami_constants(
 ) -> MinamiConstants:
     """Evaluate both forms of the determinant bound for a site pair."""
     if not 0 < lam < math.inf:
-        raise ValueError(f"disorder strength must be positive and finite, got {lam!r}")
+        raise ConfigError(f"disorder strength must be positive and finite, got {lam!r}")
     if x == y:
-        raise ValueError("the bound concerns two distinct sites")
+        raise ConfigError("the bound concerns two distinct sites")
     if not (transform.box.contains(x) and transform.box.contains(y)):
-        raise ValueError("both sites must lie in the inner box")
+        raise ConfigError("both sites must lie in the inner box")
     col_x = np.abs(transform.inverse_column(x))
     col_y = np.abs(transform.inverse_column(y))
     d1, d2 = density.d1_norm, density.d2_norm
@@ -257,7 +257,7 @@ def minami_constants(
         )
         norm_bound = constants.determinant_bound
     except (OverflowError, ZeroDivisionError):  # lam**2 or (pi / lam)**2 leaves the floats
-        raise ValueError(f"disorder strength {lam!r} is out of range for the bound") from None
+        raise ConfigError(f"disorder strength {lam!r} is out of range for the bound") from None
     if site_resolved > norm_bound * (1.0 + 1e-12):
         raise AssertionError(
             "site-resolved bound exceeds the norm bound; inverse norm bookkeeping is wrong"

@@ -740,6 +740,18 @@ def test_malformed_field_exits_2_before_sampling(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", "3", '{"config_digest": '])
+def test_a_records_line_that_is_not_a_json_object_exits_2(tmp_path, capsys, line):
+    # a list or a number ended in an AttributeError traceback; a line json cannot
+    # parse printed json's message with no file or line
+    cfg = write_config(tmp_path, **minami_fields())
+    records = tmp_path / "results.jsonl"
+    records.write_text('{"config_digest": "0"}\n\n' + line + "\n")
+    assert main(["verify-digest", "--config", cfg, "--records", str(records)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: {records}:3") and "Traceback" not in err
+
+
 def test_unreadable_records_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, **minami_fields())
     missing = tmp_path / "missing.jsonl"
@@ -805,6 +817,7 @@ RANGE_REFUSALS = [
     ("ids", "pos_a", 1.0),
     ("ids", "pos_epsilons", [0.1, 0.0]),
     ("ids", "reference_level", -0.5),
+    ("spacing", "reference_level", 1.0),  # the grid's last energy, refused after both samplings
 ]
 
 
@@ -874,6 +887,34 @@ def test_ids_spectral_range_overflow_refused_before_sampling(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "disorder_strength" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [([command], "seed") for command in ("minami", "wegner", "two-ev", "fvc", "fmb", "ids", "spacing")]
+    + [(["ids"], "ids_seed"), (["spacing"], "ids_seed"), (["spacing", "--synthetic", "poisson"], "seed")],
+)
+def test_negative_seeds_refused_before_sampling(tmp_path, monkeypatch, capsys, argv, field):
+    # numpy's SeedSequence (default_rng for --synthetic) refused them inside the first sampled chunk
+    monkeypatch.setattr(estimators, "run_parallel", refuse_sampling)
+    monkeypatch.setattr(spectra, "run_parallel", refuse_sampling)
+    monkeypatch.setattr(cli, "poisson_process_sample", refuse_sampling)
+    fields = base_fields(realizations=10) if "--synthetic" in argv else COMMAND_FIELDS[argv[0]]
+    cfg = write_config(tmp_path, **{**fields, field: -1})
+    out = tmp_path / "run"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: '{field}' must be non-negative, got -1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields", [base_fields(dimension=0), base_fields(dimension=-1),
+                                    base_fields(potential=[[[], 1.0]])])
+def test_a_potential_without_coordinates_exits_2(tmp_path, capsys, fields):
+    # its support radius was max() of no coordinates, a bare ValueError
+    assert main(["check", "--config", write_config(tmp_path, **fields)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: potential support sites need dimension at least 1")
 
 
 @pytest.mark.parametrize("source", ["config", "flag", "environment"])
@@ -987,6 +1028,17 @@ def test_every_field_is_typed_and_finite_before_sampling(tmp_path, monkeypatch, 
         argv = argv + ["--records", str(tmp_path / "results.jsonl")]
     monkeypatch.setattr(estimators, "run_parallel", reach_sampling)
     monkeypatch.setattr(spectra, "run_parallel", reach_sampling)  # imported by name
+    # the type of what the command raised: a refusal is a ConfigError, raised by the package
+    command, raised = cli.build_parser().parse_args(argv + ["--config", ""]).func, []
+
+    def spy_command(*args):
+        try:
+            return command(*args)
+        except Exception as err:
+            raised.append(type(err))
+            raise
+
+    monkeypatch.setattr(cli, command.__name__, spy_command)
 
     def run(fields, out):
         try:
@@ -1012,16 +1064,17 @@ def test_every_field_is_typed_and_finite_before_sampling(tmp_path, monkeypatch, 
     failures = []
     for n, (path, value, non_finite) in enumerate(fuzz_cases(fields, kinds)):
         out = tmp_path / f"run{n}"
+        raised.clear()
         try:
             code = run(replaced(fields, path, value), out)
         except Exception as err:  # listed with the other failures
             code = f"raised {err!r}"[:120]
         err = capsys.readouterr().err
-        refused = code == 2 and err.startswith("config error:") and not out.exists()
+        refused = code == 2 and err.startswith("config error:") and not out.exists() and raised == [ConfigError]
         ordinary = code == "sampled" or (case in NEVER_SAMPLES and code in (0, 1))
         if "run failed:" in err or "Traceback" in err or not (refused or ordinary and not non_finite):
             shown = "absent" if value is ABSENT else json.dumps(value)[:12]
-            failures.append(f"{'.'.join(map(str, path))} = {shown}: {code} {err[:80]!r}")
+            failures.append(f"{'.'.join(map(str, path))} = {shown}: {code} {raised} {err[:80]!r}")
     assert failures == []
 
 

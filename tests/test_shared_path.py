@@ -309,6 +309,28 @@ def test_no_band_is_read_out_of_a_dense_matrix():
     assert readers == []
 
 
+def test_refusals_are_config_errors_and_main_maps_only_named_types():
+    # an input refusal is a ConfigError raised where the input is checked; cli.main maps
+    # the package's own types to exit statuses, so anything else keeps its traceback
+    bare = [
+        (module, name, ast.unparse(part))
+        for module, name, node in _src_functions()
+        for part in ast.walk(node)
+        if isinstance(part, ast.Raise) and part.exc is not None
+        and ast.unparse(getattr(part.exc, "func", part.exc)) == "ValueError"
+    ]
+    assert bare == []
+    (main,) = [node for module, name, node in _src_functions() if (module, name) == ("cli", "main")]
+    caught = {
+        ast.unparse(name)
+        for handler in ast.walk(main)
+        if isinstance(handler, ast.ExceptHandler)
+        for name in ast.walk(handler.type)
+        if isinstance(name, ast.Name)
+    }
+    assert caught == {"ConfigError", "ResourceLimit", "OSError", "TransformError", "RunFailure", "NumericalFault"}
+
+
 def test_every_keyword_default_is_passed_inside_the_package():
     # a default that no call in the package overrides is an option only tests
     # select: it becomes a module constant (tests monkeypatch it) or goes; the

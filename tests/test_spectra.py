@@ -8,7 +8,7 @@ from scipy import special, stats
 
 from alloylab import spectra
 from alloylab.disorder import SingleSitePotential, bump_density
-from alloylab.estimators import ExperimentConfig
+from alloylab.estimators import ExperimentConfig, NumericalFault
 from alloylab.spectra import (
     EmpiricalIDS,
     empirical_ids,
@@ -102,16 +102,19 @@ def test_ids_realization_average_consistency():
 
 
 def test_ids_grid_escape_reports_eigenvalues(monkeypatch):
-    # a spectral range of [0, 0] pads to the grid [-1, 1], which the eigenvalues at strength 2 leave
+    # a spectral range of [0, 0] pads to the grid [-1, 1], which the eigenvalues at strength 2
+    # leave; the true range is an almost-sure bound, so only a bug can do this
     monkeypatch.setattr(spectra, "spectral_range", lambda cfg: (0.0, 0.0))
     cfg = chain_config(disorder_strength=2.0)
-    with pytest.raises(ValueError, match="escaped"):
+    with pytest.raises(NumericalFault, match="escaped"):
         empirical_ids(cfg, ids_radius=20, n_realizations=2, grid_points=101)
 
 
 # (spectral range or None for the config's own, grid_points): too few points, or a
 # padded range so narrow against its magnitude that the grid's energies repeat
-@pytest.mark.parametrize("grid", [(None, 1), (None, 0), ((1e17, 1e17), 101), ((1e17, 1e17 + 32.0), 101)])
+@pytest.mark.parametrize(
+    "grid", [(None, 1), (None, 0), ((1e17, 1e17), 101), ((1e17, 1e17 + 32.0), 101), (None, -1)]
+)
 def test_ids_grid_refused_before_sampling(monkeypatch, grid):
     span, grid_points = grid
     if span is not None:

@@ -26,7 +26,7 @@ from .estimators import (
     probe_fvc,
 )
 from .lattice import Box, box, envelope_box
-from .operator import green_block, krein_decomposition
+from .operator import green_blocks, krein_decomposition
 from .spectra import empirical_ids, poisson_tests, probe_pos, rescale, rescaled_ensemble
 from .transform import build_circulant, limit_inverse_one_norm, minami_constants
 
@@ -45,7 +45,7 @@ __all__ = [
     "estimate_minami",
     "estimate_two_eigenvalue_probability",
     "estimate_wegner",
-    "green_block",
+    "green_blocks",
     "krein_decomposition",
     "limit_inverse_one_norm",
     "minami_constants",

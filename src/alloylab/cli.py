@@ -355,6 +355,8 @@ def cmd_ids(raw, args, reporter) -> int:
     pos_b = read(raw, "pos_b", float, 1.0)
     if epsilons is not None:
         _require(0.0 <= reference_level <= 1.0, f"'reference_level' must lie in [0, 1], got {reference_level}")
+        _require(reference_level < 1.0 or pos_b <= 0.0, "'reference_level' 1 is the IDS grid's last energy, "
+                 f"and 'pos_b' {pos_b} > 0 probes past it")
         _require(pos_a < pos_b, f"need a < b, got 'pos_a' {pos_a} and 'pos_b' {pos_b}")
         _require(all(eps > 0 for eps in epsilons), f"'pos_epsilons' must be positive: {epsilons}")
     cfg, ids = _ids_from_config(raw)

@@ -6,8 +6,10 @@ uses numpy's pairwise summation over arrays laid out in sample order, which
 is likewise deterministic.  Kernels hand ``operator`` a box and diagonal
 rows; its ``green_columns``, behind every Green entry, makes a sample whose
 solve cannot be certified a NaN row, and NaN rows are counted and fail the
-run beyond a 0.1% cap.  Determinant samples outside the resolvent envelope
-abort the run as numerical faults.  ``run_parallel`` is the one parallel
+run beyond a 0.1% cap.  ``minami`` reads its 2x2 blocks through
+``green_blocks`` and their determinants through ``det_imaginary``, the
+Krein identity's path too; samples outside the resolvent envelope abort the
+run as numerical faults.  ``run_parallel`` is the one parallel
 driver: at ``workers > 1`` it forks worker processes that write their rows
 into shared memory, so work that holds the GIL scales too.  It pins BLAS to
 one thread and keeps the pin, so LAPACK sums in the same order whatever the
@@ -38,6 +40,8 @@ from .operator import (
     MIN_IMAG_PART,
     STACK_ENTRIES,
     count_footprint,
+    det_imaginary,
+    green_blocks,
     green_columns,
     hamiltonian_diagonals,
     interval_counts,
@@ -503,13 +507,11 @@ def estimate_minami(cfg: ExperimentConfig) -> MCEstimate:
     )
     bound = constants.determinant_bound if constants else math.inf
 
-    ix, iy = inner.index_of(cfg.site_x), inner.index_of(cfg.site_y)
     envelope_cap = z.imag**-2
 
     def kernel(indices):
-        green = green_columns(inner, _draw_diagonals(cfg, inner, indices), z, [ix, iy])
-        g_im = green[:, [ix, iy], :].imag
-        det = g_im[:, 0, 0] * g_im[:, 1, 1] - g_im[:, 0, 1] * g_im[:, 1, 0]
+        rows = _draw_diagonals(cfg, inner, indices)
+        det = det_imaginary(green_blocks(inner, rows, z, cfg.site_x, cfg.site_y))
         bad = (det <= 0.0) | (det > envelope_cap)  # an uncertified sample's NaN is neither
         if np.any(bad):
             worst = det[bad][0]

@@ -149,53 +149,30 @@ def resolvent_columns(
 
 def green_columns(box: Box, diagonals: np.ndarray, z: complex, columns: Sequence[int]) -> np.ndarray:
     """``resolvent_columns`` of ``base_matrix(box)`` plus each row, NaN in every uncertified member."""
+    if diagonals.shape[-1] != box.size:
+        raise ConfigError(f"a row of length {diagonals.shape[-1]} does not act on the {box.size} box sites")
     solutions, certified = resolvent_columns(hamiltonian_stack(base_matrix(box), diagonals), z, columns)
     solutions[~certified] = complex(np.nan, np.nan)  # a real NaN would leave the imaginary parts 0
     return solutions
 
 
-def _pair_block(matrix: np.ndarray, z: complex, ix: int, iy: int) -> np.ndarray:
-    """The certified 2x2 resolvent block of one matrix at indices ``ix``, ``iy``."""
-    solutions, certified = resolvent_columns(matrix[None], z, [ix, iy])
-    if not certified[0]:
-        raise ResolventError("resolvent solve could not be certified")
-    return solutions[0][[ix, iy], :]
+def green_blocks(box: Box, diagonals: np.ndarray, z: complex, x: Site, y: Site) -> np.ndarray:
+    """Each row's ``[[G(z;x,x), G(z;x,y)], [G(z;y,x), G(z;y,y)]]``, shape ``(m, 2, 2)``.
 
-
-@dataclass
-class GreenBlock:
-    """2x2 block of Green-function entries at a site pair.
-
-    ``entries`` is ``[[G(z;x,x), G(z;x,y)], [G(z;y,x), G(z;y,y)]]``.  For
-    ``Im z > 0`` the imaginary part is positive definite, so its determinant
-    is positive and bounded by ``(Im z)**-2``.
+    Read from ``green_columns``, so an uncertified member is NaN.  For ``Im z > 0``
+    a block's imaginary part is positive definite: ``det_imaginary`` lies in
+    ``(0, (Im z)**-2]``.
     """
-
-    entries: np.ndarray
-    z: complex
-    x: Site
-    y: Site
-
-    @property
-    def det_imaginary(self) -> float:
-        g = self.entries.imag
-        return float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-
-
-def _site_pair(name: str, matrix: np.ndarray, box: Box, x: Site, y: Site) -> tuple[int, int]:
-    """Indices of two distinct sites of ``box``, on which ``matrix`` must act."""
     if x == y:
-        raise ConfigError(f"{name} needs two distinct sites")
-    if matrix.shape != (box.size, box.size):
-        raise ConfigError(f"matrix of shape {matrix.shape} does not act on the {box.size} box sites")
-    return box.index_of(x), box.index_of(y)
+        raise ConfigError("a Green block needs two distinct sites")
+    pair = [box.index_of(x), box.index_of(y)]
+    return green_columns(box, diagonals, z, pair)[:, pair, :]
 
 
-def green_block(matrix: np.ndarray, box: Box, z: complex, x: Site, y: Site) -> GreenBlock:
-    """Green-function block of ``matrix`` on ``box`` via two certified resolvent columns."""
-    z = complex(z)
-    entries = _pair_block(matrix, z, *_site_pair("green_block", matrix, box, x, y))
-    return GreenBlock(entries=entries, z=z, x=x, y=y)
+def det_imaginary(blocks: np.ndarray) -> np.ndarray:
+    """``det Im`` of each 2x2 block of ``blocks``: the one place it is formed."""
+    g = blocks.imag
+    return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
 
 
 @dataclass
@@ -208,10 +185,6 @@ class KreinDecomposition:
     """
 
     m_matrix: np.ndarray
-    reduced_block: np.ndarray
-    z: complex
-    x: Site
-    y: Site
     lam: float
     potential_values: tuple[float, float]
 
@@ -221,37 +194,30 @@ class KreinDecomposition:
 
 
 def krein_decomposition(
-    matrix: np.ndarray, box: Box, lam: float, profile: np.ndarray, z: complex, x: Site, y: Site
+    box: Box, diagonal: np.ndarray, lam: float, profile: np.ndarray, z: complex, x: Site, y: Site
 ) -> KreinDecomposition:
     """Compute the 2x2 coupling matrix of the resolvent identity at (x, y).
 
-    ``matrix`` is ``-Delta + lam * V`` on ``box`` and ``profile`` is ``V``.  The
-    full diagonal entries ``lam * V`` at the two sites are removed before
-    inverting; the reconstruction identity is the arbiter of this convention.
+    ``diagonal`` is the sample's row on ``box`` (``lam * V``, shifted or not) and
+    ``profile`` is ``V``.  The full entries ``lam * V`` at the two sites are removed
+    from the row before inverting; the reconstruction identity is the arbiter of
+    this convention.
     """
-    z = complex(z)
     if lam <= 0:
         raise ConfigError(f"disorder strength must be positive, got {lam}")
-    ix, iy = _site_pair("krein_decomposition", matrix, box, x, y)
-    reduced = matrix.copy()
-    reduced[ix, ix] -= lam * profile[ix]
-    reduced[iy, iy] -= lam * profile[iy]
-    block = _pair_block(reduced, z, ix, iy)
+    pair = [box.index_of(x), box.index_of(y)]
+    reduced = np.array(diagonal, dtype=float)
+    reduced[pair] -= lam * profile[pair]
+    block = green_blocks(box, reduced[None], z, x, y)[0]
+    if np.isnan(block).any():
+        raise ResolventError("resolvent solve could not be certified")
     if np.linalg.cond(block) > CONDITION_LIMIT:
         raise ResolventError("reduced Green block is numerically singular")
     m = -np.linalg.inv(block) / lam
     im_m = (m - m.conj().T) / 2j
     if np.min(np.linalg.eigvalsh(im_m)) <= 0.0:
         raise ResolventError("imaginary part of the coupling matrix is not positive definite")
-    return KreinDecomposition(
-        m_matrix=m,
-        reduced_block=block,
-        z=z,
-        x=x,
-        y=y,
-        lam=lam,
-        potential_values=(float(profile[ix]), float(profile[iy])),
-    )
+    return KreinDecomposition(m_matrix=m, lam=lam, potential_values=tuple(float(v) for v in profile[pair]))
 
 
 def chain_eigenvalues(diagonal: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@
 The library draws every coupling through ``estimators.uniforms``; tests that
 pin instances to a numpy ``Generator`` draw here instead, by the same rule
 as before (uniforms in enumeration order, inverted by the density's
-quantile), and assemble through the batched path with a one-row stack.
+quantile), and ``assemble`` hands back the sample's diagonal row, which the
+box-level kernels (``green_blocks``, ``krein_decomposition``) take as it is.
+An oracle that needs the dense Hamiltonian builds it with
+``dense_hamiltonian``: the batched assembly path on a one-row stack.
 ``reference_quantile`` is the plain bisection that the density's tabulated
 quantile must reproduce bit for bit.
 """
@@ -23,10 +26,14 @@ def draw_couplings(density, env, rng):
 
 
 def assemble(inner, u, omega, lam, shifted=False):
-    """``(H, V)`` on ``inner`` from couplings ``omega`` over its envelope."""
+    """``(row, V)`` on ``inner`` from couplings ``omega`` over its envelope: diagonal row and profile."""
     profile = potential_profiles(inner, u, envelope_box(inner, u.support_radius), omega[None])[0]
-    diagonals = hamiltonian_diagonals(inner, shifted, lam, profile[None])
-    return hamiltonian_stack(base_matrix(inner), diagonals)[0], profile
+    return hamiltonian_diagonals(inner, shifted, lam, profile[None])[0], profile
+
+
+def dense_hamiltonian(inner, row):
+    """The dense Hamiltonian ``hamiltonian_stack(base_matrix(inner), row)`` of one row."""
+    return hamiltonian_stack(base_matrix(inner), row[None])[0]
 
 
 def reference_quantile(density, q):

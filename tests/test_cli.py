@@ -817,6 +817,7 @@ RANGE_REFUSALS = [
     ("ids", "pos_a", 1.0),
     ("ids", "pos_epsilons", [0.1, 0.0]),
     ("ids", "reference_level", -0.5),
+    ("ids", "reference_level", 1.0),  # the grid's last energy, past which pos_b > 0 probes
     ("spacing", "reference_level", 1.0),  # the grid's last energy, refused after both samplings
 ]
 

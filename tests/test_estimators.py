@@ -34,7 +34,7 @@ from alloylab.estimators import (
 )
 from alloylab.lattice import box, envelope_box
 from alloylab.operator import DENSE_SOLVE_LIMIT, ResourceLimit, green_columns
-from tests.sample_reference import assemble, draw_couplings
+from tests.sample_reference import assemble, dense_hamiltonian, draw_couplings
 
 RHO = bump_density()
 DELTA = SingleSitePotential.delta(1)
@@ -765,7 +765,7 @@ def fvc_reference(cfg, radius, decay_exponent, gap):
         redraws = 0
         while True:
             omega = draw_couplings(cfg.density, env, rng)
-            h, _ = assemble(inner, cfg.potential, omega, cfg.disorder_strength)
+            h = dense_hamiltonian(inner, assemble(inner, cfg.potential, omega, cfg.disorder_strength)[0])
             if np.min(np.abs(np.linalg.eigvalsh(h) - energy)) > gap:
                 break
             redraws += 1

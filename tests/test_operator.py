@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from alloylab.disorder import SingleSitePotential, bump_density
 from alloylab import operator
-from alloylab.lattice import Box, box, envelope_box
+from alloylab.lattice import Box, ConfigError, box, envelope_box
 from alloylab.operator import (
     ResolventError,
     ResourceLimit,
@@ -17,20 +17,21 @@ from alloylab.operator import (
     _elimination_plan,
     _red_black_inertia,
     base_matrix,
-    green_block,
+    det_imaginary,
+    green_blocks,
     hamiltonian_diagonals,
     hamiltonian_stack,
     interval_counts,
     krein_decomposition,
 )
 from tests.dense_reference import band_inertia
-from tests.sample_reference import assemble, draw_couplings
+from tests.sample_reference import assemble, dense_hamiltonian, draw_couplings
 
 RHO = bump_density()
 
 
 def make_sample(radius, dimension, potential, lam=1.0, seed=0, values=None):
-    """``(box, H, V, omega)``: the given couplings, or one draw from ``default_rng(seed)``."""
+    """``(box, row, V, omega)``: the given couplings, or one draw from ``default_rng(seed)``."""
     b = box(radius, dimension)
     env = envelope_box(b, potential.support_radius)
     if values is not None:
@@ -47,7 +48,8 @@ def path_spectrum(n):
 
 def test_free_chain_matrix_and_spectrum():
     u = SingleSitePotential.delta(1)
-    _, h, _, _ = make_sample(1, 1, u, values=[0.0, 0.0, 0.0])
+    b, row, _, _ = make_sample(1, 1, u, values=[0.0, 0.0, 0.0])
+    h = dense_hamiltonian(b, row)
     expected = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
     assert np.array_equal(h, expected)
     vals = np.linalg.eigvalsh(h)
@@ -59,15 +61,15 @@ def test_free_chain_matrix_and_spectrum():
 def test_free_chain_path_graph_oracle(n):
     radius = (n - 1) // 2
     u = SingleSitePotential.delta(1)
-    _, h, _, _ = make_sample(radius, 1, u, values=np.zeros(n))
-    assert np.allclose(np.linalg.eigvalsh(h), path_spectrum(n), atol=1e-10)
+    b, row, _, _ = make_sample(radius, 1, u, values=np.zeros(n))
+    assert np.allclose(np.linalg.eigvalsh(dense_hamiltonian(b, row)), path_spectrum(n), atol=1e-10)
 
 
 def test_rank_one_diagonal_is_couplings():
     u = SingleSitePotential.delta(1)
     omega = [0.3, -0.1, 0.7, 0.2, 0.5]
-    _, h, v, _ = make_sample(2, 1, u, lam=1.0, values=omega)
-    assert np.array_equal(np.diag(h), omega)
+    b, row, v, _ = make_sample(2, 1, u, lam=1.0, values=omega)
+    assert np.array_equal(np.diag(dense_hamiltonian(b, row)), omega)
     assert np.array_equal(v, omega)
 
 
@@ -80,8 +82,8 @@ def test_potential_is_convolution_of_couplings():
     # V(0) = omega_0 + (omega_{-1} + omega_1) / 4
     assert v[1] == pytest.approx(0.3 + (0.2 + 0.4) / 4.0, abs=1e-15)
     assert v[0] == pytest.approx(0.2 + (0.1 + 0.3) / 4.0, abs=1e-15)
-    h, _ = assemble(b, u, omega, lam=2.0)
-    assert np.allclose(np.diag(h), 2.0 * v)
+    row, _ = assemble(b, u, omega, lam=2.0)
+    assert np.allclose(np.diag(dense_hamiltonian(b, row)), 2.0 * v)
 
 
 _PROFILE_RADII = {1: 4, 2: 3, 3: 1}
@@ -148,7 +150,8 @@ def test_potential_profiles_refuse_a_field_too_small(case, data):
 
 def test_symmetry_is_exact():
     u = SingleSitePotential({(0, 0): 1.0, (1, 0): -0.2, (0, -1): 0.15})
-    _, h, _, _ = make_sample(2, 2, u, lam=0.7, seed=3)
+    b, row, _, _ = make_sample(2, 2, u, lam=0.7, seed=3)
+    h = dense_hamiltonian(b, row)
     assert np.array_equal(h, h.T)
 
 
@@ -156,14 +159,14 @@ def test_shifted_laplacian_flag():
     u = SingleSitePotential.delta(1)
     b, plain, _, _ = make_sample(1, 1, u, values=[0.1, 0.2, 0.3])
     shifted, _ = assemble(b, u, np.array([0.1, 0.2, 0.3]), 1.0, shifted=True)
-    assert np.allclose(shifted, plain + 2.0 * np.eye(3))
+    assert np.allclose(dense_hamiltonian(b, shifted), dense_hamiltonian(b, plain) + 2.0 * np.eye(3))
 
 
 def test_nonpositive_disorder_rejected():
     u = SingleSitePotential.delta(1)
-    b, h, v, _ = make_sample(1, 1, u, values=np.zeros(3))
+    b, row, v, _ = make_sample(1, 1, u, values=np.zeros(3))
     with pytest.raises(ValueError):
-        krein_decomposition(h, b, 0.0, v, 0.5 + 0.1j, (-1,), (1,))
+        krein_decomposition(b, row, 0.0, v, 0.5 + 0.1j, (-1,), (1,))
 
 
 def test_2d_laplacian_degree():
@@ -178,8 +181,8 @@ def test_2d_laplacian_degree():
 def test_strong_disorder_limit():
     u = SingleSitePotential.delta(1)
     lam = 1e6
-    _, h, _, omega = make_sample(3, 1, u, lam=lam, seed=21)
-    vals = np.linalg.eigvalsh(h) / lam
+    b, row, _, omega = make_sample(3, 1, u, lam=lam, seed=21)
+    vals = np.linalg.eigvalsh(dense_hamiltonian(b, row)) / lam
     expected = np.sort(omega)
     assert np.max(np.abs(vals - expected) / np.abs(expected)) < 1e-4
 
@@ -188,7 +191,8 @@ def test_weyl_rank_one_monotonicity():
     u = SingleSitePotential({(0,): 1.0, (1,): -0.3})
     rng = np.random.default_rng(17)
     for _ in range(20):
-        b, h, _, _ = make_sample(2, 1, u, seed=int(rng.integers(1 << 30)))
+        b, row, _, _ = make_sample(2, 1, u, seed=int(rng.integers(1 << 30)))
+        h = dense_hamiltonian(b, row)
         base = np.linalg.eigvalsh(h)
         bumped = h.copy()
         site = int(rng.integers(b.size))
@@ -226,76 +230,84 @@ def test_a_one_site_chain_returns_its_diagonal_bits():
 # Green blocks
 # ---------------------------------------------------------------------------
 
-def test_green_block_of_zero_hamiltonian():
-    g = green_block(np.zeros((3, 3)), box(1, 1), 1j, (-1,), (1,))
-    # (0 - i)^{-1} = i on the diagonal, zero off-diagonal
-    assert np.allclose(g.entries, np.diag([1j, 1j]), atol=1e-14)
-    assert g.det_imaginary == pytest.approx(1.0, abs=1e-14)
+def test_green_block_of_the_free_chain():
+    # a zero row: H is the free 3-site chain, eigenvalues -sqrt 2, 0, sqrt 2, whose
+    # spectral sums at z = i give G(-1,-1) = G(1,1) = 2i/3 and G(-1,1) = -i/3
+    blocks = green_blocks(box(1, 1), np.zeros((1, 3)), 1j, (-1,), (1,))
+    assert np.allclose(blocks, 1j * np.array([[[2.0, -1.0], [-1.0, 2.0]]]) / 3.0, atol=1e-14)
+    assert det_imaginary(blocks)[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 def test_green_block_rejects_bad_input():
     u = SingleSitePotential.delta(1)
-    b, h, v, _ = make_sample(1, 1, u, seed=1)
-    with pytest.raises(ValueError):
-        green_block(h, b, 1j, (0,), (0,))
+    b, row, v, _ = make_sample(1, 1, u, seed=1)
+    with pytest.raises(ConfigError, match="two distinct sites"):
+        green_blocks(b, row[None], 1j, (0,), (0,))
+    with pytest.raises(ConfigError, match="outside box"):
+        green_blocks(b, row[None], 1j, (-1,), (2,))
     with pytest.raises(ResolventError):
-        green_block(h, b, 0.5 + 1e-15j, (-1,), (1,))
-    # a matrix of another box would be read at the wrong indices
+        green_blocks(b, row[None], 0.5 + 1e-15j, (-1,), (1,))
+    # a row of another box would be read at the wrong indices
     _, larger, _, _ = make_sample(2, 1, u, seed=1)
-    with pytest.raises(ValueError, match="does not act"):
-        green_block(larger, b, 0.5 + 0.1j, (-1,), (1,))
-    with pytest.raises(ValueError, match="does not act"):
-        krein_decomposition(larger, b, 1.0, v, 0.5 + 0.1j, (-1,), (1,))
+    with pytest.raises(ConfigError, match="does not act"):
+        green_blocks(b, larger[None], 0.5 + 0.1j, (-1,), (1,))
+    with pytest.raises(ConfigError, match="does not act"):
+        krein_decomposition(b, larger, 1.0, v, 0.5 + 0.1j, (-1,), (1,))
 
 
 def test_green_entries_respect_the_dense_cap(monkeypatch):
-    b, h, v, _ = make_sample(1, 1, SingleSitePotential.delta(1), seed=1)
+    b, row, v, _ = make_sample(1, 1, SingleSitePotential.delta(1), seed=1)
     monkeypatch.setattr(operator, "DENSE_SOLVE_LIMIT", 2)
     with pytest.raises(ResourceLimit):
-        green_block(h, b, 0.5 + 0.1j, (-1,), (1,))
+        green_blocks(b, row[None], 0.5 + 0.1j, (-1,), (1,))
     with pytest.raises(ResourceLimit):
-        krein_decomposition(h, b, 1.0, v, 0.5 + 0.1j, (-1,), (1,))
+        krein_decomposition(b, row, 1.0, v, 0.5 + 0.1j, (-1,), (1,))
 
 
 def test_green_block_symmetry_random_instances():
     rng = np.random.default_rng(100)
     u = SingleSitePotential({(0,): 1.0, (1,): 0.2, (-1,): 0.2})
     for _ in range(100):
-        b, h, _, _ = make_sample(2, 1, u, lam=1.5, seed=int(rng.integers(1 << 30)))
+        b, row, _, _ = make_sample(2, 1, u, lam=1.5, seed=int(rng.integers(1 << 30)))
         sites = b.sites()
         i, j = rng.choice(len(sites), size=2, replace=False)
-        g = green_block(h, b, 0.3 + 0.1j, sites[i], sites[j])
-        assert g.entries[0, 1] == pytest.approx(g.entries[1, 0], abs=1e-12)
+        (g,) = green_blocks(b, row[None], 0.3 + 0.1j, sites[i], sites[j])
+        assert g[0, 1] == pytest.approx(g[1, 0], abs=1e-12)
 
 
 @pytest.mark.parametrize("imag", [1e-3, 1e-1, 1.0])
 def test_det_imaginary_positive_and_bounded(imag):
+    # one batched call over every instance, as the estimator samples: G(E + i imag; H)
+    # is G(i imag; H - E), so each row carries its own real part E
     rng = np.random.default_rng(int(imag * 1000) + 1)
     u = SingleSitePotential({(0,): 1.0, (1,): -0.25})
+    rows = []
     for _ in range(334):
-        b, h, _, _ = make_sample(2, 1, u, lam=2.0, seed=int(rng.integers(1 << 30)))
-        z = float(rng.uniform(-2.0, 4.0)) + 1j * imag
-        g = green_block(h, b, z, (-1,), (1,))
-        assert 0.0 < g.det_imaginary <= imag**-2
+        b, row, _, _ = make_sample(2, 1, u, lam=2.0, seed=int(rng.integers(1 << 30)))
+        rows.append(row - float(rng.uniform(-2.0, 4.0)))
+    det = det_imaginary(green_blocks(b, np.stack(rows), 1j * imag, (-1,), (1,)))
+    assert det.shape == (334,)
+    assert np.all((0.0 < det) & (det <= imag**-2))
 
 
 def test_green_block_spectral_decomposition_oracle():
     rng = np.random.default_rng(55)
     u = SingleSitePotential({(0, 0): 1.0, (1, 1): 0.15})
     for _ in range(10):
-        b, h, _, _ = make_sample(2, 2, u, lam=1.2, seed=int(rng.integers(1 << 30)))
+        b, row, _, _ = make_sample(2, 2, u, lam=1.2, seed=int(rng.integers(1 << 30)))
         assert b.size == 25
-        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = np.linalg.eigh(dense_hamiltonian(b, row))
         z = 0.4 + 0.2j
-        x, y = (0, 0), (1, -1)
-        ix, iy = b.index_of(x), b.index_of(y)
-        oracle = np.zeros((2, 2), dtype=complex)
-        for n in range(b.size):
-            phi = vecs[:, n]
-            weight = 1.0 / (vals[n] - z)
-            oracle += weight * np.outer(phi[[ix, iy]], phi[[ix, iy]])
-        g = green_block(h, b, z, x, y)
-        assert np.max(np.abs(g.entries - oracle)) < 1e-8
+        # x before y in enumeration order (12 < 16), then x after y (18 > 2)
+        for x, y in [((0, 0), (1, -1)), ((1, 1), (-2, 0))]:
+            pair = [b.index_of(x), b.index_of(y)]
+            oracle = np.zeros((2, 2), dtype=complex)
+            for n in range(b.size):
+                phi = vecs[:, n]
+                weight = 1.0 / (vals[n] - z)
+                oracle += weight * np.outer(phi[pair], phi[pair])
+            (g,) = green_blocks(b, row[None], z, x, y)
+            assert np.max(np.abs(g - oracle)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +332,34 @@ def krein_cases(n_cases, seed=7):
         u = potentials[d][int(rng.integers(2))]
         lam = float(rng.choice([0.5, 2.0]))
         z = float(rng.uniform(-2.0, 2.0)) + 1j * float(rng.choice([1e-2, 1.0]))
-        b, h, v, _ = make_sample(radius, d, u, lam=lam, seed=int(rng.integers(1 << 30)))
+        b, row, v, _ = make_sample(radius, d, u, lam=lam, seed=int(rng.integers(1 << 30)))
         sites = b.sites()
         i, j = rng.choice(len(sites), size=2, replace=False)
-        yield b, h, lam, v, z, sites[i], sites[j]
+        yield b, row, lam, v, z, sites[i], sites[j]
 
 
 def test_krein_identity_reconstructs_green_block():
-    for b, h, lam, v, z, x, y in krein_cases(100):
-        g = green_block(h, b, z, x, y)
-        dec = krein_decomposition(h, b, lam, v, z, x, y)
-        assert np.max(np.abs(dec.reconstructed_block() - g.entries)) < 1e-9
+    for b, row, lam, v, z, x, y in krein_cases(100):
+        (g,) = green_blocks(b, row[None], z, x, y)
+        dec = krein_decomposition(b, row, lam, v, z, x, y)
+        assert np.max(np.abs(dec.reconstructed_block() - g)) < 1e-9
 
 
 def test_krein_imaginary_part_positive_definite():
-    for b, h, lam, v, z, x, y in krein_cases(50, seed=8):
-        dec = krein_decomposition(h, b, lam, v, z, x, y)
+    for b, row, lam, v, z, x, y in krein_cases(50, seed=8):
+        dec = krein_decomposition(b, row, lam, v, z, x, y)
         im_m = (dec.m_matrix - dec.m_matrix.conj().T) / 2j
         assert np.min(np.linalg.eigvalsh(im_m)) > 0.0
 
 
 def test_krein_matrix_independent_of_local_potential():
-    for b, h, lam, v, z, x, y in krein_cases(20, seed=9):
-        dec = krein_decomposition(h, b, lam, v, z, x, y)
-        bumped = h.copy()
+    for b, row, lam, v, z, x, y in krein_cases(20, seed=9):
+        dec = krein_decomposition(b, row, lam, v, z, x, y)
+        bumped = row.copy()
         ix = b.index_of(x)
-        bumped[ix, ix] += 0.37
+        bumped[ix] += 0.37
         bumped_v = v + 0.37 / lam * (np.arange(b.size) == ix)
-        dec2 = krein_decomposition(bumped, b, lam, bumped_v, z, x, y)
+        dec2 = krein_decomposition(b, bumped, lam, bumped_v, z, x, y)
         assert np.max(np.abs(dec.m_matrix - dec2.m_matrix)) < 1e-12
 
 

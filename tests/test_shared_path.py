@@ -3,8 +3,8 @@
 The batched kernels (certified counts through ``run_parallel``, the eigenvalue kernel
 of the IDS and spacing ensembles) must agree, sample by sample, with a
 reference built one sample at a time: the sample's generator, written out
-here -> ``tests.sample_reference`` (``draw_couplings`` -> ``assemble``) ->
-``eigvalsh``.  The one resolvent solve,
+here -> ``tests.sample_reference`` (``draw_couplings`` -> ``assemble`` ->
+``dense_hamiltonian``) -> ``eigvalsh``.  The one resolvent solve,
 ``resolvent_columns``, must agree bit for bit with the columns of the dense
 inverse it replaced.
 """
@@ -30,7 +30,7 @@ from alloylab.operator import (
     resolvent_columns,
 )
 from alloylab.spectra import _eigenvalue_kernel
-from tests.sample_reference import assemble, draw_couplings
+from tests.sample_reference import assemble, dense_hamiltonian, draw_couplings
 
 N_SAMPLES = 10
 # (dimension, box radius, disorder strength): bandwidths 1, 5 and 9; at strength 0
@@ -62,8 +62,8 @@ def reference_spectra(cfg, radius):
     for index in range(N_SAMPLES):
         stream = np.random.SeedSequence(cfg.seed, spawn_key=(index,))
         omega = draw_couplings(cfg.density, env, np.random.Generator(np.random.PCG64(stream)))
-        h, _ = assemble(inner, cfg.potential, omega, cfg.disorder_strength, cfg.shifted_laplacian)
-        yield np.linalg.eigvalsh(h)
+        row, _ = assemble(inner, cfg.potential, omega, cfg.disorder_strength, cfg.shifted_laplacian)
+        yield np.linalg.eigvalsh(dense_hamiltonian(inner, row))
 
 
 @pytest.mark.parametrize("chunk_size", [1, 4])
@@ -265,6 +265,46 @@ def test_only_operator_holds_a_dense_hamiltonian():
                 pins.add((module, name))
     assert callers == set()
     assert pins == {("estimators", "pin_blas_threads")}
+
+
+def test_only_the_solve_and_the_assembly_take_a_dense_matrix():
+    # every other public operator function takes a box and its diagonal rows, so the
+    # Green blocks, the Krein identity and the counts cannot be handed a matrix of
+    # another box or convention
+    dense = {"matrix", "matrices", "base"}
+    takers = {
+        name
+        for module, name, node in _src_functions()
+        if module == "operator" and not name.startswith("_")
+        and dense & {arg.arg for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    }
+    assert takers == {"resolvent_columns", "hamiltonian_stack"}
+
+
+def _two_by_two_determinant(node) -> bool:
+    """``a[..., 0, 0] * b[..., 1, 1] - c[..., 0, 1] * d[..., 1, 0]`` written out, any indices."""
+    def corner(part):
+        index = getattr(getattr(part, "slice", None), "elts", [])[-2:]
+        return len(index) == 2 and all(isinstance(i, ast.Constant) and i.value in (0, 1) for i in index)
+
+    sides = (node.left, node.right) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) else ()
+    return (
+        bool(sides)
+        and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult) for side in sides)
+        and all(corner(factor) for side in sides for factor in (side.left, side.right))
+    )
+
+
+def test_det_imaginary_is_the_one_determinant_of_im():
+    # minami's samples and the Krein identity's blocks share one det Im g; a 2x2
+    # determinant written out, or a linalg.det, anywhere else would be a second
+    formed = {
+        (module, name)
+        for module, name, node in _src_functions()
+        for part in ast.walk(node)
+        if _two_by_two_determinant(part) or (isinstance(part, ast.Call) and _called(part) == "det")
+    }
+    assert formed == {("operator", "det_imaginary")}
 
 
 def test_the_convention_enters_only_the_diagonal_row():

@@ -486,14 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # every command's flags, built once
+    common.add_argument("--config", required=True, help="path to the JSON experiment config")
+    common.add_argument("--seed", type=int, default=None, help="override the config seed")
+    common.add_argument("--samples", type=int, default=None, help="override the sample count")
+    common.add_argument("--workers", type=int, default=None, help="override the worker count")
+    common.add_argument("--out", default=None, help="directory for records and CSV tables")
 
     def add(name, func, help_text, needs_records=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--samples", type=int, default=None, help="override the sample count")
-        p.add_argument("--workers", type=int, default=None, help="override the worker count")
-        p.add_argument("--out", default=None, help="directory for records and CSV tables")
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if needs_records:
             p.add_argument("--records", required=True, help="results.jsonl to verify")
         if name == "spacing":

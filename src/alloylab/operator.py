@@ -414,10 +414,10 @@ def _elimination_plan(dimension: int, side: int) -> _EliminationPlan:
         previous = last[k]
     widest = int(fronts.max(initial=1))
     # an update covers rows a..b-1 of the lower triangle and columns up to b - 1, in
-    # blocks of about equal area
+    # blocks of about equal area, f // 2 of them (2-5% faster than f // 5 at d = 2, 3)
     rows = []
     for f in fronts - 1:
-        blocks = max(1, f // 5)
+        blocks = max(1, f // 2)
         cuts = [round(f * (i / blocks) ** 0.5) for i in range(blocks + 1)]
         rows.append(tuple((a, b) for a, b in zip(cuts, cuts[1:]) if b > a))
     return _EliminationPlan(
@@ -449,7 +449,7 @@ def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray, shifts: np
     # the red pivots in place, then their reciprocals; the last slot stays 0
     inverse = np.zeros((plan.red.size + 1, lanes))
     pivots = inverse[:-1]
-    pivots[:] = (diagonals[plan.red][:, :, None] - shifts).reshape(plan.red.size, lanes)
+    np.subtract(diagonals[plan.red][:, :, None], shifts, out=pivots.reshape(-1, *shifts.shape))
     negative = np.count_nonzero(pivots < 0, axis=0)
     extremes = [np.max(pivots, axis=0), -np.min(pivots, axis=0)]
     np.divide(1.0, pivots, out=pivots)
@@ -457,29 +457,31 @@ def _red_black_inertia(plan: _EliminationPlan, diagonals: np.ndarray, shifts: np
     if not blacks:
         return negative, growth
     schur = np.zeros((plan.sums.shape[1] + 1, lanes))
-    schur[:blacks] = (diagonals[plan.black][:, :, None] - shifts).reshape(blacks, lanes)
+    np.subtract(diagonals[plan.black][:, :, None], shifts, out=schur[:blacks].reshape(-1, *shifts.shape))
     entries = schur.shape[0] - 1
+    gathered = np.empty((min(64, entries), lanes))
     for start in range(0, entries, 64):  # in slabs of 64 entries, so the gathers stay small
-        slab, diagonal = slice(start, min(start + 64, entries)), slice(start, min(start + 64, blacks))
-        for column in plan.sums:
-            schur[slab] -= inverse[column[slab]]
-        for column in plan.extra:
-            schur[diagonal] -= inverse[column[diagonal]]
-    del pivots, inverse  # spent: freed before the windows are allocated
+        for columns, stop in ((plan.sums, entries), (plan.extra, blacks)):
+            slab = slice(start, min(start + 64, stop))
+            part = gathered[: max(0, slab.stop - start)]
+            for column in columns:
+                np.take(inverse, column[slab], axis=0, out=part, mode="clip")
+                np.subtract(schur[slab], part, out=schur[slab])
+    del pivots, inverse, gathered  # spent: freed before the windows are allocated
     widest = max(plan.fronts)
     window, spare = np.empty((2, widest, widest, lanes))
     # pivot k overwrites S's diagonal entry k, which no fill reads after k entered the window
     pivots = schur[:blacks]
-    terms, peak = np.empty((widest, lanes)), np.zeros((widest, lanes))
+    ratio, terms, peak = np.empty((widest, lanes)), np.empty((widest, lanes)), np.zeros((widest, lanes))
     kept = 0
     for k, (f, fill, rows) in enumerate(zip(plan.fronts, plan.fills, plan.rows)):
         if fill is not None:
-            window[kept:f, :f] = schur[fill]
+            np.take(schur, fill, axis=0, out=window[kept:f, :f], mode="clip")
         pivots[k] = window[0, 0]
         column = window[1:f, 0]
-        ratio = column / window[0, 0]
+        np.divide(column, window[0, 0], out=ratio[: f - 1])
         # the growth terms c_i^2 / d, and c_i l_j off the lower triangle (row blocks)
-        np.abs(np.multiply(ratio, column, out=terms[: f - 1]), out=terms[: f - 1])
+        np.abs(np.multiply(ratio[: f - 1], column, out=terms[: f - 1]), out=terms[: f - 1])
         np.maximum(peak[: f - 1], terms[: f - 1], out=peak[: f - 1])
         for a, b in rows:
             update = np.multiply(ratio[a:b, None], column[:b], out=spare[a:b, :b])

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alloylab import estimators, operator
@@ -274,6 +275,36 @@ def test_blas_threads_sets_only_the_copies_not_at_the_count(monkeypatch):
     assert calls == [("scipy", 1)]
 
 
+def test_each_blas_copy_is_found_once_and_a_later_copy_when_it_loads():
+    openblas_libraries()
+    # a fresh process: scipy's copy loads with scipy.linalg, between the two lookups
+    code = (
+        "import json, operator, sys\n"
+        "from alloylab import estimators\n"
+        "first, _ = estimators._openblas_libraries()\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "estimators.pin_blas_threads()\n"
+        "import scipy.linalg\n"
+        "second, missing = estimators._openblas_libraries()\n"
+        "estimators.pin_blas_threads()\n"
+        "third, _ = estimators._openblas_libraries()\n"
+        "print(json.dumps({'first': [lib.package for lib in first],\n"
+        "                  'second': [lib.package for lib in second], 'missing': missing,\n"
+        "                  'kept': first[0] is second[0] and all(map(operator.is_, second, third)),\n"
+        "                  'threads': [lib.get_threads() for lib in third]}))\n"
+    )
+    src = str(Path(estimators.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    state = json.loads(result.stdout)
+    assert state["first"] == ["numpy"]
+    assert state["second"] == ["numpy", "scipy"] and state["missing"] is None
+    assert state["kept"]
+    assert state["threads"] == [estimators.PINNED_BLAS_THREADS] * 2
+
+
 def test_forked_runs_leave_no_blas_threads_in_a_pinned_process():
     openblas_libraries()
     if not Path("/proc/self/task").is_dir():
@@ -353,13 +384,19 @@ def test_uniforms_pinned_values():
     ]
 
 
+# a call of _BULK_ROWS rows or more seeds in bulk, a shorter one row by row
+ROW_COUNTS = st.integers(1, 3 * estimators._BULK_ROWS)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**64 - 1),
-    indices=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
-    width=st.integers(1, 17),
+    seed=st.integers(0, 2**130),
+    indices=ROW_COUNTS.flatmap(lambda n: st.lists(st.integers(0, 2**40), min_size=n, max_size=n)),
+    width=st.integers(1, 300),
     attempt=st.integers(0, 4),
 )
+@example(seed=2**130, indices=[2**32, 2**40, 0] * (estimators._BULK_ROWS // 3), width=300, attempt=3)
+@example(seed=2**97 + 11, indices=[2**32 - 5 + k for k in range(estimators._BULK_ROWS - 1)], width=9, attempt=1)
 def test_uniforms_block_is_the_next_draw_of_the_stream(seed, indices, width, attempt):
     rows = uniforms(seed, indices, width, attempt)
     assert rows.shape == (len(indices), width)

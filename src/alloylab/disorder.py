@@ -233,32 +233,28 @@ class DisorderDensity:
         (a NaN ``q``, ``q`` at or past the support's ends, a leaf where the
         density vanishes or the computed CDF rounds flat) bisects below its
         leaf on ``cdf``, with the plain bisection's bits (``rtsafe``, Press et
-        al., *Numerical Recipes*, 3rd ed., 9.4).  Draws are inverted in blocks of
-        at most ``_QUANTILE_BLOCK``; a draw's bits do not depend on its block.
+        al., *Numerical Recipes*, 3rd ed., 9.4).
         """
         q = np.asarray(q, dtype=float)
-        draws, out = q.ravel(), np.empty(q.size)
-        for start in range(0, q.size, _QUANTILE_BLOCK):
-            flat = draws[start : start + _QUANTILE_BLOCK]
-            leaf = np.zeros(flat.shape, dtype=np.intp)
-            step = self._edge_cdf.size // 2
-            while step:
-                leaf += step * (self._edge_cdf[leaf + step] < flat)
-                step //= 2
-            lo, hi = self._edges[leaf], self._edges[leaf + 1]
-            t = lo + (flat - self._edge_cdf[leaf]) * self._slope[leaf]
-            for _ in range(_NEWTON_STEPS):
-                moved = t - (self.cdf(t) - flat) / self.pdf(t)
-                t = np.where((lo <= moved) & (moved <= hi), moved, t)
-            # the crossing the bisection would bracket in its last cell
-            checked = (self.cdf(t - self._half_cell) < flat) & ~(self.cdf(t + self._half_cell) < flat)
-            rest = np.flatnonzero(~checked)
-            if rest.size:
-                lo, hi = _bisect(lo[rest], hi[rest], flat[rest], self.cdf, self._depth)
-                t[rest] = 0.5 * (lo + hi)
-            out[start : start + flat.size] = t
-        out = out.reshape(q.shape)
-        return out if out.ndim else float(out)
+        flat = q.ravel()
+        leaf = np.zeros(flat.shape, dtype=np.intp)
+        step = self._edge_cdf.size // 2
+        while step:
+            leaf += step * (self._edge_cdf[leaf + step] < flat)
+            step //= 2
+        lo, hi = self._edges[leaf], self._edges[leaf + 1]
+        t = lo + (flat - self._edge_cdf[leaf]) * self._slope[leaf]
+        for _ in range(_NEWTON_STEPS):
+            moved = t - (self.cdf(t) - flat) / self.pdf(t)
+            t = np.where((lo <= moved) & (moved <= hi), moved, t)
+        # the crossing the bisection would bracket in its last cell
+        checked = (self.cdf(t - self._half_cell) < flat) & ~(self.cdf(t + self._half_cell) < flat)
+        rest = np.flatnonzero(~checked)
+        if rest.size:
+            lo, hi = _bisect(lo[rest], hi[rest], flat[rest], self.cdf, self._depth)
+            t[rest] = 0.5 * (lo + hi)
+        t = t.reshape(q.shape)
+        return t if t.ndim else float(t)
 
 
 def _bisect(lo, hi, q, cdf, levels):
@@ -274,9 +270,6 @@ def _bisect(lo, hi, q, cdf, levels):
 
 
 _NEWTON_STEPS = 2  # from the secant start: the crossing check then passes for almost every draw
-# draws inverted at a time: one call of 36,450 (65,536) bump draws cost 91 (95) ns a
-# draw, and 81 (75) ns in blocks of this size
-_QUANTILE_BLOCK = 16384
 
 
 def _horner(coefficients: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -79,19 +78,16 @@ def uniforms(seed: int, indices, width: int, attempt: int = 0) -> np.ndarray:
     Row ``i`` is the ``attempt``-th run of ``width`` doubles of the PCG64 stream
     keyed by ``SeedSequence(entropy=seed, spawn_key=(i,))``: a redraw or a second
     box reads the next block, and no row depends on the call's other indices.
-    A call of ``_BULK_ROWS`` rows or more seeds its streams in bulk
-    (``_stream_states``) and runs them on one reused generator, with the same bits.
+    The streams are seeded in bulk (``_stream_states``) and run on one reused
+    generator, with numpy's bits; indices are integers in ``[0, 2**64)``.
     """
     out = np.empty((len(indices), width))
     index = np.asarray(indices)
-    if len(index) < _BULK_ROWS or index.dtype.kind not in "iu" or np.min(index) < 0:
-        for row, i in enumerate(indices):
-            bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(int(i),)))
-            out[row] = np.random.Generator(bits.advance(attempt * width)).random(width)
-        return out
+    if seed < 0 or index.size and (index.dtype.kind not in "iu" or index.min() < 0):
+        raise ConfigError("the seed and every sample index must be non-negative integers")
     bits = np.random.PCG64(0)
     generator, state = np.random.Generator(bits), bits.state
-    for row, stream in zip(out, _stream_states(seed, index)):
+    for row, stream in zip(out, _stream_states(seed, index.astype(np.uint64))):
         state["state"] = stream
         bits.state = state
         if attempt:
@@ -105,9 +101,6 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 _WORD, _DOUBLE_WORD = 2**32 - 1, 2**128 - 1
-# from this many rows, bulk seeding's fixed 0.1 ms is paid back: a row costs
-# about 3 us on the reused generator against 13 us built afresh
-_BULK_ROWS = 12
 
 
 def _hash_constants(start: int, multiplier: int):
@@ -180,24 +173,16 @@ class BlasLibrary:
 _FOUND_BLAS: dict[str, BlasLibrary] = {}  # each copy found, by package: a loaded library stays
 
 
-@lru_cache(maxsize=len(_OPENBLAS_COPIES))
-def _bundled_library(package_file: str, package: str, pattern: str) -> str | None:
-    """The first library matching ``pattern`` in a package's wheel (None if none does)."""
-    paths = sorted(Path(package_file).parents[1].glob(f"{package}.libs/{pattern}"))
-    return str(paths[0]) if paths else None
-
-
 def _openblas_libraries() -> tuple[tuple[BlasLibrary, ...], str | None]:
     """The OpenBLAS copies loaded now, and the first library or symbol not found (None if all were).
 
-    A copy is looked up until it is found, then kept for the process (and a
-    wheel's library file is globbed once); a copy can load partway through a
-    process: importing ``scipy.linalg`` or ``scipy.special`` loads scipy's.  A
-    copy not loaded yet (its package not imported, or its library not mapped)
-    is neither listed nor missing; an imported package without its bundled
-    library, or a loaded library without a symbol, is missing.  Libraries are
-    opened with ``RTLD_NOLOAD``, so one that is not loaded already is never
-    loaded.
+    A copy is looked up until it is found, then kept for the process; a copy
+    can load partway through a process: importing ``scipy.linalg`` or
+    ``scipy.special`` loads scipy's.  A copy not loaded yet (its package not
+    imported, or its library not mapped) is neither listed nor missing; an
+    imported package without its bundled library, or a loaded library without
+    a symbol, is missing.  Libraries are opened with ``RTLD_NOLOAD``, so one
+    that is not loaded already is never loaded.
     """
     found, missing = [], []
     for package, pattern, suffix in _OPENBLAS_COPIES:
@@ -206,11 +191,12 @@ def _openblas_libraries() -> tuple[tuple[BlasLibrary, ...], str | None]:
             continue
         if (module := sys.modules.get(package)) is None:
             continue
-        if (path := _bundled_library(module.__file__, package, pattern)) is None:
+        paths = sorted(Path(module.__file__).parents[1].glob(f"{package}.libs/{pattern}"))
+        if not paths:
             missing.append(f"{package}.libs/{pattern}")
             continue
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            lib = ctypes.CDLL(str(paths[0]), mode=os.RTLD_NOLOAD)
         except OSError:
             continue
         verbs = ("get_num_threads", "set_num_threads", "get_config")
@@ -410,7 +396,7 @@ class ExperimentConfig:
             raise ConfigError("box radius must be non-negative")
         if self.workers < 1:
             raise ConfigError("worker count must be at least 1")
-        if self.seed < 0:  # SeedSequence would refuse it only inside the first chunk
+        if self.seed < 0:  # uniforms would refuse it only inside the first chunk
             raise ConfigError(f"'seed' must be non-negative, got {self.seed}")
         if not 0 <= self.disorder_strength < math.inf:
             raise ConfigError(

@@ -420,6 +420,11 @@ def _elimination_plan(dimension: int, side: int) -> _EliminationPlan:
         blocks = max(1, f // 2)
         cuts = [round(f * (i / blocks) ** 0.5) for i in range(blocks + 1)]
         rows.append(tuple((a, b) for a, b in zip(cuts, cuts[1:]) if b > a))
+    # the kernel gathers with mode="clip", which reads a stray index as the last (zero or
+    # real) row without an error; so a plan whose indices leave their arrays is refused here
+    gathers = [(sums, R), (diagonal, R)] + [(fill, entry.size) for fill in fills if fill is not None]
+    if any(index.size and (index.min() < 0 or index.max() > top) for index, top in gathers):
+        raise AssertionError("elimination plan indexes past its arrays; the plan bookkeeping is wrong")
     return _EliminationPlan(
         red=red,
         black=black,

@@ -394,22 +394,6 @@ def test_raised_cosine_quantile_passes_the_crossing_check_or_keeps_the_bisection
     assert_checked_or_bisected(rho, q)
 
 
-def test_quantile_blocks_keep_the_bisection_contract_across_their_boundaries():
-    # 36,450 draws, a d=3 r=3 count chunk, are three blocks; the draws that fall
-    # back (NaN, the support's ends) sit on both sides of each boundary
-    rho = bump_density()
-    block = disorder._QUANTILE_BLOCK
-    q = np.random.default_rng(29).random(36450)
-    for edge in (block, 2 * block):
-        q[edge - 2: edge + 2] = [math.nan, 0.0, 1.0, 1.0 - 2.0**-53]
-    assert_checked_or_bisected(rho, q)
-    t = rho.quantile(q)
-    for edge in (block, 2 * block):
-        near = slice(edge - 5, edge + 5)
-        assert rho.quantile(q[near]).tobytes() == t[near].tobytes()
-        assert same_bits(t[edge - 2: edge + 2], reference_quantile(rho, q[edge - 2: edge + 2])).all()
-
-
 def spy_on_the_fallback(monkeypatch):
     """The ``q`` of every row that reaches ``_bisect``, one list per call."""
     calls = []

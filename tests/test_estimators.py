@@ -33,7 +33,7 @@ from alloylab.estimators import (
     uniforms,
     wegner_ratio_sweep,
 )
-from alloylab.lattice import box, envelope_box
+from alloylab.lattice import ConfigError, box, envelope_box
 from alloylab.operator import DENSE_SOLVE_LIMIT, ResourceLimit, green_columns
 from tests.sample_reference import assemble, dense_hamiltonian, draw_couplings
 
@@ -384,19 +384,15 @@ def test_uniforms_pinned_values():
     ]
 
 
-# a call of _BULK_ROWS rows or more seeds in bulk, a shorter one row by row
-ROW_COUNTS = st.integers(1, 3 * estimators._BULK_ROWS)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**130),
-    indices=ROW_COUNTS.flatmap(lambda n: st.lists(st.integers(0, 2**40), min_size=n, max_size=n)),
+    indices=st.lists(st.integers(0, 2**40), min_size=1, max_size=36),
     width=st.integers(1, 300),
     attempt=st.integers(0, 4),
 )
-@example(seed=2**130, indices=[2**32, 2**40, 0] * (estimators._BULK_ROWS // 3), width=300, attempt=3)
-@example(seed=2**97 + 11, indices=[2**32 - 5 + k for k in range(estimators._BULK_ROWS - 1)], width=9, attempt=1)
+@example(seed=2**130, indices=[2**32, 2**40, 0] * 4, width=300, attempt=3)
+@example(seed=2**97 + 11, indices=[2**32 - 5 + k for k in range(11)], width=9, attempt=1)
 def test_uniforms_block_is_the_next_draw_of_the_stream(seed, indices, width, attempt):
     rows = uniforms(seed, indices, width, attempt)
     assert rows.shape == (len(indices), width)
@@ -406,6 +402,12 @@ def test_uniforms_block_is_the_next_draw_of_the_stream(seed, indices, width, att
             rng.random(width)
         assert np.array_equal(row, rng.random(width))
         assert np.array_equal(row, uniforms(seed, [index], width, attempt)[0])
+
+
+@pytest.mark.parametrize("seed, indices", [(1, [3, -1]), (1, [2.0]), (1, [True]), (1, [2**64]), (-1, [0])])
+def test_uniforms_refuses_a_negative_or_non_integer_key(seed, indices):
+    with pytest.raises(ConfigError, match="non-negative integers"):
+        uniforms(seed, indices, 3)
 
 
 def numpy_random_users(path):
